@@ -74,7 +74,6 @@ from .spectral import (
     topological_entropy,
 )
 from .words import (
-    Alphabet,
     VertexShift,
     Word,
     WordSet,

@@ -14,7 +14,7 @@ from .construction import Target, next_params, plan_initial_params
 from .errors import ConfigError
 from .measures import MetricConfig
 from .spectral import RoofFunction, parry_measure
-from .words import VertexShift, from_forbidden_words, full_shift
+from .words import VertexShift, from_forbidden_words, full_shift, label_language
 
 
 @dataclass
@@ -67,15 +67,26 @@ class RunConfig:
         return full_shift(self.alphabet)
 
     def build_roof(self, shift):
-        size = shift.ambient_size
-        if self.roof_constant is not None:
-            return RoofFunction.constant(self.roof_constant, size)
-        if not self.roof_values:
+        """The roof, with a value on every admissible word of its depth."""
+        if self.roof_constant is None and not self.roof_values:
             raise ConfigError("roof needs `constant` or word values", field="roof")
-        values = {
-            tuple(int(ch) for ch in w): v for w, v in self.roof_values
-        }
-        return RoofFunction(self.roof_depth, values)
+        try:
+            if self.roof_constant is not None:
+                rho = RoofFunction.constant(self.roof_constant, shift.ambient_size)
+            else:
+                values = {tuple(int(ch) for ch in w): v for w, v in self.roof_values}
+                rho = RoofFunction(self.roof_depth, values)
+        except ValueError as exc:
+            raise ConfigError(f"bad roof: {exc}", field="roof") from None
+        if not rho.covers(shift):
+            missing = next(
+                w for w in label_language(shift, rho.depth) if w not in rho.values
+            )
+            raise ConfigError(
+                f"roof has no value on the admissible word {''.join(map(str, missing))}",
+                field="roof",
+            )
+        return rho
 
     def build_target(self, shift=None):
         shift = shift or self.build_shift()

@@ -11,7 +11,6 @@ failing window identified.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +55,7 @@ from .spectral import (
 from .words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
+    bfs_distances,
     connecting_word,
     higher_block,
     induced_subshift,
@@ -68,6 +68,11 @@ from .words import (
     longest_window_avoiding,
     word_count,
 )
+
+# block depths the exhaustive subsystem search escalates through, and the
+# most states a presentation it searches may have
+MAX_BLOCK_DEPTH = 3
+SUBSET_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def _irreducible_induced(shift, states):
     return sub if is_irreducible(sub) else None
 
 
-def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_h, budget):
+def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_h):
     """Exhaustively scored strongly connected induced subgraphs."""
     n = shift.num_states
     out = []
@@ -245,7 +250,7 @@ def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_
     return out
 
 
-def _zed_candidates(shift, y_mask, k1_cap, y_shift, budget):
+def _zed_candidates(shift, y_mask, k1_cap, y_shift):
     """Positive-entropy subsystems language-disjoint from Y, smallest K1 first."""
     n = shift.num_states
     rest = [i for i in range(n) if not (y_mask >> i & 1)]
@@ -258,7 +263,7 @@ def _zed_candidates(shift, y_mask, k1_cap, y_shift, budget):
         if topological_entropy(sub) <= 1e-9:
             continue
         for k in range(1, k1_cap + 1):
-            if languages_disjoint(y_shift, sub, k, budget=budget):
+            if languages_disjoint(y_shift, sub, k):
                 found.append((k, -topological_entropy(sub), mask, sub))
                 break
     found.sort(key=lambda t: t[:3])
@@ -272,13 +277,9 @@ def select_disjoint_subsystems(
     kappa,
     cfg,
     block_depth=2,
-    max_block_depth=3,
     entropy_target=None,
     roof=None,
     roof_target=None,
-    subset_cap=16,
-    k1_cap=None,
-    budget=DEFAULT_WORD_BUDGET,
 ):
     """Irreducible sub-SFT pair (Y, Z) with disjoint depth-K1 languages.
 
@@ -286,8 +287,9 @@ def select_disjoint_subsystems(
     stays kappa-close to m in the surrogate metric; Z only needs positive
     entropy.  Small presentations are searched exhaustively over induced
     subgraphs of higher-block recodings (block depth escalating on
-    failure); positional renewal presentations restrict to sub-codes, the
-    induced subgraphs their structure supports.
+    failure, up to MAX_BLOCK_DEPTH, while a recoding has at most SUBSET_CAP
+    states); larger positional renewal presentations restrict to sub-codes,
+    the induced subgraphs their structure supports.
 
     Ranking among admissible candidates prefers entropy closest to
     `entropy_target` (default c1) and, as a tiebreak, a maximal measure
@@ -305,25 +307,21 @@ def select_disjoint_subsystems(
             return 0.0
     diagnostics = {}
     renewal = getattr(shift, "renewal", None)
-    if renewal is not None and shift.num_states > subset_cap:
-        return _select_in_renewal(
-            shift, m, c1, kappa, cfg, renewal, target_h, k1_cap, budget, diagnostics
-        )
+    if renewal is not None and shift.num_states > SUBSET_CAP:
+        return _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
     depth = block_depth
-    while depth <= max_block_depth:
-        h = higher_block(shift, depth, budget=budget) if depth > 1 else shift
-        if h.num_states > subset_cap:
+    while depth <= MAX_BLOCK_DEPTH:
+        h = higher_block(shift, depth) if depth > 1 else shift
+        if h.num_states > SUBSET_CAP:
             diagnostics[f"block_{depth}"] = (
                 f"{h.num_states} block states exceed the exhaustive-search cap"
             )
             break
-        cap = k1_cap if k1_cap is not None else max(2 * depth, 6)
-        ys = _subset_candidates(
-            h, m, c1, kappa, cfg, target_h, roof_score, c1 > 1e-12, budget
-        )
+        cap = max(2 * depth, 6)
+        ys = _subset_candidates(h, m, c1, kappa, cfg, target_h, roof_score, c1 > 1e-12)
         diagnostics[f"block_{depth}_y_candidates"] = len(ys)
         for _, _, _, _, y_mask, y_sub, y_h in ys:
-            zs = _zed_candidates(h, y_mask, cap, y_sub, budget)
+            zs = _zed_candidates(h, y_mask, cap, y_sub)
             if zs:
                 k1, _, _, z_sub = zs[0]
                 return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1)
@@ -335,9 +333,7 @@ def select_disjoint_subsystems(
     )
 
 
-def _select_in_renewal(
-    shift, m, c1, kappa, cfg, renewal, target_h, k1_cap, budget, diagnostics
-):
+def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics):
     k = renewal.k
     t_total = len(renewal.code)
     if t_total < 3:
@@ -353,7 +349,7 @@ def _select_in_renewal(
             diagnostics={"code_words": t_total, "k": k},
         )
     t_best = min(max(lo_t, round(math.exp(target_h * k))), hi_t)
-    cap = k1_cap if k1_cap is not None else 6 * k
+    cap = 6 * k
 
     def sub_code(lo, hi):
         sub = induced_subshift(shift, [a * k + p for a in range(lo, hi) for p in range(k)])
@@ -372,7 +368,7 @@ def _select_in_renewal(
                 continue
             z_sub = sub_code(t, t + 2)
             for kk in range(1, cap + 1):
-                if languages_disjoint(y_sub, z_sub, kk, budget=budget):
+                if languages_disjoint(y_sub, z_sub, kk):
                     return SubsystemPair(Y=y_sub, Z=z_sub, K1=kk)
             diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
     diagnostics["tried"] = tried[:16]
@@ -488,29 +484,28 @@ class StageReport:
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Run-wide verification knobs.
-
-    sync_cap bounds only the pattern search behind a sync depth on an
-    explicit presentation: with more prev-depth words than that the depth
-    is left uncertified.  It never bounds the depth itself.
-    """
+    """Seed and size of the Markov sample `verify_stage` draws where the
+    code words do not bound every invariant measure (see `_etas`)."""
 
     seed: int = 0
     samples: int = 32
-    nesting_depths: tuple = (1, 2, 3, 4)
-    sync_cap: int = 4096
-    budget: int = DEFAULT_WORD_BUDGET
-    check_extreme_cycles: bool = True
+
+
+# depths of the language nesting check
+NESTING_DEPTHS = (1, 2, 3, 4)
+# most prev-depth words the pattern search behind a sync depth examines on
+# an explicit presentation; with more the depth is left uncertified.  It
+# never bounds the depth itself.
+SYNC_CAP = 4096
 
 
 class _CyclicTable:
     """Cylinder tables of the periodic-orbit measure of one code word."""
 
-    def __init__(self, word, ambient_size):
+    def __init__(self, word):
         self.word = tuple(word)
-        self.ambient_size = ambient_size
 
-    def cylinder_table(self, depth, budget=DEFAULT_WORD_BUDGET):
+    def cylinder_table(self, depth, budget=None):
         w, n = self.word, len(self.word)
         ext = w + w[: depth - 1]
         counts = {}
@@ -518,11 +513,6 @@ class _CyclicTable:
             key = ext[i : i + depth]
             counts[key] = counts.get(key, 0) + 1
         return {kk: c / n for kk, c in counts.items()}
-
-
-def _cycle_roof_average(word, rho):
-    ext = word + word[: rho.depth - 1]
-    return sum(rho(ext[i : i + rho.depth]) for i in range(len(word))) / len(word)
 
 
 @dataclass
@@ -569,7 +559,6 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
         entropy_target=params.entropy_target,
         roof=target.rho,
         roof_target=roof_integral(prev.measure, target.rho),
-        budget=settings.budget,
     )
     art.Y, art.Z = pair.Y, pair.Z
     # Y is a sub-code on renewal ambients too large for the plain-graph search
@@ -583,7 +572,6 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             params.kappa,
             params.effective_radius,
             params.metric,
-            budget=settings.budget,
         )
         gamma, start_state, end_state = pigeonhole_refine(katok.words, pair.Y)
         start_prev = pair.Y.state_words[start_state][0]
@@ -597,18 +585,19 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
 
     # connection-time bound over every state the low-overlap word may touch
     z_prev_states = sorted({sw[0] for sw in pair.Z.state_words})
-    times_out = _bfs_times(prev.shift, end_prev, reverse=False)
-    times_in = _bfs_times(prev.shift, start_prev, reverse=True)
+    # paths of at least one edge: end_prev -> z and z -> start_prev
+    times_out = bfs_distances(prev.shift, prev.shift.successors(end_prev))
+    times_in = bfs_distances(prev.shift, prev.shift.predecessors(start_prev), reverse=True)
     M = 1
     for z in z_prev_states:
-        if times_out.get(z) is None or times_in.get(z) is None:
+        if times_out[z] is None or times_in[z] is None:
             raise SubsystemSearchError(
                 f"state {z} of Z is not connected to the separated set"
             )
-        M = max(M, times_out[z], times_in[z])
+        M = max(M, times_out[z] + 1, times_in[z] + 1)
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
-    w_internal = find_low_overlap_word(pair.Z, l_eff, budget=settings.budget)
+    w_internal = find_low_overlap_word(pair.Z, l_eff)
     w_prev = _prev_word(pair.Z, w_internal, with_tail=False)
     art.low_overlap_word = w_prev
 
@@ -631,14 +620,14 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             )
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
         next_measure = parry_measure(next_shift)
-        sync_depth = _sync_depth(next_shift, prev.sync_depth, settings)
+        sync_depth = _sync_depth(next_shift, prev.sync_depth)
     else:
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
         _check_separated(code, pair.Y, params)
         next_shift, next_measure = None, code
-        sync_depth = _sync_depth(code, prev.sync_depth, settings)
+        sync_depth = _sync_depth(code, prev.sync_depth)
     stage = Stage(
         index=prev.index + 1,
         shift=next_shift,
@@ -659,7 +648,7 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             "border": max_self_overlap(label_word(prev.shift, w_prev)),
             "M": M,
             "K1": pair.K1,
-            "disjoint": languages_disjoint(pair.Y, pair.Z, pair.K1, budget=settings.budget),
+            "disjoint": languages_disjoint(pair.Y, pair.Z, pair.K1),
         },
     )
     report.artifacts = art
@@ -847,25 +836,7 @@ def _check_separated(code, Y, params):
         )
 
 
-def _bfs_times(shift, origin, reverse):
-    """Connection times (>= 1 edge) from/to origin for every state."""
-    nbrs = shift.predecessors if reverse else shift.successors
-    dist = {}
-    queue = deque()
-    for s in nbrs(origin):
-        if s not in dist:
-            dist[s] = 1
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in nbrs(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def _avoiding(space, depth, budget):
+def _avoiding(space, depth, budget=DEFAULT_WORD_BUDGET):
     """(word, longest window avoiding it) over the depth-`depth` language.
 
     `space` is a VertexShift or a structured stage's PermutationCode; words
@@ -880,16 +851,17 @@ def _avoiding(space, depth, budget):
     return ((v, longest_window_avoiding(space, v)) for v in patterns)
 
 
-def _sync_depth(space, prev_depth, settings):
+def _sync_depth(space, prev_depth, settings=None):
     """Smallest depth whose words contain every prev-depth word, or None.
 
     None when windows of any length avoid some prev-depth word, when an
-    explicit presentation has more than `settings.sync_cap` prev-depth
-    words to search, or beyond the depths a structured stage decides.  A
-    depth computed exactly is returned as it is, however large.
+    explicit presentation has more than SYNC_CAP prev-depth words to
+    search, or beyond the depths a structured stage decides.  A depth
+    computed exactly is returned as it is, however large.  `settings` is
+    not read; the search depends on the space alone.
     """
     try:
-        lengths = [m for _, m in _avoiding(space, prev_depth, settings.sync_cap)]
+        lengths = [m for _, m in _avoiding(space, prev_depth, SYNC_CAP)]
     except (CapacityError, StructureDepthError):
         return None
     if any(m is None for m in lengths):
@@ -900,9 +872,8 @@ def _sync_depth(space, prev_depth, settings):
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     """Evaluate every stage inequality; failures are data, not exceptions.
 
-    A structured stage (`shift` None) shares one cylinder table among all
-    its invariant measures, so its roof window and measure distance come
-    exactly from that table instead of from sampled measures.
+    The roof window and the measure distance range over the measures
+    `_etas` yields; `settings` seeds the Markov sample it may draw.
     """
     settings = settings or RunSettings()
     c, rho = target.c, target.rho
@@ -924,19 +895,17 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 
     roof_vals = []
     dists = []
-    for eta in _etas(stage, settings):  # one measure alive at a time
-        if isinstance(eta, _CyclicTable):
-            roof_vals.append(_cycle_roof_average(eta.word, rho))
-        else:
-            roof_vals.append(roof_integral(eta, rho))
+    depth = max(rho.depth, params.metric.max_depth)
+    for eta in _etas(stage, depth, settings):  # one measure alive at a time
+        roof_vals.append(roof_integral(eta, rho))
         dists.append(weak_star_distance(eta, prev.measure, params.metric))
     ri_next = roof_vals[0]
     dist_prev = dists[0]
 
     nesting = []
-    for depth in settings.nesting_depths:
+    for depth in NESTING_DEPTHS:
         try:
-            words = _language(space, depth, settings.budget)
+            words = _language(space, depth)
             ok = all(is_label_admissible(prev.shift, w) for w in words)
         except StructureDepthError:
             ok = False
@@ -947,7 +916,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         if s_j is None:
             sync_checks.append((0, False, f"stage {j} sync depth uncertified"))
             continue
-        ok, note = _languages_agree(space, prev.shift, s_j, settings.budget)
+        ok, note = _languages_agree(space, prev.shift, s_j)
         sync_checks.append((s_j, ok, note))
 
     saturation = []
@@ -958,7 +927,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
             if s_j is None:
                 saturation.append((0, stage.sync_depth, False, "uncertified"))
                 continue
-            ok, note = _saturated(space, s_j, stage.sync_depth, settings)
+            ok, note = _saturated(space, s_j, stage.sync_depth)
             saturation.append((s_j, stage.sync_depth, ok, note))
 
     norm = abramov(h_top, ri_next)
@@ -997,35 +966,51 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     return report
 
 
-def _etas(stage, settings):
-    """The measures the roof window and distance range over: the maximal
-    measure, each single-code-word orbit and seeded Markov samples.  A
-    structured stage's one table already stands for all of them."""
+def _etas(stage, depth, settings):
+    """The measures the roof window and the measure distance range over,
+    for a roof and metric that read cylinders up to `depth`.
+
+    The roof integral is linear in the measure and the distance convex, so
+    both reach their extremes at extreme points.  On a renewal system of a
+    uniform-length code, at every depth a single code word decides
+    (`exact_depth`), an invariant measure's cylinder table is
+    sum_a f_a * (table of code word a's periodic orbit), f_a the mass it
+    puts on code word a, so the single-code-word orbits bound every
+    invariant measure.  An explicit renewal presentation yields its
+    maximal measure and those orbits.  A structured stage spells every
+    code word from one multiset of ambient words, so all its orbits, and
+    all its invariant measures, share one table: its maximal measure.  A
+    stage without a code, or a `depth` beyond `exact_depth`, has no such
+    bound; there seeded Markov samples join the measures above.
+    """
     yield stage.measure
     if stage.shift is None:
         return
-    if settings.check_extreme_cycles and stage.code is not None:
+    if stage.code is not None:
         for wd in stage.code.words:
-            yield _CyclicTable(wd, stage.shift.ambient_size)
+            yield _CyclicTable(wd)
+    renewal = getattr(stage.shift, "renewal", None)
+    if stage.code is not None and renewal is not None and depth <= renewal.exact_depth:
+        return
     rng = np.random.default_rng([settings.seed, stage.index])
     for _ in range(settings.samples):
         yield random_markov_measure(stage.shift, rng)
 
 
-def _language(space, depth, budget):
+def _language(space, depth):
     if isinstance(space, PermutationCode):
         return space.language(depth)
-    return label_language(space, depth, budget=budget)
+    return label_language(space, depth)
 
 
-def _languages_agree(a, b, depth, budget):
+def _languages_agree(a, b, depth):
     """Equality of label languages at the given depth, with early exit.
 
     A renewal presentation `b` is compared word-set to word-set at depths
     its single code words decide.
     """
     try:
-        ours = _language(a, depth, budget)
+        ours = _language(a, depth)
         for w in ours:
             if not is_label_admissible(b, w):
                 return False, f"word of stage language missing upstream at depth {depth}"
@@ -1071,10 +1056,10 @@ def _first_missing(src, dst, depth):
     return None
 
 
-def _saturated(space, depth_from, depth_to, settings):
+def _saturated(space, depth_from, depth_to):
     """Every depth_from word occurs inside every depth_to word."""
     try:
-        for _, m in _avoiding(space, depth_from, settings.budget):
+        for _, m in _avoiding(space, depth_from):
             if m is None or m >= depth_to:
                 return False, f"window of length {m} avoids a depth-{depth_from} word"
     except CapacityError:

@@ -25,20 +25,6 @@ DEFAULT_WORD_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet with symbols 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-
-    def symbols(self):
-        return range(self.size)
-
-
-@dataclass(frozen=True)
 class WordSet:
     """Immutable ordered collection of distinct words of equal standing.
 
@@ -53,9 +39,6 @@ class WordSet:
 
     def __len__(self):
         return len(self.words)
-
-    def __contains__(self, w):
-        return w in set(self.words)
 
     def __getitem__(self, i):
         return self.words[i]
@@ -111,19 +94,6 @@ class VertexShift:
             tuple(int(j) for j in rt.indices[rt.indptr[i] : rt.indptr[i + 1]])
             for i in range(self.num_states)
         )
-
-    @property
-    def alphabet(self):
-        """Internal alphabet: one symbol per state."""
-        return Alphabet(self.num_states)
-
-    @property
-    def ambient_alphabet(self):
-        return Alphabet(self.ambient_size)
-
-    @property
-    def identity_labeled(self):
-        return self.labels == tuple(range(self.num_states))
 
     def successors(self, state):
         return self._succ[state]
@@ -268,17 +238,30 @@ def is_admissible(shift, word):
     return all(shift.has_edge(word[i], word[i + 1]) for i in range(len(word) - 1))
 
 
-def _reachable(shift, start, reverse=False):
-    nbrs = shift.predecessors if reverse else shift.successors
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def bfs_distances(shift, sources, reverse=False):
+    """Edges from the nearest source to each state, None where unreachable.
+
+    Follows edges backwards with `reverse`, giving the distance from each
+    state to the nearest source.
+    """
+    nbrs = shift._pred if reverse else shift._succ
+    dist = [None] * shift.num_states
+    frontier = []
+    for s in sources:
+        if dist[s] is None:
+            dist[s] = 0
+            frontier.append(s)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if dist[v] is None:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 def is_irreducible(shift):
@@ -297,9 +280,9 @@ def _strongly_connected(shift):
     n = shift.num_states
     if any(len(shift.successors(i)) == 0 for i in range(n)):
         return False
-    if len(_reachable(shift, 0)) != n:
+    if None in bfs_distances(shift, (0,)):
         return False
-    if len(_reachable(shift, 0, reverse=True)) != n:
+    if None in bfs_distances(shift, (0,), reverse=True):
         return False
     if n == 1:
         return shift.has_edge(0, 0)
@@ -316,19 +299,11 @@ def connecting_word(shift, frm, to):
     n = shift.num_states
     if not (0 <= frm < n and 0 <= to < n):
         raise ValueError("state out of range")
-    # BFS distances to `to`
-    dist = {to: 0}
-    queue = deque([to])
-    while queue:
-        u = queue.popleft()
-        for v in shift.predecessors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = bfs_distances(shift, (to,), reverse=True)
     # at least one edge: start from successors of frm
     best = None
     for s in shift.successors(frm):
-        if s in dist:
+        if dist[s] is not None:
             d = dist[s] + 1
             if best is None or d < best:
                 best = d
@@ -340,7 +315,7 @@ def connecting_word(shift, frm, to):
     cur, remaining = frm, best
     while remaining:
         for s in shift.successors(cur):  # ascending: lexicographic choice
-            if dist.get(s, -1) == remaining - 1:
+            if dist[s] == remaining - 1:
                 word.append(s)
                 cur = s
                 break
@@ -487,17 +462,6 @@ def languages_disjoint(a, b, depth, budget=DEFAULT_WORD_BUDGET):
     return True
 
 
-def label_languages_equal(a, b, depth, budget=DEFAULT_WORD_BUDGET):
-    """True iff the two shifts have identical depth-`depth` label languages."""
-    for w in label_language(a, depth, budget=budget):
-        if not is_label_admissible(b, w):
-            return False
-    for w in label_language(b, depth, budget=budget):
-        if not is_label_admissible(a, w):
-            return False
-    return True
-
-
 def graph_period(shift):
     """gcd of cycle lengths of the (strongly connected) transition graph.
 
@@ -512,17 +476,13 @@ def graph_period(shift):
 
 
 def _cycle_gcd(shift):
-    level = {0: 0}
+    """gcd of level[u] + 1 - level[v] over the edges u -> v, BFS levels."""
+    level = bfs_distances(shift, (0,))
     g = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in shift.successors(u):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, level[u] + 1 - level[v])
+    for u, succ in enumerate(shift._succ):
+        lu = level[u] + 1
+        for v in succ:
+            g = math.gcd(g, lu - level[v])
     return g if g > 0 else 1
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -211,3 +213,29 @@ def test_cmd_report(small_cfg, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--out", out]) == 0
     assert "verdict" in capsys.readouterr().out
+
+
+FULL3_ROOF = FULL3.replace("constant = 1.0", "{roof}")
+
+
+@pytest.mark.parametrize(
+    "roof, why",
+    [
+        ("depth = 1\n0 = 1.0\n1 = 1.5", "no value on the admissible word 2"),
+        ("depth = 1\n00 = 1.0\n1 = 1.5\n2 = 2.0", "declared depth"),
+    ],
+)
+def test_cmd_construct_bad_roof_is_a_config_error(roof, why, tmp_path):
+    cfg = tmp_path / "roof.cfg"
+    cfg.write_text(FULL3_ROOF.format(roof=roof))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "shiftflex", "construct", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("config error: field 'roof': ")
+    assert why in run.stderr
+    assert "Traceback" not in run.stderr

@@ -1,5 +1,8 @@
 import math
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from shiftflex import (
@@ -26,13 +29,15 @@ from shiftflex import (
     parry_measure,
     roof_integral,
     plan_initial_params,
+    random_markov_measure,
+    renewal_to_sft,
     select_disjoint_subsystems,
     topological_entropy,
     validate_schedule,
     verify_stage,
     weak_star_distance,
 )
-from shiftflex.construction import Stage, base_stage
+from shiftflex.construction import Stage, _CyclicTable, base_stage
 from shiftflex.words import languages_disjoint
 from tests.conftest import PHI
 
@@ -297,3 +302,96 @@ def test_select_acceptance_pair_golden():
     planned = plan_initial_params(t)
     with pytest.raises(SubsystemSearchError):
         select_disjoint_subsystems(f3, mu, c1, planned.kappa, p.metric)
+
+
+def code_word_mixture(measure, renewal, depth):
+    """sum_a f_a * (table of code word a's periodic orbit), f_a = sum_p pi(a, p)."""
+    k = renewal.k
+    mixed = {}
+    for a, word in enumerate(renewal.code.words):
+        f_a = float(measure.pi[a * k : (a + 1) * k].sum())
+        for w, p in _CyclicTable(word).cylinder_table(depth).items():
+            mixed[w] = mixed.get(w, 0.0) + f_a * p
+    return mixed
+
+
+def table_gap(a, b):
+    return max(abs(a.get(w, 0.0) - b.get(w, 0.0)) for w in set(a) | set(b))
+
+
+def random_uniform_codes(seed, count):
+    """Uniform-length binary codes whose words share a random prefix and suffix."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        head = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
+        tail = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
+        middle = rng.randrange(2, 4)
+        words = {
+            head + tuple(rng.randrange(2) for _ in range(middle)) + tail
+            for _ in range(rng.randrange(2, 6))
+        }
+        if len(words) >= 2:
+            out.append(Code(tuple(words)))
+    return out
+
+
+def test_invariant_tables_are_code_word_mixtures_up_to_exact_depth():
+    t = full2_target()
+    green, _ = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
+    shifts = [green.shift] + [
+        renewal_to_sft(code, ambient_size=2) for code in random_uniform_codes(3, 12)
+    ]
+    rng = np.random.default_rng(11)
+    for shift in shifts:
+        renewal = shift.renewal
+        for _ in range(3):
+            eta = random_markov_measure(shift, rng)
+            for depth in range(1, renewal.exact_depth + 1):
+                mixed = code_word_mixture(eta, renewal, depth)
+                assert table_gap(eta.cylinder_table(depth), mixed) < 1e-9
+
+
+def test_code_word_mixture_fails_beyond_exact_depth():
+    # the words share the prefix 0 and no suffix: exact depth 2
+    shift = renewal_to_sft(Code(((0, 0), (0, 1))), ambient_size=2)
+    renewal = shift.renewal
+    assert renewal.exact_depth == 2
+    eta = random_markov_measure(shift, np.random.default_rng(0))
+    depth = renewal.exact_depth + 1
+    assert table_gap(eta.cylinder_table(depth), code_word_mixture(eta, renewal, depth)) > 1e-3
+
+
+def renewal_code_stage(words):
+    code = Code(words)
+    shift = renewal_to_sft(code, ambient_size=2)
+    return Stage(
+        index=1, shift=shift, measure=parry_measure(shift), code=code,
+        sync_depth=1, sync_depths=(1, 1),
+    )
+
+
+def test_verify_stage_samples_only_where_code_words_do_not_bound():
+    t = full2_target()
+    settings = RunSettings(seed=0, samples=3)
+    stage = renewal_code_stage(((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)))
+    exact = stage.shift.renewal.exact_depth
+    assert exact == 3
+    within = StageParams(delta=0.3, kappa=0.5, word_length=4, metric=MetricConfig(exact))
+    report = verify_stage(base_stage(t), stage, t, within, settings=settings)
+    assert report.eta_count == 1 + 3
+    beyond = replace(within, metric=MetricConfig(exact + 1))
+    report = verify_stage(base_stage(t), stage, t, beyond, settings=settings)
+    assert report.eta_count == 1 + 3 + settings.samples
+    codeless = Stage(
+        index=1, shift=full_shift(2), measure=t.base_measure, sync_depth=1, sync_depths=(1, 1)
+    )
+    report = verify_stage(base_stage(t), codeless, t, within, settings=settings)
+    assert report.eta_count == 1 + settings.samples
+
+
+def test_built_renewal_stage_checks_only_code_words():
+    t = full2_target()
+    stage, report = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
+    assert stage.shift.renewal.exact_depth >= GREEN.metric.max_depth
+    assert report.eta_count == 1 + report.gamma_size

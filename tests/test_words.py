@@ -20,6 +20,7 @@ from shiftflex import (
     word_count,
 )
 from shiftflex.words import (
+    bfs_distances,
     graph_period,
     induced_subshift,
     is_label_admissible,
@@ -217,3 +218,34 @@ def test_from_forbidden_words_block_recoding():
     assert counts == expect[2:]
     lam = math.exp(topological_entropy(s))
     assert abs(lam**3 - lam**2 - lam - 1) < 1e-9
+
+
+def test_bfs_distances_and_period_match_matrix_powers():
+    rng = np.random.default_rng(5)
+    periods = set()
+    for draw in range(600):
+        p = draw % 3 + 1
+        # edges only from class i to class i + 1 (mod p), so periods p occur often
+        allowed = (np.arange(5)[None, :] - np.arange(5)[:, None]) % p == 1 % p
+        m = ((rng.random((5, 5)) < 0.7) & allowed).astype(int)
+        shift = VertexShift(m)
+        sources = [s for s in range(5) if rng.random() < 0.4] or [0]
+        for reverse in (False, True):
+            expected = [0 if s in sources else None for s in range(5)]
+            walk_ends = np.isin(np.arange(5), sources).astype(int)
+            for n in range(1, 5):
+                walk_ends = (walk_ends @ (m.T if reverse else m) > 0).astype(int)
+                for v in np.flatnonzero(walk_ends):
+                    if expected[v] is None:
+                        expected[v] = n
+            assert bfs_distances(shift, sources, reverse=reverse) == expected
+        if is_irreducible(shift):
+            # every cycle is a sum of simple cycles, of length at most 5
+            power, cycle_lengths = np.eye(5, dtype=int), []
+            for n in range(1, 6):
+                power = np.minimum(power @ m, 1)
+                if np.trace(power):
+                    cycle_lengths.append(n)
+            periods.add(graph_period(shift))
+            assert graph_period(shift) == math.gcd(*cycle_lengths)
+    assert periods == {1, 2, 3}
