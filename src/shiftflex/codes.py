@@ -136,23 +136,17 @@ def renewal_to_sft(code, ambient_size=None):
         )
     t = len(code)
     n = t * k
-    rows, cols = [], []
-    labels = []
-    for a, w in enumerate(code.words):
-        for p in range(k):
-            labels.append(w[p])
-            if p < k - 1:
-                rows.append(a * k + p)
-                cols.append(a * k + p + 1)
-    for a in range(t):
-        for b in range(t):
-            rows.append(a * k + k - 1)
-            cols.append(b * k)
+    states = np.arange(n).reshape(t, k)
+    inner = states[:, :-1].ravel()
+    # every word end (a, k-1) -> every word start (b, 0)
+    rows = np.concatenate([inner, np.repeat(states[:, -1], t)])
+    cols = np.concatenate([inner + 1, np.tile(states[:, 0], t)])
     mat = sp.csr_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
     )
     if ambient_size is None:
         ambient_size = code.alphabet_size
+    labels = [x for w in code.words for x in w]
     shift = VertexShift(mat, labels=labels, ambient_size=ambient_size)
     shift.renewal = RenewalStructure(code=code, k=k)
     return shift
@@ -249,6 +243,43 @@ class RenewalStructure:
             out.append(
                 tuple((o, ctx[s + o : s + o + depth]) for o in range(-e, self.k - e))
             )
+        return out
+
+    def occurrences(self, depth, indices=None):
+        """word -> {code word a -> ascending offsets of a's windows reading it}.
+
+        Covers the code words with the given indices (default: all of them),
+        offsets as in `windows`.
+        """
+        profile = self.windows(depth)
+        occ = {}
+        for a in range(len(profile)) if indices is None else indices:
+            for o, w in profile[a]:
+                occ.setdefault(w, {}).setdefault(a, []).append(o)
+        return occ
+
+    def longest_avoiding(self, depth):
+        """Longest window avoiding each depth-`depth` word (None: unbounded).
+
+        Cutting a concatenation at the offsets of `windows` gives every
+        occurrence to one code word.  A word that some code word's windows
+        miss is avoided by that word's periodic orbit.  Otherwise
+        consecutive occurrences lie inside one code word or span a junction
+        a -> b, at most k + max_b first(b) - min_a last(a) apart (any code
+        word may follow any other, itself included); a window between
+        occurrences p < p' has at most p' - p + depth - 2 symbols.
+        """
+        t, k = len(self.code), self.k
+        out = {}
+        for w, by_word in self.occurrences(depth).items():
+            if len(by_word) < t:
+                out[w] = None
+                continue
+            offsets = by_word.values()
+            gaps = [k + max(o[0] for o in offsets) - min(o[-1] for o in offsets)]
+            for o in offsets:
+                gaps.extend(y - x for x, y in zip(o, o[1:]))
+            out[w] = max(gaps) + depth - 2
         return out
 
 
@@ -410,7 +441,6 @@ class PermutationCode:
         p' - p + depth - 2 symbols.
         """
         k1 = self.ambient.k
-        profile = self.ambient.windows(depth)
         fixed_slots = self.glue + self.fixed
         s0, n_free = len(fixed_slots), len(self.free)
         period = (s0 + n_free) * k1
@@ -418,10 +448,7 @@ class PermutationCode:
         slots_of = {}
         for i, a in enumerate(fixed_slots):
             slots_of.setdefault(a, []).append(i)
-        occ = {}
-        for a in set(fixed_slots) | set(free_count):
-            for o, w in profile[a]:
-                occ.setdefault(w, {}).setdefault(a, []).append(o)
+        occ = self.ambient.occurrences(depth, set(fixed_slots) | set(free_count))
         out = {}
         for w, by_word in occ.items():
             fx = sorted(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construction import Target, next_params, plan_initial_params
+from .construction import Target, next_params, plan_initial_params, require_irreducible
 from .errors import ConfigError
 from .measures import MetricConfig
 from .spectral import RoofFunction, parry_measure
@@ -91,6 +91,7 @@ class RunConfig:
     def build_target(self, shift=None):
         shift = shift or self.build_shift()
         rho = self.build_roof(shift)
+        require_irreducible(shift)  # before the Parry measure needs it
         mu = parry_measure(shift)
         from .spectral import abramov, markov_entropy, roof_integral
 

@@ -75,6 +75,12 @@ MAX_BLOCK_DEPTH = 3
 SUBSET_CAP = 16
 
 
+def require_irreducible(base):
+    """Raise InfeasibleTargetError unless the base shift is irreducible."""
+    if not is_irreducible(base):
+        raise InfeasibleTargetError("base shift must be irreducible")
+
+
 @dataclass(frozen=True)
 class Target:
     """Construction goal: normalized entropy c for the suspension of `base`."""
@@ -87,8 +93,7 @@ class Target:
     def __post_init__(self):
         if self.c < 0:
             raise InfeasibleTargetError(f"target entropy must be >= 0, got {self.c}")
-        if not is_irreducible(self.base):
-            raise InfeasibleTargetError("base shift must be irreducible")
+        require_irreducible(self.base)
         hstar = self.normalized_base_entropy
         if self.c >= hstar:
             raise InfeasibleTargetError(
@@ -333,6 +338,15 @@ def select_disjoint_subsystems(
     )
 
 
+def sub_code(shift, renewal, lo, hi):
+    """Presentation of code words lo..hi-1 of the renewal presentation
+    `shift`, carrying their own `renewal` structure."""
+    k = renewal.k
+    sub = induced_subshift(shift, [a * k + p for a in range(lo, hi) for p in range(k)])
+    sub.renewal = RenewalStructure(Code(renewal.code.words[lo:hi]), k)
+    return sub
+
+
 def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics):
     k = renewal.k
     t_total = len(renewal.code)
@@ -351,22 +365,17 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
     t_best = min(max(lo_t, round(math.exp(target_h * k))), hi_t)
     cap = 6 * k
 
-    def sub_code(lo, hi):
-        sub = induced_subshift(shift, [a * k + p for a in range(lo, hi) for p in range(k)])
-        sub.renewal = RenewalStructure(Code(renewal.code.words[lo:hi]), k)
-        return sub
-
     tried = []
     for off in range(hi_t - lo_t + 1):
         for t in ([t_best + off, t_best - off] if off else [t_best]):
             if not (lo_t <= t <= hi_t):
                 continue
-            y_sub = sub_code(0, t)
+            y_sub = sub_code(shift, renewal, 0, t)
             d = weak_star_distance(parry_measure(y_sub), m, cfg)
             tried.append((t, math.log(t) / k, d))
             if d > kappa:
                 continue
-            z_sub = sub_code(t, t + 2)
+            z_sub = sub_code(shift, renewal, t, t + 2)
             for kk in range(1, cap + 1):
                 if languages_disjoint(y_sub, z_sub, kk):
                     return SubsystemPair(Y=y_sub, Z=z_sub, K1=kk)
@@ -494,8 +503,8 @@ class RunSettings:
 # depths of the language nesting check
 NESTING_DEPTHS = (1, 2, 3, 4)
 # most prev-depth words the pattern search behind a sync depth examines on
-# an explicit presentation; with more the depth is left uncertified.  It
-# never bounds the depth itself.
+# an explicit presentation that its code words do not answer; with more
+# the depth is left uncertified.  It never bounds the depth itself.
 SYNC_CAP = 4096
 
 
@@ -840,25 +849,31 @@ def _avoiding(space, depth, budget=DEFAULT_WORD_BUDGET):
     """(word, longest window avoiding it) over the depth-`depth` language.
 
     `space` is a VertexShift or a structured stage's PermutationCode; words
-    come in lexicographic order.  Raises CapacityError past `budget` words
-    of an explicit presentation and StructureDepthError beyond the depths
-    a structured stage decides.
+    come in lexicographic order.  A PermutationCode, and a renewal
+    presentation up to its `exact_depth`, answer from code-word windows;
+    elsewhere a graph search answers each word.  Raises CapacityError past
+    `budget` words of a graph search and StructureDepthError beyond the
+    depths a structured stage decides.
     """
     if isinstance(space, PermutationCode):
         lengths = space.longest_avoiding(depth)
-        return ((v, lengths[v]) for v in sorted(lengths))
-    patterns = label_language(space, depth, budget=budget)
-    return ((v, longest_window_avoiding(space, v)) for v in patterns)
+    else:
+        renewal = getattr(space, "renewal", None)
+        if renewal is None or depth > renewal.exact_depth:
+            patterns = label_language(space, depth, budget=budget)
+            return ((v, longest_window_avoiding(space, v)) for v in patterns)
+        lengths = renewal.longest_avoiding(depth)
+    return ((v, lengths[v]) for v in sorted(lengths))
 
 
 def _sync_depth(space, prev_depth, settings=None):
     """Smallest depth whose words contain every prev-depth word, or None.
 
-    None when windows of any length avoid some prev-depth word, when an
-    explicit presentation has more than SYNC_CAP prev-depth words to
-    search, or beyond the depths a structured stage decides.  A depth
-    computed exactly is returned as it is, however large.  `settings` is
-    not read; the search depends on the space alone.
+    None when windows of any length avoid some prev-depth word, when a
+    graph search has more than SYNC_CAP prev-depth words to examine, or
+    beyond the depths a structured stage decides.  A depth computed
+    exactly is returned as it is, however large.  `settings` is not read;
+    the search depends on the space alone.
     """
     try:
         lengths = [m for _, m in _avoiding(space, prev_depth, SYNC_CAP)]
@@ -1009,17 +1024,21 @@ def _languages_agree(a, b, depth):
     A renewal presentation `b` is compared word-set to word-set at depths
     its single code words decide.
     """
+    missing = f"word of stage language missing upstream at depth {depth}"
     try:
         ours = _language(a, depth)
-        for w in ours:
-            if not is_label_admissible(b, w):
-                return False, f"word of stage language missing upstream at depth {depth}"
         renewal = getattr(b, "renewal", None)
         if renewal is not None and depth <= renewal.exact_depth:
-            larger = bool(set(renewal.language(depth)) - set(ours))
-        elif isinstance(a, PermutationCode):
-            raise StructureDepthError(f"depth {depth} needs an explicit upstream")
+            theirs = set(renewal.language(depth))
+            ours = set(ours)
+            if not ours <= theirs:
+                return False, missing
+            larger = bool(theirs - ours)
         else:
+            if not all(is_label_admissible(b, w) for w in ours):
+                return False, missing
+            if isinstance(a, PermutationCode):
+                raise StructureDepthError(f"depth {depth} needs an explicit upstream")
             larger = _first_missing(b, a, depth) is not None
         if larger:
             return False, "upstream language strictly larger"

@@ -84,16 +84,8 @@ class VertexShift:
         self.ambient_size = int(ambient_size)
         self.state_words = state_words
         # adjacency lists, successors sorted ascending: enumeration order
-        indptr, indices = m.indptr, m.indices
-        self._succ = tuple(
-            tuple(int(j) for j in indices[indptr[i] : indptr[i + 1]])
-            for i in range(self.num_states)
-        )
-        rt = m.tocsc()
-        self._pred = tuple(
-            tuple(int(j) for j in rt.indices[rt.indptr[i] : rt.indptr[i + 1]])
-            for i in range(self.num_states)
-        )
+        self._succ = _adjacency(m)
+        self._pred = _adjacency(m.tocsc())
 
     def successors(self, state):
         return self._succ[state]
@@ -124,6 +116,12 @@ class VertexShift:
             f"VertexShift(states={self.num_states}, "
             f"edges={self.matrix.nnz}, ambient={self.ambient_size})"
         )
+
+
+def _adjacency(m):
+    """Per row (CSR) or column (CSC), its sorted indices as a tuple of ints."""
+    indptr, indices = m.indptr.tolist(), m.indices.tolist()
+    return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
 
 
 def full_shift(n):
@@ -162,19 +160,26 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
             a[w[0], w[1]] = 0
         return VertexShift(a)
 
-    def clean(w):
-        return not any(
-            w[i : i + len(f)] == f for f in forbidden for i in range(len(w) - len(f) + 1)
-        )
-
-    blocks = [w for w in _product_words(alphabet_size, m) if clean(w)]
+    # clean words grown one symbol at a time, only the new suffixes tested:
+    # lexicographic at every length
+    banned = set(forbidden)
+    lengths = sorted({len(f) for f in banned})
+    blocks = [()]
+    for _ in range(m):
+        blocks = [
+            v
+            for u in blocks
+            for v in (u + (s,) for s in range(alphabet_size))
+            if not any(v[-n:] in banned for n in lengths if n <= len(v))
+        ]
     index = {w: i for i, w in enumerate(blocks)}
+    # with m at least the longest forbidden word, u + (s,) is clean when
+    # both of its m-blocks are
     rows, cols = [], []
     for i, u in enumerate(blocks):
         for s in range(alphabet_size):
-            v = u[1:] + (s,)
-            j = index.get(v)
-            if j is not None and clean(u + (s,)):
+            j = index.get(u[1:] + (s,))
+            if j is not None:
                 rows.append(i)
                 cols.append(j)
     mat = sp.csr_matrix(
@@ -187,14 +192,6 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
         ambient_size=alphabet_size,
         state_words=tuple(blocks),
     )
-
-
-def _product_words(size, n):
-    """All words of length n over 0..size-1 in lexicographic order."""
-    out = [()]
-    for _ in range(n):
-        out = [w + (s,) for w in out for s in range(size)]
-    return out
 
 
 def word_count(shift, n):
@@ -268,8 +265,12 @@ def is_irreducible(shift):
     """True iff the transition graph is strongly connected.
 
     Every state must reach every state by a path of at least one edge, so a
-    single state needs a self loop.  Cached on the shift object.
+    single state needs a self loop.  A renewal presentation is irreducible:
+    each state lies on its code word's cycle, which passes every word
+    start.  Cached on the shift object.
     """
+    if getattr(shift, "renewal", None) is not None:
+        return True
     cached = getattr(shift, "_irreducible_cache", None)
     if cached is None:
         cached = shift._irreducible_cache = _strongly_connected(shift)
@@ -465,10 +466,15 @@ def languages_disjoint(a, b, depth, budget=DEFAULT_WORD_BUDGET):
 def graph_period(shift):
     """gcd of cycle lengths of the (strongly connected) transition graph.
 
-    Cached on the shift object.
+    A renewal presentation's cycles are runs of whole code words, one word
+    alone among them, so its period is the code-word length.  Cached on the
+    shift object.
     """
     if not is_irreducible(shift):
         raise ReducibleShiftError("period is defined for irreducible shifts")
+    renewal = getattr(shift, "renewal", None)
+    if renewal is not None:
+        return renewal.k
     cached = getattr(shift, "_period_cache", None)
     if cached is None:
         cached = shift._period_cache = _cycle_gcd(shift)

@@ -239,3 +239,10 @@ def test_cmd_construct_bad_roof_is_a_config_error(roof, why, tmp_path):
     assert run.stderr.startswith("config error: field 'roof': ")
     assert why in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_cmd_construct_reducible_base_is_infeasible(tmp_path, capsys):
+    p = tmp_path / "red.cfg"
+    p.write_text(GOLDEN.replace("11 10", "11 01"))
+    assert main(["construct", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "infeasible-target: base shift must be irreducible\n"

@@ -1,0 +1,26 @@
+"""`construct` output stays byte-identical to the recorded outputs.
+
+`tests/data/golden/<config>/` holds the `stages.csv` and `summary.txt`
+that `construct --seed 0` wrote for `configs/<config>.cfg`; a change that
+alters any digit of them fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from shiftflex.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+
+@pytest.mark.parametrize("config", ["full2_small", "full3_acceptance"])
+def test_construct_outputs_match_golden(config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["construct", "--config", str(ROOT / "configs" / f"{config}.cfg"),
+            "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in ("stages.csv", "summary.txt"):
+        assert (out / name).read_bytes() == (GOLDEN / config / name).read_bytes(), name

@@ -1,0 +1,182 @@
+"""Differential tests: each answer a renewal code gives without a graph
+search against the graph search it replaces, on seeded random codes."""
+
+import random
+
+import numpy as np
+import scipy.sparse as sp
+
+from shiftflex import Code, VertexShift, from_forbidden_words, renewal_to_sft
+from shiftflex.construction import _avoiding, _languages_agree, sub_code
+from shiftflex.words import (
+    _cycle_gcd,
+    _strongly_connected,
+    graph_period,
+    is_irreducible,
+    label_language,
+    longest_window_avoiding,
+)
+
+
+def random_codes(seed, count):
+    """Uniform-length codes over 2-3 symbols whose words share a random
+    prefix and suffix; one code word is allowed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = rng.randint(2, 3)
+        head = tuple(rng.randrange(a) for _ in range(rng.randrange(3)))
+        tail = tuple(rng.randrange(a) for _ in range(rng.randrange(3)))
+        middle = rng.randint(1, 3)
+        words = {
+            head + tuple(rng.randrange(a) for _ in range(middle)) + tail
+            for _ in range(rng.randint(1, 5))
+        }
+        out.append((a, Code(tuple(words))))
+    return out
+
+
+def test_code_word_windows_match_graph_search():
+    pairs = 0
+    for a, code in random_codes(5, 120):
+        shift = renewal_to_sft(code, ambient_size=a)
+        renewal = shift.renewal
+        for depth in range(1, renewal.exact_depth + 1):
+            language = list(label_language(shift, depth))
+            lengths = renewal.longest_avoiding(depth)
+            assert sorted(lengths) == language
+            expected = [(w, longest_window_avoiding(shift, w)) for w in language]
+            assert [(w, lengths[w]) for w in language] == expected
+            assert list(_avoiding(shift, depth)) == expected
+            pairs += 1
+    assert pairs > 500
+
+
+def test_code_word_window_examples():
+    # 00 and 01 share the prefix 0: every window of 0^inf avoids 1
+    renewal = renewal_to_sft(Code(((0, 0), (0, 1)))).renewal
+    assert renewal.longest_avoiding(1) == {(0,): 1, (1,): None}
+    # one code word: its windows recur with period k
+    renewal = renewal_to_sft(Code(((0, 1, 1),))).renewal
+    assert renewal.exact_depth == 7  # P = S = k
+    assert renewal.longest_avoiding(2) == {(0, 1): 3, (1, 0): 3, (1, 1): 3}
+
+
+def test_renewal_graph_invariants_match_graph_search():
+    checked = 0
+    for a, code in random_codes(9, 80):
+        full = renewal_to_sft(code, ambient_size=a)
+        t = len(code)
+        shifts = [full] + [
+            sub_code(full, full.renewal, lo, hi)
+            for lo in range(t)
+            for hi in range(lo + 1, t + 1)
+        ]
+        for shift in shifts:
+            assert is_irreducible(shift) and _strongly_connected(shift)
+            assert graph_period(shift) == shift.renewal.k == _cycle_gcd(shift)
+            checked += 1
+    assert checked > 200
+
+
+def loop_renewal_matrix(code):
+    """The positional presentation built edge by edge."""
+    k, t = code.uniform_length, len(code)
+    dense = np.zeros((t * k, t * k), dtype=np.int8)
+    labels = []
+    for a, w in enumerate(code.words):
+        for p in range(k):
+            labels.append(w[p])
+            if p < k - 1:
+                dense[a * k + p, a * k + p + 1] = 1
+        for b in range(t):
+            dense[a * k + k - 1, b * k] = 1
+    return dense, tuple(labels)
+
+
+def test_renewal_matrix_matches_loop_build():
+    for a, code in random_codes(13, 60):
+        shift = renewal_to_sft(code, ambient_size=a)
+        dense, labels = loop_renewal_matrix(code)
+        assert (shift.dense() == dense).all()
+        assert shift.labels == labels
+        assert shift.ambient_size == a
+
+
+def loop_adjacency(m):
+    return tuple(
+        tuple(int(j) for j in m.indices[m.indptr[i] : m.indptr[i + 1]])
+        for i in range(m.shape[0])
+    )
+
+
+def test_adjacency_matches_int_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        dense = (rng.random((n, n)) < rng.uniform(0.0, 0.3)).astype(np.int8)
+        dense[rng.integers(n)] = 0  # an empty row
+        dense[:, rng.integers(n)] = 0  # an empty column
+        shift = VertexShift(sp.csr_matrix(dense))
+        assert shift._succ == loop_adjacency(shift.matrix)
+        assert shift._pred == loop_adjacency(shift.matrix.tocsc())
+        assert all(type(j) is int for row in shift._succ + shift._pred for j in row)
+
+
+def scan_forbidden_words(alphabet_size, forbidden, block):
+    """Every word of the block length tested against every forbidden word."""
+    forbidden = [tuple(w) for w in forbidden]
+
+    def clean(w):
+        return not any(
+            w[i : i + len(f)] == f for f in forbidden for i in range(len(w) - len(f) + 1)
+        )
+
+    words = [()]
+    for _ in range(block):
+        words = [w + (s,) for w in words for s in range(alphabet_size)]
+    blocks = [w for w in words if clean(w)]
+    index = {w: i for i, w in enumerate(blocks)}
+    dense = np.zeros((len(blocks), len(blocks)), dtype=np.int8)
+    for i, u in enumerate(blocks):
+        for s in range(alphabet_size):
+            j = index.get(u[1:] + (s,))
+            if j is not None and clean(u + (s,)):
+                dense[i, j] = 1
+    return blocks, dense
+
+
+def test_forbidden_words_match_full_scan():
+    rng = random.Random(21)
+    for _ in range(60):
+        a = rng.randint(2, 4)
+        forbidden = {
+            tuple(rng.randrange(a) for _ in range(rng.randint(2, 4)))
+            for _ in range(rng.randint(1, 5))
+        }
+        m = max(len(w) for w in forbidden)
+        block = rng.choice([None, m, m + 1]) if m > 2 else rng.choice([3, 4])
+        shift = from_forbidden_words(a, forbidden, block=block)
+        blocks, dense = scan_forbidden_words(a, forbidden, block or m)
+        assert shift.state_words == tuple(blocks)
+        assert shift.labels == tuple(w[0] for w in blocks)
+        assert (shift.dense() == dense).all()
+
+
+def test_language_agreement_matches_admissibility_path():
+    seen = set()
+    for a, code in random_codes(25, 80):
+        words = code.words
+        if len(words) < 2:
+            continue
+        half = Code(words[: len(words) // 2])
+        for mine, theirs in ((code, half), (half, code), (code, code)):
+            ours = renewal_to_sft(mine, ambient_size=a)
+            upstream = renewal_to_sft(theirs, ambient_size=a)
+            plain = renewal_to_sft(theirs, ambient_size=a)
+            del plain.renewal  # state-set propagation and the explicit search
+            for depth in range(1, upstream.renewal.exact_depth + 1):
+                verdict = _languages_agree(ours, upstream, depth)
+                assert verdict == _languages_agree(ours, plain, depth)
+                seen.add(verdict[1].split(" at ")[0])
+    assert len(seen) == 3  # missing, strictly larger and agreeing all occur
