@@ -2,7 +2,8 @@
 
 Subcommands: entropy, parry, ud-check, find-word, construct, report.
 Exit codes: 0 success, 1 usage/parse, 2 infeasible target, 3 stage
-verification failure, 4 capacity exceeded.
+verification failure, 4 capacity exceeded, 5 no subsystem pair found,
+6 word length too short.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from .errors import (
     CapacityError,
     ConfigError,
     InfeasibleTargetError,
+    InsufficientWordLengthError,
     NoLowOverlapWordError,
     ReducibleShiftError,
     ShiftflexError,
     StageVerificationError,
+    SubsystemSearchError,
 )
 from .spectral import parry_measure, roof_integral, topological_entropy
 from .words import label_word
@@ -31,6 +34,8 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_STAGE = 3
 EXIT_CAPACITY = 4
+EXIT_SUBSYSTEM = 5
+EXIT_WORD_LENGTH = 6
 
 
 def _fmt12(x):
@@ -261,6 +266,19 @@ def cmd_construct(args):
         if isinstance(tower.error, InfeasibleTargetError):
             print(f"infeasible-target: {tower.error}", file=sys.stderr)
             return EXIT_INFEASIBLE
+        if isinstance(tower.error, SubsystemSearchError):
+            diagnostics = "".join(
+                f"; {key}: {value}" for key, value in tower.error.diagnostics.items()
+            )
+            print(f"subsystem-search: {tower.error}{diagnostics}", file=sys.stderr)
+            return EXIT_SUBSYSTEM
+        if isinstance(tower.error, InsufficientWordLengthError):
+            print(
+                f"word-length: {tower.error}; least_word_length: "
+                f"{tower.error.least_word_length}",
+                file=sys.stderr,
+            )
+            return EXIT_WORD_LENGTH
         print(f"stage failure: {tower.error}", file=sys.stderr)
         return EXIT_STAGE
     return EXIT_OK

@@ -9,6 +9,7 @@ pairs labeled by the symbols they read.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 from collections import Counter, deque
@@ -25,7 +26,26 @@ from .errors import (
     NotUniquelyDecipherableError,
     StructureDepthError,
 )
+from .spectral import parry_measure
 from .words import DEFAULT_WORD_BUDGET, VertexShift, label_word
+
+
+def _per_depth(method):
+    """Compute `method(self, depth)` once per depth and keep it on the instance.
+
+    The cache sits in the instance's own `__dict__` (a frozen dataclass
+    takes it too), so it lives and dies with the structure it describes.
+    """
+    key = "_cache_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self, depth):
+        cache = self.__dict__.setdefault(key, {})
+        if depth not in cache:
+            cache[depth] = method(self, depth)
+        return cache[depth]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -223,6 +243,7 @@ class RenewalStructure:
         """Label words of the given depth, lexicographically ordered."""
         return sorted({w for ws in self.windows(depth) for _, w in ws})
 
+    @_per_depth
     def windows(self, depth):
         """Per code word, its attributed depth-`depth` windows.
 
@@ -243,7 +264,7 @@ class RenewalStructure:
             out.append(
                 tuple((o, ctx[s + o : s + o + depth]) for o in range(-e, self.k - e))
             )
-        return out
+        return tuple(out)
 
     def occurrences(self, depth, indices=None):
         """word -> {code word a -> ascending offsets of a's windows reading it}.
@@ -258,6 +279,7 @@ class RenewalStructure:
                 occ.setdefault(w, {}).setdefault(a, []).append(o)
         return occ
 
+    @_per_depth
     def longest_avoiding(self, depth):
         """Longest window avoiding each depth-`depth` word (None: unbounded).
 
@@ -281,6 +303,60 @@ class RenewalStructure:
                 gaps.extend(y - x for x, y in zip(o, o[1:]))
             out[w] = max(gaps) + depth - 2
         return out
+
+    def path(self, frm, to):
+        """Shortest path of at least one edge from state `frm` to state `to`.
+
+        It is unique: the only edges that leave a code word run from its
+        last state to the first state of any code word.  Within one word and
+        forwards the path stays inside it; otherwise it runs to the end of
+        `frm`'s word, across one junction and along `to`'s word.
+        """
+        k = self.k
+        a, p = divmod(frm, k)
+        b, q = divmod(to, k)
+        if a == b and q > p:
+            return tuple(range(frm, to + 1))
+        return tuple(range(frm, a * k + k)) + tuple(range(b * k, to + 1))
+
+
+class RenewalParry:
+    """Parry measure of a positional renewal presentation (`shift.renewal`).
+
+    The measure of maximal entropy gives every state (a, p) the mass
+    1/(t k) and every junction a -> b the probability 1/t, so up to
+    `exact_depth` its cylinder table is the uniform mixture of the code
+    words' windows.  Deeper tables come from `parry_measure` of the
+    presentation, computed on first need.
+    """
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.renewal = shift.renewal
+
+    @property
+    def ambient_size(self):
+        return self.shift.ambient_size
+
+    @property
+    def entropy(self):
+        """log t / k, in nats."""
+        return math.log(len(self.renewal.code)) / self.renewal.k
+
+    @_per_depth
+    def _mixture(self, depth):
+        counts = Counter(w for ws in self.renewal.windows(depth) for _, w in ws)
+        mass = len(self.renewal.code) * self.renewal.k
+        return {w: c / mass for w, c in counts.items()}
+
+    @cached_property
+    def _explicit(self):
+        return parry_measure(self.shift)
+
+    def cylinder_table(self, depth, budget=DEFAULT_WORD_BUDGET):
+        if depth > self.renewal.exact_depth:
+            return self._explicit.cylinder_table(depth, budget)
+        return self._mixture(depth)
 
 
 def _fmt_word(w):
@@ -424,6 +500,7 @@ class PermutationCode:
         profile = self.ambient.windows(depth)
         return sorted({w for a in set(self._block()) for _, w in profile[a]})
 
+    @_per_depth
     def longest_avoiding(self, depth):
         """Longest window avoiding each depth-`depth` word (None: unbounded).
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .codes import (
     Code,
     PermutationCode,
+    RenewalParry,
     RenewalStructure,
     find_low_overlap_word,
     is_uniquely_decipherable,
@@ -66,7 +68,6 @@ from .words import (
     label_language,
     languages_disjoint,
     longest_window_avoiding,
-    word_count,
 )
 
 # block depths the exhaustive subsystem search escalates through, and the
@@ -222,25 +223,53 @@ def derive_c1(target, params, stage_measure):
 
 @dataclass(frozen=True)
 class SubsystemPair:
+    """Y, Z, their disjointness depth K1 and Y's maximal measure."""
+
     Y: VertexShift
     Z: VertexShift
     K1: int
+    Y_measure: object
 
 
-def _irreducible_induced(shift, states):
-    sub = induced_subshift(shift, states)
-    return sub if is_irreducible(sub) else None
+def _neighbour_masks(shift):
+    """Per state, the bit masks of its successors and of its predecessors."""
+    n = shift.num_states
+    succ = [sum(1 << j for j in shift.successors(i)) for i in range(n)]
+    pred = [sum(1 << j for j in shift.predecessors(i)) for i in range(n)]
+    return succ, pred
+
+
+def _strongly_connected_mask(succ, pred, mask):
+    """`_strongly_connected` of the subgraph induced on the states of `mask`.
+
+    Every state must reach every state by a path of at least one edge
+    inside the subset, so a single state needs a self loop.
+    """
+    low = mask & -mask
+    for nbrs in (succ, pred):
+        seen = frontier = low
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= nbrs[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & mask & ~seen
+            seen |= frontier
+        if seen != mask:
+            return False
+    return mask != low or bool(succ[low.bit_length() - 1] & low)
 
 
 def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_h):
     """Exhaustively scored strongly connected induced subgraphs."""
     n = shift.num_states
+    succ, pred = _neighbour_masks(shift)
     out = []
     for mask in range(1, 1 << n):
-        states = [i for i in range(n) if mask >> i & 1]
-        sub = _irreducible_induced(shift, states)
-        if sub is None:
+        if not _strongly_connected_mask(succ, pred, mask):
             continue
+        sub = induced_subshift(shift, [i for i in range(n) if mask >> i & 1])
         h = topological_entropy(sub)
         if positive_h and h <= 1e-9:
             continue  # a positive-entropy target needs carrier subsystems
@@ -250,7 +279,7 @@ def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_
         d = weak_star_distance(pm, m, cfg)
         if d > kappa:
             continue
-        out.append((abs(h - target_h), abs(h - c1), roof_score(pm), d, mask, sub, h))
+        out.append((abs(h - target_h), abs(h - c1), roof_score(pm), d, mask, sub, pm))
     out.sort(key=lambda t: t[:5])
     return out
 
@@ -258,13 +287,14 @@ def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_
 def _zed_candidates(shift, y_mask, k1_cap, y_shift):
     """Positive-entropy subsystems language-disjoint from Y, smallest K1 first."""
     n = shift.num_states
+    succ, pred = _neighbour_masks(shift)
     rest = [i for i in range(n) if not (y_mask >> i & 1)]
     found = []
     for mask in range(1, 1 << len(rest)):
         states = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        sub = _irreducible_induced(shift, states)
-        if sub is None:
+        if not _strongly_connected_mask(succ, pred, sum(1 << i for i in states)):
             continue
+        sub = induced_subshift(shift, states)
         if topological_entropy(sub) <= 1e-9:
             continue
         for k in range(1, k1_cap + 1):
@@ -325,11 +355,11 @@ def select_disjoint_subsystems(
         cap = max(2 * depth, 6)
         ys = _subset_candidates(h, m, c1, kappa, cfg, target_h, roof_score, c1 > 1e-12)
         diagnostics[f"block_{depth}_y_candidates"] = len(ys)
-        for _, _, _, _, y_mask, y_sub, y_h in ys:
+        for _, _, _, _, y_mask, y_sub, y_pm in ys:
             zs = _zed_candidates(h, y_mask, cap, y_sub)
             if zs:
                 k1, _, _, z_sub = zs[0]
-                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1)
+                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_pm)
         depth += 1
     raise SubsystemSearchError(
         "no (Y, Z) pair met the entropy/measure/disjointness constraints; "
@@ -371,14 +401,15 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
             if not (lo_t <= t <= hi_t):
                 continue
             y_sub = sub_code(shift, renewal, 0, t)
-            d = weak_star_distance(parry_measure(y_sub), m, cfg)
+            y_parry = RenewalParry(y_sub)
+            d = weak_star_distance(y_parry, m, cfg)
             tried.append((t, math.log(t) / k, d))
             if d > kappa:
                 continue
             z_sub = sub_code(shift, renewal, t, t + 2)
-            for kk in range(1, cap + 1):
-                if languages_disjoint(y_sub, z_sub, kk):
-                    return SubsystemPair(Y=y_sub, Z=z_sub, K1=kk)
+            k1 = _disjoint_depth(y_sub.renewal, z_sub.renewal, shift.ambient_size, cap)
+            if k1 is not None:
+                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_parry)
             diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
     diagnostics["tried"] = tried[:16]
     raise SubsystemSearchError(
@@ -387,13 +418,35 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
     )
 
 
+def _disjoint_depth(y, z, ambient_size, cap):
+    """Least depth at which two renewal systems share no label word, or
+    None when they still share one at depth `cap`.
+
+    A word both admit at depth d + 1 extends one both admit at depth d, so
+    the shared words grow one symbol at a time.
+    """
+    shared = [()]
+    for depth in range(1, cap + 1):
+        shared = [
+            v
+            for u in shared
+            for v in (u + (x,) for x in range(ambient_size))
+            if z.admits(v) and y.admits(v)
+        ]
+        if not shared:
+            return depth
+    return None
+
+
 @dataclass
 class Stage:
     """One level of the tower: the shift, its maximal measure, provenance.
 
-    A structured stage has no explicit presentation: `shift` is None and
-    `code` (a PermutationCode) also serves as `measure`, the cylinder
-    table every invariant measure of the stage shares.
+    A stage built from an enumerated code is its renewal presentation, and
+    its maximal measure is a `RenewalParry`.  A structured stage has no
+    explicit presentation: `shift` is None and `code` (a PermutationCode)
+    also serves as `measure`, the cylinder table every invariant measure of
+    the stage shares.
     """
 
     index: int
@@ -576,7 +629,7 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
     if renewal is None:
         katok = katok_separated_set(
             pair.Y,
-            parry_measure(pair.Y),
+            pair.Y_measure,
             n,
             params.kappa,
             params.effective_radius,
@@ -594,24 +647,21 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
 
     # connection-time bound over every state the low-overlap word may touch
     z_prev_states = sorted({sw[0] for sw in pair.Z.state_words})
-    # paths of at least one edge: end_prev -> z and z -> start_prev
-    times_out = bfs_distances(prev.shift, prev.shift.successors(end_prev))
-    times_in = bfs_distances(prev.shift, prev.shift.predecessors(start_prev), reverse=True)
-    M = 1
-    for z in z_prev_states:
-        if times_out[z] is None or times_in[z] is None:
-            raise SubsystemSearchError(
-                f"state {z} of Z is not connected to the separated set"
-            )
-        M = max(M, times_out[z] + 1, times_in[z] + 1)
+    if renewal is None:
+        M = _connection_time(prev.shift, z_prev_states, start_prev, end_prev)
+        connect = partial(connecting_word, prev.shift)
+    else:
+        # from a code-word end and to a code-word start, paths are unique
+        M = _renewal_connection_time(renewal, z_prev_states, start_prev, end_prev)
+        connect = renewal.path
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
     w_internal = find_low_overlap_word(pair.Z, l_eff)
     w_prev = _prev_word(pair.Z, w_internal, with_tail=False)
     art.low_overlap_word = w_prev
 
-    c_u = connecting_word(prev.shift, end_prev, w_prev[0])
-    c_v = connecting_word(prev.shift, w_prev[-1], start_prev)
+    c_u = connect(end_prev, w_prev[0])
+    c_v = connect(w_prev[-1], start_prev)
     glue_in, glue_out = c_u[1:-1], c_v[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
@@ -628,13 +678,13 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
                 "assembled code failed the unique-decipherability assertion"
             )
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
-        next_measure = parry_measure(next_shift)
+        next_measure = RenewalParry(next_shift)
         sync_depth = _sync_depth(next_shift, prev.sync_depth)
     else:
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
-        _check_separated(code, pair.Y, params)
+        _check_separated(code, pair.Y_measure, params)
         next_shift, next_measure = None, code
         sync_depth = _sync_depth(code, prev.sync_depth)
     stage = Stage(
@@ -669,6 +719,28 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             report=report,
         )
     return stage, report
+
+
+def _connection_time(shift, states, start, end):
+    """Most edges on a shortest path (of at least one edge) from `end` to
+    one of `states` or from one of them to `start`."""
+    times_out = bfs_distances(shift, shift.successors(end))
+    times_in = bfs_distances(shift, shift.predecessors(start), reverse=True)
+    M = 1
+    for z in states:
+        if times_out[z] is None or times_in[z] is None:
+            raise SubsystemSearchError(
+                f"state {z} of Z is not connected to the separated set"
+            )
+        M = max(M, times_out[z] + 1, times_in[z] + 1)
+    return M
+
+
+def _renewal_connection_time(renewal, states, start, end):
+    """`_connection_time` on a renewal presentation, from its unique paths."""
+    return max(
+        max(len(renewal.path(end, z)), len(renewal.path(z, start))) - 1 for z in states
+    )
 
 
 def _prev_word(sub, word, with_tail):
@@ -811,14 +883,13 @@ def _permutation_code(renewal, order, glue_internal, head, c1):
     return best[1]
 
 
-def _check_separated(code, Y, params):
+def _check_separated(code, parry, params):
     """Katok conditions for the permutation class, exact from one word.
 
     Every γ spells the same multiset of code words with shared ends, so
     its empirical statistics up to the ambient's exact depth are those of
-    the canonical order.
+    the canonical order.  `parry` is Y's `RenewalParry`.
     """
-    parry = parry_measure(Y)
     n = code.word_length
     depth = min(params.metric.max_depth, n)
     if depth > code.ambient.exact_depth:
@@ -827,7 +898,7 @@ def _check_separated(code, Y, params):
             f"{code.ambient.exact_depth} of the permutation class"
         )
     dist = weak_star_distance(
-        EmpiricalMeasure(code.gamma_word(), depth, ambient_size=Y.ambient_size),
+        EmpiricalMeasure(code.gamma_word(), depth, ambient_size=parry.ambient_size),
         parry,
         MetricConfig(depth),
     )
@@ -836,7 +907,7 @@ def _check_separated(code, Y, params):
             f"no word of length {n} is within radius {params.effective_radius} "
             f"of the measure (distance {dist:.6g})"
         )
-    deviation = abs(code.log_size / n - markov_entropy(parry))
+    deviation = abs(code.log_size / n - parry.entropy)
     if deviation >= params.kappa:
         raise InsufficientWordLengthError(
             f"deviation {deviation:.6f} >= kappa {params.kappa} for the "
@@ -1013,8 +1084,13 @@ def _etas(stage, depth, settings):
 
 
 def _language(space, depth):
+    """Label words of the given depth, lexicographically ordered; a renewal
+    presentation answers from its code words up to `exact_depth`."""
     if isinstance(space, PermutationCode):
         return space.language(depth)
+    renewal = getattr(space, "renewal", None)
+    if renewal is not None and depth <= renewal.exact_depth:
+        return renewal.language(depth)
     return label_language(space, depth)
 
 

@@ -83,18 +83,36 @@ class VertexShift:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
         self.state_words = state_words
-        # adjacency lists, successors sorted ascending: enumeration order
-        self._succ = _adjacency(m)
-        self._pred = _adjacency(m.tocsc())
+        # adjacency lists, see _adjacency_lists
+        self._succ = self._pred = None
+
+    def _adjacency_lists(self):
+        """(successors, predecessors) of every state, each a tuple of ints
+        in ascending order (enumeration order).
+
+        Built on first use, so a presentation that no graph search walks
+        never holds a tuple per edge.  The accessors below test for them
+        inline: they sit in the inner loops of every graph search.
+        """
+        if self._succ is None:
+            self._succ = _adjacency(self.matrix)
+            self._pred = _adjacency(self.matrix.tocsc())
+        return self._succ, self._pred
 
     def successors(self, state):
-        return self._succ[state]
+        succ = self._succ
+        if succ is None:
+            succ = self._adjacency_lists()[0]
+        return succ[state]
 
     def predecessors(self, state):
-        return self._pred[state]
+        pred = self._pred
+        if pred is None:
+            pred = self._adjacency_lists()[1]
+        return pred[state]
 
     def has_edge(self, i, j):
-        return j in self._succ[i]
+        return j in self.successors(i)
 
     def dense(self):
         return np.asarray(self.matrix.todense())
@@ -241,7 +259,8 @@ def bfs_distances(shift, sources, reverse=False):
     Follows edges backwards with `reverse`, giving the distance from each
     state to the nearest source.
     """
-    nbrs = shift._pred if reverse else shift._succ
+    succ, pred = shift._adjacency_lists()
+    nbrs = pred if reverse else succ
     dist = [None] * shift.num_states
     frontier = []
     for s in sources:
@@ -485,7 +504,7 @@ def _cycle_gcd(shift):
     """gcd of level[u] + 1 - level[v] over the edges u -> v, BFS levels."""
     level = bfs_distances(shift, (0,))
     g = 0
-    for u, succ in enumerate(shift._succ):
+    for u, succ in enumerate(shift._adjacency_lists()[0]):
         lu = level[u] + 1
         for v in succ:
             g = math.gcd(g, lu - level[v])

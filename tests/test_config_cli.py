@@ -216,6 +216,18 @@ def test_cmd_report(small_cfg, tmp_path, capsys):
 
 
 FULL3_ROOF = FULL3.replace("constant = 1.0", "{roof}")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_construct(config, tmp_path):
+    """`python -m shiftflex construct` on a config, as a subprocess."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "shiftflex", "construct", "--config", config,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -228,13 +240,7 @@ FULL3_ROOF = FULL3.replace("constant = 1.0", "{roof}")
 def test_cmd_construct_bad_roof_is_a_config_error(roof, why, tmp_path):
     cfg = tmp_path / "roof.cfg"
     cfg.write_text(FULL3_ROOF.format(roof=roof))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "shiftflex", "construct", "--config", str(cfg),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    run = run_construct(str(cfg), tmp_path)
     assert run.returncode == 1
     assert run.stderr.startswith("config error: field 'roof': ")
     assert why in run.stderr
@@ -246,3 +252,20 @@ def test_cmd_construct_reducible_base_is_infeasible(tmp_path, capsys):
     p.write_text(GOLDEN.replace("11 10", "11 01"))
     assert main(["construct", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "infeasible-target: base shift must be irreducible\n"
+
+
+def test_cmd_construct_subsystem_search_exit_code(tmp_path):
+    run = run_construct(os.path.join(ROOT, "configs", "golden_mean.cfg"), tmp_path)
+    assert run.returncode == 5
+    assert run.stderr.startswith("subsystem-search: no (Y, Z) pair met ")
+    assert "; block_2_y_candidates: 0; block_3_y_candidates: 0" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_cmd_construct_word_length_exit_code(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SMALL.replace("word_length = 10", "word_length = 2"))
+    run = run_construct(str(cfg), tmp_path)
+    assert run.returncode == 6
+    assert run.stderr.startswith("word-length: word_length 2 cannot reach the entropy window")
+    assert run.stderr.endswith("; least_word_length: 3\n")

@@ -37,8 +37,14 @@ from shiftflex import (
     verify_stage,
     weak_star_distance,
 )
-from shiftflex.construction import Stage, _CyclicTable, base_stage
-from shiftflex.words import languages_disjoint
+from shiftflex.construction import (
+    Stage,
+    _CyclicTable,
+    _neighbour_masks,
+    _strongly_connected_mask,
+    base_stage,
+)
+from shiftflex.words import VertexShift, _strongly_connected, induced_subshift, languages_disjoint
 from tests.conftest import PHI
 
 UNIT2 = RoofFunction.constant(1.0, 2)
@@ -395,3 +401,19 @@ def test_built_renewal_stage_checks_only_code_words():
     stage, report = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
     assert stage.shift.renewal.exact_depth >= GREEN.metric.max_depth
     assert report.eta_count == 1 + report.gamma_size
+
+
+def test_subset_connectivity_masks_match_induced_subshifts():
+    rng = np.random.default_rng(19)
+    passed = singles = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        shift = VertexShift((rng.random((n, n)) < rng.uniform(0.2, 0.6)).astype(np.int8))
+        succ, pred = _neighbour_masks(shift)
+        for mask in range(1, 1 << n):
+            states = [i for i in range(n) if mask >> i & 1]
+            expected = _strongly_connected(induced_subshift(shift, states))
+            assert _strongly_connected_mask(succ, pred, mask) == expected
+            passed += expected
+            singles += expected and len(states) == 1
+    assert passed > 100 and singles > 10

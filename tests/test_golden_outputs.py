@@ -1,8 +1,9 @@
 """`construct` output stays byte-identical to the recorded outputs.
 
-`tests/data/golden/<config>/` holds the `stages.csv` and `summary.txt`
-that `construct --seed 0` wrote for `configs/<config>.cfg`; a change that
-alters any digit of them fails here.
+`tests/data/golden/<config>/` holds the `stages.csv`, `summary.txt` and
+`stage-<n>.report` files that `construct --seed 0` wrote for
+`configs/<config>.cfg`; a change that alters any digit of them fails here.
+The reports print M, K1, l and the window values of every check.
 """
 
 from pathlib import Path
@@ -22,5 +23,8 @@ def test_construct_outputs_match_golden(config, tmp_path, capsys):
             "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    for name in ("stages.csv", "summary.txt"):
+    names = sorted(p.name for p in (GOLDEN / config).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {"stages.csv", "summary.txt", "stage-1.report"} <= set(names)
+    for name in names:
         assert (out / name).read_bytes() == (GOLDEN / config / name).read_bytes(), name

@@ -4,17 +4,46 @@ search against the graph search it replaces, on seeded random codes."""
 import random
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from shiftflex import Code, VertexShift, from_forbidden_words, renewal_to_sft
-from shiftflex.construction import _avoiding, _languages_agree, sub_code
+from shiftflex import (
+    Code,
+    VertexShift,
+    from_forbidden_words,
+    parry_measure,
+    renewal_to_sft,
+    topological_entropy,
+)
+from shiftflex.codes import RenewalParry
+from shiftflex.construction import (
+    _avoiding,
+    _canonical_order,
+    _connection_time,
+    _disjoint_depth,
+    _language,
+    _languages_agree,
+    _renewal_connection_time,
+    sub_code,
+)
 from shiftflex.words import (
     _cycle_gcd,
     _strongly_connected,
+    bfs_distances,
+    connecting_word,
     graph_period,
     is_irreducible,
     label_language,
+    languages_disjoint,
     longest_window_avoiding,
+)
+from tests.test_permutation import (
+    AMBIENT_SYNCED,
+    AMBIENT_UNSYNCED,
+    build,
+    params,
+    renewal_stage,
+    target,
 )
 
 
@@ -48,6 +77,7 @@ def test_code_word_windows_match_graph_search():
             expected = [(w, longest_window_avoiding(shift, w)) for w in language]
             assert [(w, lengths[w]) for w in language] == expected
             assert list(_avoiding(shift, depth)) == expected
+            assert list(_language(shift, depth)) == language
             pairs += 1
     assert pairs > 500
 
@@ -118,9 +148,10 @@ def test_adjacency_matches_int_loop():
         dense[rng.integers(n)] = 0  # an empty row
         dense[:, rng.integers(n)] = 0  # an empty column
         shift = VertexShift(sp.csr_matrix(dense))
-        assert shift._succ == loop_adjacency(shift.matrix)
-        assert shift._pred == loop_adjacency(shift.matrix.tocsc())
-        assert all(type(j) is int for row in shift._succ + shift._pred for j in row)
+        succ, pred = shift._adjacency_lists()
+        assert succ == loop_adjacency(shift.matrix)
+        assert pred == loop_adjacency(shift.matrix.tocsc())
+        assert all(type(j) is int for row in succ + pred for j in row)
 
 
 def scan_forbidden_words(alphabet_size, forbidden, block):
@@ -180,3 +211,89 @@ def test_language_agreement_matches_admissibility_path():
                 assert verdict == _languages_agree(ours, plain, depth)
                 seen.add(verdict[1].split(" at ")[0])
     assert len(seen) == 3  # missing, strictly larger and agreeing all occur
+
+
+def test_parry_tables_match_power_iteration():
+    checked = 0
+    for a, code in random_codes(31, 80):
+        shift, explicit = (renewal_to_sft(code, ambient_size=a) for _ in range(2))
+        closed, iterated = RenewalParry(shift), parry_measure(explicit)
+        assert abs(closed.entropy - topological_entropy(explicit)) < 1e-12
+        for depth in range(1, shift.renewal.exact_depth + 2):
+            table, reference = closed.cylinder_table(depth), iterated.cylinder_table(depth)
+            assert set(table) == set(reference)
+            assert max(abs(table[w] - reference[w]) for w in table) < 1e-12
+            checked += 1
+    assert checked > 400
+
+
+def test_renewal_paths_match_graph_search():
+    for a, code in random_codes(37, 40):
+        shift = renewal_to_sft(code, ambient_size=a)
+        renewal, k, n = shift.renewal, code.uniform_length, shift.num_states
+        ends, starts = range(k - 1, n, k), range(0, n, k)
+        for end in ends:
+            out = bfs_distances(shift, shift.successors(end))
+            for z in range(n):
+                assert renewal.path(end, z) == connecting_word(shift, end, z)
+                assert len(renewal.path(end, z)) == out[z] + 2
+        for start in starts:
+            back = bfs_distances(shift, shift.predecessors(start), reverse=True)
+            for z in range(n):
+                assert renewal.path(z, start) == connecting_word(shift, z, start)
+                assert len(renewal.path(z, start)) == back[z] + 2
+        for end in ends:
+            for start in starts:
+                for states in ([z] for z in range(n)):
+                    assert _renewal_connection_time(renewal, states, start, end) == (
+                        _connection_time(shift, states, start, end)
+                    )
+
+
+def disjoint_depth_loop(y, z, cap):
+    return next((kk for kk in range(1, cap + 1) if languages_disjoint(y, z, kk)), None)
+
+
+def test_one_pass_k1_matches_disjointness_loop():
+    depths, beyond_exact, never = 0, 0, 0
+    for a, code in random_codes(41, 150):
+        t = len(code)
+        if t < 2:
+            continue
+        full = renewal_to_sft(code, ambient_size=a)
+        cut = random.Random(t).randint(1, t - 1)
+        y, z = sub_code(full, full.renewal, 0, cut), sub_code(full, full.renewal, cut, t)
+        cap = 4 * code.uniform_length
+        k1 = _disjoint_depth(y.renewal, z.renewal, a, cap)
+        assert k1 == disjoint_depth_loop(y, z, cap)
+        depths += 1
+        if k1 is None:
+            never += 1
+        elif k1 > min(y.renewal.exact_depth, z.renewal.exact_depth):
+            beyond_exact += 1
+    assert depths > 60 and beyond_exact > 5 and never > 0
+
+
+@pytest.mark.parametrize(
+    "words, c, t", [(AMBIENT_SYNCED, 0.05, 6), (AMBIENT_UNSYNCED, 0.03, 5)]
+)
+def test_structured_stage_glue_matches_graph_search(words, c, t):
+    prev = renewal_stage(words)
+    stage, report = build(prev, target(c), params(t, t * 10))
+    art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
+    order = _canonical_order(art.Y, renewal, t * 10)
+    start, end = order[0] * k, order[-1] * k + k - 1
+    z_states = sorted({sw[0] for sw in art.Z.state_words})
+    assert report.overlap["M"] == _connection_time(prev.shift, z_states, start, end)
+    assert report.overlap["K1"] == disjoint_depth_loop(art.Y, art.Z, 6 * k)
+    w = art.low_overlap_word
+    assert art.connector_in == connecting_word(prev.shift, end, w[0])[1:-1]
+    assert art.connector_out == connecting_word(prev.shift, w[-1], start)[1:-1]
+
+
+def test_unwalked_presentations_hold_no_adjacency():
+    prev = renewal_stage(AMBIENT_SYNCED)
+    _, report = build(prev, target(0.05), params(6, 60))
+    assert report.artifacts.Y._succ is None and report.artifacts.Y._pred is None
+    assert prev.shift._succ is None and prev.shift._pred is None
+    assert report.artifacts.Z._succ is not None  # the low-overlap search walks Z
