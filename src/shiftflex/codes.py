@@ -467,7 +467,8 @@ class PermutationCode:
         return self.log_size / self.uniform_length
 
     def spell(self, indices):
-        return sum((self.ambient.code.words[a] for a in indices), ())
+        words = self.ambient.code.words
+        return tuple(s for a in indices for s in words[a])
 
     def gamma_word(self, order=None):
         """Labels of γ for a given order of the free multiset (default sorted)."""

@@ -38,8 +38,8 @@ from .errors import (
     UnsupportedAmbientError,
 )
 from .measures import (
-    EmpiricalMeasure,
     MetricConfig,
+    empirical_distances,
     katok_separated_set,
     pigeonhole_refine,
     weak_star_distance,
@@ -780,12 +780,13 @@ def _canonical_order(Y, renewal, n):
     return tuple(y_words * max(1, n // (len(y_words) * renewal.k)))
 
 
-def _log_path_counter(Y, n_max):
-    """n -> log of the number of internal words of length n <= n_max in Y.
+def _log_path_counter(Y):
+    """n -> log of the number of internal words of length n in Y.
 
     A renewal sub-code of t words of length k has t * sum_p t^floor((p+n-1)/k)
     of them: a start word, then one choice per code-word boundary crossed.
-    Other shifts iterate the transition matrix in floating point.
+    Other shifts iterate the transition matrix in floating point, only as
+    far as the largest n asked for.
     """
     renewal = getattr(Y, "renewal", None)
     if renewal is not None:
@@ -799,13 +800,18 @@ def _log_path_counter(Y, n_max):
         return closed_form
     mat = Y.matrix.astype(np.float64)
     vec, scale, logs = np.ones(Y.num_states), 0.0, []
-    for _ in range(n_max):
-        logs.append(scale + math.log(vec.sum()))
-        vec = mat @ vec
-        top = vec.max()
-        vec /= top
-        scale += math.log(top)
-    return lambda n: logs[n - 1]
+
+    def iterated(n):
+        nonlocal vec, scale
+        while len(logs) < n:
+            logs.append(scale + math.log(vec.sum()))
+            vec = mat @ vec
+            top = vec.max()
+            vec /= top
+            scale += math.log(top)
+        return logs[n - 1]
+
+    return iterated
 
 
 def _refuse_word_length(target, params, prev, Y, renewal, extra):
@@ -821,7 +827,7 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
     step = len(Y.renewal.code) * renewal.k if renewal is not None else 1
 
     n = params.word_length
-    log_count = _log_path_counter(Y, max(n, step * LEAST_N_SEARCH))
+    log_count = _log_path_counter(Y)
 
     def bound(m):
         return log_count(m) / (m + extra)
@@ -897,11 +903,8 @@ def _check_separated(code, parry, params):
             f"metric depth {depth} exceeds the exact depth "
             f"{code.ambient.exact_depth} of the permutation class"
         )
-    dist = weak_star_distance(
-        EmpiricalMeasure(code.gamma_word(), depth, ambient_size=parry.ambient_size),
-        parry,
-        MetricConfig(depth),
-    )
+    word = np.asarray(code.gamma_word(), dtype=np.int64)[None, :]
+    dist = empirical_distances(word, parry, depth, parry.ambient_size)[0]
     if dist >= params.effective_radius:
         raise InsufficientWordLengthError(
             f"no word of length {n} is within radius {params.effective_radius} "

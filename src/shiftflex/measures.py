@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InsufficientWordLengthError, WordTooShortError
 from .spectral import markov_entropy
-from .words import DEFAULT_WORD_BUDGET, WordSet, label_word, language
+from .words import DEFAULT_WORD_BUDGET, WordSet, language
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,49 @@ def weak_star_distance(a, b, cfg):
     return total
 
 
+def window_counts(words, depth, alphabet_size):
+    """Window counts of every row of a (rows, length) array of label words.
+
+    Each length-`depth` window is read as a base-`alphabet_size` integer,
+    first symbol most significant; entry (r, c) of the (rows,
+    alphabet_size**depth) result counts the windows of row r with code c.
+    One bincount over row-offset codes fills the whole table.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    rows, length = words.shape
+    span = length - depth + 1
+    if span < 1:
+        raise WordTooShortError(f"word of length {length} has no depth-{depth} windows")
+    codes = words[:, :span].copy()
+    for i in range(1, depth):
+        codes *= alphabet_size
+        codes += words[:, i : i + span]
+    cols = alphabet_size**depth
+    codes += (np.arange(rows, dtype=np.int64) * cols)[:, None]
+    return np.bincount(codes.ravel(), minlength=rows * cols).reshape(rows, cols)
+
+
+def empirical_distances(words, m, depth, alphabet_size):
+    """weak_star_distance at `depth` from each row's empirical measure to m.
+
+    `words` is a (rows, length) array of label words; m's cylinder tables
+    become dense vectors indexed like the columns of `window_counts`.
+    Rows are counted in blocks, so no count table exceeds 2^22 entries.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    total = np.zeros(words.shape[0])
+    block = max(1, (1 << 22) // alphabet_size**depth)
+    for d in range(1, depth + 1):
+        target = np.zeros(alphabet_size**d)
+        for w, p in m.cylinder_table(d).items():
+            target[np.ravel_multi_index(w, (alphabet_size,) * d)] = p
+        for lo in range(0, len(words), block):
+            counts = window_counts(words[lo : lo + block], d, alphabet_size)
+            freq = counts / (words.shape[1] - d + 1)
+            total[lo : lo + block] += 0.5 * np.abs(freq - target).sum(axis=1) / (1 << d)
+    return total
+
+
 @dataclass(frozen=True)
 class KatokResult:
     """Separated word set with its entropy-count deviation."""
@@ -159,30 +204,24 @@ def katok_separated_set(
     trimmed deterministically (closest empirical distance first, then
     lexicographic) to the count floor(exp(n h)); when even the full set
     undershoots, InsufficientWordLengthError signals that n must grow.
+    All words are scored together, from one array of their label words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     h = markov_entropy(m)
-    depth = min(cfg.max_depth, n)
-    scored = []
-    for w in language(shift, n, budget=budget):
-        lw = label_word(shift, w)
-        d = weak_star_distance(
-            EmpiricalMeasure(lw, depth, ambient_size=shift.ambient_size),
-            m,
-            MetricConfig(depth),
-        )
-        if d < radius:
-            scored.append((d, w))
-    if not scored:
+    words = language(shift, n, budget=budget).words
+    states = np.fromiter((s for w in words for s in w), np.int64, len(words) * n)
+    labels = np.asarray(shift.labels, dtype=np.int64)[states.reshape(len(words), n)]
+    dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
+    (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language
+    count = len(chosen)
+    if not count:
         raise InsufficientWordLengthError(
             f"no word of length {n} is within radius {radius} of the measure"
         )
-    count = len(scored)
     deviation = abs(math.log(count) / n - h)
     if deviation < kappa:
-        chosen = sorted(w for _, w in scored)
-        return KatokResult(WordSet(tuple(chosen)), deviation, count)
+        return KatokResult(WordSet(tuple(words[i] for i in chosen)), deviation, count)
     if math.log(count) / n < h:  # too few words; only a larger n can help
         raise InsufficientWordLengthError(
             f"deviation {deviation:.6f} >= kappa {kappa} with all {count} "
@@ -190,15 +229,15 @@ def katok_separated_set(
             deviation=deviation,
         )
     target = max(1, math.floor(math.exp(n * h)))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    chosen = sorted(w for _, w in scored[:target])
+    # a stable sort keeps lexicographic order among equal distances
+    chosen = np.sort(chosen[np.argsort(dist[chosen], kind="stable")[:target]])
     deviation = abs(math.log(len(chosen)) / n - h)
     if deviation >= kappa:
         raise InsufficientWordLengthError(
             f"trimmed deviation {deviation:.6f} still >= kappa {kappa}",
             deviation=deviation,
         )
-    return KatokResult(WordSet(tuple(chosen)), deviation, count)
+    return KatokResult(WordSet(tuple(words[i] for i in chosen)), deviation, count)
 
 
 def pigeonhole_refine(gamma, shift):

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shiftflex import (
     RoofFunction,
     RunSettings,
     StageParams,
+    StageVerificationError,
     SubsystemSearchError,
     Target,
     bernoulli_measure,
@@ -37,15 +39,23 @@ from shiftflex import (
     verify_stage,
     weak_star_distance,
 )
+from shiftflex.config import parse_config
 from shiftflex.construction import (
     Stage,
     _CyclicTable,
+    _log_path_counter,
     _neighbour_masks,
     _strongly_connected_mask,
     base_stage,
 )
-from shiftflex.words import VertexShift, _strongly_connected, induced_subshift, languages_disjoint
-from tests.conftest import PHI
+from shiftflex.words import (
+    VertexShift,
+    _strongly_connected,
+    induced_subshift,
+    languages_disjoint,
+    word_count,
+)
+from tests.conftest import PHI, random_irreducible_shift
 
 UNIT2 = RoofFunction.constant(1.0, 2)
 UNIT3 = RoofFunction.constant(1.0, 3)
@@ -417,3 +427,65 @@ def test_subset_connectivity_masks_match_induced_subshifts():
             passed += expected
             singles += expected and len(states) == 1
     assert passed > 100 and singles > 10
+
+
+def _seeded_first_stage_configs(count, seed=13):
+    """Config texts of small one-stage constructs over a seeded grid."""
+    bases = (
+        "[shift]\nalphabet = 2\nmatrix = 11 11\n\n[roof]\nconstant = 1.0\n",
+        "[shift]\nalphabet = 3\nmatrix = 111 111 111\n\n"
+        "[roof]\ndepth = 1\n0 = 1.0\n1 = 1.5\n2 = 2.0\n",
+    )
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (
+            bases[int(rng.integers(2))]
+            + f"\n[target]\nc_fraction = {rng.choice([0.05, 0.07, 0.1, 0.13])}\n"
+            + "\n[run]\nstages = 1\nmetric_depth = 2\n\n[stage 1]\n"
+            + f"word_length = {rng.choice([6, 8, 10, 12])}\noverlap_length = 1\n"
+            + f"delta = {rng.choice([0.11, 0.13, 0.16, 0.19, 0.22])}\n"
+            + "kappa = 0.5\nradius = 0.5\nblock_depth = 2\n"
+        )
+
+
+def test_fresh_verification_reproduces_the_build_report():
+    """verify_stage on a built stage gives the report the build gave.
+
+    Seeded stages that assemble but fail a window count too: the error
+    carries the stage and its report.
+    """
+    root = Path(__file__).resolve().parent.parent
+    texts = [(root / "configs" / "full2_small.cfg").read_text()]
+    texts += list(_seeded_first_stage_configs(6))
+    checked = passing = 0
+    for text in texts:
+        rc = parse_config(text)
+        t = rc.build_target()
+        params = rc.build_schedule(t)[0]
+        settings = RunSettings(seed=rc.seed, samples=rc.samples)
+        prev = base_stage(t)
+        try:
+            stage, report = build_stage(prev, t, params, settings=settings)
+        except StageVerificationError as exc:
+            if exc.report is None:
+                continue
+            stage, report = exc.stage, exc.report
+        except (InsufficientWordLengthError, SubsystemSearchError):
+            continue
+        overlap = {k: v for k, v in report.overlap.items() if k != "ok"}
+        fresh = verify_stage(prev, stage, t, params, settings=settings, overlap_data=overlap)
+        assert fresh.items() == report.items()
+        checked += 1
+        passing += report.all_pass
+    assert checked >= 4 and passing >= 1
+
+
+def test_log_path_counter_extends_on_demand():
+    """Queried in any order, the iterated counts are the exact word counts."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        shift = random_irreducible_shift(rng)
+        log_count = _log_path_counter(shift)
+        for n in rng.permutation(np.arange(1, 30)):
+            exact = math.log(word_count(shift, int(n)))
+            assert log_count(int(n)) == pytest.approx(exact, rel=1e-12, abs=1e-12)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftflex import (
+    EmpiricalMeasure,
     InsufficientWordLengthError,
     MetricConfig,
     VertexShift,
@@ -16,7 +18,9 @@ from shiftflex import (
     empirical_measure,
     full_shift,
     golden_mean_shift,
+    is_irreducible,
     katok_separated_set,
+    label_word,
     language,
     markov_entropy,
     parry_measure,
@@ -24,7 +28,10 @@ from shiftflex import (
     random_markov_measure,
     weak_star_distance,
 )
+from shiftflex.measures import empirical_distances, window_counts
 from shiftflex.words import WordSet
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 D2 = MetricConfig(2)
 
@@ -203,6 +210,150 @@ def test_katok_trims_to_entropy_target(golden, golden_parry):
 def test_katok_insufficient_radius(golden, golden_parry):
     with pytest.raises(InsufficientWordLengthError):
         katok_separated_set(golden, golden_parry, 12, 0.15, 1e-4, D2)
+
+
+def test_katok_trimmed_golden_mean_set_frozen(golden, golden_parry):
+    """The trimmed set of test_katok_trims_to_entropy_target, word by word."""
+    res = katok_separated_set(golden, golden_parry, 12, 0.01, 0.25, D2)
+    frozen = (GOLDEN / "katok_golden_mean_n12_trimmed.txt").read_text().split()
+    assert ["".join(map(str, w)) for w in res.words] == frozen
+
+
+def test_window_counts_match_cylinder_tables():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a = int(rng.integers(1, 5))
+        rows, length = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        words = rng.integers(0, a, size=(rows, length))
+        for depth in range(1, min(length, 4) + 1):
+            counts = window_counts(words, depth, a)
+            assert counts.shape == (rows, a**depth)
+            for r in range(rows):
+                table = EmpiricalMeasure(tuple(words[r]), depth).cylinder_table(depth)
+                got = {
+                    np.unravel_index(c, (a,) * depth): v / (length - depth + 1)
+                    for c, v in enumerate(counts[r])
+                    if v
+                }
+                assert {tuple(map(int, w)): v for w, v in got.items()} == table
+    with pytest.raises(WordTooShortError):
+        window_counts(np.zeros((2, 3), dtype=int), 4, 2)
+
+
+def _per_word_distance(shift, m, word, depth):
+    """The per-word score the array pass replaces."""
+    return weak_star_distance(
+        EmpiricalMeasure(label_word(shift, word), depth, ambient_size=shift.ambient_size),
+        m,
+        MetricConfig(depth),
+    )
+
+
+def katok_per_word(shift, m, n, kappa, radius, cfg):
+    """katok_separated_set scored one word at a time: the differential oracle."""
+    h = markov_entropy(m)
+    depth = min(cfg.max_depth, n)
+    scored = []
+    for w in language(shift, n):
+        d = _per_word_distance(shift, m, w, depth)
+        if d < radius:
+            scored.append((d, w))
+    if not scored:
+        raise InsufficientWordLengthError("none")
+    count = len(scored)
+    deviation = abs(math.log(count) / n - h)
+    if deviation < kappa:
+        return sorted(w for _, w in scored), deviation, count
+    if math.log(count) / n < h:
+        raise InsufficientWordLengthError("few", deviation=deviation)
+    target = max(1, math.floor(math.exp(n * h)))
+    scored.sort()
+    chosen = sorted(w for _, w in scored[:target])
+    deviation = abs(math.log(len(chosen)) / n - h)
+    if deviation >= kappa:
+        raise InsufficientWordLengthError("trimmed too far", deviation=deviation)
+    return chosen, deviation, count
+
+
+def _seeded_labelled_shift(rng):
+    while True:
+        states = int(rng.integers(2, 5))
+        shift = VertexShift((rng.random((states, states)) < 0.6).astype(int))
+        if is_irreducible(shift):
+            break
+    if rng.random() < 0.5:
+        return shift
+    labels = [int(x) for x in rng.integers(0, 2, size=states)]
+    labels[int(rng.integers(states))] = 1 - labels[0]  # both symbols occur
+    return VertexShift(shift.matrix, labels=labels, ambient_size=2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientWordLengthError as exc:
+        return exc
+
+
+def test_katok_array_pass_matches_per_word_scores():
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(100):
+        shift = _seeded_labelled_shift(rng)
+        m = parry_measure(shift) if rng.random() < 0.5 else random_markov_measure(shift, rng)
+        n = int(rng.integers(4, 9))
+        cfg = MetricConfig(int(rng.integers(1, 4)))
+        kappa = float(rng.choice([0.005, 0.02, 0.1, 0.5]))
+        radius = float(rng.choice([1e-3, 0.05, 0.15, 0.3, 1.0]))
+        args = (shift, m, n, kappa, radius, cfg)
+        want, got = _outcome(katok_per_word, *args), _outcome(katok_separated_set, *args)
+        if isinstance(want, Exception):
+            assert isinstance(got, InsufficientWordLengthError), args
+            assert got.deviation == want.deviation
+            seen.add(str(want))
+            continue
+        assert not isinstance(got, Exception), (args, got)
+        words, deviation, count = want
+        assert (got.qualifying, got.deviation) == (count, deviation)
+        if len(words) == count:
+            assert got.words == WordSet(tuple(words))
+            seen.add("all")
+        else:
+            depth = min(cfg.max_depth, n)
+            ours = sorted(_per_word_distance(shift, m, w, depth) for w in got.words)
+            theirs = sorted(_per_word_distance(shift, m, w, depth) for w in words)
+            assert len(ours) == len(theirs)
+            assert np.allclose(ours, theirs, rtol=0, atol=1e-12)
+            assert list(got.words) == sorted(got.words)
+            seen.add("trimmed")
+    assert {"all", "trimmed", "few", "none"} <= seen
+
+
+def test_empirical_distances_match_weak_star_distance():
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        shift = _seeded_labelled_shift(rng)
+        m = random_markov_measure(shift, rng)
+        n = int(rng.integers(3, 9))
+        words = language(shift, n).words
+        labels = np.array([label_word(shift, w) for w in words])
+        for depth in range(1, 4):
+            got = empirical_distances(labels, m, depth, shift.ambient_size)
+            want = [_per_word_distance(shift, m, w, depth) for w in words]
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_empirical_distances_count_deep_tables_in_blocks():
+    """At depth 20 over two symbols a block holds 4 rows; 9 rows take 3."""
+    rng = np.random.default_rng(6)
+    words = rng.integers(0, 2, size=(9, 26))
+    m = EmpiricalMeasure(tuple(int(x) for x in rng.integers(0, 2, size=40)), 20)
+    got = empirical_distances(words, m, 20, 2)
+    want = [
+        weak_star_distance(EmpiricalMeasure(tuple(w), 20), m, MetricConfig(20))
+        for w in words
+    ]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pigeonhole_examples(full2):

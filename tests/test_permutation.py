@@ -4,11 +4,13 @@ explicit renewal presentation of the same code words."""
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from shiftflex import (
     Code,
+    EmpiricalMeasure,
     InsufficientWordLengthError,
     MetricConfig,
     RoofFunction,
@@ -22,9 +24,10 @@ from shiftflex import (
     parry_measure,
     renewal_to_sft,
     verify_stage,
+    weak_star_distance,
 )
-from shiftflex.codes import PermutationCode, RenewalStructure
-from shiftflex.construction import Stage, _sync_depth
+from shiftflex.codes import PermutationCode, RenewalParry, RenewalStructure
+from shiftflex.construction import Stage, _check_separated, _sync_depth
 from shiftflex.words import is_label_admissible, label_language, longest_window_avoiding
 
 # Two small renewal ambients over {0, 1, 2}: code words of length 10 that
@@ -183,3 +186,25 @@ def test_permutation_code_windows_match_enumeration():
             assert set(table) == set(exact)
             assert all(table[w] == pytest.approx(exact[w], abs=1e-9) for w in table)
         checked += 1
+
+
+def test_separated_check_refuses_at_the_distance_of_gamma():
+    """The radius refusal sits at the per-word distance of the canonical γ."""
+    shift = renewal_to_sft(Code(AMBIENT_SYNCED), ambient_size=3)
+    parry = RenewalParry(shift)
+    order = (0, 0, 0) + tuple(range(1, len(AMBIENT_SYNCED)))  # not the mixture
+    code = PermutationCode(shift.renewal, (0,), 1, order[:2], order[2:])
+    for depth in (1, 2, 3):
+        dist = weak_star_distance(
+            EmpiricalMeasure(code.gamma_word(), depth, ambient_size=3),
+            parry,
+            MetricConfig(depth),
+        )
+        assert dist > 1e-3
+        p = StageParams(
+            delta=0.05, kappa=10.0, word_length=code.word_length,
+            metric=MetricConfig(depth), radius=dist + 1e-12,
+        )
+        _check_separated(code, parry, p)
+        with pytest.raises(InsufficientWordLengthError, match="within radius"):
+            _check_separated(code, parry, replace(p, radius=dist - 1e-12))
