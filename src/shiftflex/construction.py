@@ -39,10 +39,13 @@ from .errors import (
 )
 from .measures import (
     MetricConfig,
+    cyclic_windows,
+    dense_table,
     empirical_distances,
     katok_separated_set,
     pigeonhole_refine,
     weak_star_distance,
+    window_counts,
 )
 from .spectral import (
     MarkovMeasure,
@@ -74,6 +77,10 @@ from .words import (
 # most states a presentation it searches may have
 MAX_BLOCK_DEPTH = 3
 SUBSET_CAP = 16
+# array scores of the subset search within this of each other, or of a
+# filter edge, are decided by the per-subset path; they differ from its
+# values by at most about 1e-12
+TIE_EPS = 1e-9
 
 
 def require_irreducible(base):
@@ -261,48 +268,208 @@ def _strongly_connected_mask(succ, pred, mask):
     return mask != low or bool(succ[low.bit_length() - 1] & low)
 
 
-def _subset_candidates(shift, m, c1, kappa, cfg, target_h, roof_score, positive_h):
-    """Exhaustively scored strongly connected induced subgraphs."""
-    n = shift.num_states
+def _mask_subshift(shift, mask):
+    return induced_subshift(shift, [i for i in range(shift.num_states) if mask >> i & 1])
+
+
+def _exact_candidate(shift, mask, m, c1, kappa, cfg, target_h, roof, positive_h):
+    """One subset scored on its own: its sort key (|h - target_h|,
+    |h - c1|, roof score, distance to m, mask), its subshift and its Parry
+    measure, or None when a filter drops it.  `roof` is (rho,
+    roof_target) or None."""
+    sub = _mask_subshift(shift, mask)
+    h = topological_entropy(sub)
+    if positive_h and h <= 1e-9:
+        return None  # a positive-entropy target needs carrier subsystems
+    if abs(h - c1) > kappa:
+        return None
+    pm = parry_measure(sub)
+    d = weak_star_distance(pm, m, cfg)
+    if d > kappa:
+        return None
+    score = abs(roof_integral(pm, roof[0]) - roof[1]) if roof else 0.0
+    return (abs(h - target_h), abs(h - c1), score, d, mask), sub, pm
+
+
+@dataclass
+class _SubsetScores:
+    """Every strongly connected induced subgraph of a small presentation,
+    scored in arrays: its state mask, its entropy and the distance from its
+    Parry measure to m.  The roof score orders candidates only inside a run
+    of tied entropies, which the exact path scores, so it is not kept."""
+
+    masks: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
+
+
+def _perron_batch(mats):
+    """Perron value, right and left vector of each matrix of a (B, s, s)
+    stack of irreducible 0/1 matrices, from one batched eigen-solve of the
+    matrices and their transposes.
+
+    The Perron root has the largest real part: a periodic matrix has a ring
+    of eigenvalues of equal modulus, but only the root itself is real and
+    positive.  Each vector is scaled to sum 1.
+    """
+    count = len(mats)
+    vals, vecs = np.linalg.eig(np.concatenate([mats, mats.transpose(0, 2, 1)]))
+    top = vals.real.argmax(axis=1)
+    rows = np.arange(2 * count)
+    v = vecs[rows, :, top]
+    v = (v / v.sum(axis=1, keepdims=True)).real
+    return vals.real[rows[:count], top[:count]], v[:count], v[count:]
+
+
+def _subset_scores(shift, m, cfg):
+    """`_SubsetScores` of every strongly connected subset of `shift`'s
+    states, with one batched eigen-solve per subset size.
+
+    The Parry measure of a subgraph with Perron value lam, right vector v
+    and left vector u gives the path s_0 .. s_{n-1} the mass
+    u[s_0] v[s_{n-1}] / (lam^(n-1) u.v), so its label-cylinder tables come
+    from products of the stacked matrices.
+    """
+    n, alph = shift.num_states, shift.ambient_size
     succ, pred = _neighbour_masks(shift)
-    out = []
+    dense = shift.dense().astype(np.float64)
+    labels = np.asarray(shift.labels)
+    depth = cfg.max_depth
+    targets = [dense_table(m.cylinder_table(d), d, alph) for d in range(1, depth + 1)]
+    by_size = {}
     for mask in range(1, 1 << n):
-        if not _strongly_connected_mask(succ, pred, mask):
-            continue
-        sub = induced_subshift(shift, [i for i in range(n) if mask >> i & 1])
-        h = topological_entropy(sub)
-        if positive_h and h <= 1e-9:
-            continue  # a positive-entropy target needs carrier subsystems
-        if abs(h - c1) > kappa:
-            continue
-        pm = parry_measure(sub)
-        d = weak_star_distance(pm, m, cfg)
-        if d > kappa:
-            continue
-        out.append((abs(h - target_h), abs(h - c1), roof_score(pm), d, mask, sub, pm))
-    out.sort(key=lambda t: t[:5])
-    return out
+        if _strongly_connected_mask(succ, pred, mask):
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+    parts = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0))]
+    for size, masks in sorted(by_size.items()):
+        # blocks of subsets small enough that no table exceeds 2^21 entries
+        block = max(1, (1 << 21) // (alph**depth * size))
+        for lo in range(0, len(masks), block):
+            chunk = masks[lo : lo + block]
+            parts.append(_score_block(dense, labels, chunk, size, targets, alph))
+    return _SubsetScores(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def _zed_candidates(shift, y_mask, k1_cap, y_shift):
-    """Positive-entropy subsystems language-disjoint from Y, smallest K1 first."""
+def _score_block(dense, labels, masks, size, targets, alph):
+    """Masks, entropies and distances of subsets of one size."""
+    n = len(labels)
+    states = np.array([[i for i in range(n) if mask >> i & 1] for mask in masks])
+    mats = dense[states[:, :, None], states[:, None, :]]
+    lam, right, left = _perron_batch(mats)
+    onehot = (labels[states][:, None, :] == np.arange(alph)[:, None]).astype(np.float64)
+    x = left[:, None, :] * onehot  # per label word, the masses u[s_0] of its paths
+    norm = (left * right).sum(axis=1)[:, None]
+    dist = np.zeros(len(masks))
+    for d, target in enumerate(targets, 1):
+        if d > 1:
+            x = (x @ mats / lam[:, None, None])[:, :, None, :] * onehot[:, None]
+            x = x.reshape(len(masks), alph**d, size)
+        table = (x @ right[:, :, None])[:, :, 0] / norm
+        dist += 0.5 * np.abs(table - target).sum(axis=1) / (1 << d)
+    return np.array(masks, dtype=np.int64), np.log(lam), dist
+
+
+def _in_runs(items, lead, settled, fast, exact):
+    """Results for `items` in the order of their array-scored leading keys
+    `lead`, lazily, one run at a time.
+
+    A run is a chain of neighbours whose leading keys lie within TIE_EPS;
+    the later keys of the exact order matter only inside a run.  A run of
+    one `settled` item yields fast(item).  Any other run is re-scored by
+    exact(item), which gives (key, result) or None for an item a filter
+    drops, and yields its results sorted by key.
+    """
+    order = np.argsort(lead, kind="stable")
+    cuts = np.flatnonzero(np.diff(lead[order]) >= TIE_EPS) + 1
+    for run, ok in zip(np.split(items[order], cuts), np.split(settled[order], cuts)):
+        run = run.tolist()
+        if len(run) == 1 and ok[0]:
+            yield fast(run[0])
+            continue
+        scored = [e for e in map(exact, run) if e is not None]
+        yield from (result for _, result in sorted(scored, key=lambda e: e[0]))
+
+
+def _subset_candidates(shift, scores, m, c1, kappa, cfg, target_h, roof, positive_h):
+    """Y candidates of `shift` as (mask, sub, pm), in the order of the exact
+    key of `_exact_candidate`, lazily.
+
+    Candidates are ranked by their array scores.  The exact path decides
+    only where those cannot: it re-scores and sorts every run of candidates
+    whose leading keys lie within TIE_EPS of each other, and every
+    candidate within TIE_EPS of a filter edge (|h - c1| = kappa, d = kappa,
+    h = 1e-9).  Any other candidate keeps its place; when the caller
+    reaches it, only its subshift and Parry measure are built.
+    """
+    h, d = scores.h, scores.d
+    gap = np.abs(h - c1)
+    edge = (np.abs(gap - kappa) < TIE_EPS) | (np.abs(d - kappa) < TIE_EPS)
+    keep = (gap <= kappa) & (d <= kappa)
+    if positive_h:
+        edge |= np.abs(h - 1e-9) < TIE_EPS
+        keep &= h > 1e-9
+    idx = np.flatnonzero(keep | edge)
+
+    def fast(mask):
+        sub = _mask_subshift(shift, mask)
+        return mask, sub, parry_measure(sub)
+
+    def exact(mask):
+        e = _exact_candidate(shift, mask, m, c1, kappa, cfg, target_h, roof, positive_h)
+        return e and (e[0], (mask, e[1], e[2]))
+
+    return _in_runs(scores.masks[idx], np.abs(h[idx] - target_h), ~edge[idx], fast, exact)
+
+
+def _disjoint_depths(shift, y_mask, masks, cap):
+    """Per subset mask, the least depth <= cap at which the label languages
+    of the subgraphs on `y_mask` and on the mask are disjoint, 0 where they
+    still meet at depth cap.
+
+    A label word of length k lies in both iff a walk of k pairs (y, z) of
+    equally labelled states spells it, with y in Y and z in the mask, so
+    all masks advance together on one pair graph.
+    """
     n = shift.num_states
-    succ, pred = _neighbour_masks(shift)
-    rest = [i for i in range(n) if not (y_mask >> i & 1)]
-    found = []
-    for mask in range(1, 1 << len(rest)):
-        states = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        if not _strongly_connected_mask(succ, pred, sum(1 << i for i in states)):
-            continue
-        sub = induced_subshift(shift, states)
-        if topological_entropy(sub) <= 1e-9:
-            continue
-        for k in range(1, k1_cap + 1):
-            if languages_disjoint(y_shift, sub, k):
-                found.append((k, -topological_entropy(sub), mask, sub))
-                break
-    found.sort(key=lambda t: t[:3])
-    return found
+    dense = shift.dense().astype(bool)
+    labels = shift.labels
+    pairs = [
+        (y, z) for y in range(n) if y_mask >> y & 1 for z in range(n) if labels[y] == labels[z]
+    ]
+    py, pz = np.array(pairs).reshape(len(pairs), 2).T
+    step = (dense[np.ix_(py, py)] & dense[np.ix_(pz, pz)]).astype(np.float64)
+    inside = (masks[:, None] >> pz & 1).astype(np.float64)
+    reach = inside
+    depths = np.zeros(len(masks), dtype=np.int64)
+    for k in range(1, cap + 1):
+        depths[(depths == 0) & ~reach.any(axis=1)] = k
+        reach = (reach @ step > 0) * inside
+    return depths
+
+
+def _zed_candidates(shift, scores, y_mask, cap):
+    """Positive-entropy subsystems language-disjoint from Y, as (K1, mask,
+    sub): smallest K1 first, then largest entropy, then mask; lazily.
+
+    Entropies within TIE_EPS of each other or of the 1e-9 floor are
+    re-scored on the subshift itself (`topological_entropy`).
+    """
+    h = scores.h
+    edge = np.abs(h - 1e-9) < TIE_EPS
+    idx = np.flatnonzero((scores.masks & y_mask == 0) & ((h > 1e-9) | edge))
+    depths = _disjoint_depths(shift, y_mask, scores.masks[idx], cap)
+    for k in range(1, cap + 1):
+        group = idx[depths == k]
+
+        def fast(mask, k=k):
+            return k, mask, _mask_subshift(shift, mask)
+
+        def exact(mask, k=k):
+            sub = _mask_subshift(shift, mask)
+            hh = topological_entropy(sub)
+            return None if hh <= 1e-9 else ((-hh, mask), (k, mask, sub))
+
+        yield from _in_runs(scores.masks[group], -h[group], ~edge[group], fast, exact)
 
 
 def select_disjoint_subsystems(
@@ -332,14 +499,18 @@ def select_disjoint_subsystems(
     must squeeze every invariant measure's roof integral into a window
     around the previous one, so subsystems with matching roof statistics
     are the useful ones.
+
+    The exhaustive search scores all subsets of one size together, from a
+    batched eigen-solve (`_subset_scores`).  Each subshift and Parry
+    measure the search returns comes from the per-subset path
+    (`_exact_candidate`), which also decides the order within every run of
+    candidates whose leading keys lie within TIE_EPS, and every candidate
+    within TIE_EPS of a filter edge.  Mirror-image subsets tie in exact
+    arithmetic, and there the power-iteration rounding of that path orders
+    them, not the roof or distance tiebreak.
     """
     target_h = c1 if entropy_target is None else entropy_target
-    if roof is not None and roof_target is not None:
-        def roof_score(pm):
-            return abs(roof_integral(pm, roof) - roof_target)
-    else:
-        def roof_score(pm):
-            return 0.0
+    roof = (roof, roof_target) if roof is not None and roof_target is not None else None
     diagnostics = {}
     renewal = getattr(shift, "renewal", None)
     if renewal is not None and shift.num_states > SUBSET_CAP:
@@ -353,13 +524,17 @@ def select_disjoint_subsystems(
             )
             break
         cap = max(2 * depth, 6)
-        ys = _subset_candidates(h, m, c1, kappa, cfg, target_h, roof_score, c1 > 1e-12)
-        diagnostics[f"block_{depth}_y_candidates"] = len(ys)
-        for _, _, _, _, y_mask, y_sub, y_pm in ys:
-            zs = _zed_candidates(h, y_mask, cap, y_sub)
-            if zs:
-                k1, _, _, z_sub = zs[0]
+        scores = _subset_scores(h, m, cfg)
+        count = 0
+        for y_mask, y_sub, y_pm in _subset_candidates(
+            h, scores, m, c1, kappa, cfg, target_h, roof, c1 > 1e-12
+        ):
+            count += 1
+            z = next(_zed_candidates(h, scores, y_mask, cap), None)
+            if z is not None:
+                k1, _, z_sub = z
                 return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_pm)
+        diagnostics[f"block_{depth}_y_candidates"] = count
         depth += 1
     raise SubsystemSearchError(
         "no (Y, Z) pair met the entropy/measure/disjointness constraints; "
@@ -559,22 +734,6 @@ NESTING_DEPTHS = (1, 2, 3, 4)
 # an explicit presentation that its code words do not answer; with more
 # the depth is left uncertified.  It never bounds the depth itself.
 SYNC_CAP = 4096
-
-
-class _CyclicTable:
-    """Cylinder tables of the periodic-orbit measure of one code word."""
-
-    def __init__(self, word):
-        self.word = tuple(word)
-
-    def cylinder_table(self, depth, budget=None):
-        w, n = self.word, len(self.word)
-        ext = w + w[: depth - 1]
-        counts = {}
-        for i in range(n):
-            key = ext[i : i + depth]
-            counts[key] = counts.get(key, 0) + 1
-        return {kk: c / n for kk, c in counts.items()}
 
 
 @dataclass
@@ -988,6 +1147,9 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     for eta in _etas(stage, depth, settings):  # one measure alive at a time
         roof_vals.append(roof_integral(eta, rho))
         dists.append(weak_star_distance(eta, prev.measure, params.metric))
+    if stage.shift is not None and stage.code is not None:
+        _score_orbits(stage.code.words, rho, prev.measure, params.metric,
+                      stage.shift.ambient_size, roof_vals, dists)
     ri_next = roof_vals[0]
     dist_prev = dists[0]
 
@@ -1057,7 +1219,8 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 
 def _etas(stage, depth, settings):
     """The measures the roof window and the measure distance range over,
-    for a roof and metric that read cylinders up to `depth`.
+    for a roof and metric that read cylinders up to `depth`, beside the
+    single-code-word orbits of an explicit stage (`_score_orbits`).
 
     The roof integral is linear in the measure and the distance convex, so
     both reach their extremes at extreme points.  On a renewal system of a
@@ -1066,24 +1229,42 @@ def _etas(stage, depth, settings):
     sum_a f_a * (table of code word a's periodic orbit), f_a the mass it
     puts on code word a, so the single-code-word orbits bound every
     invariant measure.  An explicit renewal presentation yields its
-    maximal measure and those orbits.  A structured stage spells every
-    code word from one multiset of ambient words, so all its orbits, and
-    all its invariant measures, share one table: its maximal measure.  A
-    stage without a code, or a `depth` beyond `exact_depth`, has no such
-    bound; there seeded Markov samples join the measures above.
+    maximal measure; its orbits are scored apart.  A structured stage
+    spells every code word from one multiset of ambient words, so all its
+    orbits, and all its invariant measures, share one table: its maximal
+    measure.  A stage without a code, or a `depth` beyond `exact_depth`,
+    has no such bound; there seeded Markov samples join the measures above.
     """
     yield stage.measure
     if stage.shift is None:
         return
-    if stage.code is not None:
-        for wd in stage.code.words:
-            yield _CyclicTable(wd)
     renewal = getattr(stage.shift, "renewal", None)
     if stage.code is not None and renewal is not None and depth <= renewal.exact_depth:
         return
     rng = np.random.default_rng([settings.seed, stage.index])
     for _ in range(settings.samples):
         yield random_markov_measure(stage.shift, rng)
+
+
+def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
+    """Append the roof integral and the distance to `measure` of each code
+    word's periodic orbit to `roof_vals` and `dists`, scoring the words of
+    each length together from the window counts of their cyclic extensions."""
+    roof = dense_table(
+        {w: v for w, v in rho.values.items() if max(w) < alphabet_size},
+        rho.depth,
+        alphabet_size,
+        fill=np.nan,
+    )
+    covered = ~np.isnan(roof)
+    for length in sorted({len(w) for w in words}):
+        rows = np.array([w for w in words if len(w) == length], dtype=np.int64)
+        freq = window_counts(cyclic_windows(rows, rho.depth), rho.depth, alphabet_size) / length
+        if (freq[:, ~covered] > 0).any():
+            raise ValueError("roof has no value on some admissible word")
+        roof_vals.extend((freq[:, covered] @ roof[covered]).tolist())
+        dist = empirical_distances(rows, measure, metric.max_depth, alphabet_size, cyclic=True)
+        dists.extend(dist.tolist())
 
 
 def _language(space, depth):

@@ -158,23 +158,40 @@ def window_counts(words, depth, alphabet_size):
     return np.bincount(codes.ravel(), minlength=rows * cols).reshape(rows, cols)
 
 
-def empirical_distances(words, m, depth, alphabet_size):
+def dense_table(table, depth, alphabet_size, fill=0.0):
+    """A {word: value} table of length-`depth` words as a dense vector,
+    indexed like the columns of `window_counts`; absent words read `fill`."""
+    vec = np.full(alphabet_size**depth, fill)
+    for w, p in table.items():
+        vec[np.ravel_multi_index(w, (alphabet_size,) * depth)] = p
+    return vec
+
+
+def cyclic_windows(words, depth):
+    """Each row of a (rows, length) array extended by its first depth - 1
+    symbols, so its windows are those of the row's periodic orbit."""
+    length = words.shape[1]
+    return words[:, np.arange(length + depth - 1) % length]
+
+
+def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
     """weak_star_distance at `depth` from each row's empirical measure to m.
 
     `words` is a (rows, length) array of label words; m's cylinder tables
     become dense vectors indexed like the columns of `window_counts`.
-    Rows are counted in blocks, so no count table exceeds 2^22 entries.
+    With `cyclic`, a row stands for the periodic orbit of its word
+    (`cyclic_windows`).  Rows are counted in blocks, so no count table
+    exceeds 2^22 entries.
     """
     words = np.asarray(words, dtype=np.int64)
     total = np.zeros(words.shape[0])
     block = max(1, (1 << 22) // alphabet_size**depth)
     for d in range(1, depth + 1):
-        target = np.zeros(alphabet_size**d)
-        for w, p in m.cylinder_table(d).items():
-            target[np.ravel_multi_index(w, (alphabet_size,) * d)] = p
-        for lo in range(0, len(words), block):
-            counts = window_counts(words[lo : lo + block], d, alphabet_size)
-            freq = counts / (words.shape[1] - d + 1)
+        target = dense_table(m.cylinder_table(d), d, alphabet_size)
+        rows = cyclic_windows(words, d) if cyclic else words
+        for lo in range(0, len(rows), block):
+            counts = window_counts(rows[lo : lo + block], d, alphabet_size)
+            freq = counts / (rows.shape[1] - d + 1)
             total[lo : lo + block] += 0.5 * np.abs(freq - target).sum(axis=1) / (1 << d)
     return total
 

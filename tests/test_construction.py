@@ -42,7 +42,6 @@ from shiftflex import (
 from shiftflex.config import parse_config
 from shiftflex.construction import (
     Stage,
-    _CyclicTable,
     _log_path_counter,
     _neighbour_masks,
     _strongly_connected_mask,
@@ -320,13 +319,23 @@ def test_select_acceptance_pair_golden():
         select_disjoint_subsystems(f3, mu, c1, planned.kappa, p.metric)
 
 
+def cyclic_table(word, depth):
+    """Cylinder table of the periodic orbit of one word."""
+    n = len(word)
+    ext = word + word[: depth - 1]
+    counts = {}
+    for i in range(n):
+        counts[ext[i : i + depth]] = counts.get(ext[i : i + depth], 0) + 1
+    return {w: c / n for w, c in counts.items()}
+
+
 def code_word_mixture(measure, renewal, depth):
     """sum_a f_a * (table of code word a's periodic orbit), f_a = sum_p pi(a, p)."""
     k = renewal.k
     mixed = {}
     for a, word in enumerate(renewal.code.words):
         f_a = float(measure.pi[a * k : (a + 1) * k].sum())
-        for w, p in _CyclicTable(word).cylinder_table(depth).items():
+        for w, p in cyclic_table(word, depth).items():
             mixed[w] = mixed.get(w, 0.0) + f_a * p
     return mixed
 
@@ -489,3 +498,40 @@ def test_log_path_counter_extends_on_demand():
         for n in rng.permutation(np.arange(1, 30)):
             exact = math.log(word_count(shift, int(n)))
             assert log_count(int(n)) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+class CyclicOrbit:
+    """The periodic-orbit measure of one word, as cylinder tables."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def cylinder_table(self, depth, budget=None):
+        return cyclic_table(self.word, depth)
+
+
+def test_orbit_scores_match_per_word_cyclic_tables():
+    import itertools
+
+    from shiftflex.construction import _score_orbits
+
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        alph = int(rng.integers(2, 4))
+        r = int(rng.integers(1, 3))
+        rho = RoofFunction(
+            r, {w: float(rng.uniform(1, 2)) for w in itertools.product(range(alph), repeat=r)}
+        )
+        metric = MetricConfig(int(rng.integers(1, 4)))
+        measure = bernoulli_measure(full_shift(alph), rng.dirichlet(np.ones(alph)))
+        words = [
+            tuple(int(x) for x in rng.integers(0, alph, int(rng.integers(3, 9))))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        roof_vals, dists = [0.5], [0.25]
+        _score_orbits(words, rho, measure, metric, alph, roof_vals, dists)
+        ordered = sorted(words, key=len)  # scored one word length at a time
+        want_roof = [0.5] + [roof_integral(CyclicOrbit(w), rho) for w in ordered]
+        want_dist = [0.25] + [weak_star_distance(CyclicOrbit(w), measure, metric) for w in ordered]
+        assert np.allclose(roof_vals, want_roof, rtol=0, atol=1e-12)
+        assert np.allclose(dists, want_dist, rtol=0, atol=1e-12)
