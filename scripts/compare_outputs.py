@@ -8,11 +8,12 @@ Usage, from anywhere:
 Runs `python3 -m shiftflex construct --seed S` for S in 0 and 7 on every
 file in this checkout's `configs/` and on every entry of its
 `perfbench/flex_entries.json` (read, never written), once with each
-checkout's `src/`.  Both sides of a case run on the same config text, in
-working directories laid out alike, so that printed paths agree.  The
-output directories (file names and bytes), stdout, stderr and the exit
-code must match.  Prints the first difference and exits 1, or exits 0 when
-every case matches.
+checkout's `src/`, and the analysis commands `entropy`, `parry` and
+`find-word -l 24` once on each of them.  Both sides of a case run on the
+same config text, in working directories laid out alike, so that printed
+paths agree.  The output directories of `construct` (file names and
+bytes), stdout, stderr and the exit code must match.  Prints the first
+difference and exits 1, or exits 0 when every case matches.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+ANALYSES = (("entropy",), ("parry",), ("find-word", "-l", "24"))
 
 
 def cases():
@@ -40,14 +42,14 @@ def cases():
             yield f"flex-{i}", common.entry_config(entry)
 
 
-def run(checkout, config_text, seed, workdir):
-    """Outcome of one construct: exit code, stdout, stderr and {name: bytes}
+def run(checkout, config_text, command, workdir):
+    """Outcome of one command (`construct` or an analysis, with its
+    arguments) on the config: exit code, stdout, stderr and {name: bytes}
     of the output directory."""
     workdir.mkdir(parents=True)
     (workdir / "case.cfg").write_text(config_text, encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "shiftflex", "construct", "--config", "case.cfg",
-         "--seed", str(seed), "--out", "out"],
+        [sys.executable, "-m", "shiftflex", *command, "--config", "case.cfg"],
         cwd=workdir,
         env=dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src")),
         capture_output=True,
@@ -84,10 +86,13 @@ def main(argv=None):
     count = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name, text in cases():
-            for seed in SEEDS:
-                case = f"{name}-seed{seed}"
-                mine = run(ROOT, text, seed, Path(tmp) / "here" / case)
-                theirs = run(args.against, text, seed, Path(tmp) / "there" / case)
+            commands = [(f"seed{seed}", ("construct", "--seed", str(seed), "--out", "out"))
+                        for seed in SEEDS]
+            commands += [(command[0], command) for command in ANALYSES]
+            for tag, command in commands:
+                case = f"{name}-{tag}"
+                mine = run(ROOT, text, command, Path(tmp) / "here" / case)
+                theirs = run(args.against, text, command, Path(tmp) / "there" / case)
                 diff = first_difference(mine, theirs)
                 if diff:
                     print(f"{case}: {diff}")

@@ -27,7 +27,12 @@ from .errors import (
     StructureDepthError,
 )
 from .spectral import parry_measure
-from .words import DEFAULT_WORD_BUDGET, VertexShift, label_word
+from .words import (
+    DEFAULT_WORD_BUDGET,
+    VertexShift,
+    _extend_borders,
+    _failure_function,
+)
 
 
 def _per_depth(method):
@@ -370,47 +375,54 @@ def _fmt_fact(f):
 def max_self_overlap(word):
     """Length of the longest proper border (prefix equal to suffix).
 
-    Computed with the string failure function, so linear in the length.
+    The last entry of the KMP prefix function, so linear in the length.
     """
     word = tuple(word)
     if len(word) < 1:
         raise ValueError("word must be nonempty")
-    fail = [0] * (len(word) + 1)
-    fail[0] = -1
-    k = -1
-    for i in range(1, len(word) + 1):
-        while k >= 0 and word[k] != word[i - 1]:
-            k = fail[k]
-        k += 1
-        fail[i] = k
-    return fail[len(word)]
+    return _failure_function(word)[-1]
 
 
 def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     """First admissible word of length l whose label word has border < l/4.
 
-    Scans internal words in lexicographic order and stops at the first
-    qualifying one, so large languages are cheap when a qualifying word
-    appears early.  Raises NoLowOverlapWordError after an exhaustive scan
+    Scans internal words in lexicographic order, depth first along the CSR
+    rows, and stops at the first qualifying one, so large languages are
+    cheap when a qualifying word appears early.  The prefix function of the
+    label word grows by one entry per step, so each word costs only its
+    last symbol.  Raises NoLowOverlapWordError after an exhaustive scan
     (the border bound needs positive entropy) and CapacityError if the scan
     passes the budget without success.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     bound = l / 4
-    scanned = 0
-    stack = [(s,) for s in reversed(range(shift.num_states))]
-    while stack:
-        w = stack.pop()
-        if len(w) == l:
-            scanned += 1
-            if max_self_overlap(label_word(shift, w)) < bound:
-                return w
-            if scanned > budget:
-                raise CapacityError(scanned, budget, what="scanned words")
+    indptr, indices = shift.matrix.indptr.tolist(), shift.matrix.indices.tolist()
+    labels = shift.labels
+    word, lab, borders = [0] * l, [0] * l, [-1] + [0] * l
+    # per depth, the next candidate and the end of the candidates: the
+    # states themselves at depth 0, CSR positions below
+    nxt, stop = [0] * l, [0] * l
+    stop[0] = shift.num_states
+    depth, scanned = 0, 0
+    while depth >= 0:
+        if nxt[depth] == stop[depth]:
+            depth -= 1
             continue
-        for s in reversed(shift.successors(w[-1])):
-            stack.append(w + (s,))
+        s = indices[nxt[depth]] if depth else nxt[depth]
+        nxt[depth] += 1
+        word[depth], lab[depth] = s, labels[s]
+        depth += 1
+        _extend_borders(borders, lab, depth)
+        if depth < l:
+            nxt[depth], stop[depth] = indptr[s], indptr[s + 1]
+            continue
+        depth -= 1
+        scanned += 1
+        if borders[l] < bound:
+            return tuple(word)
+        if scanned > budget:
+            raise CapacityError(scanned, budget, what="scanned words")
     raise NoLowOverlapWordError(
         f"no admissible word of length {l} has self-overlap below {bound:g}"
     )

@@ -269,7 +269,12 @@ def _strongly_connected_mask(succ, pred, mask):
 
 
 def _mask_subshift(shift, mask):
-    return induced_subshift(shift, [i for i in range(shift.num_states) if mask >> i & 1])
+    """The subshift on a mask of the subset search, which only yields
+    strongly connected masks (`_strongly_connected_mask`): the subshift
+    carries that verdict, so `is_irreducible` does not search it again."""
+    sub = induced_subshift(shift, [i for i in range(shift.num_states) if mask >> i & 1])
+    sub._irreducible_cache = True
+    return sub
 
 
 def _exact_candidate(shift, mask, m, c1, kappa, cfg, target_h, roof, positive_h):

@@ -226,9 +226,8 @@ def katok_separated_set(
     if n < 1:
         raise ValueError("n must be >= 1")
     h = markov_entropy(m)
-    words = language(shift, n, budget=budget).words
-    states = np.fromiter((s for w in words for s in w), np.int64, len(words) * n)
-    labels = np.asarray(shift.labels, dtype=np.int64)[states.reshape(len(words), n)]
+    states = language(shift, n, budget=budget).states  # (words × n), lexicographic
+    labels = np.asarray(shift.labels, dtype=np.int64)[states]
     dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
     (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language
     count = len(chosen)
@@ -238,7 +237,7 @@ def katok_separated_set(
         )
     deviation = abs(math.log(count) / n - h)
     if deviation < kappa:
-        return KatokResult(WordSet(tuple(words[i] for i in chosen)), deviation, count)
+        return KatokResult(WordSet(states=states[chosen]), deviation, count)
     if math.log(count) / n < h:  # too few words; only a larger n can help
         raise InsufficientWordLengthError(
             f"deviation {deviation:.6f} >= kappa {kappa} with all {count} "
@@ -254,7 +253,7 @@ def katok_separated_set(
             f"trimmed deviation {deviation:.6f} still >= kappa {kappa}",
             deviation=deviation,
         )
-    return KatokResult(WordSet(tuple(words[i] for i in chosen)), deviation, count)
+    return KatokResult(WordSet(states=states[chosen]), deviation, count)
 
 
 def pigeonhole_refine(gamma, shift):

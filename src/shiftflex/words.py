@@ -10,10 +10,6 @@ label words are their projections to the base alphabet.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -24,28 +20,58 @@ Word = tuple  # tuple of int symbols
 DEFAULT_WORD_BUDGET = 2**24
 
 
-@dataclass(frozen=True)
 class WordSet:
     """Immutable ordered collection of distinct words of equal standing.
 
     Order is whatever the producing operation documents (lexicographic for
-    language enumeration).
+    language enumeration).  `language` hands over its (words × length)
+    state array as `states`; the tuples are made from it on first access.
     """
 
-    words: tuple
+    def __init__(self, words=(), states=None):
+        self.states = states
+        self._words = None if states is not None else tuple(words)
+
+    @property
+    def words(self):
+        if self._words is None:
+            self._words = _as_tuples(self.states)
+        return self._words
 
     def __iter__(self):
         return iter(self.words)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.states) if self._words is None else len(self._words)
 
     def __getitem__(self, i):
         return self.words[i]
 
+    def __eq__(self, other):
+        if not isinstance(other, WordSet):
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self):
+        return hash(self.words)
+
+    def __repr__(self):
+        return f"WordSet({len(self)} words)"
+
+
+def _as_tuples(states):
+    """Rows of a 2-D integer array as a tuple of tuples of ints (zipped
+    from its columns, which makes no list per row)."""
+    return tuple(zip(*states.T.tolist()))
+
 
 class VertexShift:
     """Shift of finite type presented by a 0/1 transition matrix.
+
+    The CSR arrays of `matrix` (`indptr`, `indices`, columns ascending in
+    every row) are the one representation every graph search of the
+    generic layer walks: the extension kernel `_grow`, the frontier BFS
+    `_bfs_levels`, `longest_window_avoiding` and `find_low_overlap_word`.
 
     Parameters
     ----------
@@ -55,7 +81,9 @@ class VertexShift:
     ambient_size : size of the base alphabet the labels map into; inferred
         from the labels (or the state count) when omitted.
     state_words : optional per-state annotation used by higher-block
-        recodings (the word of original states each block state stands for).
+        recodings (the word of original states each block state stands
+        for), given as a (states × length) integer array or as equal-length
+        tuples; kept as the array and turned into tuples on first access.
     """
 
     def __init__(self, matrix, labels=None, ambient_size=None, state_words=None):
@@ -72,31 +100,54 @@ class VertexShift:
         if labels is None:
             self.labels = tuple(range(self.num_states))
         else:
-            self.labels = tuple(int(x) for x in labels)
+            self.labels = tuple(np.asarray(labels, dtype=np.int64).tolist())
             if len(self.labels) != self.num_states:
                 raise ValueError("labels length must equal state count")
+        top = max(self.labels, default=-1)
         if ambient_size is None:
-            ambient_size = (
-                self.num_states if labels is None else max(self.labels) + 1
-            )
-        if self.labels and max(self.labels) >= ambient_size:
+            ambient_size = self.num_states if labels is None else top + 1
+        if top >= ambient_size:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
-        self.state_words = state_words
+        self._state_words = None if state_words is None else np.asarray(state_words)
+        self._state_word_tuples = None
+        self._predecessors = None  # see _predecessor_arrays
         # adjacency lists, see _adjacency_lists
         self._succ = self._pred = None
+
+    @property
+    def state_words(self):
+        """Per state, its word of original states as a tuple (None if unset)."""
+        if self._state_word_tuples is None and self._state_words is not None:
+            self._state_word_tuples = _as_tuples(self._state_words)
+        return self._state_word_tuples
+
+    def _predecessor_arrays(self):
+        """(indptr, indices) of the transposed matrix in CSR form: row j
+        lists the predecessors of state j, ascending.  Built on first use
+        and kept."""
+        if self._predecessors is None:
+            m, n = self.matrix, self.num_states
+            rows = np.repeat(np.arange(n), np.diff(m.indptr))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(m.indices, minlength=n), out=indptr[1:])
+            self._predecessors = (indptr, rows[np.argsort(m.indices, kind="stable")])
+        return self._predecessors
 
     def _adjacency_lists(self):
         """(successors, predecessors) of every state, each a tuple of ints
         in ascending order (enumeration order).
 
-        Built on first use, so a presentation that no graph search walks
-        never holds a tuple per edge.  The accessors below test for them
-        inline: they sit in the inner loops of every graph search.
+        Built on first use, for the callers that still step through single
+        states: `has_edge` (so `is_admissible`), `connecting_word`,
+        `spectral.periodic_orbit_measure`, and the bit masks and connection
+        times of `construction` (`_neighbour_masks`, `_connection_time`).
+        The searches of the generic layer walk the CSR arrays instead, so a
+        presentation that only they search never holds a tuple per edge.
         """
         if self._succ is None:
-            self._succ = _adjacency(self.matrix)
-            self._pred = _adjacency(self.matrix.tocsc())
+            self._succ = _adjacency(self.matrix.indptr, self.matrix.indices)
+            self._pred = _adjacency(*self._predecessor_arrays())
         return self._succ, self._pred
 
     def successors(self, state):
@@ -136,10 +187,91 @@ class VertexShift:
         )
 
 
-def _adjacency(m):
-    """Per row (CSR) or column (CSC), its sorted indices as a tuple of ints."""
-    indptr, indices = m.indptr.tolist(), m.indices.tolist()
+def _adjacency(indptr, indices):
+    """Per CSR row, its sorted indices as a tuple of ints."""
+    indptr, indices = indptr.tolist(), indices.tolist()
     return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
+
+
+def _out_edges(indptr, rows):
+    """(position in `rows`, edge id) of every out-edge of the states `rows`,
+    row after row, each row in CSR order."""
+    deg, edge = _edge_ids(indptr, rows)
+    return np.repeat(np.arange(len(rows)), deg), edge
+
+
+def _edge_ids(indptr, rows):
+    """(out-degree of each of the states `rows`, ids of their out-edges row
+    after row, each row in CSR order)."""
+    lo = indptr[rows]
+    deg = indptr[rows + 1] - lo
+    ends = np.cumsum(deg)
+    return deg, np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + deg, deg)
+
+
+def _grow(matrix, n, keep=None):
+    """Words of length n of the graph of a CSR matrix, lexicographically
+    ordered: the extension kernel of the generic layer.
+
+    Grows every word by the out-edges of its last state, one state at a
+    time; a CSR row lists its columns ascending, so every length comes out
+    in lexicographic order.  Returns the (words × n) state array and, for
+    n > 1, the index among the words of length n - 1 of each word's prefix
+    (its first n - 1 states) and of its suffix (its last n - 1 states).
+    `keep(parent, state, length)` may drop extensions (a boolean mask over
+    them); the words it keeps at each length must include the suffixes of
+    the next length's words, as the words avoiding a forbidden list do.
+    """
+    indptr, indices = matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64)
+    size = matrix.shape[0]
+    states, parents = [np.arange(size)], []
+    parent = suffix = keys = None
+    for length in range(2, n + 1):
+        parent, edge = _out_edges(indptr, states[-1])
+        state = indices[edge]
+        if keep is not None:
+            kept = keep(parent, state, length)
+            parent, state = parent[kept], state[kept]
+        # the suffix of a word extends its parent's suffix by the same state;
+        # (parent, state) pairs ascend along every length's list
+        if length == 2:
+            suffix = state
+        else:
+            suffix = np.searchsorted(keys, suffix[parent] * size + state)
+        keys = parent * size + state
+        states.append(state)
+        parents.append(parent)
+    words = np.empty((len(states[-1]), n), dtype=np.int64)
+    at = np.arange(len(states[-1]))
+    for j in range(n - 1, 0, -1):
+        words[:, j] = states[j][at]
+        at = parents[j - 1][at]
+    words[:, 0] = at
+    return words, parent, suffix
+
+
+def _recoded(words, parent, suffix, labels, ambient_size):
+    """Vertex shift on overlapping blocks from `_grow`'s output at length m.
+
+    Block u is followed by the blocks that extend its suffix u[1:], which
+    sit side by side in the lexicographic list: the CSR rows are written
+    directly.  Each block is labeled by the label of its first state.
+    """
+    lo = np.searchsorted(parent, suffix, side="left")
+    deg = np.searchsorted(parent, suffix, side="right") - lo
+    indptr = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], deg)
+    mat = sp.csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr),
+        shape=(len(words), len(words)),
+    )
+    return VertexShift(
+        mat,
+        labels=np.asarray(labels)[words[:, 0]].tolist(),
+        ambient_size=ambient_size,
+        state_words=words,
+    )
 
 
 def full_shift(n):
@@ -178,72 +310,81 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
             a[w[0], w[1]] = 0
         return VertexShift(a)
 
-    # clean words grown one symbol at a time, only the new suffixes tested:
-    # lexicographic at every length
-    banned = set(forbidden)
-    lengths = sorted({len(f) for f in banned})
-    blocks = [()]
-    for _ in range(m):
-        blocks = [
-            v
-            for u in blocks
-            for v in (u + (s,) for s in range(alphabet_size))
-            if not any(v[-n:] in banned for n in lengths if n <= len(v))
-        ]
-    index = {w: i for i, w in enumerate(blocks)}
-    # with m at least the longest forbidden word, u + (s,) is clean when
-    # both of its m-blocks are
-    rows, cols = [], []
-    for i, u in enumerate(blocks):
-        for s in range(alphabet_size):
-            j = index.get(u[1:] + (s,))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    mat = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(len(blocks), len(blocks)),
-    )
-    return VertexShift(
-        mat,
-        labels=[w[0] for w in blocks],
-        ambient_size=alphabet_size,
-        state_words=tuple(blocks),
-    )
+    # clean words grown one symbol at a time over the full shift, only the
+    # new suffixes tested; with m at least the longest forbidden word,
+    # u + (s,) is clean when both of its m-blocks are
+    full = sp.csr_matrix(np.ones((alphabet_size, alphabet_size), dtype=np.int8))
+    words, parent, suffix = _grow(full, m, keep=_avoids(alphabet_size, forbidden))
+    return _recoded(words, parent, suffix, range(alphabet_size), alphabet_size)
+
+
+def _avoids(alphabet_size, forbidden):
+    """`_grow` filter keeping the words that no forbidden word ends.
+
+    Tracks the base-a code of each word's last L symbols, L the longest
+    forbidden length, never of whole words; Python integers past int64.
+    """
+    a = alphabet_size
+    longest = max((len(f) for f in forbidden), default=1)
+    dtype = np.int64 if a**longest <= 2**62 else object
+    banned = {}  # length -> codes of the forbidden words of that length
+    for f in forbidden:
+        banned.setdefault(len(f), set()).add(sum(s * a ** (len(f) - 1 - i) for i, s in enumerate(f)))
+    banned = {n: np.array(sorted(c), dtype=dtype) for n, c in sorted(banned.items())}
+    codes = np.arange(a).astype(dtype)  # codes of the words of length 1
+
+    def keep(parent, state, length):
+        nonlocal codes
+        code = codes[parent] % a ** (longest - 1) * a + state
+        clean = np.ones(len(code), dtype=bool)
+        for n, table in banned.items():
+            if n <= length:
+                clean &= ~np.isin(code % a**n, table)
+        codes = code[clean]
+        return clean
+
+    return keep
 
 
 def word_count(shift, n):
-    """Exact number of admissible internal words of length n (big integers)."""
+    """Exact number of admissible internal words of length n (big integers).
+
+    Counted with sparse products in int64 while no count can overflow, then
+    in Python integers along the CSR rows.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    vec = [1] * shift.num_states
-    for _ in range(n - 1):
-        vec = [sum(vec[j] for j in shift.successors(i)) for i in range(shift.num_states)]
+    m = shift.matrix
+    widest = max(1, int(np.diff(m.indptr).max(initial=0)))
+    vec = np.ones(shift.num_states, dtype=np.int64)
+    steps = n - 1
+    while steps and vec.max(initial=0) <= 2**62 // widest:
+        vec = m @ vec
+        steps -= 1
+    vec = vec.tolist()
+    if steps:
+        indptr, indices = m.indptr.tolist(), m.indices.tolist()
+        for _ in range(steps):
+            vec = [sum(vec[j] for j in indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:])]
     return sum(vec)
 
 
 def language(shift, n, budget=DEFAULT_WORD_BUDGET):
-    """All admissible internal words of length n, lexicographically ordered."""
+    """All admissible internal words of length n, lexicographically ordered.
+
+    The WordSet carries the extension kernel's state array as `states`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return WordSet(states=_grow_within(shift, n, budget)[0])
+
+
+def _grow_within(shift, n, budget):
+    """`_grow` on the shift, after CapacityError past `budget` words."""
     total = word_count(shift, n)
     if total > budget:
         raise CapacityError(total, budget)
-    out = []
-    word = []
-
-    def rec(state, depth):
-        word.append(state)
-        if depth == n:
-            out.append(tuple(word))
-        else:
-            for j in shift.successors(state):
-                rec(j, depth + 1)
-        word.pop()
-
-    for s in range(shift.num_states):
-        rec(s, 1)
-    return WordSet(tuple(out))
+    return _grow(shift.matrix, n)
 
 
 def is_admissible(shift, word):
@@ -259,25 +400,34 @@ def bfs_distances(shift, sources, reverse=False):
     Follows edges backwards with `reverse`, giving the distance from each
     state to the nearest source.
     """
-    succ, pred = shift._adjacency_lists()
-    nbrs = pred if reverse else succ
-    dist = [None] * shift.num_states
-    frontier = []
-    for s in sources:
-        if dist[s] is None:
-            dist[s] = 0
-            frontier.append(s)
+    m = shift.matrix
+    indptr, indices = shift._predecessor_arrays() if reverse else (m.indptr, m.indices)
+    levels = _bfs_levels(indptr, indices, list(sources))
+    return [None if d < 0 else d for d in levels.tolist()]
+
+
+def _bfs_levels(indptr, indices, sources):
+    """Frontier BFS on CSR arrays: per state, the fewest edges from the
+    nearest source, -1 where unreachable.  Each level costs the out-edges
+    of its frontier, which is deduplicated without sorting."""
+    # one integer type throughout: on small graphs, mixed int32/int64
+    # steps cost more than the copies
+    indptr, indices = indptr.astype(np.int64), indices.astype(np.int64)
+    levels = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    slot = np.empty(len(levels), dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    levels[frontier] = 0
     d = 0
-    while frontier:
+    while frontier.size:
         d += 1
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if dist[v] is None:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        reached = indices[_edge_ids(indptr, frontier)[1]]
+        reached = reached[levels[reached] < 0]
+        # keep one copy of each state: the one whose slot write stuck
+        order = np.arange(len(reached))
+        slot[reached] = order
+        frontier = reached[slot[reached] == order]
+        levels[frontier] = d
+    return levels
 
 
 def is_irreducible(shift):
@@ -297,16 +447,25 @@ def is_irreducible(shift):
 
 
 def _strongly_connected(shift):
-    n = shift.num_states
-    if any(len(shift.successors(i)) == 0 for i in range(n)):
+    """No dead end, and state 0 reaches and is reached by every state.
+
+    Without dead ends a single state has an edge, its own loop.
+    """
+    if (np.diff(shift.matrix.indptr) == 0).any():
         return False
-    if None in bfs_distances(shift, (0,)):
+    if (_levels_from_zero(shift) < 0).any():
         return False
-    if None in bfs_distances(shift, (0,), reverse=True):
-        return False
-    if n == 1:
-        return shift.has_edge(0, 0)
-    return True
+    return bool((_bfs_levels(*shift._predecessor_arrays(), [0]) >= 0).all())
+
+
+def _levels_from_zero(shift):
+    """BFS levels from state 0, kept on the shift: the irreducibility test
+    and the period both read them."""
+    levels = getattr(shift, "_levels_cache", None)
+    if levels is None:
+        m = shift.matrix
+        levels = shift._levels_cache = _bfs_levels(m.indptr, m.indices, [0])
+    return levels
 
 
 def connecting_word(shift, frm, to):
@@ -359,27 +518,10 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
             shift.matrix.copy(),
             labels=shift.labels,
             ambient_size=shift.ambient_size,
-            state_words=tuple((s,) for s in range(shift.num_states)),
+            state_words=np.arange(shift.num_states)[:, None],
         )
-    blocks = language(shift, m, budget=budget).words
-    index = {w: i for i, w in enumerate(blocks)}
-    rows, cols = [], []
-    for i, u in enumerate(blocks):
-        for s in shift.successors(u[-1]):
-            j = index.get(u[1:] + (s,))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    mat = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(len(blocks), len(blocks)),
-    )
-    return VertexShift(
-        mat,
-        labels=[shift.labels[w[0]] for w in blocks],
-        ambient_size=shift.ambient_size,
-        state_words=blocks,
-    )
+    words, parent, suffix = _grow_within(shift, m, budget)
+    return _recoded(words, parent, suffix, shift.labels, shift.ambient_size)
 
 
 def induced_subshift(shift, states):
@@ -390,14 +532,15 @@ def induced_subshift(shift, states):
     """
     states = tuple(sorted(set(states)))
     sub = shift.matrix[np.ix_(states, states)]
+    words = shift._state_words
     return VertexShift(
         sub,
         labels=[shift.labels[s] for s in states],
         ambient_size=shift.ambient_size,
         state_words=(
-            tuple(shift.state_words[s] for s in states)
-            if shift.state_words is not None
-            else tuple((s,) for s in states)
+            np.array(states, dtype=np.int64)[:, None]
+            if words is None
+            else words[list(states)]
         ),
     )
 
@@ -502,25 +645,30 @@ def graph_period(shift):
 
 def _cycle_gcd(shift):
     """gcd of level[u] + 1 - level[v] over the edges u -> v, BFS levels."""
-    level = bfs_distances(shift, (0,))
-    g = 0
-    for u, succ in enumerate(shift._adjacency_lists()[0]):
-        lu = level[u] + 1
-        for v in succ:
-            g = math.gcd(g, lu - level[v])
+    m = shift.matrix
+    level = _levels_from_zero(shift)
+    g = int(np.gcd.reduce(np.repeat(level + 1, np.diff(m.indptr)) - level[m.indices]))
     return g if g > 0 else 1
 
 
+def _extend_borders(borders, word, i):
+    """Set borders[i], the longest proper border of word[:i], from
+    borders[:i] and word[:i]: one step of the KMP prefix function
+    (borders[0] = -1), so a caller growing a word extends its table one
+    symbol at a time."""
+    k = borders[i - 1]
+    while k >= 0 and word[k] != word[i - 1]:
+        k = borders[k]
+    borders[i] = k + 1
+
+
 def _failure_function(pattern):
-    fail = [0] * (len(pattern) + 1)
-    fail[0] = -1
-    k = -1
+    """The KMP prefix function: entry i is the longest proper border of
+    pattern[:i] (-1 for the empty prefix)."""
+    borders = [-1] + [0] * len(pattern)
     for i in range(1, len(pattern) + 1):
-        while k >= 0 and pattern[k] != pattern[i - 1]:
-            k = fail[k]
-        k += 1
-        fail[i] = k
-    return fail
+        _extend_borders(borders, pattern, i)
+    return borders
 
 
 def longest_window_avoiding(shift, pattern):
@@ -528,79 +676,61 @@ def longest_window_avoiding(shift, pattern):
 
     Returns None when windows of unbounded length avoid the pattern (the
     avoiding product graph contains a cycle).  Computed on the product of
-    the transition graph with the pattern's string-matching automaton.
+    the transition graph with the pattern's string-matching automaton,
+    restricted to the nodes reachable from the starts and built as arrays
+    by a frontier search.  Level-synchronous Kahn peeling then either peels
+    every node, and the number of rounds is the longest path in nodes, or
+    stops at a cycle.
     """
     pattern = tuple(pattern)
     if not pattern:
         raise ValueError("pattern must be nonempty")
     m = len(pattern)
     fail = _failure_function(pattern)
+    # automaton: matched prefix length after reading symbol a with k matched
+    delta = np.empty((m, shift.ambient_size), dtype=np.int64)
+    for k in range(m):
+        for a in range(shift.ambient_size):
+            j = k
+            while j >= 0 and pattern[j] != a:
+                j = fail[j]
+            delta[k, a] = j + 1
 
-    def advance(k, a):
-        while k >= 0 and pattern[k] != a:
-            k = fail[k]
-        return k + 1
-
-    # product nodes (state, matched prefix length k < m); matched == m is fatal
-    n = shift.num_states
-    nodes = {}
-
-    def node_id(s, k):
-        key = s * m + k
-        if key not in nodes:
-            nodes[key] = len(nodes)
-        return nodes[key]
-
-    edges = []
-    starts = []
-    for s in range(n):
-        k0 = advance(0, shift.labels[s])
-        if k0 < m:
-            starts.append(node_id(s, k0))
-    if not starts:
+    # product nodes (state, matched prefix length k < m), keyed s * m + k;
+    # matched == m is fatal
+    labels = np.asarray(shift.labels, dtype=np.int64)
+    indptr = shift.matrix.indptr.astype(np.int64)
+    indices = shift.matrix.indices.astype(np.int64)
+    first = delta[0, labels]
+    starts = np.flatnonzero(first < m)
+    if not starts.size:
         return 0
-    frontier = list(nodes.keys())
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for key in frontier:
-            s, k = divmod(key, m)
-            u = nodes[key]
-            for t in shift.successors(s):
-                k2 = advance(k, shift.labels[t])
-                if k2 < m:
-                    key2 = t * m + k2
-                    if key2 not in seen:
-                        seen.add(key2)
-                        nodes.setdefault(key2, len(nodes))
-                        nxt.append(key2)
-                    edges.append((u, nodes[key2]))
-        frontier = nxt
-    size = len(nodes)
-    if not edges:
-        return 1
-    rows = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    cols = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    adj = sp.csr_matrix(
-        (np.ones(len(edges), dtype=np.int8), (rows, cols)), shape=(size, size)
-    )
-    ncomp, comp = sp.csgraph.connected_components(adj, directed=True, connection="strong")
-    counts = np.bincount(comp, minlength=ncomp)
-    # a strong component with >1 node, or a self loop, allows arbitrarily long windows
-    if (counts > 1).any() or adj.diagonal().any():
-        return None
-    # DAG longest path counted in nodes (window length), Kahn order
-    indptr, indices = adj.indptr, adj.indices
-    indeg = np.zeros(size, dtype=np.int64)
-    np.add.at(indeg, indices, 1)
-    longest = np.ones(size, dtype=np.int64)
-    queue = deque(np.flatnonzero(indeg == 0).tolist())
-    while queue:
-        u = queue.popleft()
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if longest[u] + 1 > longest[v]:
-                longest[v] = longest[u] + 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return int(longest.max())
+    node = np.full(shift.num_states * m, -1, dtype=np.int64)
+    frontier = starts * m + first[starts]
+    node[frontier] = np.arange(len(frontier))
+    size = len(frontier)
+    heads, tails = [], []  # edges by key; heads come out in node order
+    while frontier.size:
+        pos, edge = _out_edges(indptr, frontier // m)
+        t = indices[edge]
+        k = delta[frontier[pos] % m, labels[t]]
+        alive = k < m
+        key = t[alive] * m + k[alive]
+        heads.append(frontier[pos[alive]])
+        tails.append(key)
+        frontier = np.unique(key[node[key] < 0])
+        node[frontier] = np.arange(size, size + len(frontier))
+        size += len(frontier)
+    head, tail = node[np.concatenate(heads)], node[np.concatenate(tails)]
+    out = np.searchsorted(head, np.arange(size + 1))  # CSR rows of the product
+    indeg = np.bincount(tail, minlength=size)
+    layer = np.flatnonzero(indeg == 0)
+    rounds = peeled = 0
+    while layer.size:
+        rounds += 1
+        peeled += layer.size
+        hit, count = np.unique(tail[_edge_ids(out, layer)[1]], return_counts=True)
+        indeg[hit] -= count
+        layer = hit[indeg[hit] == 0]
+    # an unpeeled node lies on or behind a cycle: windows of any length
+    return rounds if peeled == size else None

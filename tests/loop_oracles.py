@@ -1,0 +1,258 @@
+"""Per-edge loop implementations of the generic SFT layer, kept as oracles.
+
+Each function is the plain-Python version that the array kernels of
+`shiftflex.words` and `shiftflex.codes` replaced; the differential tests in
+`test_generic_kernels.py` require the kernels to give the same answers.
+They walk the tuple adjacency of `VertexShift.successors` and
+`predecessors`, one state and one edge at a time.
+"""
+
+import math
+from collections import deque
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
+
+from shiftflex.errors import CapacityError, NoLowOverlapWordError
+from shiftflex.words import DEFAULT_WORD_BUDGET, VertexShift, WordSet
+
+
+def word_count(shift, n):
+    vec = [1] * shift.num_states
+    for _ in range(n - 1):
+        vec = [sum(vec[j] for j in shift.successors(i)) for i in range(shift.num_states)]
+    return sum(vec)
+
+
+def language(shift, n, budget=DEFAULT_WORD_BUDGET):
+    """Depth-first recursion over successors, lexicographic."""
+    total = word_count(shift, n)
+    if total > budget:
+        raise CapacityError(total, budget)
+    out = []
+    word = []
+
+    def rec(state, depth):
+        word.append(state)
+        if depth == n:
+            out.append(tuple(word))
+        else:
+            for j in shift.successors(state):
+                rec(j, depth + 1)
+        word.pop()
+
+    for s in range(shift.num_states):
+        rec(s, 1)
+    return WordSet(tuple(out))
+
+
+def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
+    """Blocks from `language`, edges looked up in a dict of tuples."""
+    if m == 1:
+        return VertexShift(
+            shift.matrix.copy(),
+            labels=shift.labels,
+            ambient_size=shift.ambient_size,
+            state_words=tuple((s,) for s in range(shift.num_states)),
+        )
+    blocks = language(shift, m, budget=budget).words
+    index = {w: i for i, w in enumerate(blocks)}
+    rows, cols = [], []
+    for i, u in enumerate(blocks):
+        for s in shift.successors(u[-1]):
+            j = index.get(u[1:] + (s,))
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    mat = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+        shape=(len(blocks), len(blocks)),
+    )
+    return VertexShift(
+        mat,
+        labels=[shift.labels[w[0]] for w in blocks],
+        ambient_size=shift.ambient_size,
+        state_words=blocks,
+    )
+
+
+def from_forbidden_words(alphabet_size, forbidden, block):
+    """Clean words grown one symbol at a time, suffixes tested as tuples
+    (block >= 3)."""
+    banned = {tuple(f) for f in forbidden}
+    lengths = sorted({len(f) for f in banned})
+    blocks = [()]
+    for _ in range(block):
+        blocks = [
+            v
+            for u in blocks
+            for v in (u + (s,) for s in range(alphabet_size))
+            if not any(v[-n:] in banned for n in lengths if n <= len(v))
+        ]
+    index = {w: i for i, w in enumerate(blocks)}
+    rows, cols = [], []
+    for i, u in enumerate(blocks):
+        for s in range(alphabet_size):
+            j = index.get(u[1:] + (s,))
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    mat = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+        shape=(len(blocks), len(blocks)),
+    )
+    return VertexShift(
+        mat,
+        labels=[w[0] for w in blocks],
+        ambient_size=alphabet_size,
+        state_words=tuple(blocks),
+    )
+
+
+def bfs_distances(shift, sources, reverse=False):
+    nbrs = shift.predecessors if reverse else shift.successors
+    dist = [None] * shift.num_states
+    frontier = []
+    for s in sources:
+        if dist[s] is None:
+            dist[s] = 0
+            frontier.append(s)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in nbrs(u):
+                if dist[v] is None:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def strongly_connected(shift):
+    n = shift.num_states
+    if any(len(shift.successors(i)) == 0 for i in range(n)):
+        return False
+    if None in bfs_distances(shift, (0,)):
+        return False
+    if None in bfs_distances(shift, (0,), reverse=True):
+        return False
+    if n == 1:
+        return shift.has_edge(0, 0)
+    return True
+
+
+def cycle_gcd(shift):
+    level = bfs_distances(shift, (0,))
+    g = 0
+    for u in range(shift.num_states):
+        for v in shift.successors(u):
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return g if g > 0 else 1
+
+
+def failure_function(pattern):
+    fail = [0] * (len(pattern) + 1)
+    fail[0] = -1
+    k = -1
+    for i in range(1, len(pattern) + 1):
+        while k >= 0 and pattern[k] != pattern[i - 1]:
+            k = fail[k]
+        k += 1
+        fail[i] = k
+    return fail
+
+
+def max_self_overlap(word):
+    return failure_function(tuple(word))[len(word)]
+
+
+def longest_window_avoiding(shift, pattern):
+    """Product graph built node by node in dicts, strong components from
+    scipy.sparse.csgraph, longest path by a Kahn queue."""
+    pattern = tuple(pattern)
+    m = len(pattern)
+    fail = failure_function(pattern)
+
+    def advance(k, a):
+        while k >= 0 and pattern[k] != a:
+            k = fail[k]
+        return k + 1
+
+    nodes = {}
+
+    def node_id(s, k):
+        key = s * m + k
+        if key not in nodes:
+            nodes[key] = len(nodes)
+        return nodes[key]
+
+    edges = []
+    for s in range(shift.num_states):
+        k0 = advance(0, shift.labels[s])
+        if k0 < m:
+            node_id(s, k0)
+    if not nodes:
+        return 0
+    frontier = list(nodes.keys())
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for key in frontier:
+            s, k = divmod(key, m)
+            u = nodes[key]
+            for t in shift.successors(s):
+                k2 = advance(k, shift.labels[t])
+                if k2 < m:
+                    key2 = t * m + k2
+                    if key2 not in seen:
+                        seen.add(key2)
+                        nodes.setdefault(key2, len(nodes))
+                        nxt.append(key2)
+                    edges.append((u, nodes[key2]))
+        frontier = nxt
+    size = len(nodes)
+    if not edges:
+        return 1
+    rows = [e[0] for e in edges]
+    cols = [e[1] for e in edges]
+    adj = sp.csr_matrix((np.ones(len(edges), dtype=np.int8), (rows, cols)), shape=(size, size))
+    ncomp, comp = sp.csgraph.connected_components(adj, directed=True, connection="strong")
+    if (np.bincount(comp, minlength=ncomp) > 1).any() or adj.diagonal().any():
+        return None
+    indptr, indices = adj.indptr, adj.indices
+    indeg = np.zeros(size, dtype=np.int64)
+    np.add.at(indeg, indices, 1)
+    longest = np.ones(size, dtype=np.int64)
+    queue = deque(np.flatnonzero(indeg == 0).tolist())
+    while queue:
+        u = queue.popleft()
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            longest[v] = max(longest[v], longest[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return int(longest.max())
+
+
+def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
+    """Stack of word tuples, each leaf's border computed from scratch."""
+    bound = l / 4
+    scanned = 0
+    stack = [(s,) for s in reversed(range(shift.num_states))]
+    while stack:
+        w = stack.pop()
+        if len(w) == l:
+            scanned += 1
+            if max_self_overlap(tuple(shift.labels[s] for s in w)) < bound:
+                return w
+            if scanned > budget:
+                raise CapacityError(scanned, budget, what="scanned words")
+            continue
+        for s in reversed(shift.successors(w[-1])):
+            stack.append(w + (s,))
+    raise NoLowOverlapWordError(
+        f"no admissible word of length {l} has self-overlap below {bound:g}"
+    )

@@ -296,4 +296,6 @@ def test_unwalked_presentations_hold_no_adjacency():
     _, report = build(prev, target(0.05), params(6, 60))
     assert report.artifacts.Y._succ is None and report.artifacts.Y._pred is None
     assert prev.shift._succ is None and prev.shift._pred is None
-    assert report.artifacts.Z._succ is not None  # the low-overlap search walks Z
+    # the low-overlap search walks Z's CSR arrays, not tuples
+    assert report.artifacts.low_overlap_word
+    assert report.artifacts.Z._succ is None and report.artifacts.Z._pred is None
