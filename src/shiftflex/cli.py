@@ -14,7 +14,7 @@ import sys
 
 from .codes import Code, find_low_overlap_word, max_self_overlap, ud_witness
 from .config import parse_config
-from .construction import RunSettings, iterate, normalized_entropy
+from .construction import RunSettings, iterate
 from .errors import (
     CapacityError,
     ConfigError,

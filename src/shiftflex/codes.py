@@ -76,6 +76,10 @@ class Code:
     def alphabet_size(self):
         return max(max(w) for w in self.words) + 1
 
+    @property
+    def size(self):
+        return len(self.words)
+
     def __len__(self):
         return len(self.words)
 
@@ -286,7 +290,8 @@ class RenewalStructure:
 
     @_per_depth
     def longest_avoiding(self, depth):
-        """Longest window avoiding each depth-`depth` word (None: unbounded).
+        """(word, longest window avoiding it) per depth-`depth` word,
+        lexicographically; None where windows of any length avoid the word.
 
         Cutting a concatenation at the offsets of `windows` gives every
         occurrence to one code word.  A word that some code word's windows
@@ -307,7 +312,7 @@ class RenewalStructure:
             for o in offsets:
                 gaps.extend(y - x for x, y in zip(o, o[1:]))
             out[w] = max(gaps) + depth - 2
-        return out
+        return tuple(sorted(out.items()))
 
     def path(self, frm, to):
         """Shortest path of at least one edge from state `frm` to state `to`.
@@ -513,9 +518,19 @@ class PermutationCode:
         profile = self.ambient.windows(depth)
         return sorted({w for a in set(self._block()) for _, w in profile[a]})
 
+    def longest_avoiding(self, depth, budget=None):
+        """(word, longest window avoiding it) per depth-`depth` word,
+        lexicographically; None where windows of any length avoid the word.
+
+        `budget` bounds the graph search of a presentation
+        (`VertexShift.longest_avoiding`); the code-word windows here search
+        no graph, so it is not read.
+        """
+        return self._longest_avoiding(depth)
+
     @_per_depth
-    def longest_avoiding(self, depth):
-        """Longest window avoiding each depth-`depth` word (None: unbounded).
+    def _longest_avoiding(self, depth):
+        """`longest_avoiding`, kept per depth.
 
         Cut a concatenation into ambient code-word slots: slot i of a code
         word (rotated to start at the glue) owns the occurrences starting
@@ -569,7 +584,7 @@ class PermutationCode:
                 if n_hits >= 2:
                     gaps.append((n_free - n_hits + 1) * k1 + _widest_pair(hits))
             out[w] = max(gaps) + depth - 2
-        return out
+        return tuple(sorted(out.items()))
 
 
 def _widest_pair(hits):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     StageVerificationError,
     StructureDepthError,
     SubsystemSearchError,
+    UnreachableStateError,
     UnsupportedAmbientError,
 )
 from .measures import (
@@ -58,19 +58,14 @@ from .spectral import (
     topological_entropy,
 )
 from .words import (
-    DEFAULT_WORD_BUDGET,
     VertexShift,
-    bfs_distances,
     connecting_word,
     higher_block,
     induced_subshift,
     is_admissible,
     is_irreducible,
-    is_label_admissible,
     label_word,
-    label_language,
     languages_disjoint,
-    longest_window_avoiding,
 )
 
 # block depths the exhaustive subsystem search escalates through, and the
@@ -517,9 +512,8 @@ def select_disjoint_subsystems(
     target_h = c1 if entropy_target is None else entropy_target
     roof = (roof, roof_target) if roof is not None and roof_target is not None else None
     diagnostics = {}
-    renewal = getattr(shift, "renewal", None)
-    if renewal is not None and shift.num_states > SUBSET_CAP:
-        return _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
+    if shift.renewal is not None and shift.num_states > SUBSET_CAP:
+        return _select_in_renewal(shift, m, c1, kappa, cfg, shift.renewal, target_h, diagnostics)
     depth = block_depth
     while depth <= MAX_BLOCK_DEPTH:
         h = higher_block(shift, depth) if depth > 1 else shift
@@ -627,6 +621,10 @@ class Stage:
     explicit presentation: `shift` is None and `code` (a PermutationCode)
     also serves as `measure`, the cylinder table every invariant measure of
     the stage shares.
+
+    `space` is the object that answers the stage's language queries,
+    `language(depth)` and `longest_avoiding(depth)`: the code of a
+    structured stage, the shift otherwise.
     """
 
     index: int
@@ -636,6 +634,18 @@ class Stage:
     sync_depth: int = 1
     sync_depths: tuple = (1,)
     params: StageParams = None
+
+    @property
+    def space(self):
+        return self.code if self.shift is None else self.shift
+
+    @property
+    def entropy(self):
+        """Topological entropy: log|Γ|/k for a structured stage, else from
+        the Perron value of the shift."""
+        if self.shift is None:
+            return self.code.entropy
+        return topological_entropy(self.shift)
 
 
 @dataclass(frozen=True)
@@ -788,7 +798,7 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
     )
     art.Y, art.Z = pair.Y, pair.Z
     # Y is a sub-code on renewal ambients too large for the plain-graph search
-    renewal = prev.shift.renewal if hasattr(pair.Y, "renewal") else None
+    renewal = prev.shift.renewal if pair.Y.renewal is not None else None
     n = params.word_length
     if renewal is None:
         katok = katok_separated_set(
@@ -811,25 +821,18 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
 
     # connection-time bound over every state the low-overlap word may touch
     z_prev_states = sorted({sw[0] for sw in pair.Z.state_words})
-    if renewal is None:
-        M = _connection_time(prev.shift, z_prev_states, start_prev, end_prev)
-        connect = partial(connecting_word, prev.shift)
-    else:
-        # from a code-word end and to a code-word start, paths are unique
-        M = _renewal_connection_time(renewal, z_prev_states, start_prev, end_prev)
-        connect = renewal.path
+    M = _connection_time(prev.shift, z_prev_states, start_prev, end_prev)
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
     w_internal = find_low_overlap_word(pair.Z, l_eff)
     w_prev = _prev_word(pair.Z, w_internal, with_tail=False)
     art.low_overlap_word = w_prev
 
-    c_u = connect(end_prev, w_prev[0])
-    c_v = connect(w_prev[-1], start_prev)
-    glue_in, glue_out = c_u[1:-1], c_v[1:-1]
+    glue_in = connecting_word(prev.shift, end_prev, w_prev[0])[1:-1]
+    glue_out = connecting_word(prev.shift, w_prev[-1], start_prev)[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
-    extra = len(glue_out) + len(glue_in) + len(w_prev) + len(pair.Y.state_words[0]) - 1
+    extra = len(glue_out) + len(glue_in) + len(w_prev) + pair.Y._state_words.shape[1] - 1
     _refuse_word_length(target, params, prev, pair.Y, renewal, extra)
 
     if renewal is None:
@@ -843,23 +846,17 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             )
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
         next_measure = RenewalParry(next_shift)
-        sync_depth = _sync_depth(next_shift, prev.sync_depth)
     else:
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
         _check_separated(code, pair.Y_measure, params)
         next_shift, next_measure = None, code
-        sync_depth = _sync_depth(code, prev.sync_depth)
     stage = Stage(
-        index=prev.index + 1,
-        shift=next_shift,
-        measure=next_measure,
-        code=code,
-        sync_depth=sync_depth,
-        sync_depths=prev.sync_depths + (sync_depth,),
-        params=params,
+        index=prev.index + 1, shift=next_shift, measure=next_measure, code=code, params=params
     )
+    stage.sync_depth = _sync_depth(stage.space, prev.sync_depth)
+    stage.sync_depths = prev.sync_depths + (stage.sync_depth,)
     report = verify_stage(
         prev,
         stage,
@@ -887,24 +884,17 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
 
 def _connection_time(shift, states, start, end):
     """Most edges on a shortest path (of at least one edge) from `end` to
-    one of `states` or from one of them to `start`."""
-    times_out = bfs_distances(shift, shift.successors(end))
-    times_in = bfs_distances(shift, shift.predecessors(start), reverse=True)
+    one of `states` or from one of them to `start` (`connecting_word`)."""
     M = 1
     for z in states:
-        if times_out[z] is None or times_in[z] is None:
+        try:
+            paths = connecting_word(shift, end, z), connecting_word(shift, z, start)
+        except UnreachableStateError:
             raise SubsystemSearchError(
                 f"state {z} of Z is not connected to the separated set"
-            )
-        M = max(M, times_out[z] + 1, times_in[z] + 1)
+            ) from None
+        M = max(M, *(len(p) - 1 for p in paths))
     return M
-
-
-def _renewal_connection_time(renewal, states, start, end):
-    """`_connection_time` on a renewal presentation, from its unique paths."""
-    return max(
-        max(len(renewal.path(end, z)), len(renewal.path(z, start))) - 1 for z in states
-    )
 
 
 def _prev_word(sub, word, with_tail):
@@ -952,7 +942,7 @@ def _log_path_counter(Y):
     Other shifts iterate the transition matrix in floating point, only as
     far as the largest n asked for.
     """
-    renewal = getattr(Y, "renewal", None)
+    renewal = Y.renewal
     if renewal is not None:
         lt, k = math.log(len(renewal.code)), renewal.k
 
@@ -1083,38 +1073,17 @@ def _check_separated(code, parry, params):
         )
 
 
-def _avoiding(space, depth, budget=DEFAULT_WORD_BUDGET):
-    """(word, longest window avoiding it) over the depth-`depth` language.
-
-    `space` is a VertexShift or a structured stage's PermutationCode; words
-    come in lexicographic order.  A PermutationCode, and a renewal
-    presentation up to its `exact_depth`, answer from code-word windows;
-    elsewhere a graph search answers each word.  Raises CapacityError past
-    `budget` words of a graph search and StructureDepthError beyond the
-    depths a structured stage decides.
-    """
-    if isinstance(space, PermutationCode):
-        lengths = space.longest_avoiding(depth)
-    else:
-        renewal = getattr(space, "renewal", None)
-        if renewal is None or depth > renewal.exact_depth:
-            patterns = label_language(space, depth, budget=budget)
-            return ((v, longest_window_avoiding(space, v)) for v in patterns)
-        lengths = renewal.longest_avoiding(depth)
-    return ((v, lengths[v]) for v in sorted(lengths))
-
-
-def _sync_depth(space, prev_depth, settings=None):
-    """Smallest depth whose words contain every prev-depth word, or None.
+def _sync_depth(space, prev_depth):
+    """Smallest depth whose words contain every prev-depth word of the
+    stage space `space`, or None.
 
     None when windows of any length avoid some prev-depth word, when a
     graph search has more than SYNC_CAP prev-depth words to examine, or
     beyond the depths a structured stage decides.  A depth computed
-    exactly is returned as it is, however large.  `settings` is not read;
-    the search depends on the space alone.
+    exactly is returned as it is, however large.
     """
     try:
-        lengths = [m for _, m in _avoiding(space, prev_depth, SYNC_CAP)]
+        lengths = [m for _, m in space.longest_avoiding(prev_depth, budget=SYNC_CAP)]
     except (CapacityError, StructureDepthError):
         return None
     if any(m is None for m in lengths):
@@ -1125,6 +1094,9 @@ def _sync_depth(space, prev_depth, settings=None):
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     """Evaluate every stage inequality; failures are data, not exceptions.
 
+    The language checks (nesting, language synchronization, saturation)
+    ask the spaces of the two stages (`Stage.space`); a structured stage
+    fails those deeper than the depths its code words decide, with a note.
     The roof window and the measure distance range over the measures
     `_etas` yields; `settings` seeds the Markov sample it may draw.
     """
@@ -1134,17 +1106,12 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     ri_prev = roof_integral(prev.measure, rho)
     lo_e, hi_e = (1 + d) ** 2 * c * ri_prev, (1 + 3 * d) * c * ri_prev
     structured = stage.shift is None
-    space = stage.code if structured else stage.shift
+    space, code = stage.space, stage.code
 
-    if structured:
-        k, gamma_size = stage.code.uniform_length, stage.code.size
-        h_top = stage.code.entropy
-        ident_target = math.log(gamma_size) / k
-    else:
-        h_top = topological_entropy(stage.shift)
-        k = stage.code.uniform_length if stage.code else None
-        gamma_size = len(stage.code) if stage.code else 0
-        ident_target = math.log(gamma_size) / k if k else h_top
+    h_top = stage.entropy
+    k = code.uniform_length if code else None
+    gamma_size = code.size if code else 0
+    ident_target = math.log(gamma_size) / k if k else h_top
 
     roof_vals = []
     dists = []
@@ -1161,8 +1128,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     nesting = []
     for depth in NESTING_DEPTHS:
         try:
-            words = _language(space, depth)
-            ok = all(is_label_admissible(prev.shift, w) for w in words)
+            ok = _nests(space, prev.space, depth)
         except StructureDepthError:
             ok = False
         nesting.append((depth, ok))
@@ -1172,7 +1138,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         if s_j is None:
             sync_checks.append((0, False, f"stage {j} sync depth uncertified"))
             continue
-        ok, note = _languages_agree(space, prev.shift, s_j)
+        ok, note = _languages_agree(space, prev.space, s_j)
         sync_checks.append((s_j, ok, note))
 
     saturation = []
@@ -1243,7 +1209,7 @@ def _etas(stage, depth, settings):
     yield stage.measure
     if stage.shift is None:
         return
-    renewal = getattr(stage.shift, "renewal", None)
+    renewal = stage.shift.renewal
     if stage.code is not None and renewal is not None and depth <= renewal.exact_depth:
         return
     rng = np.random.default_rng([settings.seed, stage.index])
@@ -1272,78 +1238,33 @@ def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
         dists.extend(dist.tolist())
 
 
-def _language(space, depth):
-    """Label words of the given depth, lexicographically ordered; a renewal
-    presentation answers from its code words up to `exact_depth`."""
-    if isinstance(space, PermutationCode):
-        return space.language(depth)
-    renewal = getattr(space, "renewal", None)
-    if renewal is not None and depth <= renewal.exact_depth:
-        return renewal.language(depth)
-    return label_language(space, depth)
+def _nests(space, upstream, depth):
+    """True iff every label word of `space` of the given depth is one of
+    `upstream`."""
+    return set(space.language(depth)) <= set(upstream.language(depth))
 
 
-def _languages_agree(a, b, depth):
-    """Equality of label languages at the given depth, with early exit.
-
-    A renewal presentation `b` is compared word-set to word-set at depths
-    its single code words decide.
-    """
-    missing = f"word of stage language missing upstream at depth {depth}"
+def _languages_agree(space, upstream, depth):
+    """Equality of the label languages of two spaces at the given depth."""
     try:
-        ours = _language(a, depth)
-        renewal = getattr(b, "renewal", None)
-        if renewal is not None and depth <= renewal.exact_depth:
-            theirs = set(renewal.language(depth))
-            ours = set(ours)
-            if not ours <= theirs:
-                return False, missing
-            larger = bool(theirs - ours)
-        else:
-            if not all(is_label_admissible(b, w) for w in ours):
-                return False, missing
-            if isinstance(a, PermutationCode):
-                raise StructureDepthError(f"depth {depth} needs an explicit upstream")
-            larger = _first_missing(b, a, depth) is not None
-        if larger:
-            return False, "upstream language strictly larger"
-        return True, f"languages agree at depth {depth}"
+        ours = set(space.language(depth))
+        theirs = set(upstream.language(depth))
     except CapacityError:
         return False, f"depth {depth} beyond enumeration budget"
     except StructureDepthError:
         return False, f"depth {depth} beyond the depths the structured stage decides"
-
-
-def _first_missing(src, dst, depth):
-    """First label word of src (lexicographic) that dst does not admit."""
-    lab = np.asarray(src.labels)
-    masks = [lab == x for x in range(src.ambient_size)]
-    matT = src.matrix.T.tocsr().astype(np.float32)
-
-    def rec(prefix, cur):
-        if len(prefix) == depth:
-            return None if is_label_admissible(dst, prefix) else prefix
-        nxt = (matT @ cur) > 0
-        for x in range(src.ambient_size):
-            step = nxt & masks[x]
-            if step.any():
-                hit = rec(prefix + (x,), step)
-                if hit is not None:
-                    return hit
-        return None
-
-    for x in range(src.ambient_size):
-        if masks[x].any():
-            hit = rec((x,), masks[x].copy())
-            if hit is not None:
-                return hit
-    return None
+    if not ours <= theirs:
+        return False, f"word of stage language missing upstream at depth {depth}"
+    if ours != theirs:
+        return False, "upstream language strictly larger"
+    return True, f"languages agree at depth {depth}"
 
 
 def _saturated(space, depth_from, depth_to):
-    """Every depth_from word occurs inside every depth_to word."""
+    """Every depth_from word occurs inside every depth_to word of the
+    stage space `space`; a graph search stops at the first word that fails."""
     try:
-        for _, m in _avoiding(space, depth_from):
+        for _, m in space.longest_avoiding(depth_from):
             if m is None or m >= depth_to:
                 return False, f"window of length {m} avoids a depth-{depth_from} word"
     except CapacityError:
@@ -1355,11 +1276,7 @@ def _saturated(space, depth_from, depth_to):
 
 def normalized_entropy(stage, rho):
     """Suspension entropy of the stage under its own maximal measure."""
-    if stage.shift is None:
-        return abramov(stage.code.entropy, roof_integral(stage.measure, rho))
-    return abramov(
-        topological_entropy(stage.shift), roof_integral(stage.measure, rho)
-    )
+    return abramov(stage.entropy, roof_integral(stage.measure, rho))
 
 
 @dataclass

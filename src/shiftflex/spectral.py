@@ -50,12 +50,14 @@ def _power_vector(mat, period, tol, max_iter):
     n = mat.shape[0]
     v = np.full(n, 1.0 / n)
     if period == 1:
+        mv = mat @ v
         for it in range(1, max_iter + 1):
-            w = mat @ v + v
+            w = mv + v
             s = w.sum()
             w /= s
             lam = s - 1.0
-            resid = np.abs(mat @ w - lam * w).max()
+            mv = mat @ w  # the residual's product, and the next step's
+            resid = np.abs(mv - lam * w).max()
             v = w
             if resid <= tol and it >= 2:
                 return lam, w, resid, it
@@ -94,7 +96,7 @@ def perron(shift, tol=PERRON_TOL, max_iter=PERRON_MAX_ITER):
     ConvergenceError past the iteration cap.  Results are cached on the
     shift object.
     """
-    cached = getattr(shift, "_perron_cache", None)
+    cached = shift._perron_cache
     if cached is not None and cached[0] <= tol:
         return cached[1]
     if not is_irreducible(shift):

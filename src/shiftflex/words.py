@@ -114,6 +114,13 @@ class VertexShift:
         self._predecessors = None  # see _predecessor_arrays
         # adjacency lists, see _adjacency_lists
         self._succ = self._pred = None
+        # the code of a renewal presentation (`codes.renewal_to_sft`), whose
+        # words answer the queries below up to its `exact_depth`
+        self.renewal = None
+        # kept by the first call of `perron`, `is_irreducible`,
+        # `_levels_from_zero` and `graph_period`
+        self._perron_cache = self._irreducible_cache = None
+        self._levels_cache = self._period_cache = None
 
     @property
     def state_words(self):
@@ -140,8 +147,8 @@ class VertexShift:
 
         Built on first use, for the callers that still step through single
         states: `has_edge` (so `is_admissible`), `connecting_word`,
-        `spectral.periodic_orbit_measure`, and the bit masks and connection
-        times of `construction` (`_neighbour_masks`, `_connection_time`).
+        `spectral.periodic_orbit_measure`, and the bit masks of
+        `construction._neighbour_masks`.
         The searches of the generic layer walk the CSR arrays instead, so a
         presentation that only they search never holds a tuple per edge.
         """
@@ -164,6 +171,31 @@ class VertexShift:
 
     def has_edge(self, i, j):
         return j in self.successors(i)
+
+    def language(self, depth):
+        """Label words of the given depth, lexicographically ordered.
+
+        Up to `renewal.exact_depth` they come from the code words, elsewhere
+        from `label_language` (the module function `language` lists
+        internal words instead).
+        """
+        if self.renewal is not None and depth <= self.renewal.exact_depth:
+            return self.renewal.language(depth)
+        return label_language(self, depth)
+
+    def longest_avoiding(self, depth, budget=DEFAULT_WORD_BUDGET):
+        """(word, longest label window avoiding it) per label word of the
+        given depth, lexicographically; None where windows of any length
+        avoid the word.
+
+        Up to `renewal.exact_depth` the code words answer.  Elsewhere
+        `longest_window_avoiding` answers each word of `label_language`
+        lazily, after CapacityError past `budget` words.
+        """
+        if self.renewal is not None and depth <= self.renewal.exact_depth:
+            return self.renewal.longest_avoiding(depth)
+        words = label_language(self, depth, budget=budget)
+        return ((v, longest_window_avoiding(self, v)) for v in words)
 
     def dense(self):
         return np.asarray(self.matrix.todense())
@@ -438,9 +470,9 @@ def is_irreducible(shift):
     each state lies on its code word's cycle, which passes every word
     start.  Cached on the shift object.
     """
-    if getattr(shift, "renewal", None) is not None:
+    if shift.renewal is not None:
         return True
-    cached = getattr(shift, "_irreducible_cache", None)
+    cached = shift._irreducible_cache
     if cached is None:
         cached = shift._irreducible_cache = _strongly_connected(shift)
     return cached
@@ -461,7 +493,7 @@ def _strongly_connected(shift):
 def _levels_from_zero(shift):
     """BFS levels from state 0, kept on the shift: the irreducibility test
     and the period both read them."""
-    levels = getattr(shift, "_levels_cache", None)
+    levels = shift._levels_cache
     if levels is None:
         m = shift.matrix
         levels = shift._levels_cache = _bfs_levels(m.indptr, m.indices, [0])
@@ -473,11 +505,14 @@ def connecting_word(shift, frm, to):
 
     The word contains at least one edge (a length-2 word for a direct
     transition); among shortest words the lexicographically smallest is
-    returned.  Raises UnreachableStateError when no path exists.
+    returned.  On a renewal presentation it is the unique shortest path
+    `renewal.path`.  Raises UnreachableStateError when no path exists.
     """
     n = shift.num_states
     if not (0 <= frm < n and 0 <= to < n):
         raise ValueError("state out of range")
+    if shift.renewal is not None:
+        return shift.renewal.path(frm, to)
     dist = bfs_distances(shift, (to,), reverse=True)
     # at least one edge: start from successors of frm
     best = None
@@ -564,9 +599,8 @@ def is_label_admissible(shift, word):
     Positional renewal presentations (carrying a `renewal` structure)
     answer from their code words instead of propagating state sets.
     """
-    renewal = getattr(shift, "renewal", None)
-    if renewal is not None:
-        return renewal.admits(word)
+    if shift.renewal is not None:
+        return shift.renewal.admits(word)
     masks = _label_masks(shift)
     cur = None
     for a in word:
@@ -634,10 +668,9 @@ def graph_period(shift):
     """
     if not is_irreducible(shift):
         raise ReducibleShiftError("period is defined for irreducible shifts")
-    renewal = getattr(shift, "renewal", None)
-    if renewal is not None:
-        return renewal.k
-    cached = getattr(shift, "_period_cache", None)
+    if shift.renewal is not None:
+        return shift.renewal.k
+    cached = shift._period_cache
     if cached is None:
         cached = shift._period_cache = _cycle_gcd(shift)
     return cached

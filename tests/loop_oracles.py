@@ -1,10 +1,12 @@
 """Per-edge loop implementations of the generic SFT layer, kept as oracles.
 
 Each function is the plain-Python version that the array kernels of
-`shiftflex.words` and `shiftflex.codes` replaced; the differential tests in
-`test_generic_kernels.py` require the kernels to give the same answers.
-They walk the tuple adjacency of `VertexShift.successors` and
-`predecessors`, one state and one edge at a time.
+`shiftflex.words` and `shiftflex.codes`, or the set operations of
+`shiftflex.construction`, replaced; the differential tests in
+`test_generic_kernels.py` and `test_renewal_fast_paths.py` require them to
+give the same answers.  The graph searches walk the tuple adjacency of
+`VertexShift.successors` and `predecessors`, one state and one edge at a
+time.
 """
 
 import math
@@ -15,7 +17,13 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 
 from shiftflex.errors import CapacityError, NoLowOverlapWordError
-from shiftflex.words import DEFAULT_WORD_BUDGET, VertexShift, WordSet
+from shiftflex.words import (
+    DEFAULT_WORD_BUDGET,
+    VertexShift,
+    WordSet,
+    is_label_admissible,
+    label_language,
+)
 
 
 def word_count(shift, n):
@@ -256,3 +264,10 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     raise NoLowOverlapWordError(
         f"no admissible word of length {l} has self-overlap below {bound:g}"
     )
+
+
+def nests(space, upstream, depth):
+    """Language nesting word by word: each label word of `space` of the
+    given depth, from the graph search, is tested against `upstream` by
+    state-set propagation (or its code words)."""
+    return all(is_label_admissible(upstream, w) for w in label_language(space, depth))

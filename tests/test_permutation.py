@@ -51,7 +51,7 @@ SETTINGS = RunSettings(seed=0, samples=4)
 def renewal_stage(words):
     code = Code(words)
     shift = renewal_to_sft(code, ambient_size=3)
-    sync = _sync_depth(shift, 1, SETTINGS)
+    sync = _sync_depth(shift, 1)
     return Stage(
         index=1, shift=shift, measure=parry_measure(shift), code=code,
         sync_depth=sync, sync_depths=(1, sync),
@@ -94,8 +94,8 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
     shift = renewal_to_sft(code, ambient_size=3)
     explicit = Stage(
         index=2, shift=shift, measure=parry_measure(shift), code=code,
-        sync_depth=_sync_depth(shift, prev.sync_depth, SETTINGS), params=p,
-        sync_depths=prev.sync_depths + (_sync_depth(shift, prev.sync_depth, SETTINGS),),
+        sync_depth=_sync_depth(shift, prev.sync_depth), params=p,
+        sync_depths=prev.sync_depths + (_sync_depth(shift, prev.sync_depth),),
     )
     assert explicit.sync_depth == stage.sync_depth
     overlap = {key: v for key, v in report.overlap.items() if key != "ok"}
@@ -149,7 +149,7 @@ def test_renewal_admits_matches_matrix_path():
         code = Code(tuple(rng.sample(pool, rng.randint(1, min(6, len(pool))))))
         shift = renewal_to_sft(code, ambient_size=3)
         renewal = shift.renewal
-        del shift.renewal  # fall back to state-set propagation
+        shift.renewal = None  # fall back to state-set propagation
         for n in range(1, 3 * k + 2):
             for _ in range(40):
                 w = tuple(rng.randrange(3) for _ in range(n))
@@ -176,12 +176,14 @@ def test_permutation_code_windows_match_enumeration():
         code = Code(tuple(pc.words()))
         assert len(code) == pc.size and pc.log_size == pytest.approx(math.log(pc.size))
         shift = renewal_to_sft(code, ambient_size=3)
+        shift.renewal = None  # the graph search answers its queries
         parry = parry_measure(shift)
         for depth in range(1, ambient.exact_depth + 1):
             language = list(label_language(shift, depth))
-            assert language == pc.language(depth)
-            lengths = pc.longest_avoiding(depth)
-            assert all(lengths[w] == longest_window_avoiding(shift, w) for w in language)
+            assert pc.language(depth) == language == list(shift.language(depth))
+            expected = [(w, longest_window_avoiding(shift, w)) for w in language]
+            assert list(pc.longest_avoiding(depth)) == expected
+            assert list(shift.longest_avoiding(depth)) == expected
             table, exact = parry.cylinder_table(depth), pc.cylinder_table(depth)
             assert set(table) == set(exact)
             assert all(table[w] == pytest.approx(exact[w], abs=1e-9) for w in table)

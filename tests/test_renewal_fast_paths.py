@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tests.loop_oracles as oracle
 from shiftflex import (
     Code,
     VertexShift,
@@ -17,13 +18,12 @@ from shiftflex import (
 )
 from shiftflex.codes import RenewalParry
 from shiftflex.construction import (
-    _avoiding,
+    NESTING_DEPTHS,
     _canonical_order,
     _connection_time,
     _disjoint_depth,
-    _language,
     _languages_agree,
-    _renewal_connection_time,
+    _nests,
     sub_code,
 )
 from shiftflex.words import (
@@ -65,19 +65,26 @@ def random_codes(seed, count):
     return out
 
 
+def graph_twin(code, a):
+    """The renewal presentation of `code` without its code: every query
+    falls back to the graph search."""
+    plain = renewal_to_sft(code, ambient_size=a)
+    plain.renewal = None
+    return plain
+
+
 def test_code_word_windows_match_graph_search():
     pairs = 0
     for a, code in random_codes(5, 120):
-        shift = renewal_to_sft(code, ambient_size=a)
-        renewal = shift.renewal
-        for depth in range(1, renewal.exact_depth + 1):
-            language = list(label_language(shift, depth))
-            lengths = renewal.longest_avoiding(depth)
-            assert sorted(lengths) == language
-            expected = [(w, longest_window_avoiding(shift, w)) for w in language]
-            assert [(w, lengths[w]) for w in language] == expected
-            assert list(_avoiding(shift, depth)) == expected
-            assert list(_language(shift, depth)) == language
+        shift, plain = renewal_to_sft(code, ambient_size=a), graph_twin(code, a)
+        for depth in range(1, shift.renewal.exact_depth + 1):
+            language = list(label_language(plain, depth))
+            expected = [(w, longest_window_avoiding(plain, w)) for w in language]
+            assert list(shift.renewal.longest_avoiding(depth)) == expected
+            assert list(shift.longest_avoiding(depth)) == expected
+            assert list(plain.longest_avoiding(depth)) == expected
+            assert list(shift.language(depth)) == language
+            assert list(plain.language(depth)) == language
             pairs += 1
     assert pairs > 500
 
@@ -85,11 +92,11 @@ def test_code_word_windows_match_graph_search():
 def test_code_word_window_examples():
     # 00 and 01 share the prefix 0: every window of 0^inf avoids 1
     renewal = renewal_to_sft(Code(((0, 0), (0, 1)))).renewal
-    assert renewal.longest_avoiding(1) == {(0,): 1, (1,): None}
+    assert renewal.longest_avoiding(1) == (((0,), 1), ((1,), None))
     # one code word: its windows recur with period k
     renewal = renewal_to_sft(Code(((0, 1, 1),))).renewal
     assert renewal.exact_depth == 7  # P = S = k
-    assert renewal.longest_avoiding(2) == {(0, 1): 3, (1, 0): 3, (1, 1): 3}
+    assert renewal.longest_avoiding(2) == (((0, 1), 3), ((1, 0), 3), ((1, 1), 3))
 
 
 def test_renewal_graph_invariants_match_graph_search():
@@ -204,13 +211,39 @@ def test_language_agreement_matches_admissibility_path():
         for mine, theirs in ((code, half), (half, code), (code, code)):
             ours = renewal_to_sft(mine, ambient_size=a)
             upstream = renewal_to_sft(theirs, ambient_size=a)
-            plain = renewal_to_sft(theirs, ambient_size=a)
-            del plain.renewal  # state-set propagation and the explicit search
+            plain_ours, plain = graph_twin(mine, a), graph_twin(theirs, a)
             for depth in range(1, upstream.renewal.exact_depth + 1):
                 verdict = _languages_agree(ours, upstream, depth)
-                assert verdict == _languages_agree(ours, plain, depth)
+                assert verdict == _languages_agree(plain_ours, plain, depth)
                 seen.add(verdict[1].split(" at ")[0])
     assert len(seen) == 3  # missing, strictly larger and agreeing all occur
+
+
+def test_set_nesting_matches_per_word_loop():
+    """Renewal codes over generic bases: most code words are base words,
+    some not, and junctions may still leave the base language."""
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(60):
+        a = rng.randint(2, 3)
+        forbidden = {
+            tuple(rng.randrange(a) for _ in range(rng.randint(2, 3)))
+            for _ in range(rng.randint(0, 2))
+        }
+        base = from_forbidden_words(a, sorted(forbidden))
+        k = rng.randint(2, 4)
+        pool = list(label_language(base, k))
+        if not pool:
+            continue
+        words = set(rng.sample(pool, min(len(pool), rng.randint(1, 4))))
+        if rng.random() < 0.3:
+            words.add(tuple(rng.randrange(a) for _ in range(k)))
+        shift = renewal_to_sft(Code(tuple(words)), ambient_size=a)
+        for depth in NESTING_DEPTHS:
+            verdict = _nests(shift, base, depth)
+            assert verdict == oracle.nests(shift, base, depth)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_parry_tables_match_power_iteration():
@@ -229,24 +262,26 @@ def test_parry_tables_match_power_iteration():
 
 def test_renewal_paths_match_graph_search():
     for a, code in random_codes(37, 40):
-        shift = renewal_to_sft(code, ambient_size=a)
+        shift, plain = renewal_to_sft(code, ambient_size=a), graph_twin(code, a)
         renewal, k, n = shift.renewal, code.uniform_length, shift.num_states
         ends, starts = range(k - 1, n, k), range(0, n, k)
         for end in ends:
-            out = bfs_distances(shift, shift.successors(end))
+            out = bfs_distances(plain, plain.successors(end))
             for z in range(n):
-                assert renewal.path(end, z) == connecting_word(shift, end, z)
-                assert len(renewal.path(end, z)) == out[z] + 2
+                path = connecting_word(shift, end, z)
+                assert path == renewal.path(end, z) == connecting_word(plain, end, z)
+                assert len(path) == out[z] + 2
         for start in starts:
-            back = bfs_distances(shift, shift.predecessors(start), reverse=True)
+            back = bfs_distances(plain, plain.predecessors(start), reverse=True)
             for z in range(n):
-                assert renewal.path(z, start) == connecting_word(shift, z, start)
-                assert len(renewal.path(z, start)) == back[z] + 2
+                path = connecting_word(shift, z, start)
+                assert path == renewal.path(z, start) == connecting_word(plain, z, start)
+                assert len(path) == back[z] + 2
         for end in ends:
             for start in starts:
                 for states in ([z] for z in range(n)):
-                    assert _renewal_connection_time(renewal, states, start, end) == (
-                        _connection_time(shift, states, start, end)
+                    assert _connection_time(shift, states, start, end) == (
+                        _connection_time(plain, states, start, end)
                     )
 
 
@@ -281,14 +316,15 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     prev = renewal_stage(words)
     stage, report = build(prev, target(c), params(t, t * 10))
     art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
+    plain = graph_twin(prev.code, 3)
     order = _canonical_order(art.Y, renewal, t * 10)
     start, end = order[0] * k, order[-1] * k + k - 1
     z_states = sorted({sw[0] for sw in art.Z.state_words})
-    assert report.overlap["M"] == _connection_time(prev.shift, z_states, start, end)
+    assert report.overlap["M"] == _connection_time(plain, z_states, start, end)
     assert report.overlap["K1"] == disjoint_depth_loop(art.Y, art.Z, 6 * k)
     w = art.low_overlap_word
-    assert art.connector_in == connecting_word(prev.shift, end, w[0])[1:-1]
-    assert art.connector_out == connecting_word(prev.shift, w[-1], start)[1:-1]
+    assert art.connector_in == connecting_word(plain, end, w[0])[1:-1]
+    assert art.connector_out == connecting_word(plain, w[-1], start)[1:-1]
 
 
 def test_unwalked_presentations_hold_no_adjacency():
