@@ -5,15 +5,14 @@ Usage, from anywhere:
 
     python3 scripts/compare_outputs.py --against OTHER_CHECKOUT
 
-Runs `python3 -m shiftflex construct --seed S` for S in 0 and 7 on every
-file in this checkout's `configs/` and on every entry of its
-`perfbench/flex_entries.json` (read, never written), once with each
-checkout's `src/`, and the analysis commands `entropy`, `parry` and
-`find-word -l 24` once on each of them.  Both sides of a case run on the
-same config text, in working directories laid out alike, so that printed
-paths agree.  The output directories of `construct` (file names and
-bytes), stdout, stderr and the exit code must match.  Prints the first
-difference and exits 1, or exits 0 when every case matches.
+Runs `python3 -m shiftflex construct` and the analysis commands
+`entropy`, `parry` and `find-word -l 24` on every file in this checkout's
+`configs/` and on every entry of its `perfbench/flex_entries.json` (read,
+never written), once with each checkout's `src/`.  Both sides of a case
+run on the same config text, in working directories laid out alike, so
+that printed paths agree.  The output directories of `construct` (file
+names and bytes), stdout, stderr and the exit code must match.  Prints
+the first difference and exits 1, or exits 0 when every case matches.
 """
 
 import argparse
@@ -24,8 +23,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (0, 7)
-ANALYSES = (("entropy",), ("parry",), ("find-word", "-l", "24"))
+COMMANDS = (("construct", "--out", "out"), ("entropy",), ("parry",), ("find-word", "-l", "24"))
 
 
 def cases():
@@ -86,11 +84,8 @@ def main(argv=None):
     count = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name, text in cases():
-            commands = [(f"seed{seed}", ("construct", "--seed", str(seed), "--out", "out"))
-                        for seed in SEEDS]
-            commands += [(command[0], command) for command in ANALYSES]
-            for tag, command in commands:
-                case = f"{name}-{tag}"
+            for command in COMMANDS:
+                case = f"{name}-{command[0]}"
                 mine = run(ROOT, text, command, Path(tmp) / "here" / case)
                 theirs = run(args.against, text, command, Path(tmp) / "there" / case)
                 diff = first_difference(mine, theirs)

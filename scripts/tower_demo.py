@@ -10,7 +10,6 @@ import math
 from shiftflex import (
     MetricConfig,
     RoofFunction,
-    RunSettings,
     StageParams,
     Target,
     build_stage,
@@ -37,7 +36,7 @@ params = StageParams(
     entropy_target=0.38,
 )
 
-stage, report = build_stage(base_stage(target), target, params, settings=RunSettings(seed=0))
+stage, report = build_stage(base_stage(target), target, params)
 print(f"stage {stage.index}: {len(stage.code)} code words of length {report.k}")
 print(f"h_top = {report.h_top:.6f}, target window {report.entropy_window}")
 print(f"normalized entropy = {normalized_entropy(stage, target.rho):.6f} "

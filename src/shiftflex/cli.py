@@ -14,7 +14,7 @@ import sys
 
 from .codes import Code, find_low_overlap_word, max_self_overlap, ud_witness
 from .config import parse_config
-from .construction import RunSettings, iterate
+from .construction import iterate
 from .errors import (
     CapacityError,
     ConfigError,
@@ -67,8 +67,6 @@ def _load_config(path, args):
             rc = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    if getattr(args, "seed", None) is not None:
-        rc.seed = args.seed
     if getattr(args, "stages", None) is not None:
         rc.stages = args.stages
     if getattr(args, "metric_depth", None) is not None:
@@ -252,8 +250,7 @@ def cmd_construct(args):
     except InfeasibleTargetError as exc:
         print(f"infeasible-target: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    settings = RunSettings(seed=rc.seed, samples=rc.samples)
-    tower = iterate(target, rc.stages, schedule, settings=settings)
+    tower = iterate(target, rc.stages, schedule)
     outdir = rc.out or "shiftflex-out"
     lines = _write_outputs(rc, target, tower, outdir)
     for ln in lines:
@@ -301,7 +298,6 @@ def _build_parser():
 
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required)
-        p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--stages", type=int)
         p.add_argument("--metric-depth", dest="metric_depth", type=int)

@@ -26,7 +26,6 @@ from .errors import (
     NotUniquelyDecipherableError,
     StructureDepthError,
 )
-from .spectral import parry_measure
 from .words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
@@ -186,6 +185,8 @@ class RenewalStructure:
     """The uniform-length code behind a positional renewal presentation.
 
     State a * k + p of the presentation reads symbol p of code word a.
+    The structure is also the presentation's measure of maximal entropy
+    (`entropy`, `cylinder_table`).
     """
 
     code: Code
@@ -251,6 +252,29 @@ class RenewalStructure:
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered."""
         return sorted({w for ws in self.windows(depth) for _, w in ws})
+
+    @property
+    def entropy(self):
+        """log t / k, in nats: the entropy of the renewal system."""
+        return math.log(len(self.code)) / self.k
+
+    def cylinder_table(self, depth, budget=None):
+        """Cylinder table of the measure of maximal entropy, for depths
+        single code words decide.
+
+        That measure gives every state (a, p) the mass 1/(t k) and every
+        junction a -> b the probability 1/t, so its table is the uniform
+        mixture of the code words' windows.  `budget` bounds the
+        enumeration of a presentation's measure; nothing is enumerated
+        here, so it is not read.
+        """
+        return self._mixture(depth)
+
+    @_per_depth
+    def _mixture(self, depth):
+        counts = Counter(w for ws in self.windows(depth) for _, w in ws)
+        mass = len(self.code) * self.k
+        return {w: c / mass for w, c in counts.items()}
 
     @_per_depth
     def windows(self, depth):
@@ -328,45 +352,6 @@ class RenewalStructure:
         if a == b and q > p:
             return tuple(range(frm, to + 1))
         return tuple(range(frm, a * k + k)) + tuple(range(b * k, to + 1))
-
-
-class RenewalParry:
-    """Parry measure of a positional renewal presentation (`shift.renewal`).
-
-    The measure of maximal entropy gives every state (a, p) the mass
-    1/(t k) and every junction a -> b the probability 1/t, so up to
-    `exact_depth` its cylinder table is the uniform mixture of the code
-    words' windows.  Deeper tables come from `parry_measure` of the
-    presentation, computed on first need.
-    """
-
-    def __init__(self, shift):
-        self.shift = shift
-        self.renewal = shift.renewal
-
-    @property
-    def ambient_size(self):
-        return self.shift.ambient_size
-
-    @property
-    def entropy(self):
-        """log t / k, in nats."""
-        return math.log(len(self.renewal.code)) / self.renewal.k
-
-    @_per_depth
-    def _mixture(self, depth):
-        counts = Counter(w for ws in self.renewal.windows(depth) for _, w in ws)
-        mass = len(self.renewal.code) * self.renewal.k
-        return {w: c / mass for w, c in counts.items()}
-
-    @cached_property
-    def _explicit(self):
-        return parry_measure(self.shift)
-
-    def cylinder_table(self, depth, budget=DEFAULT_WORD_BUDGET):
-        if depth > self.renewal.exact_depth:
-            return self._explicit.cylinder_table(depth, budget)
-        return self._mixture(depth)
 
 
 def _fmt_word(w):

@@ -8,12 +8,12 @@ that reparses to an identical configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .construction import Target, next_params, plan_initial_params, require_irreducible
 from .errors import ConfigError
 from .measures import MetricConfig
-from .spectral import RoofFunction, parry_measure
+from .spectral import RoofFunction, abramov, markov_entropy, parry_measure, roof_integral
 from .words import VertexShift, from_forbidden_words, full_shift, label_language
 
 
@@ -44,9 +44,9 @@ class RunConfig:
     c: float = None
     c_fraction: float = None
     stages: int = 1
-    seed: int = 0
+    seed: int = 0  # only perfbench's configs still set it; nothing reads it
     metric_depth: int = 2
-    samples: int = 32
+    samples: int = 32  # only perfbench still passes it on, into RunSettings
     out: str = None
     stage_overrides: tuple = ()
 
@@ -93,8 +93,6 @@ class RunConfig:
         rho = self.build_roof(shift)
         require_irreducible(shift)  # before the Parry measure needs it
         mu = parry_measure(shift)
-        from .spectral import abramov, markov_entropy, roof_integral
-
         hstar = abramov(markov_entropy(mu), roof_integral(mu, rho))
         if self.c is not None:
             c = self.c
@@ -115,8 +113,6 @@ class RunConfig:
                 params = next_params(schedule[-1])
             o = overrides.get(i)
             if o is not None:
-                from dataclasses import replace
-
                 kw = {}
                 for name in StageOverride.FLOATS + StageOverride.INTS:
                     v = getattr(o, name)

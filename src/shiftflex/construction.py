@@ -18,7 +18,6 @@ import numpy as np
 from .codes import (
     Code,
     PermutationCode,
-    RenewalParry,
     RenewalStructure,
     find_low_overlap_word,
     is_uniquely_decipherable,
@@ -53,7 +52,6 @@ from .spectral import (
     abramov,
     markov_entropy,
     parry_measure,
-    random_markov_measure,
     roof_integral,
     topological_entropy,
 )
@@ -575,15 +573,14 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
             if not (lo_t <= t <= hi_t):
                 continue
             y_sub = sub_code(shift, renewal, 0, t)
-            y_parry = RenewalParry(y_sub)
-            d = weak_star_distance(y_parry, m, cfg)
+            d = weak_star_distance(y_sub.renewal, m, cfg)
             tried.append((t, math.log(t) / k, d))
             if d > kappa:
                 continue
             z_sub = sub_code(shift, renewal, t, t + 2)
             k1 = _disjoint_depth(y_sub.renewal, z_sub.renewal, shift.ambient_size, cap)
             if k1 is not None:
-                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_parry)
+                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_sub.renewal)
             diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
     diagnostics["tried"] = tried[:16]
     raise SubsystemSearchError(
@@ -617,10 +614,10 @@ class Stage:
     """One level of the tower: the shift, its maximal measure, provenance.
 
     A stage built from an enumerated code is its renewal presentation, and
-    its maximal measure is a `RenewalParry`.  A structured stage has no
-    explicit presentation: `shift` is None and `code` (a PermutationCode)
-    also serves as `measure`, the cylinder table every invariant measure of
-    the stage shares.
+    its maximal measure is the presentation's `RenewalStructure`.  A
+    structured stage has no explicit presentation: `shift` is None and
+    `code` (a PermutationCode) also serves as `measure`, the cylinder table
+    every invariant measure of the stage shares.
 
     `space` is the object that answers the stage's language queries,
     `language(depth)` and `longest_avoiding(depth)`: the code of a
@@ -736,9 +733,10 @@ class StageReport:
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Seed and size of the Markov sample `verify_stage` draws where the
-    code words do not bound every invariant measure (see `_etas`)."""
+    """A seed and a sample size that nothing reads: verification bounds
+    every invariant measure exactly, from the code words."""
 
+    # only perfbench still builds one and passes it to the stage functions
     seed: int = 0
     samples: int = 32
 
@@ -774,9 +772,9 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
     assembled code.  Raises InsufficientWordLengthError before assembly
     when word_length cannot reach the entropy window, and
     StageVerificationError (with the report attached) when any verified
-    window fails; sub-operation errors propagate.
+    window fails; sub-operation errors propagate.  `settings` is not read;
+    only perfbench still passes it.
     """
-    settings = settings or RunSettings()
     if prev.shift is None:
         raise UnsupportedAmbientError(
             f"stage {prev.index} is a structured permutation-class stage; "
@@ -845,12 +843,12 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
                 "assembled code failed the unique-decipherability assertion"
             )
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
-        next_measure = RenewalParry(next_shift)
+        next_measure = next_shift.renewal
     else:
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
-        _check_separated(code, pair.Y_measure, params)
+        _check_separated(code, pair.Y_measure, params, pair.Y.ambient_size)
         next_shift, next_measure = None, code
     stage = Stage(
         index=prev.index + 1, shift=next_shift, measure=next_measure, code=code, params=params
@@ -862,7 +860,6 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
         stage,
         target,
         params,
-        settings=settings,
         overlap_data={
             "l": l_eff,
             "border": max_self_overlap(label_word(prev.shift, w_prev)),
@@ -1043,12 +1040,13 @@ def _permutation_code(renewal, order, glue_internal, head, c1):
     return best[1]
 
 
-def _check_separated(code, parry, params):
+def _check_separated(code, parry, params, alphabet_size):
     """Katok conditions for the permutation class, exact from one word.
 
     Every γ spells the same multiset of code words with shared ends, so
     its empirical statistics up to the ambient's exact depth are those of
-    the canonical order.  `parry` is Y's `RenewalParry`.
+    the canonical order.  `parry` is Y's maximal measure, its
+    `RenewalStructure`, over `alphabet_size` symbols.
     """
     n = code.word_length
     depth = min(params.metric.max_depth, n)
@@ -1058,7 +1056,7 @@ def _check_separated(code, parry, params):
             f"{code.ambient.exact_depth} of the permutation class"
         )
     word = np.asarray(code.gamma_word(), dtype=np.int64)[None, :]
-    dist = empirical_distances(word, parry, depth, parry.ambient_size)[0]
+    dist = empirical_distances(word, parry, depth, alphabet_size)[0]
     if dist >= params.effective_radius:
         raise InsufficientWordLengthError(
             f"no word of length {n} is within radius {params.effective_radius} "
@@ -1097,33 +1095,49 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     The language checks (nesting, language synchronization, saturation)
     ask the spaces of the two stages (`Stage.space`); a structured stage
     fails those deeper than the depths its code words decide, with a note.
-    The roof window and the measure distance range over the measures
-    `_etas` yields; `settings` seeds the Markov sample it may draw.
+
+    The roof window and the measure distance range over every invariant
+    measure of the stage.  The roof integral is linear in the measure and
+    the distance convex, so both reach their extremes at extreme points.
+    On a renewal system of a uniform-length code, at every depth a single
+    code word decides (`exact_depth`), an invariant measure's cylinder
+    table is sum_a f_a * (table of code word a's periodic orbit), f_a the
+    mass it puts on code word a, so the maximal measure and the
+    single-code-word orbits (`_score_orbits`) bound every invariant
+    measure.  A structured stage spells every code word from one multiset
+    of ambient words, so all its orbits, and all its invariant measures,
+    share one table: its maximal measure.  A roof or metric deeper than
+    `exact_depth` raises StructureDepthError, and a stage without a code
+    raises ValueError: neither has such a bound.  `settings` is not read;
+    only perfbench still passes it.
     """
-    settings = settings or RunSettings()
     c, rho = target.c, target.rho
     d = params.delta
-    ri_prev = roof_integral(prev.measure, rho)
-    lo_e, hi_e = (1 + d) ** 2 * c * ri_prev, (1 + 3 * d) * c * ri_prev
     structured = stage.shift is None
     space, code = stage.space, stage.code
+    if code is None:
+        raise ValueError(f"stage {stage.index} has no code to bound its invariant measures")
+    depth = max(rho.depth, params.metric.max_depth)
+    exact = (code.ambient if structured else stage.shift.renewal).exact_depth
+    if depth > exact:
+        raise StructureDepthError(
+            f"roof or metric depth {depth} exceeds the exact depth {exact} "
+            f"of the code words of stage {stage.index}"
+        )
+    ri_prev = roof_integral(prev.measure, rho)
+    lo_e, hi_e = (1 + d) ** 2 * c * ri_prev, (1 + 3 * d) * c * ri_prev
 
     h_top = stage.entropy
-    k = code.uniform_length if code else None
-    gamma_size = code.size if code else 0
-    ident_target = math.log(gamma_size) / k if k else h_top
+    k = code.uniform_length
+    gamma_size = code.size
+    ident_target = math.log(gamma_size) / k
 
-    roof_vals = []
-    dists = []
-    depth = max(rho.depth, params.metric.max_depth)
-    for eta in _etas(stage, depth, settings):  # one measure alive at a time
-        roof_vals.append(roof_integral(eta, rho))
-        dists.append(weak_star_distance(eta, prev.measure, params.metric))
-    if stage.shift is not None and stage.code is not None:
-        _score_orbits(stage.code.words, rho, prev.measure, params.metric,
+    ri_next = roof_integral(stage.measure, rho)
+    dist_prev = weak_star_distance(stage.measure, prev.measure, params.metric)
+    roof_vals, dists = [ri_next], [dist_prev]
+    if not structured:
+        _score_orbits(code.words, rho, prev.measure, params.metric,
                       stage.shift.ambient_size, roof_vals, dists)
-    ri_next = roof_vals[0]
-    dist_prev = dists[0]
 
     nesting = []
     for depth in NESTING_DEPTHS:
@@ -1157,7 +1171,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 
     report = StageReport(
         index=stage.index,
-        k=k or 0,
+        k=k,
         gamma_size=gamma_size,
         h_top=h_top,
         entropy_identity=(h_top, ident_target, abs(h_top - ident_target)),
@@ -1167,7 +1181,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         measure_distance=(max(dists), 2 * params.kappa),
         distance_to_prev=dist_prev,
         # a uniform-length code of distinct words is uniquely decipherable
-        ud_ok=(structured or stage.code is None or is_uniquely_decipherable(stage.code)),
+        ud_ok=(structured or is_uniquely_decipherable(code)),
         overlap=dict(
             ok=(
                 overlap_data is not None
@@ -1186,35 +1200,6 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         ud_note="uniform length" if structured else "sardinas-patterson",
     )
     return report
-
-
-def _etas(stage, depth, settings):
-    """The measures the roof window and the measure distance range over,
-    for a roof and metric that read cylinders up to `depth`, beside the
-    single-code-word orbits of an explicit stage (`_score_orbits`).
-
-    The roof integral is linear in the measure and the distance convex, so
-    both reach their extremes at extreme points.  On a renewal system of a
-    uniform-length code, at every depth a single code word decides
-    (`exact_depth`), an invariant measure's cylinder table is
-    sum_a f_a * (table of code word a's periodic orbit), f_a the mass it
-    puts on code word a, so the single-code-word orbits bound every
-    invariant measure.  An explicit renewal presentation yields its
-    maximal measure; its orbits are scored apart.  A structured stage
-    spells every code word from one multiset of ambient words, so all its
-    orbits, and all its invariant measures, share one table: its maximal
-    measure.  A stage without a code, or a `depth` beyond `exact_depth`,
-    has no such bound; there seeded Markov samples join the measures above.
-    """
-    yield stage.measure
-    if stage.shift is None:
-        return
-    renewal = stage.shift.renewal
-    if stage.code is not None and renewal is not None and depth <= renewal.exact_depth:
-        return
-    rng = np.random.default_rng([settings.seed, stage.index])
-    for _ in range(settings.samples):
-        yield random_markov_measure(stage.shift, rng)
 
 
 def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
@@ -1304,14 +1289,13 @@ def base_stage(target):
     )
 
 
-def iterate(target, stages, schedule, settings=None):
+def iterate(target, stages, schedule):
     """Build the nested tower stage by stage.
 
     Returns the partial tower with the error attached when a stage fails
     with a library error; any other exception propagates.  The schedule
     must satisfy the delta/kappa decay constraints.
     """
-    settings = settings or RunSettings()
     schedule = list(schedule)
     if len(schedule) < stages:
         raise ValueError(f"schedule provides {len(schedule)} of {stages} stages")
@@ -1319,9 +1303,7 @@ def iterate(target, stages, schedule, settings=None):
     tower = TowerResult(stages=[base_stage(target)], reports=[None])
     for i in range(stages):
         try:
-            stage, report = build_stage(
-                tower.stages[-1], target, schedule[i], settings=settings
-            )
+            stage, report = build_stage(tower.stages[-1], target, schedule[i])
         except StageVerificationError as exc:
             tower.error = exc
             if exc.stage is not None:

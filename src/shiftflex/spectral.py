@@ -16,7 +16,7 @@ from .words import (
     DEFAULT_WORD_BUDGET,
     graph_period,
     is_irreducible,
-    language,
+    label_language,
 )
 
 PERRON_TOL = 1e-12
@@ -328,8 +328,6 @@ class RoofFunction:
 
     def covers(self, shift, budget=DEFAULT_WORD_BUDGET):
         """True iff every admissible label word of the roof depth has a value."""
-        from .words import label_language
-
         return all(
             w in self.values for w in label_language(shift, self.depth, budget=budget)
         )

@@ -18,7 +18,6 @@ from shiftflex import (
     Code,
     MetricConfig,
     RoofFunction,
-    RunSettings,
     VertexShift,
     bernoulli_measure,
     empirical_from_windows,
@@ -195,9 +194,7 @@ def test_criterion_8_end_to_end_construction():
         target = rc.build_target()
         assert target.base_entropy > 1.0  # base chosen with entropy above one
         schedule = rc.build_schedule(target)
-        tower = iterate(
-            target, 2, schedule, settings=RunSettings(seed=rc.seed, samples=rc.samples)
-        )
+        tower = iterate(target, 2, schedule)
         failures = []
         for st, rep in zip(tower.stages, tower.reports):
             if rep is None:

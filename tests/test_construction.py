@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -13,9 +14,9 @@ from shiftflex import (
     MetricConfig,
     NotUniquelyDecipherableError,
     RoofFunction,
-    RunSettings,
     StageParams,
     StageVerificationError,
+    StructureDepthError,
     SubsystemSearchError,
     Target,
     bernoulli_measure,
@@ -167,7 +168,7 @@ def test_select_failure_at_tight_kappa():
 
 def test_build_stage_green_path():
     t = full2_target()
-    stage, report = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
+    stage, report = build_stage(base_stage(t), t, GREEN)
     assert report.all_pass, [i.name for i in report.failing()]
     assert report.k == 29
     assert report.gamma_size == 13
@@ -195,7 +196,7 @@ def test_build_stage_insufficient_word_length():
         entropy_target=0.38,
     )
     with pytest.raises(InsufficientWordLengthError):
-        build_stage(base_stage(t), t, p, settings=RunSettings(seed=0))
+        build_stage(base_stage(t), t, p)
 
 
 def test_build_stage_rejects_injected_bad_code():
@@ -205,39 +206,36 @@ def test_build_stage_rejects_injected_bad_code():
         return Code(((0,), (0, 1), (1, 0)))
 
     with pytest.raises(NotUniquelyDecipherableError):
-        build_stage(
-            base_stage(t), t, GREEN, settings=RunSettings(seed=0), code_hook=hook
-        )
+        build_stage(base_stage(t), t, GREEN, code_hook=hook)
 
 
 def test_verify_stage_roof_window_on_identical_stage():
     t = full2_target()
-    base = base_stage(t)
+    stage = renewal_code_stage(((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)))
     p = StageParams(delta=0.3, kappa=0.5, word_length=4)
-    report = verify_stage(base, base, t, p, settings=RunSettings(seed=0, samples=4))
+    report = verify_stage(stage, stage, t, p)
     items = {i.name: i for i in report.items()}
     assert items["roof_window"].ok  # unit roof integrates to 1 for every eta
+    assert report.roof_window[1:3] == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 def test_verify_stage_detects_non_nested():
     g = golden_mean_shift()
-    f2 = full_shift(2)
     t = Target(c=0.1, rho=UNIT2, base=g, base_measure=parry_measure(g))
     prev = Stage(
         index=0, shift=g, measure=parry_measure(g), sync_depth=1, sync_depths=(1,)
     )
-    nxt = Stage(
-        index=1, shift=f2, measure=parry_measure(f2), sync_depth=1, sync_depths=(1, 1)
-    )
+    nxt = renewal_code_stage(((0, 1), (1, 1)))
     p = StageParams(delta=0.3, kappa=0.5, word_length=4)
-    report = verify_stage(prev, nxt, t, p, settings=RunSettings(seed=0, samples=2))
+    report = verify_stage(prev, nxt, t, p)
     nesting = {d: ok for d, ok in report.nesting}
+    assert nesting[1]
     assert not nesting[2]  # the word 11 is not admissible upstream
 
 
 def test_iterate_zero_stages():
     t = full2_target()
-    tower = iterate(t, 0, [], settings=RunSettings(seed=0))
+    tower = iterate(t, 0, [])
     assert tower.error is None
     assert len(tower.stages) == 1
     assert tower.stages[0].shift is t.base
@@ -249,7 +247,7 @@ def test_iterate_c_zero_trajectory():
     p = StageParams(
         delta=0.5, kappa=0.3, word_length=6, metric=MetricConfig(2), radius=0.4
     )
-    tower = iterate(t, 1, [p], settings=RunSettings(seed=0, samples=8))
+    tower = iterate(t, 1, [p])
     assert tower.error is None
     rep = tower.reports[1]
     assert rep.all_pass
@@ -262,7 +260,7 @@ def test_iterate_c_zero_trajectory():
 def test_iterate_partial_tower_on_stage_failure():
     t = full2_target()
     p2 = next_params(GREEN, word_length=10, radius=0.25)
-    tower = iterate(t, 2, [GREEN, p2], settings=RunSettings(seed=0))
+    tower = iterate(t, 2, [GREEN, p2])
     assert tower.error is not None
     assert tower.reports[1].all_pass
     assert len(tower.stages) >= 2  # base + passing stage, plus any failed stage
@@ -363,7 +361,7 @@ def random_uniform_codes(seed, count):
 
 def test_invariant_tables_are_code_word_mixtures_up_to_exact_depth():
     t = full2_target()
-    green, _ = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
+    green, _ = build_stage(base_stage(t), t, GREEN)
     shifts = [green.shift] + [
         renewal_to_sft(code, ambient_size=2) for code in random_uniform_codes(3, 12)
     ]
@@ -391,33 +389,36 @@ def renewal_code_stage(words):
     code = Code(words)
     shift = renewal_to_sft(code, ambient_size=2)
     return Stage(
-        index=1, shift=shift, measure=parry_measure(shift), code=code,
+        index=1, shift=shift, measure=shift.renewal, code=code,
         sync_depth=1, sync_depths=(1, 1),
     )
 
 
-def test_verify_stage_samples_only_where_code_words_do_not_bound():
+def test_verify_stage_refuses_what_code_words_do_not_bound():
     t = full2_target()
-    settings = RunSettings(seed=0, samples=3)
     stage = renewal_code_stage(((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)))
     exact = stage.shift.renewal.exact_depth
     assert exact == 3
     within = StageParams(delta=0.3, kappa=0.5, word_length=4, metric=MetricConfig(exact))
-    report = verify_stage(base_stage(t), stage, t, within, settings=settings)
-    assert report.eta_count == 1 + 3
+    assert verify_stage(base_stage(t), stage, t, within).eta_count == 1 + 3
+    both_depths = f"depth {exact + 1} exceeds the exact depth {exact}"
     beyond = replace(within, metric=MetricConfig(exact + 1))
-    report = verify_stage(base_stage(t), stage, t, beyond, settings=settings)
-    assert report.eta_count == 1 + 3 + settings.samples
+    with pytest.raises(StructureDepthError, match=both_depths):
+        verify_stage(base_stage(t), stage, t, beyond)
+    words = itertools.product(range(2), repeat=exact + 1)
+    deep_roof = replace(t, rho=RoofFunction(exact + 1, {w: 1.0 for w in words}))
+    with pytest.raises(StructureDepthError, match=both_depths):
+        verify_stage(base_stage(t), stage, deep_roof, within)
     codeless = Stage(
         index=1, shift=full_shift(2), measure=t.base_measure, sync_depth=1, sync_depths=(1, 1)
     )
-    report = verify_stage(base_stage(t), codeless, t, within, settings=settings)
-    assert report.eta_count == 1 + settings.samples
+    with pytest.raises(ValueError, match="no code"):
+        verify_stage(base_stage(t), codeless, t, within)
 
 
 def test_built_renewal_stage_checks_only_code_words():
     t = full2_target()
-    stage, report = build_stage(base_stage(t), t, GREEN, settings=RunSettings(seed=0))
+    stage, report = build_stage(base_stage(t), t, GREEN)
     assert stage.shift.renewal.exact_depth >= GREEN.metric.max_depth
     assert report.eta_count == 1 + report.gamma_size
 
@@ -471,10 +472,9 @@ def test_fresh_verification_reproduces_the_build_report():
         rc = parse_config(text)
         t = rc.build_target()
         params = rc.build_schedule(t)[0]
-        settings = RunSettings(seed=rc.seed, samples=rc.samples)
         prev = base_stage(t)
         try:
-            stage, report = build_stage(prev, t, params, settings=settings)
+            stage, report = build_stage(prev, t, params)
         except StageVerificationError as exc:
             if exc.report is None:
                 continue
@@ -482,7 +482,7 @@ def test_fresh_verification_reproduces_the_build_report():
         except (InsufficientWordLengthError, SubsystemSearchError):
             continue
         overlap = {k: v for k, v in report.overlap.items() if k != "ok"}
-        fresh = verify_stage(prev, stage, t, params, settings=settings, overlap_data=overlap)
+        fresh = verify_stage(prev, stage, t, params, overlap_data=overlap)
         assert fresh.items() == report.items()
         checked += 1
         passing += report.all_pass

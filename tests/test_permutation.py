@@ -14,7 +14,6 @@ from shiftflex import (
     InsufficientWordLengthError,
     MetricConfig,
     RoofFunction,
-    RunSettings,
     StageParams,
     StageVerificationError,
     Target,
@@ -26,7 +25,7 @@ from shiftflex import (
     verify_stage,
     weak_star_distance,
 )
-from shiftflex.codes import PermutationCode, RenewalParry, RenewalStructure
+from shiftflex.codes import PermutationCode, RenewalStructure
 from shiftflex.construction import Stage, _check_separated, _sync_depth
 from shiftflex.words import is_label_admissible, label_language, longest_window_avoiding
 
@@ -45,7 +44,6 @@ AMBIENT_UNSYNCED = (
     (0, 2, 2, 1, 1, 1, 0, 2, 2, 1), (0, 2, 2, 1, 2, 1, 0, 2, 2, 1),
     (0, 2, 2, 2, 1, 1, 0, 2, 2, 1), (0, 2, 2, 2, 2, 1, 0, 2, 2, 1),
 )
-SETTINGS = RunSettings(seed=0, samples=4)
 
 
 def renewal_stage(words):
@@ -75,7 +73,7 @@ def params(t, word_length):
 
 def build(prev, tgt, p):
     try:
-        return build_stage(prev, tgt, p, settings=SETTINGS)
+        return build_stage(prev, tgt, p)
     except StageVerificationError as exc:
         return exc.stage, exc.report
 
@@ -99,7 +97,7 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
     )
     assert explicit.sync_depth == stage.sync_depth
     overlap = {key: v for key, v in report.overlap.items() if key != "ok"}
-    slow = verify_stage(prev, explicit, tgt, p, settings=SETTINGS, overlap_data=overlap)
+    slow = verify_stage(prev, explicit, tgt, p, overlap_data=overlap)
     assert slow.gamma_size == report.gamma_size and slow.k == report.k
     for fast_v, slow_v in [
         (report.h_top, slow.h_top),
@@ -130,7 +128,7 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
 def test_renewal_ambient_refuses_word_length(c, n, least, message):
     prev, tgt = renewal_stage(AMBIENT_SYNCED), target(c)
     with pytest.raises(InsufficientWordLengthError, match=message) as exc:
-        build_stage(prev, tgt, params(6, n), settings=SETTINGS)
+        build_stage(prev, tgt, params(6, n))
     assert exc.value.least_word_length == least
 
 
@@ -138,7 +136,7 @@ def test_structured_stage_is_no_ambient():
     tgt, p = target(0.03), params(5, 50)
     stage, _ = build(renewal_stage(AMBIENT_UNSYNCED), tgt, p)
     with pytest.raises(UnsupportedAmbientError):
-        build_stage(stage, tgt, p, settings=SETTINGS)
+        build_stage(stage, tgt, p)
 
 
 def test_renewal_admits_matches_matrix_path():
@@ -193,7 +191,7 @@ def test_permutation_code_windows_match_enumeration():
 def test_separated_check_refuses_at_the_distance_of_gamma():
     """The radius refusal sits at the per-word distance of the canonical γ."""
     shift = renewal_to_sft(Code(AMBIENT_SYNCED), ambient_size=3)
-    parry = RenewalParry(shift)
+    parry = shift.renewal
     order = (0, 0, 0) + tuple(range(1, len(AMBIENT_SYNCED)))  # not the mixture
     code = PermutationCode(shift.renewal, (0,), 1, order[:2], order[2:])
     for depth in (1, 2, 3):
@@ -207,6 +205,6 @@ def test_separated_check_refuses_at_the_distance_of_gamma():
             delta=0.05, kappa=10.0, word_length=code.word_length,
             metric=MetricConfig(depth), radius=dist + 1e-12,
         )
-        _check_separated(code, parry, p)
+        _check_separated(code, parry, p, 3)
         with pytest.raises(InsufficientWordLengthError, match="within radius"):
-            _check_separated(code, parry, replace(p, radius=dist - 1e-12))
+            _check_separated(code, parry, replace(p, radius=dist - 1e-12), 3)

@@ -10,13 +10,13 @@ import scipy.sparse as sp
 import tests.loop_oracles as oracle
 from shiftflex import (
     Code,
+    StructureDepthError,
     VertexShift,
     from_forbidden_words,
     parry_measure,
     renewal_to_sft,
     topological_entropy,
 )
-from shiftflex.codes import RenewalParry
 from shiftflex.construction import (
     NESTING_DEPTHS,
     _canonical_order,
@@ -250,13 +250,15 @@ def test_parry_tables_match_power_iteration():
     checked = 0
     for a, code in random_codes(31, 80):
         shift, explicit = (renewal_to_sft(code, ambient_size=a) for _ in range(2))
-        closed, iterated = RenewalParry(shift), parry_measure(explicit)
+        closed, iterated = shift.renewal, parry_measure(explicit)
         assert abs(closed.entropy - topological_entropy(explicit)) < 1e-12
-        for depth in range(1, shift.renewal.exact_depth + 2):
+        for depth in range(1, closed.exact_depth + 1):
             table, reference = closed.cylinder_table(depth), iterated.cylinder_table(depth)
             assert set(table) == set(reference)
             assert max(abs(table[w] - reference[w]) for w in table) < 1e-12
             checked += 1
+        with pytest.raises(StructureDepthError, match=f"depth {closed.exact_depth + 1} outside"):
+            closed.cylinder_table(closed.exact_depth + 1)
     assert checked > 400
 
 
