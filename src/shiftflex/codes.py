@@ -29,6 +29,7 @@ from .errors import (
 from .words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
+    _as_tuples,
     _extend_borders,
     _failure_function,
 )
@@ -186,7 +187,11 @@ class RenewalStructure:
 
     State a * k + p of the presentation reads symbol p of code word a.
     The structure is also the presentation's measure of maximal entropy
-    (`entropy`, `cylinder_table`).
+    (`entropy`, `cylinder_table`).  Up to `exact_depth` every window of a
+    concatenation belongs to one code word, at one of its k attributed
+    offsets, and one table per depth (`_table`) ranks each code word's
+    windows among the distinct ones; languages, cylinder tables and the
+    span table behind `longest_avoiding` are array reductions of it.
     """
 
     code: Code
@@ -249,9 +254,50 @@ class RenewalStructure:
         p, s = self.shared_ends
         return p + s + 1
 
+    @_per_depth
+    def _table(self, depth):
+        """(ids, windows, ranks) of the depth-`depth` windows.
+
+        `ranks[a, c]` is the lexicographic rank, among all windows of the
+        contexts (shared suffix + code word a + shared prefix), of the one
+        starting at column c: the rank of the pair (rank of its first
+        depth - 1 symbols, last symbol), so no window is read as one
+        number and no depth overflows.  `ids[a, o]` ranks code word a's
+        window at attributed offset o among the distinct attributed
+        windows, which `windows` lists in that order.
+        """
+        if not 1 <= depth <= self.exact_depth:
+            raise StructureDepthError(
+                f"depth {depth} outside 1..{self.exact_depth}, the depths "
+                "single code words decide"
+            )
+        ctx = self._contexts
+        ranks = ctx
+        if depth > 1:
+            ranks = self._table(depth - 1)[2][:, :-1] * (int(ctx.max()) + 1)
+            ranks = ranks + ctx[:, depth - 1 :]
+        ranks = np.unique(ranks, return_inverse=True)[1].reshape(ranks.shape)
+        p, s = self.shared_ends
+        col = s - max(0, depth - p - 1)  # attributed offset 0, as in `exact_depth`
+        attributed = ranks[:, col : col + self.k]
+        _, first, ids = np.unique(attributed, return_index=True, return_inverse=True)
+        a, c = np.divmod(first, self.k)
+        windows = ctx[a[:, None], (c + col)[:, None] + np.arange(depth)]
+        return ids.reshape(attributed.shape), windows, ranks
+
+    @cached_property
+    def _contexts(self):
+        words, (p, s) = np.array(self.code.words), self.shared_ends
+        ctx = np.hstack([words[:, self.k - s :], words, words[:, :p]])
+        return ctx.astype(np.min_scalar_type(int(ctx.max())))
+
+    @_per_depth
+    def _words(self, depth):
+        return _as_tuples(self._table(depth)[1])
+
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered."""
-        return sorted({w for ws in self.windows(depth) for _, w in ws})
+        return list(self._words(depth))
 
     @property
     def entropy(self):
@@ -272,71 +318,49 @@ class RenewalStructure:
 
     @_per_depth
     def _mixture(self, depth):
-        counts = Counter(w for ws in self.windows(depth) for _, w in ws)
-        mass = len(self.code) * self.k
-        return {w: c / mass for w, c in counts.items()}
+        ids = self._table(depth)[0].ravel()
+        return _cylinder_dict(self._words(depth), ids, None, len(self.code) * self.k)
 
     @_per_depth
-    def windows(self, depth):
-        """Per code word, its attributed depth-`depth` windows.
-
-        Returns one tuple of (offset, window) pairs per code word, offsets
-        ascending in [-e, k - e) as in `exact_depth`.
-        """
-        if not 1 <= depth <= self.exact_depth:
-            raise StructureDepthError(
-                f"depth {depth} outside 1..{self.exact_depth}, the depths "
-                "single code words decide"
-            )
-        p, s = self.shared_ends
-        e = max(0, depth - p - 1)
-        suffix, prefix = self.code.words[0][self.k - s :], self.code.words[0][:p]
-        out = []
-        for w in self.code.words:
-            ctx = suffix + w + prefix
-            out.append(
-                tuple((o, ctx[s + o : s + o + depth]) for o in range(-e, self.k - e))
-            )
-        return tuple(out)
-
-    def occurrences(self, depth, indices=None):
-        """word -> {code word a -> ascending offsets of a's windows reading it}.
-
-        Covers the code words with the given indices (default: all of them),
-        offsets as in `windows`.
-        """
-        profile = self.windows(depth)
-        occ = {}
-        for a in range(len(profile)) if indices is None else indices:
-            for o, w in profile[a]:
-                occ.setdefault(w, {}).setdefault(a, []).append(o)
-        return occ
+    def _spans(self, depth):
+        """Per (window, code word) reading it, ordered by window id and then
+        code word: the id, the code word, its first and last attributed
+        offsets and the widest step between consecutive ones (0 for one).
+        Offsets count from the first attributed one; only their
+        differences are ever read."""
+        ids = self._table(depth)[0]
+        order = np.argsort(ids, axis=None, kind="stable")
+        win, (word, off) = ids.ravel()[order], np.divmod(order, self.k)
+        start = np.flatnonzero(np.diff(win, prepend=-1) | np.diff(word, prepend=-1))
+        step = np.diff(off, prepend=0)
+        step[start] = 0
+        end = np.append(start[1:], len(off)) - 1
+        return win[start], word[start], off[start], off[end], np.maximum.reduceat(step, start)
 
     @_per_depth
     def longest_avoiding(self, depth):
         """(word, longest window avoiding it) per depth-`depth` word,
         lexicographically; None where windows of any length avoid the word.
 
-        Cutting a concatenation at the offsets of `windows` gives every
+        Cutting a concatenation at the offsets of `exact_depth` gives every
         occurrence to one code word.  A word that some code word's windows
         miss is avoided by that word's periodic orbit.  Otherwise
         consecutive occurrences lie inside one code word or span a junction
         a -> b, at most k + max_b first(b) - min_a last(a) apart (any code
         word may follow any other, itself included); a window between
-        occurrences p < p' has at most p' - p + depth - 2 symbols.
+        occurrences p < p' has at most p' - p + depth - 2 symbols.  All of
+        it is read from the span table (`_spans`).
         """
-        t, k = len(self.code), self.k
-        out = {}
-        for w, by_word in self.occurrences(depth).items():
-            if len(by_word) < t:
-                out[w] = None
-                continue
-            offsets = by_word.values()
-            gaps = [k + max(o[0] for o in offsets) - min(o[-1] for o in offsets)]
-            for o in offsets:
-                gaps.extend(y - x for x, y in zip(o, o[1:]))
-            out[w] = max(gaps) + depth - 2
-        return tuple(sorted(out.items()))
+        win, _, first, last, step = self._spans(depth)
+        start = np.flatnonzero(np.diff(win, prepend=-1))
+        owners = np.diff(np.append(start, len(win))).tolist()
+        gap = self.k + np.maximum.reduceat(first, start) - np.minimum.reduceat(last, start)
+        longest = (np.maximum(gap, np.maximum.reduceat(step, start)) + depth - 2).tolist()
+        t = len(self.code)
+        return tuple(
+            (w, m if n == t else None)
+            for w, m, n in zip(self._words(depth), longest, owners)
+        )
 
     def path(self, frm, to):
         """Shortest path of at least one edge from state `frm` to state `to`.
@@ -483,25 +507,24 @@ class PermutationCode:
         for order in _multiset_permutations(self.free):
             yield glue[cut:] + self.gamma_word(order) + glue[:cut]
 
-    def _block(self):
-        """Ambient code words of one code word, starting at the glue."""
-        return self.glue + self.fixed + self.free
+    def _rows(self):
+        """The distinct ambient code words of one code word, in order of
+        first appearance from the glue on, and how often each occurs."""
+        return Counter(self.glue + self.fixed + self.free)
 
     def cylinder_table(self, depth, budget=None):
         """Cylinder table shared by every invariant measure of the renewal
         system, for depths the ambient's single code words decide."""
-        table = {}
-        profile = self.ambient.windows(depth)
-        for a, count in Counter(self._block()).items():
-            for _, w in profile[a]:
-                table[w] = table.get(w, 0) + count
-        k = self.uniform_length
-        return {w: c / k for w, c in table.items()}
+        rows = self._rows()
+        ids = self.ambient._table(depth)[0][list(rows)].ravel()
+        weights = np.repeat(list(rows.values()), self.ambient.k)
+        return _cylinder_dict(self.ambient._words(depth), ids, weights, self.uniform_length)
 
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered."""
-        profile = self.ambient.windows(depth)
-        return sorted({w for a in set(self._block()) for _, w in profile[a]})
+        words = self.ambient._words(depth)
+        ids = np.unique(self.ambient._table(depth)[0][list(self._rows())])
+        return [words[i] for i in ids.tolist()]
 
     def longest_avoiding(self, depth, budget=None):
         """(word, longest window avoiding it) per depth-`depth` word,
@@ -520,68 +543,73 @@ class PermutationCode:
         Cut a concatenation into ambient code-word slots: slot i of a code
         word (rotated to start at the glue) owns the occurrences starting
         in [i k1 - e, (i + 1) k1 - e), and which ones it owns depends only
-        on the ambient word in it.  The glue and fixed slots come first
-        and never move; the free slots follow in any order.  Consecutive
-        occurrences are then one of: two in the fixed part, two inside one
-        free word, the fixed part and the first free hit (hits packed last),
-        the last free hit and the next fixed part (hits packed first), two
-        free hits with every blank free word between them, or, without
-        fixed occurrences, the last hit of one code word and the first of
-        the next.  A window between occurrences p < p' has at most
-        p' - p + depth - 2 symbols.
+        on the ambient word in it, as its row of the ambient's span table
+        (`RenewalStructure._spans`) records.  The glue and fixed slots
+        come first and never move; the free slots follow in any order.
+        Consecutive occurrences are then one of:
+        - two in the fixed part, met one slot at a time;
+        - two inside one free word;
+        - the fixed part and the first free hit (hits packed last), or the
+          last free hit and the next fixed part (hits packed first);
+        - without fixed occurrences, the last hit of one code word and the
+          first of the next (hits packed first);
+        - two free hits with every blank free word between them: the
+          widest pair of distinct hits, from the top two of each window.
+        Every code word holds every ambient word of the block, so each of
+        their windows recurs.  A window between occurrences p < p' has at
+        most p' - p + depth - 2 symbols.
         """
-        k1 = self.ambient.k
-        fixed_slots = self.glue + self.fixed
-        s0, n_free = len(fixed_slots), len(self.free)
+        amb, k1 = self.ambient, self.ambient.k
+        win, word, lo, hi, step = amb._spans(depth)
+        words = amb._words(depth)
+        n, slots = len(words), self.glue + self.fixed
+        s0, n_free = len(slots), len(self.free)
         period = (s0 + n_free) * k1
-        free_count = Counter(self.free)
-        slots_of = {}
-        for i, a in enumerate(fixed_slots):
-            slots_of.setdefault(a, []).append(i)
-        occ = self.ambient.occurrences(depth, set(fixed_slots) | set(free_count))
-        out = {}
-        for w, by_word in occ.items():
-            fx = sorted(
-                i * k1 + o
-                for a, offs in by_word.items()
-                for i in slots_of.get(a, ())
-                for o in offs
-            )
-            gaps = [y - x for x, y in zip(fx, fx[1:])]
-            hits = []
-            for a, offs in by_word.items():
-                if free_count.get(a):
-                    hits.append((offs[0], offs[-1], free_count[a]))
-                    gaps.extend(y - x for x, y in zip(offs, offs[1:]))
-            n_hits = sum(h[2] for h in hits)
-            if n_hits == 0:
-                if not fx:
-                    out[w] = None
-                    continue
-                gaps.append(period + fx[0] - fx[-1])
-            else:
-                first = (s0 + n_free - n_hits) * k1 + max(h[0] for h in hits)
-                last = (s0 + n_hits - 1) * k1 + min(h[1] for h in hits)
-                if fx:
-                    gaps += [first - fx[-1], period + fx[0] - last]
-                else:
-                    gaps.append(period + first - last)
-                if n_hits >= 2:
-                    gaps.append((n_free - n_hits + 1) * k1 + _widest_pair(hits))
-            out[w] = max(gaps) + depth - 2
-        return tuple(sorted(out.items()))
+        seen = np.zeros(n, bool)
+        fx_lo, fx_hi, gap, hits, top, bottom = (np.zeros(n, np.int64) for _ in range(6))
+        by_word = np.argsort(word, kind="stable")
+        bounds = np.searchsorted(word[by_word], np.arange(len(amb.code) + 1))
+        for i, a in enumerate(slots):
+            r = by_word[bounds[a] : bounds[a + 1]]
+            w = win[r]
+            old = seen[w]
+            across = np.where(old, i * k1 + lo[r] - fx_hi[w], 0)
+            gap[w] = np.maximum.reduce([gap[w], step[r], across])
+            fx_lo[w] = np.where(old, fx_lo[w], i * k1 + lo[r])
+            fx_hi[w] = i * k1 + hi[r]
+            seen[w] = True
+        count = np.bincount(np.asarray(self.free, np.int64), minlength=len(amb.code))
+        f = np.flatnonzero(count[word])
+        g = np.flatnonzero(np.diff(win[f], prepend=-1))
+        fw, lo_f, hi_f = win[f[g]], lo[f], hi[f]
+        hits[fw] = np.add.reduceat(count[word[f]], g)
+        top[fw], bottom[fw] = np.maximum.reduceat(lo_f, g), np.minimum.reduceat(hi_f, g)
+        # the widest pair of distinct free hits, from the top two lo and the
+        # bottom two hi of each window, counted with multiplicity
+        nxt = np.minimum(g + 1, len(f) - 1)
+        by_lo, by_hi = np.lexsort((-lo_f, win[f])), np.lexsort((hi_f, win[f]))
+        a1, b1 = word[f[by_lo[g]]], word[f[by_hi[g]]]
+        lo1, hi1 = top[fw], bottom[fw]
+        lo2 = np.where(count[a1] >= 2, lo1, lo_f[by_lo[nxt]])
+        hi2 = np.where(count[b1] >= 2, hi1, hi_f[by_hi[nxt]])
+        pair = np.where(a1 != b1, lo1 - hi1, np.maximum(lo1 - hi2, lo2 - hi1))
+        pair = np.where(hits[fw] >= 2, (n_free - hits[fw] + 1) * k1 + pair, 0)
+        gap[fw] = np.maximum.reduce([gap[fw], np.maximum.reduceat(step[f], g), pair])
+        first, last = (s0 + n_free - hits) * k1 + top, (s0 + hits - 1) * k1 + bottom
+        wrap = np.where(seen, np.maximum(first - fx_hi, period + fx_lo - last), period + first - last)
+        wrap = np.where(hits == 0, period + fx_lo - fx_hi, wrap)
+        present = np.flatnonzero(seen | (hits > 0))
+        longest = np.maximum(gap, wrap)[present] + depth - 2
+        return tuple(zip([words[i] for i in present.tolist()], longest.tolist()))
 
 
-def _widest_pair(hits):
-    """max lo(b) - hi(a) over two distinct instances a, b of (lo, hi, count)."""
-    by_lo = sorted(range(len(hits)), key=lambda i: -hits[i][0])[:2]
-    by_hi = sorted(range(len(hits)), key=lambda i: hits[i][1])[:2]
-    return max(
-        hits[i][0] - hits[j][1]
-        for i in by_lo
-        for j in by_hi
-        if i != j or hits[i][2] >= 2
-    )
+def _cylinder_dict(words, ids, weights, mass):
+    """{words[i]: (summed weight of i in `ids`) / mass}, keyed in order of
+    first occurrence in `ids` (each id weighing 1 without `weights`)."""
+    keys, first = np.unique(ids, return_index=True)
+    keys = keys[np.argsort(first)]
+    values = (np.bincount(ids, weights=weights)[keys] / mass).tolist()
+    return dict(zip([words[i] for i in keys.tolist()], values))
 
 
 def _multiset_permutations(items):

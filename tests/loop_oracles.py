@@ -3,20 +3,22 @@
 Each function is the plain-Python version that the array kernels of
 `shiftflex.words` and `shiftflex.codes`, or the set operations of
 `shiftflex.construction`, replaced; the differential tests in
-`test_generic_kernels.py` and `test_renewal_fast_paths.py` require them to
-give the same answers.  The graph searches walk the tuple adjacency of
-`VertexShift.successors` and `predecessors`, one state and one edge at a
-time.
+`test_generic_kernels.py`, `test_renewal_fast_paths.py` and
+`test_window_tables.py` require them to give the same answers.  The graph
+searches walk the tuple adjacency of `VertexShift.successors` and
+`predecessors`, one state and one edge at a time; the code-word windows
+of renewal and permutation-class stages are one (offset, window) tuple
+per attributed window.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 
-from shiftflex.errors import CapacityError, NoLowOverlapWordError
+from shiftflex.errors import CapacityError, NoLowOverlapWordError, StructureDepthError
 from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
@@ -271,3 +273,137 @@ def nests(space, upstream, depth):
     given depth, from the graph search, is tested against `upstream` by
     state-set propagation (or its code words)."""
     return all(is_label_admissible(upstream, w) for w in label_language(space, depth))
+
+
+def renewal_windows(renewal, depth):
+    """Per code word, its attributed (offset, window) pairs, offsets
+    ascending in [-e, k - e), each window sliced from shared suffix + word +
+    shared prefix."""
+    if not 1 <= depth <= renewal.exact_depth:
+        raise StructureDepthError(
+            f"depth {depth} outside 1..{renewal.exact_depth}, the depths "
+            "single code words decide"
+        )
+    p, s = renewal.shared_ends
+    k = renewal.k
+    e = max(0, depth - p - 1)
+    suffix, prefix = renewal.code.words[0][k - s :], renewal.code.words[0][:p]
+    out = []
+    for w in renewal.code.words:
+        ctx = suffix + w + prefix
+        out.append(tuple((o, ctx[s + o : s + o + depth]) for o in range(-e, k - e)))
+    return tuple(out)
+
+
+def renewal_occurrences(renewal, depth, indices=None):
+    """window -> {code word a -> ascending offsets of a's windows reading it}."""
+    profile = renewal_windows(renewal, depth)
+    occ = {}
+    for a in range(len(profile)) if indices is None else indices:
+        for o, w in profile[a]:
+            occ.setdefault(w, {}).setdefault(a, []).append(o)
+    return occ
+
+
+def renewal_language(renewal, depth):
+    return sorted({w for ws in renewal_windows(renewal, depth) for _, w in ws})
+
+
+def renewal_mixture(renewal, depth):
+    counts = Counter(w for ws in renewal_windows(renewal, depth) for _, w in ws)
+    mass = len(renewal.code) * renewal.k
+    return {w: c / mass for w, c in counts.items()}
+
+
+def renewal_longest_avoiding(renewal, depth):
+    """Per window: None if some code word misses it, else the widest gap
+    between consecutive occurrences, inside one code word or across a
+    junction, plus depth - 2."""
+    t, k = len(renewal.code), renewal.k
+    out = {}
+    for w, by_word in renewal_occurrences(renewal, depth).items():
+        if len(by_word) < t:
+            out[w] = None
+            continue
+        offsets = by_word.values()
+        gaps = [k + max(o[0] for o in offsets) - min(o[-1] for o in offsets)]
+        for o in offsets:
+            gaps.extend(y - x for x, y in zip(o, o[1:]))
+        out[w] = max(gaps) + depth - 2
+    return tuple(sorted(out.items()))
+
+
+def _block(code):
+    return code.glue + code.fixed + code.free
+
+
+def permutation_cylinder_table(code, depth):
+    table = {}
+    profile = renewal_windows(code.ambient, depth)
+    for a, count in Counter(_block(code)).items():
+        for _, w in profile[a]:
+            table[w] = table.get(w, 0) + count
+    k = code.uniform_length
+    return {w: c / k for w, c in table.items()}
+
+
+def permutation_language(code, depth):
+    profile = renewal_windows(code.ambient, depth)
+    return sorted({w for a in set(_block(code)) for _, w in profile[a]})
+
+
+def permutation_longest_avoiding(code, depth):
+    """Occurrence lists per window, merged over the fixed slots in order;
+    the free multiset contributes its extreme hits and its widest pair."""
+    k1 = code.ambient.k
+    fixed_slots = code.glue + code.fixed
+    s0, n_free = len(fixed_slots), len(code.free)
+    period = (s0 + n_free) * k1
+    free_count = Counter(code.free)
+    slots_of = {}
+    for i, a in enumerate(fixed_slots):
+        slots_of.setdefault(a, []).append(i)
+    occ = renewal_occurrences(code.ambient, depth, set(fixed_slots) | set(free_count))
+    out = {}
+    for w, by_word in occ.items():
+        fx = sorted(
+            i * k1 + o
+            for a, offs in by_word.items()
+            for i in slots_of.get(a, ())
+            for o in offs
+        )
+        gaps = [y - x for x, y in zip(fx, fx[1:])]
+        hits = []
+        for a, offs in by_word.items():
+            if free_count.get(a):
+                hits.append((offs[0], offs[-1], free_count[a]))
+                gaps.extend(y - x for x, y in zip(offs, offs[1:]))
+        n_hits = sum(h[2] for h in hits)
+        if n_hits == 0:
+            if not fx:
+                out[w] = None
+                continue
+            gaps.append(period + fx[0] - fx[-1])
+        else:
+            first = (s0 + n_free - n_hits) * k1 + max(h[0] for h in hits)
+            last = (s0 + n_hits - 1) * k1 + min(h[1] for h in hits)
+            if fx:
+                gaps += [first - fx[-1], period + fx[0] - last]
+            else:
+                gaps.append(period + first - last)
+            if n_hits >= 2:
+                gaps.append((n_free - n_hits + 1) * k1 + widest_pair(hits))
+        out[w] = max(gaps) + depth - 2
+    return tuple(sorted(out.items()))
+
+
+def widest_pair(hits):
+    """max lo(b) - hi(a) over two distinct instances a, b of (lo, hi, count)."""
+    by_lo = sorted(range(len(hits)), key=lambda i: -hits[i][0])[:2]
+    by_hi = sorted(range(len(hits)), key=lambda i: hits[i][1])[:2]
+    return max(
+        hits[i][0] - hits[j][1]
+        for i in by_lo
+        for j in by_hi
+        if i != j or hits[i][2] >= 2
+    )
