@@ -75,8 +75,6 @@ from .spectral import (
 )
 from .words import (
     VertexShift,
-    Word,
-    WordSet,
     connecting_word,
     from_forbidden_words,
     full_shift,

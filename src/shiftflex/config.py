@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .construction import Target, next_params, plan_initial_params, require_irreducible
+from .construction import (
+    Target, next_params, plan_initial_params, require_irreducible, validate_schedule
+)
 from .errors import ConfigError
 from .measures import MetricConfig
 from .spectral import RoofFunction, abramov, markov_entropy, parry_measure, roof_integral
@@ -103,23 +105,34 @@ class RunConfig:
         return Target(c=c, rho=rho, base=shift, base_measure=mu)
 
     def build_schedule(self, target):
+        """Parameters of stages 1..stages; ConfigError names a refused key."""
+        if self.stages < 0:
+            raise ConfigError(f"stages must be >= 0, got {self.stages}", field="stages")
+        try:
+            metric = MetricConfig(self.metric_depth)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}, got {self.metric_depth}", field="metric_depth") from None
         overrides = {o.index: o for o in self.stage_overrides}
-        metric = MetricConfig(self.metric_depth)
         schedule = []
         for i in range(1, self.stages + 1):
             if i == 1:
                 params = plan_initial_params(target, metric=metric)
             else:
                 params = next_params(schedule[-1])
-            o = overrides.get(i)
-            if o is not None:
-                kw = {}
-                for name in StageOverride.FLOATS + StageOverride.INTS:
-                    v = getattr(o, name)
-                    if v is not None:
-                        kw[name] = v
-                params = replace(params, **kw)
+            o = overrides.get(i, StageOverride(index=i))
+            for name in StageOverride.FLOATS + StageOverride.INTS:
+                v = getattr(o, name)
+                if v is None:
+                    continue
+                try:
+                    params = replace(params, **{name: v})
+                except ValueError as exc:
+                    raise ConfigError(f"stage {i} {name}: {exc}, got {v!r}") from None
             schedule.append(params)
+        try:
+            validate_schedule(schedule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return schedule
 
 

@@ -57,6 +57,7 @@ from .spectral import (
 )
 from .words import (
     VertexShift,
+    _as_tuples,
     connecting_word,
     higher_block,
     induced_subshift,
@@ -154,14 +155,13 @@ class StageParams:
 
 
 def validate_schedule(schedule):
-    """Hard decay constraints between consecutive stage parameters."""
-    for a, b in zip(schedule, schedule[1:]):
+    """Hard decay constraints between consecutive stage parameters; the
+    ValueError names the stage (schedule[0] is stage 1) and the key."""
+    for i, (a, b) in enumerate(zip(schedule, schedule[1:]), start=2):
         if not (1 + b.delta) ** 2 < (1 + a.delta):
-            raise ValueError(
-                f"(1+{b.delta})^2 must stay below 1+{a.delta} between stages"
-            )
+            raise ValueError(f"stage {i} delta: (1+{b.delta})^2 must stay below 1+{a.delta}")
         if not b.kappa < a.kappa / 2:
-            raise ValueError(f"kappa must at least halve: {b.kappa} vs {a.kappa}")
+            raise ValueError(f"stage {i} kappa: must at least halve, {b.kappa} vs {a.kappa}")
 
 
 def next_params(prev, **overrides):
@@ -542,9 +542,17 @@ def select_disjoint_subsystems(
 
 def sub_code(shift, renewal, lo, hi):
     """Presentation of code words lo..hi-1 of the renewal presentation
-    `shift`, carrying their own `renewal` structure."""
+    `shift`, carrying their own `renewal` structure: the slice of its
+    states [lo k, hi k)."""
     k = renewal.k
-    sub = induced_subshift(shift, [a * k + p for a in range(lo, hi) for p in range(k)])
+    part = slice(lo * k, hi * k)
+    words = shift.state_words
+    sub = VertexShift(
+        shift.matrix[part, part],
+        labels=shift.labels[part],
+        ambient_size=shift.ambient_size,
+        state_words=np.arange(shift.num_states)[part, None] if words is None else words[part],
+    )
     sub.renewal = RenewalStructure(Code(renewal.code.words[lo:hi]), k)
     return sub
 
@@ -668,7 +676,7 @@ class StageReport:
     distance_to_prev: float  # parry(next) vs prev measure
     ud_ok: bool
     overlap: dict  # l, border, M, K1
-    nesting: tuple  # ((depth, ok), ...)
+    nesting: tuple  # ((depth, ok, note), ...)
     language_sync: tuple  # ((depth, ok, note), ...)
     saturation: tuple  # ((depth_from, depth_to, ok, note), ...)
     normalized_entropy: float
@@ -715,8 +723,8 @@ class StageReport:
                 f"{self.bracket[0]:.6g} <= {self.normalized_entropy:.6g} <= {self.bracket[1]:.6g}",
             ),
         ]
-        for depth, ok in self.nesting:
-            out.append(CheckItem(f"nesting_depth_{depth}", ok, "language containment"))
+        for depth, ok, note in self.nesting:
+            out.append(CheckItem(f"nesting_depth_{depth}", ok, note))
         for depth, ok, note in self.language_sync:
             out.append(CheckItem(f"language_sync_{depth}", ok, note))
         for d_from, d_to, ok, note in self.saturation:
@@ -808,8 +816,8 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
             params.metric,
         )
         gamma, start_state, end_state = pigeonhole_refine(katok.words, pair.Y)
-        start_prev = pair.Y.state_words[start_state][0]
-        end_prev = pair.Y.state_words[end_state][-1]
+        start_prev = int(pair.Y.state_words[start_state, 0])
+        end_prev = int(pair.Y.state_words[end_state, -1])
     else:
         order = _canonical_order(pair.Y, renewal, n)
         # every last state (a, k1 - 1) has the same successors, so the
@@ -818,19 +826,19 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
         end_prev = order[-1] * renewal.k + renewal.k - 1
 
     # connection-time bound over every state the low-overlap word may touch
-    z_prev_states = sorted({sw[0] for sw in pair.Z.state_words})
+    z_prev_states = np.unique(pair.Z.state_words[:, 0]).tolist()
     M = _connection_time(prev.shift, z_prev_states, start_prev, end_prev)
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
     w_internal = find_low_overlap_word(pair.Z, l_eff)
-    w_prev = _prev_word(pair.Z, w_internal, with_tail=False)
+    w_prev = tuple(pair.Z.state_words[list(w_internal), 0].tolist())
     art.low_overlap_word = w_prev
 
     glue_in = connecting_word(prev.shift, end_prev, w_prev[0])[1:-1]
     glue_out = connecting_word(prev.shift, w_prev[-1], start_prev)[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
-    extra = len(glue_out) + len(glue_in) + len(w_prev) + pair.Y._state_words.shape[1] - 1
+    extra = len(glue_out) + len(glue_in) + len(w_prev) + pair.Y.state_words.shape[1] - 1
     _refuse_word_length(target, params, prev, pair.Y, renewal, extra)
 
     if renewal is None:
@@ -853,7 +861,7 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
     stage = Stage(
         index=prev.index + 1, shift=next_shift, measure=next_measure, code=code, params=params
     )
-    stage.sync_depth = _sync_depth(stage.space, prev.sync_depth)
+    stage.sync_depth = _sync_depth(stage.space, prev.sync_depth)[0]
     stage.sync_depths = prev.sync_depths + (stage.sync_depth,)
     report = verify_stage(
         prev,
@@ -894,30 +902,27 @@ def _connection_time(shift, states, start, end):
     return M
 
 
-def _prev_word(sub, word, with_tail):
-    """States of the ambient a word of a recoded subsystem runs through."""
-    sw = sub.state_words
-    out = [sw[s][0] for s in word]
-    if with_tail:
-        out.extend(sw[word[-1]][1:])
-    return tuple(out)
-
-
 def _enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
-    label_words = {}
-    for g in gamma:
-        internal = glue_out + _prev_word(Y, g, with_tail=True) + glue_in + w_prev
-        if not is_admissible(prev.shift, internal):
-            raise StageVerificationError(
-                f"assembled word is not admissible in stage {prev.index}"
-            )
-        lw = label_word(prev.shift, internal)
-        label_words.setdefault(lw, internal)
+    """The code of Γ, a (words × n) state array of Y: each row's ambient
+    path glued to w_prev.  Every assembled word and the cyclic splice
+    must be admissible in the ambient."""
+    sw, rows = Y.state_words, len(gamma)
+
+    def repeated(word):
+        return np.repeat(np.asarray(word, dtype=np.int64).reshape(1, -1), rows, axis=0)
+
+    internal = np.hstack(
+        [repeated(glue_out), sw[gamma, 0], sw[gamma[:, -1], 1:], repeated(glue_in + w_prev)]
+    )
+    if not is_admissible(prev.shift, internal).all():
+        raise StageVerificationError(
+            f"assembled word is not admissible in stage {prev.index}"
+        )
     # cyclic splice: end of the low-overlap word back into the next block
-    first_internal = next(iter(label_words.values()))
-    if not is_admissible(prev.shift, (w_prev[-1],) + first_internal[:1]):
+    if not is_admissible(prev.shift, (w_prev[-1], internal[0, 0])):
         raise StageVerificationError("cyclic splice is not admissible")
-    return Code(tuple(label_words))
+    # Code keeps one copy of each label word, sorted
+    return Code(_as_tuples(np.asarray(prev.shift.labels, dtype=np.int64)[internal]))
 
 
 # candidates the least-word-length search of a refusal examines
@@ -1072,21 +1077,25 @@ def _check_separated(code, parry, params, alphabet_size):
 
 
 def _sync_depth(space, prev_depth):
-    """Smallest depth whose words contain every prev-depth word of the
-    stage space `space`, or None.
+    """(depth, None) with the smallest depth whose words contain every
+    prev-depth word of the stage space `space`, or (None, why not).
 
-    None when windows of any length avoid some prev-depth word, when a
-    graph search has more than SYNC_CAP prev-depth words to examine, or
-    beyond the depths a structured stage decides.  A depth computed
-    exactly is returned as it is, however large.
+    There is no depth when windows of any length avoid some prev-depth
+    word; it is left uncertified when a graph search has more than
+    SYNC_CAP prev-depth words to examine, or beyond the depths a
+    structured stage decides.  A depth computed exactly is returned as it
+    is, however large.
     """
     try:
-        lengths = [m for _, m in space.longest_avoiding(prev_depth, budget=SYNC_CAP)]
-    except (CapacityError, StructureDepthError):
-        return None
-    if any(m is None for m in lengths):
-        return None
-    return max(lengths, default=0) + 1
+        pairs = list(space.longest_avoiding(prev_depth, budget=SYNC_CAP))
+    except CapacityError:
+        return None, f"sync depth search capped at {SYNC_CAP} depth-{prev_depth} words"
+    except StructureDepthError:
+        return None, f"depth {prev_depth} beyond the depths the structured stage decides"
+    avoided = next(("".join(map(str, w)) for w, m in pairs if m is None), None)
+    if avoided is not None:
+        return None, f"windows of every length avoid the depth-{prev_depth} word {avoided}"
+    return max((m for _, m in pairs), default=0) + 1, None
 
 
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
@@ -1139,13 +1148,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         _score_orbits(code.words, rho, prev.measure, params.metric,
                       stage.shift.ambient_size, roof_vals, dists)
 
-    nesting = []
-    for depth in NESTING_DEPTHS:
-        try:
-            ok = _nests(space, prev.space, depth)
-        except StructureDepthError:
-            ok = False
-        nesting.append((depth, ok))
+    nesting = [(depth, *_nests(space, prev.space, depth)) for depth in NESTING_DEPTHS]
 
     sync_checks = []
     for j, s_j in enumerate(prev.sync_depths):
@@ -1157,7 +1160,8 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 
     saturation = []
     if stage.sync_depth is None:
-        saturation.append((prev.sync_depth or 0, 0, False, "sync depth search capped"))
+        why = prev.sync_depth and _sync_depth(space, prev.sync_depth)[1]
+        saturation.append((prev.sync_depth or 0, 0, False, why or "sync depth uncertified"))
     else:
         for j, s_j in enumerate(stage.sync_depths[:-1]):
             if s_j is None:
@@ -1224,9 +1228,14 @@ def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
 
 
 def _nests(space, upstream, depth):
-    """True iff every label word of `space` of the given depth is one of
-    `upstream`."""
-    return set(space.language(depth)) <= set(upstream.language(depth))
+    """(ok, note): whether every label word of `space` of the given depth
+    is one of `upstream`, and why not."""
+    try:
+        if set(space.language(depth)) <= set(upstream.language(depth)):
+            return True, "language containment"
+    except StructureDepthError:
+        return False, f"depth {depth} beyond the depths the structured stage decides"
+    return False, f"word of stage language missing upstream at depth {depth}"
 
 
 def _languages_agree(space, upstream, depth):
@@ -1278,15 +1287,7 @@ class TowerResult:
 
 
 def base_stage(target):
-    return Stage(
-        index=0,
-        shift=target.base,
-        measure=target.base_measure,
-        code=None,
-        sync_depth=1,
-        sync_depths=(1,),
-        params=None,
-    )
+    return Stage(index=0, shift=target.base, measure=target.base_measure)
 
 
 def iterate(target, stages, schedule):

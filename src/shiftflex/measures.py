@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientWordLengthError, WordTooShortError
 from .spectral import markov_entropy
-from .words import DEFAULT_WORD_BUDGET, WordSet, language
+from .words import DEFAULT_WORD_BUDGET, language
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,10 @@ def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
 
 @dataclass(frozen=True)
 class KatokResult:
-    """Separated word set with its entropy-count deviation."""
+    """Separated word set, a lexicographic (words × n) state array, with
+    its entropy-count deviation."""
 
-    words: WordSet
+    words: np.ndarray
     deviation: float
     qualifying: int  # how many words passed the radius filter before sizing
 
@@ -216,9 +217,10 @@ def katok_separated_set(
 ):
     """Words of length n whose empirical statistics are radius-close to m.
 
-    Returns the subset together with the deviation |log(count)/n - h(m)|.
-    When the full qualifying set overshoots the deviation target it is
-    trimmed deterministically (closest empirical distance first, then
+    Returns the rows of `language(shift, n)` it keeps, in lexicographic
+    order, with the deviation |log(count)/n - h(m)|.  When the full
+    qualifying set overshoots the deviation target it is trimmed
+    deterministically (closest empirical distance first, then
     lexicographic) to the count floor(exp(n h)); when even the full set
     undershoots, InsufficientWordLengthError signals that n must grow.
     All words are scored together, from one array of their label words.
@@ -226,7 +228,7 @@ def katok_separated_set(
     if n < 1:
         raise ValueError("n must be >= 1")
     h = markov_entropy(m)
-    states = language(shift, n, budget=budget).states  # (words × n), lexicographic
+    states = language(shift, n, budget=budget)
     labels = np.asarray(shift.labels, dtype=np.int64)[states]
     dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
     (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language
@@ -237,7 +239,7 @@ def katok_separated_set(
         )
     deviation = abs(math.log(count) / n - h)
     if deviation < kappa:
-        return KatokResult(WordSet(states=states[chosen]), deviation, count)
+        return KatokResult(states[chosen], deviation, count)
     if math.log(count) / n < h:  # too few words; only a larger n can help
         raise InsufficientWordLengthError(
             f"deviation {deviation:.6f} >= kappa {kappa} with all {count} "
@@ -253,25 +255,21 @@ def katok_separated_set(
             f"trimmed deviation {deviation:.6f} still >= kappa {kappa}",
             deviation=deviation,
         )
-    return KatokResult(WordSet(states=states[chosen]), deviation, count)
+    return KatokResult(states[chosen], deviation, count)
 
 
-def pigeonhole_refine(gamma, shift):
-    """Largest subset of equal-length words sharing first and last symbol.
+def pigeonhole_refine(rows, shift):
+    """(cell, first, last): the largest set of rows of a (words × n) state
+    array of `shift` sharing first and last state, in their order in `rows`.
 
-    Ties between maximal cells break toward the lexicographically smallest
-    (first, last) pair.  The returned subset has size at least
-    |gamma| / (number of states)^2.
+    One `np.unique` counts the keys first * N + last (N states), so ties
+    break toward the smallest (first, last) pair; the cell has at least
+    |rows| / N^2 rows.
     """
-    words = list(gamma)
-    if not words:
-        raise ValueError("gamma must be nonempty")
-    lengths = {len(w) for w in words}
-    if len(lengths) != 1:
-        raise ValueError("gamma must contain words of one length")
-    cells = {}
-    for w in words:
-        cells.setdefault((w[0], w[-1]), []).append(w)
-    best = min(cells.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    (start, end), cell = best
-    return WordSet(tuple(sorted(cell))), start, end
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or not rows.size:
+        raise ValueError("gamma must be a nonempty (words × length) array")
+    keys = rows[:, 0] * shift.num_states + rows[:, -1]
+    cells, counts = np.unique(keys, return_counts=True)
+    start, end = divmod(int(cells[counts.argmax()]), shift.num_states)
+    return rows[keys == start * shift.num_states + end], start, end

@@ -4,8 +4,9 @@ A vertex shift is presented by a 0/1 transition matrix over internal states
 0..n-1.  Every shift additionally carries a labeling of its states into a
 fixed base alphabet; for plain shifts the labeling is the identity, while
 recodings (higher-block presentations, renewal presentations) label each
-state by the base symbol it reads.  Words are tuples of internal states;
-label words are their projections to the base alphabet.
+state by the base symbol it reads.  A word is a tuple of internal states
+and a set of words one (words × length) state array; label words are
+their projections to the base alphabet.
 """
 
 from __future__ import annotations
@@ -15,48 +16,7 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ReducibleShiftError, UnreachableStateError
 
-Word = tuple  # tuple of int symbols
-
 DEFAULT_WORD_BUDGET = 2**24
-
-
-class WordSet:
-    """Immutable ordered collection of distinct words of equal standing.
-
-    Order is whatever the producing operation documents (lexicographic for
-    language enumeration).  `language` hands over its (words × length)
-    state array as `states`; the tuples are made from it on first access.
-    """
-
-    def __init__(self, words=(), states=None):
-        self.states = states
-        self._words = None if states is not None else tuple(words)
-
-    @property
-    def words(self):
-        if self._words is None:
-            self._words = _as_tuples(self.states)
-        return self._words
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self):
-        return len(self.states) if self._words is None else len(self._words)
-
-    def __getitem__(self, i):
-        return self.words[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, WordSet):
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self):
-        return hash(self.words)
-
-    def __repr__(self):
-        return f"WordSet({len(self)} words)"
 
 
 def _as_tuples(states):
@@ -83,7 +43,7 @@ class VertexShift:
     state_words : optional per-state annotation used by higher-block
         recodings (the word of original states each block state stands
         for), given as a (states × length) integer array or as equal-length
-        tuples; kept as the array and turned into tuples on first access.
+        tuples; kept as the array (None when unset).
     """
 
     def __init__(self, matrix, labels=None, ambient_size=None, state_words=None):
@@ -109,8 +69,7 @@ class VertexShift:
         if top >= ambient_size:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
-        self._state_words = None if state_words is None else np.asarray(state_words)
-        self._state_word_tuples = None
+        self.state_words = None if state_words is None else np.asarray(state_words)
         self._predecessors = None  # see _predecessor_arrays
         # adjacency lists, see _adjacency_lists
         self._succ = self._pred = None
@@ -121,13 +80,6 @@ class VertexShift:
         # `_levels_from_zero` and `graph_period`
         self._perron_cache = self._irreducible_cache = None
         self._levels_cache = self._period_cache = None
-
-    @property
-    def state_words(self):
-        """Per state, its word of original states as a tuple (None if unset)."""
-        if self._state_word_tuples is None and self._state_words is not None:
-            self._state_word_tuples = _as_tuples(self._state_words)
-        return self._state_word_tuples
 
     def _predecessor_arrays(self):
         """(indptr, indices) of the transposed matrix in CSR form: row j
@@ -146,7 +98,7 @@ class VertexShift:
         in ascending order (enumeration order).
 
         Built on first use, for the callers that still step through single
-        states: `has_edge` (so `is_admissible`), `connecting_word`,
+        states: `has_edge`, `connecting_word`,
         `spectral.periodic_orbit_measure`, and the bit masks of
         `construction._neighbour_masks`.
         The searches of the generic layer walk the CSR arrays instead, so a
@@ -402,13 +354,12 @@ def word_count(shift, n):
 
 
 def language(shift, n, budget=DEFAULT_WORD_BUDGET):
-    """All admissible internal words of length n, lexicographically ordered.
-
-    The WordSet carries the extension kernel's state array as `states`.
+    """All admissible internal words of length n, lexicographically ordered,
+    as the (words × n) state array of the extension kernel `_grow`: one row
+    per word.  CapacityError past `budget` words (`word_count` refuses
+    n < 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return WordSet(states=_grow_within(shift, n, budget)[0])
+    return _grow_within(shift, n, budget)[0]
 
 
 def _grow_within(shift, n, budget):
@@ -419,11 +370,21 @@ def _grow_within(shift, n, budget):
     return _grow(shift.matrix, n)
 
 
-def is_admissible(shift, word):
-    """True iff every adjacent pair of the internal word is an allowed edge."""
-    if any(s < 0 or s >= shift.num_states for s in word):
+def is_admissible(shift, words):
+    """True iff every adjacent pair of the internal word is an allowed edge;
+    for a 2-D array of words, that verdict per row.  All pairs (u, v) are
+    looked up at once among the edges u * n + v of the CSR arrays, sorted
+    and closed by the sentinel n * n.  ValueError for a state outside 0..n-1.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    n, m = shift.num_states, shift.matrix
+    if ((words < 0) | (words >= n)).any():
         raise ValueError("symbol outside the shift's state set")
-    return all(shift.has_edge(word[i], word[i + 1]) for i in range(len(word) - 1))
+    edges = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
+    edges = np.append(edges, n * n)
+    pairs = words[..., :-1] * n + words[..., 1:]
+    ok = (edges[np.searchsorted(edges, pairs)] == pairs).all(axis=-1)
+    return bool(ok) if words.ndim == 1 else ok
 
 
 def bfs_distances(shift, sources, reverse=False):
@@ -567,7 +528,7 @@ def induced_subshift(shift, states):
     """
     states = tuple(sorted(set(states)))
     sub = shift.matrix[np.ix_(states, states)]
-    words = shift._state_words
+    words = shift.state_words
     return VertexShift(
         sub,
         labels=[shift.labels[s] for s in states],
@@ -586,11 +547,8 @@ def label_word(shift, word):
 
 
 def _label_masks(shift):
-    masks = []
     lab = np.asarray(shift.labels)
-    for a in range(shift.ambient_size):
-        masks.append(lab == a)
-    return masks
+    return [lab == a for a in range(shift.ambient_size)]
 
 
 def is_label_admissible(shift, word):
@@ -616,7 +574,8 @@ def is_label_admissible(shift, word):
 
 
 def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
-    """Distinct label words of internal n-paths, lexicographically ordered.
+    """Distinct label words of internal n-paths, lexicographically ordered,
+    as a tuple of tuples.
 
     Enumerated by forward propagation of consistent state sets, so the cost
     is bounded by the number of distinct label words, not internal paths.
@@ -642,7 +601,7 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
     for a in range(shift.ambient_size):
         if masks[a].any():
             rec((a,), masks[a].copy())
-    return WordSet(tuple(out))
+    return tuple(out)
 
 
 def languages_disjoint(a, b, depth, budget=DEFAULT_WORD_BUDGET):

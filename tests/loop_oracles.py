@@ -1,14 +1,15 @@
 """Per-edge loop implementations of the generic SFT layer, kept as oracles.
 
 Each function is the plain-Python version that the array kernels of
-`shiftflex.words` and `shiftflex.codes`, or the set operations of
-`shiftflex.construction`, replaced; the differential tests in
-`test_generic_kernels.py`, `test_renewal_fast_paths.py` and
-`test_window_tables.py` require them to give the same answers.  The graph
-searches walk the tuple adjacency of `VertexShift.successors` and
-`predecessors`, one state and one edge at a time; the code-word windows
-of renewal and permutation-class stages are one (offset, window) tuple
-per attributed window.
+`shiftflex.words`, `shiftflex.measures` and `shiftflex.codes`, or the set
+operations of `shiftflex.construction`, replaced; the differential tests in
+`test_generic_kernels.py`, `test_renewal_fast_paths.py`,
+`test_window_tables.py` and `test_word_arrays.py` require them to give the
+same answers.  The graph searches walk the tuple adjacency of
+`VertexShift.successors` and `predecessors`, one state and one edge at a
+time; the code-word windows of renewal and permutation-class stages are
+one (offset, window) tuple per attributed window; the stage-1 assembly
+checks and labels one word tuple at a time.
 """
 
 import math
@@ -18,13 +19,19 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 
-from shiftflex.errors import CapacityError, NoLowOverlapWordError, StructureDepthError
+from shiftflex.codes import Code
+from shiftflex.errors import (
+    CapacityError,
+    NoLowOverlapWordError,
+    StageVerificationError,
+    StructureDepthError,
+)
 from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
-    WordSet,
     is_label_admissible,
     label_language,
+    label_word,
 )
 
 
@@ -54,7 +61,7 @@ def language(shift, n, budget=DEFAULT_WORD_BUDGET):
 
     for s in range(shift.num_states):
         rec(s, 1)
-    return WordSet(tuple(out))
+    return tuple(out)
 
 
 def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
@@ -66,7 +73,7 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
             ambient_size=shift.ambient_size,
             state_words=tuple((s,) for s in range(shift.num_states)),
         )
-    blocks = language(shift, m, budget=budget).words
+    blocks = language(shift, m, budget=budget)
     index = {w: i for i, w in enumerate(blocks)}
     rows, cols = [], []
     for i, u in enumerate(blocks):
@@ -266,6 +273,52 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     raise NoLowOverlapWordError(
         f"no admissible word of length {l} has self-overlap below {bound:g}"
     )
+
+
+def is_admissible(shift, word):
+    """True iff every adjacent pair of the word is an edge, one pair at a
+    time."""
+    if any(s < 0 or s >= shift.num_states for s in word):
+        raise ValueError("symbol outside the shift's state set")
+    return all(shift.has_edge(word[i], word[i + 1]) for i in range(len(word) - 1))
+
+
+def pigeonhole_refine(gamma, shift):
+    """Cells of word tuples in a dict keyed by (first, last); the largest
+    cell, ties to the smallest key, sorted."""
+    words = list(gamma)
+    if not words:
+        raise ValueError("gamma must be nonempty")
+    cells = {}
+    for w in words:
+        cells.setdefault((w[0], w[-1]), []).append(w)
+    (start, end), cell = min(cells.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    return tuple(sorted(cell)), start, end
+
+
+def prev_word(sub, word, with_tail):
+    """States of the ambient a word of a recoded subsystem runs through."""
+    sw = [tuple(w) for w in sub.state_words.tolist()]
+    out = [sw[s][0] for s in word]
+    if with_tail:
+        out.extend(sw[word[-1]][1:])
+    return tuple(out)
+
+
+def enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
+    """The stage-1 code assembled, checked and labelled word by word."""
+    label_words = {}
+    for g in gamma:
+        internal = glue_out + prev_word(Y, g, with_tail=True) + glue_in + w_prev
+        if not is_admissible(prev.shift, internal):
+            raise StageVerificationError(
+                f"assembled word is not admissible in stage {prev.index}"
+            )
+        label_words.setdefault(label_word(prev.shift, internal), internal)
+    first_internal = next(iter(label_words.values()))
+    if not is_admissible(prev.shift, (w_prev[-1],) + first_internal[:1]):
+        raise StageVerificationError("cyclic splice is not admissible")
+    return Code(tuple(label_words))
 
 
 def nests(space, upstream, depth):

@@ -165,7 +165,7 @@ def test_find_low_overlap_examples():
     w = find_low_overlap_word(g, 8)
     # oracle: first admissible golden word with border < 2
     expected = next(
-        u for u in language(g, 8) if brute_border(u) < 2
+        tuple(u) for u in language(g, 8).tolist() if brute_border(u) < 2
     )
     assert w == expected == (0, 0, 0, 0, 0, 0, 0, 1)
     with pytest.raises(NoLowOverlapWordError):

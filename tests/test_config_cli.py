@@ -269,3 +269,36 @@ def test_cmd_construct_word_length_exit_code(tmp_path):
     assert run.returncode == 6
     assert run.stderr.startswith("word-length: word_length 2 cannot reach the entropy window")
     assert run.stderr.endswith("; least_word_length: 3\n")
+
+
+TWO_STAGES = SMALL.replace("stages = 1", "stages = 2") + "\n[stage 2]\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, error",
+    [
+        (SMALL, ["--metric-depth", "0"],
+         "field 'metric_depth': metric depth must be >= 1, got 0"),
+        (SMALL.replace("metric_depth = 2", "metric_depth = 0"), [],
+         "field 'metric_depth': metric depth must be >= 1, got 0"),
+        (SMALL.replace("word_length = 10", "word_length = 0"), [],
+         "stage 1 word_length: word lengths must be >= 1, got 0"),
+        (SMALL.replace("delta = 0.11", "delta = 1.5"), [],
+         "stage 1 delta: delta must lie in (0, 1), got 1.5"),
+        (TWO_STAGES.format(key="delta", value=0.3), [],
+         "stage 2 delta: (1+0.3)^2 must stay below 1+0.11"),
+        (TWO_STAGES.format(key="kappa", value=0.4), [],
+         "stage 2 kappa: must at least halve, 0.4 vs 0.5"),
+        (SMALL, ["--stages", "-1"], "field 'stages': stages must be >= 0, got -1"),
+    ],
+    ids=["metric-depth-flag", "metric-depth-key", "word-length", "delta",
+         "delta-decay", "kappa-decay", "negative-stages"],
+)
+def test_cmd_construct_refused_values_are_config_errors(text, args, error, tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["construct", "--config", str(cfg), "--out", str(out), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == "" and not out.exists()

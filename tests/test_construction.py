@@ -44,6 +44,7 @@ from shiftflex.config import parse_config
 from shiftflex.construction import (
     Stage,
     _log_path_counter,
+    _sync_depth,
     _neighbour_masks,
     _strongly_connected_mask,
     base_stage,
@@ -142,12 +143,12 @@ def test_select_contract_full2():
     assert topological_entropy(pair.Z) > 0
     assert languages_disjoint(pair.Y, pair.Z, pair.K1)
     # deterministic: the recorded pair
-    assert pair.Y.state_words == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert pair.Z.state_words == ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+    assert pair.Y.state_words.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert pair.Z.state_words.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
     assert pair.K1 == 3
     again = select_disjoint_subsystems(f2, b, c1, 0.2, cfg)
-    assert again.Y.state_words == pair.Y.state_words
-    assert again.Z.state_words == pair.Z.state_words
+    assert (again.Y.state_words == pair.Y.state_words).all()
+    assert (again.Z.state_words == pair.Z.state_words).all()
 
 
 def test_select_failure_when_entropy_too_high():
@@ -228,9 +229,38 @@ def test_verify_stage_detects_non_nested():
     nxt = renewal_code_stage(((0, 1), (1, 1)))
     p = StageParams(delta=0.3, kappa=0.5, word_length=4)
     report = verify_stage(prev, nxt, t, p)
-    nesting = {d: ok for d, ok in report.nesting}
+    nesting = {d: ok for d, ok, _ in report.nesting}
     assert nesting[1]
     assert not nesting[2]  # the word 11 is not admissible upstream
+
+
+def test_verify_stage_says_why_sync_depth_and_nesting_fail():
+    g = golden_mean_shift()
+    t = Target(c=0.1, rho=UNIT2, base=g, base_measure=parry_measure(g))
+    prev = Stage(
+        index=0, shift=g, measure=parry_measure(g), sync_depth=1, sync_depths=(1,)
+    )
+    p = StageParams(delta=0.3, kappa=0.5, word_length=4)
+    # 0^∞ concatenates the code word 00, so windows of every length avoid 1
+    avoid = renewal_code_stage(((0, 0), (0, 1)))
+    why = "windows of every length avoid the depth-1 word 1"
+    assert _sync_depth(avoid.shift, 1) == (None, why)
+    avoid.sync_depth = None
+    avoid.sync_depths = (1, None)
+    items = {i.name: i for i in verify_stage(prev, avoid, t, p).items()}
+    assert not items["saturation_1_in_0"].ok
+    assert items["saturation_1_in_0"].detail == why
+    # 0110 and 1001 reach 11 and 00, but every window of length 3 has both
+    assert _sync_depth(renewal_code_stage(((0, 1), (1, 0))).shift, 1) == (3, None)
+    # {01, 11} spells 11, which the golden mean forbids
+    nested = renewal_code_stage(((0, 1), (1, 1)))
+    items = {i.name: i for i in verify_stage(prev, nested, t, p).items()}
+    assert (items["nesting_depth_1"].ok, items["nesting_depth_1"].detail) == (
+        True, "language containment"
+    )
+    assert (items["nesting_depth_2"].ok, items["nesting_depth_2"].detail) == (
+        False, "word of stage language missing upstream at depth 2"
+    )
 
 
 def test_iterate_zero_stages():
@@ -307,8 +337,8 @@ def test_select_acceptance_pair_golden():
     pair = select_disjoint_subsystems(
         f3, mu, c1, p.kappa, p.metric, entropy_target=0.81, roof=rho3, roof_target=1.5
     )
-    assert pair.Y.state_words == ((0, 0), (0, 2), (1, 2), (2, 0), (2, 1), (2, 2))
-    assert pair.Z.state_words == ((0, 1), (1, 0), (1, 1))
+    assert pair.Y.state_words.tolist() == [[0, 0], [0, 2], [1, 2], [2, 0], [2, 1], [2, 2]]
+    assert pair.Z.state_words.tolist() == [[0, 1], [1, 0], [1, 1]]
     assert pair.K1 == 2
     assert abs(topological_entropy(pair.Y) - 0.8095869160446497) < 1e-9
     # the planned default kappa is far too tight for any candidate here

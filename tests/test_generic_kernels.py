@@ -70,7 +70,7 @@ def same_shift(got, want):
     assert got.matrix.indices.tolist() == want.matrix.indices.tolist()
     assert got.labels == want.labels
     assert got.ambient_size == want.ambient_size
-    assert got.state_words == want.state_words
+    assert got.state_words.tolist() == want.state_words.tolist()
 
 
 def outcome(fn, *args, **kwargs):
@@ -94,11 +94,11 @@ def test_higher_block_and_language_match_loops(shift, m, budget):
         same_shift(got, want)
     words = outcome(language, shift, m, **kwargs)
     reference = outcome(oracle.language, shift, m, **kwargs)
-    if isinstance(reference, tuple):
+    if isinstance(words, tuple):
         assert words == reference
     else:
-        assert words.words == reference.words and len(words) == len(reference)
-        assert words.states.shape == (len(reference), m)
+        assert words.tolist() == [list(w) for w in reference]
+        assert words.shape == (len(reference), m)
     assert word_count(shift, m) == oracle.word_count(shift, m)
 
 
@@ -200,8 +200,8 @@ def test_forbidden_words_at_a_block_past_int64():
     assert shift.num_states == 3
     assert shift.dense().tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     assert shift.labels == (0, 1, 2)
-    assert [w[:4] for w in shift.state_words] == [(0, 1, 2, 0), (1, 2, 0, 1), (2, 0, 1, 2)]
-    assert all(len(w) == 50 for w in shift.state_words)
+    assert shift.state_words[:, :4].tolist() == [[0, 1, 2, 0], [1, 2, 0, 1], [2, 0, 1, 2]]
+    assert shift.state_words.shape == (3, 50)
 
 
 def test_forbidden_words_longer_than_int64_codes():

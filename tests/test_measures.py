@@ -29,7 +29,6 @@ from shiftflex import (
     weak_star_distance,
 )
 from shiftflex.measures import empirical_distances, window_counts
-from shiftflex.words import WordSet
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -165,7 +164,7 @@ def test_katok_full_shift(uniform2, full2):
 def test_katok_single_state():
     one = VertexShift([[1]])
     res = katok_separated_set(one, parry_measure(one), 5, 0.5, 0.5, MetricConfig(1))
-    assert list(res.words) == [(0,) * 5]
+    assert res.words.tolist() == [[0] * 5]
     assert res.deviation == 0.0
 
 
@@ -174,7 +173,7 @@ def golden_katok_oracle(n, radius, depth):
     g = golden_mean_shift()
     m = parry_measure(g)
     count = 0
-    for w in language(g, n):
+    for w in map(tuple, language(g, n).tolist()):
         d = 0.0
         for mm in range(1, depth + 1):
             table = {}
@@ -254,7 +253,7 @@ def katok_per_word(shift, m, n, kappa, radius, cfg):
     h = markov_entropy(m)
     depth = min(cfg.max_depth, n)
     scored = []
-    for w in language(shift, n):
+    for w in map(tuple, language(shift, n).tolist()):
         d = _per_word_distance(shift, m, w, depth)
         if d < radius:
             scored.append((d, w))
@@ -316,15 +315,15 @@ def test_katok_array_pass_matches_per_word_scores():
         words, deviation, count = want
         assert (got.qualifying, got.deviation) == (count, deviation)
         if len(words) == count:
-            assert got.words == WordSet(tuple(words))
+            assert got.words.tolist() == [list(w) for w in words]
             seen.add("all")
         else:
             depth = min(cfg.max_depth, n)
-            ours = sorted(_per_word_distance(shift, m, w, depth) for w in got.words)
+            ours = sorted(_per_word_distance(shift, m, tuple(w), depth) for w in got.words.tolist())
             theirs = sorted(_per_word_distance(shift, m, w, depth) for w in words)
             assert len(ours) == len(theirs)
             assert np.allclose(ours, theirs, rtol=0, atol=1e-12)
-            assert list(got.words) == sorted(got.words)
+            assert got.words.tolist() == sorted(got.words.tolist())
             seen.add("trimmed")
     assert {"all", "trimmed", "few", "none"} <= seen
 
@@ -335,7 +334,7 @@ def test_empirical_distances_match_weak_star_distance():
         shift = _seeded_labelled_shift(rng)
         m = random_markov_measure(shift, rng)
         n = int(rng.integers(3, 9))
-        words = language(shift, n).words
+        words = [tuple(w) for w in language(shift, n).tolist()]
         labels = np.array([label_word(shift, w) for w in words])
         for depth in range(1, 4):
             got = empirical_distances(labels, m, depth, shift.ambient_size)
@@ -357,18 +356,18 @@ def test_empirical_distances_count_deep_tables_in_blocks():
 
 
 def test_pigeonhole_examples(full2):
-    ws, i, j = pigeonhole_refine(WordSet(((0, 0), (0, 1), (1, 0))), full2)
-    assert (list(ws), i, j) == ([(0, 0)], 0, 0)
-    ws, i, j = pigeonhole_refine(WordSet(((0, 1, 0), (0, 1, 1), (0, 0, 0))), full2)
-    assert (list(ws), i, j) == ([(0, 0, 0), (0, 1, 0)], 0, 0)
-    ws, i, j = pigeonhole_refine(WordSet(((1, 0, 1),)), full2)
-    assert (list(ws), i, j) == ([(1, 0, 1)], 1, 1)
+    ws, i, j = pigeonhole_refine(np.array(((0, 0), (0, 1), (1, 0))), full2)
+    assert (ws.tolist(), i, j) == ([[0, 0]], 0, 0)
+    ws, i, j = pigeonhole_refine(np.array(((0, 1, 0), (0, 1, 1), (0, 0, 0))), full2)
+    assert (ws.tolist(), i, j) == ([[0, 1, 0], [0, 0, 0]], 0, 0)  # the rows' own order
+    ws, i, j = pigeonhole_refine(np.array(((1, 0, 1),)), full2)
+    assert (ws.tolist(), i, j) == ([[1, 0, 1]], 1, 1)
 
 
 @given(st.sets(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=40))
 def test_pigeonhole_size_bound(words):
     shift = full_shift(3)
-    gamma = WordSet(tuple(sorted(words)))
+    gamma = np.array(sorted(words))
     refined, i, j = pigeonhole_refine(gamma, shift)
     assert len(refined) * 9 >= len(gamma)
-    assert all(w[0] == i and w[-1] == j for w in refined)
+    assert all(w[0] == i and w[-1] == j for w in refined.tolist())

@@ -49,7 +49,7 @@ AMBIENT_UNSYNCED = (
 def renewal_stage(words):
     code = Code(words)
     shift = renewal_to_sft(code, ambient_size=3)
-    sync = _sync_depth(shift, 1)
+    sync = _sync_depth(shift, 1)[0]
     return Stage(
         index=1, shift=shift, measure=parry_measure(shift), code=code,
         sync_depth=sync, sync_depths=(1, sync),
@@ -92,8 +92,8 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
     shift = renewal_to_sft(code, ambient_size=3)
     explicit = Stage(
         index=2, shift=shift, measure=parry_measure(shift), code=code,
-        sync_depth=_sync_depth(shift, prev.sync_depth), params=p,
-        sync_depths=prev.sync_depths + (_sync_depth(shift, prev.sync_depth),),
+        sync_depth=_sync_depth(shift, prev.sync_depth)[0], params=p,
+        sync_depths=prev.sync_depths + (_sync_depth(shift, prev.sync_depth)[0],),
     )
     assert explicit.sync_depth == stage.sync_depth
     overlap = {key: v for key, v in report.overlap.items() if key != "ok"}

@@ -139,9 +139,9 @@ def test_cylinder_prob_examples(full2, uniform2, golden_parry):
 
 def test_cylinder_consistency_and_stationarity(golden, golden_parry):
     for n in range(1, 8):
-        total = sum(cylinder_prob(golden_parry, w) for w in language(golden, n))
+        total = sum(cylinder_prob(golden_parry, tuple(w)) for w in language(golden, n).tolist())
         assert abs(total - 1.0) < 1e-9
-    for w in language(golden, 3):
+    for w in map(tuple, language(golden, 3).tolist()):
         ext = sum(cylinder_prob(golden_parry, (a,) + w) for a in range(2))
         assert abs(ext - cylinder_prob(golden_parry, w)) < 1e-9
 
@@ -192,7 +192,7 @@ def test_markov_measure_validation(full2):
 
 
 def test_label_cylinder_matches_internal(golden_parry, golden):
-    for w in language(golden, 3):
+    for w in map(tuple, language(golden, 3).tolist()):
         assert golden_parry.label_cylinder(w) == pytest.approx(
             cylinder_prob(golden_parry, w)
         )
