@@ -11,8 +11,10 @@ Runs `python3 -m shiftflex construct` and the analysis commands
 never written), once with each checkout's `src/`.  Both sides of a case
 run on the same config text, in working directories laid out alike, so
 that printed paths agree.  The output directories of `construct` (file
-names and bytes), stdout, stderr and the exit code must match.  Prints
-the first difference and exits 1, or exits 0 when every case matches.
+names and bytes), stdout, stderr and the exit code must match.  Runs
+every case, prints each differing one with all its differences (for
+each differing output file, how many lines differ and the first of
+them), and exits 1 when any case differs, 0 when every case matches.
 """
 
 import argparse
@@ -58,21 +60,32 @@ def run(checkout, config_text, command, workdir):
             "files": files}
 
 
-def first_difference(mine, theirs):
-    for what in ("exit code", "stdout", "stderr"):
-        if mine[what] != theirs[what]:
-            return f"{what}: {mine[what]!r} here, {theirs[what]!r} there"
+def differences(mine, theirs):
+    """Every difference between two outcomes, one line each: the exit code,
+    stdout, stderr, the output file names, and the first differing line of
+    each output file both sides wrote, with the number of differing lines."""
+    out = [
+        f"{what}: {mine[what]!r} here, {theirs[what]!r} there"
+        for what in ("exit code", "stdout", "stderr")
+        if mine[what] != theirs[what]
+    ]
     if sorted(mine["files"]) != sorted(theirs["files"]):
-        return f"output files: {sorted(mine['files'])} here, {sorted(theirs['files'])} there"
+        out.append(f"output files: {sorted(mine['files'])} here, {sorted(theirs['files'])} there")
     for name, data in mine["files"].items():
-        if data != theirs["files"][name]:
-            here = data.decode(errors="replace").splitlines() + [""]
-            there = theirs["files"][name].decode(errors="replace").splitlines() + [""]
-            line = next((i for i, (a, b) in enumerate(zip(here, there)) if a != b), None)
-            if line is None:
-                return f"{name}: the same lines, different line endings"
-            return f"{name}, line {line + 1}: {here[line]!r} here, {there[line]!r} there"
-    return None
+        if name not in theirs["files"] or data == theirs["files"][name]:
+            continue
+        here = data.decode(errors="replace").splitlines()
+        there = theirs["files"][name].decode(errors="replace").splitlines()
+        size = max(len(here), len(there))
+        here, there = here + [""] * (size - len(here)), there + [""] * (size - len(there))
+        lines = [i for i in range(size) if here[i] != there[i]]
+        if not lines:
+            out.append(f"{name}: the same lines, different line endings")
+            continue
+        line = lines[0]
+        out.append(f"{name}, {len(lines)} lines differ, the first is line {line + 1}: "
+                   f"{here[line]!r} here, {there[line]!r} there")
+    return out
 
 
 def main(argv=None):
@@ -81,20 +94,24 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if not (Path(args.against) / "src" / "shiftflex").is_dir():
         ap.error(f"{args.against} holds no src/shiftflex")
-    count = 0
+    count = differing = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name, text in cases():
             for command in COMMANDS:
                 case = f"{name}-{command[0]}"
                 mine = run(ROOT, text, command, Path(tmp) / "here" / case)
                 theirs = run(args.against, text, command, Path(tmp) / "there" / case)
-                diff = first_difference(mine, theirs)
-                if diff:
-                    print(f"{case}: {diff}")
-                    return 1
                 count += 1
+                diffs = differences(mine, theirs)
+                if diffs:
+                    differing += 1
+                    print(f"{case}: differs", *(f"  {d}" for d in diffs), sep="\n", flush=True)
+                    continue
                 print(f"{case}: same (exit code {mine['exit code']}, "
                       f"{len(mine['files'])} output files)", flush=True)
+    if differing:
+        print(f"{differing} of {count} cases differ")
+        return 1
     print(f"all {count} cases match")
     return 0
 

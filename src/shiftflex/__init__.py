@@ -39,7 +39,6 @@ from .errors import (
     InsufficientWordLengthError,
     NoLowOverlapWordError,
     NonUniformLengthError,
-    NotUniquelyDecipherableError,
     ReducibleShiftError,
     ShiftflexError,
     StageVerificationError,

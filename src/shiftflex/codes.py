@@ -1,9 +1,9 @@
 """Finite codes, unique decipherability, renewal presentations, borders.
 
 A renewal system is the shift space of free bi-infinite concatenations of a
-finite word set.  Uniform-length uniquely decipherable codes are converted
-to a positional vertex-shift presentation whose states are (word, offset)
-pairs labeled by the symbols they read.
+finite word set.  Uniform-length codes, uniquely decipherable as their
+words are distinct, become a positional vertex-shift presentation whose
+states are (word, offset) pairs labeled by the symbols they read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     CapacityError,
     NoLowOverlapWordError,
     NonUniformLengthError,
-    NotUniquelyDecipherableError,
     StructureDepthError,
 )
 from .words import (
@@ -142,26 +141,19 @@ def is_uniquely_decipherable(code):
 
 
 def renewal_to_sft(code, ambient_size=None):
-    """Positional vertex shift of a uniform-length uniquely decipherable code.
+    """Positional vertex shift of a uniform-length code.
 
     States are (word index a, offset p) in code-sorted order, with edges
     (a, p) -> (a, p+1) inside each word and (a, k-1) -> (b, 0) for every b.
     Each state is labeled by the symbol it reads, so label sequences are
-    exactly the bi-infinite free concatenations.  The transition matrix has
-    spectral radius |code|^(1/k).
+    exactly the bi-infinite free concatenations.  Distinct words of one
+    length are uniquely decipherable, so the length check is the whole
+    gate.  The spectral radius is |code|^(1/k) (`RenewalStructure.entropy`).
     """
     k = code.uniform_length
     if k is None:
         raise NonUniformLengthError(
             "renewal presentation requires a uniform-length code"
-        )
-    witness = ud_witness(code)
-    if witness is not None:
-        string, fa, fb = witness
-        raise NotUniquelyDecipherableError(
-            f"code is not uniquely decipherable: "
-            f"{_fmt_word(string)} = {_fmt_fact(fa)} = {_fmt_fact(fb)}",
-            witness=witness,
         )
     t = len(code)
     n = t * k
@@ -304,15 +296,13 @@ class RenewalStructure:
         """log t / k, in nats: the entropy of the renewal system."""
         return math.log(len(self.code)) / self.k
 
-    def cylinder_table(self, depth, budget=None):
+    def cylinder_table(self, depth):
         """Cylinder table of the measure of maximal entropy, for depths
         single code words decide.
 
         That measure gives every state (a, p) the mass 1/(t k) and every
         junction a -> b the probability 1/t, so its table is the uniform
-        mixture of the code words' windows.  `budget` bounds the
-        enumeration of a presentation's measure; nothing is enumerated
-        here, so it is not read.
+        mixture of the code words' windows.
         """
         return self._mixture(depth)
 
@@ -376,14 +366,6 @@ class RenewalStructure:
         if a == b and q > p:
             return tuple(range(frm, to + 1))
         return tuple(range(frm, a * k + k)) + tuple(range(b * k, to + 1))
-
-
-def _fmt_word(w):
-    return "".join(str(s) for s in w)
-
-
-def _fmt_fact(f):
-    return "·".join(_fmt_word(w) for w in f)
 
 
 def max_self_overlap(word):
@@ -512,7 +494,7 @@ class PermutationCode:
         first appearance from the glue on, and how often each occurs."""
         return Counter(self.glue + self.fixed + self.free)
 
-    def cylinder_table(self, depth, budget=None):
+    def cylinder_table(self, depth):
         """Cylinder table shared by every invariant measure of the renewal
         system, for depths the ambient's single code words decide."""
         rows = self._rows()

@@ -20,7 +20,6 @@ from .codes import (
     PermutationCode,
     RenewalStructure,
     find_low_overlap_word,
-    is_uniquely_decipherable,
     max_self_overlap,
     renewal_to_sft,
 )
@@ -28,7 +27,6 @@ from .errors import (
     CapacityError,
     InfeasibleTargetError,
     InsufficientWordLengthError,
-    NotUniquelyDecipherableError,
     ShiftflexError,
     StageVerificationError,
     StructureDepthError,
@@ -646,10 +644,13 @@ class Stage:
 
     @property
     def entropy(self):
-        """Topological entropy: log|Γ|/k for a structured stage, else from
-        the Perron value of the shift."""
+        """Topological entropy: log|Γ|/k from the code of a coded stage (its
+        presentation, built from |Γ| and k alone, has Perron value |Γ|^(1/k)
+        for any code); only the code-less base stage takes a Perron value."""
         if self.shift is None:
             return self.code.entropy
+        if self.shift.renewal is not None:
+            return self.shift.renewal.entropy
         return topological_entropy(self.shift)
 
 
@@ -683,7 +684,6 @@ class StageReport:
     bracket: tuple  # (lower, upper)
     eta_count: int
     artifacts: object = None  # BuildArtifacts, attached by build_stage
-    ud_note: str = "sardinas-patterson"
 
     def items(self):
         lo, v, hi = self.entropy_window
@@ -710,7 +710,7 @@ class StageReport:
                 dmax <= thr,
                 f"max eta distance {dmax:.6g} <= {thr:.6g}",
             ),
-            CheckItem("unique_decipherability", self.ud_ok, self.ud_note),
+            CheckItem("unique_decipherability", self.ud_ok, "uniform length"),
             CheckItem(
                 "overlap_structure",
                 self.overlap["ok"],
@@ -770,15 +770,16 @@ class BuildArtifacts:
     c1: float = 0.0
 
 
-def build_stage(prev, target, params, settings=None, code_hook=None):
+def build_stage(prev, target, params, settings=None):
     """Assemble stage prev.index + 1 and verify every inequality.
 
     On a renewal ambient Γ is the permutation class of Y's code words
     (`PermutationCode`) and the stage is structured: it has no explicit
     presentation (`shift` is None).  Elsewhere Γ is an enumerated Katok
-    separated set refined by pigeonholing; `code_hook` may replace that
-    assembled code.  Raises InsufficientWordLengthError before assembly
-    when word_length cannot reach the entropy window, and
+    separated set refined by pigeonholing.  Either way Γ has distinct
+    words of one length k, so it is uniquely decipherable with entropy
+    log|Γ|/k (`Stage.entropy`).  Raises InsufficientWordLengthError before
+    assembly when word_length cannot reach the entropy window, and
     StageVerificationError (with the report attached) when any verified
     window fails; sub-operation errors propagate.  `settings` is not read;
     only perfbench still passes it.
@@ -819,7 +820,7 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
         start_prev = int(pair.Y.state_words[start_state, 0])
         end_prev = int(pair.Y.state_words[end_state, -1])
     else:
-        order = _canonical_order(pair.Y, renewal, n)
+        order = _canonical_order(len(pair.Y.renewal.code), renewal.k, n)
         # every last state (a, k1 - 1) has the same successors, so the
         # glue out of the canonical last word serves each order
         start_prev = order[0] * renewal.k
@@ -844,12 +845,6 @@ def build_stage(prev, target, params, settings=None, code_hook=None):
     if renewal is None:
         code = _enumerated_code(prev, pair.Y, gamma, glue_in, glue_out, w_prev)
         art.gamma = code.words
-        if code_hook is not None:
-            code = code_hook(code)
-        if not is_uniquely_decipherable(code):
-            raise NotUniquelyDecipherableError(
-                "assembled code failed the unique-decipherability assertion"
-            )
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
         next_measure = next_shift.renewal
     else:
@@ -929,11 +924,10 @@ def _enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
 LEAST_N_SEARCH = 4096
 
 
-def _canonical_order(Y, renewal, n):
-    """γ as ambient code-word indices: q passes through Y's t code words."""
-    index = {w: a for a, w in enumerate(renewal.code.words)}
-    y_words = [index[w] for w in Y.renewal.code.words]
-    return tuple(y_words * max(1, n // (len(y_words) * renewal.k)))
+def _canonical_order(t, k1, n):
+    """γ as ambient code-word indices: q passes through Y's t code words,
+    which are the ambient's first t (`sub_code`), of length k1."""
+    return tuple(range(t)) * max(1, n // (t * k1))
 
 
 def _log_path_counter(Y):
@@ -1116,9 +1110,12 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     measure.  A structured stage spells every code word from one multiset
     of ambient words, so all its orbits, and all its invariant measures,
     share one table: its maximal measure.  A roof or metric deeper than
-    `exact_depth` raises StructureDepthError, and a stage without a code
-    raises ValueError: neither has such a bound.  `settings` is not read;
-    only perfbench still passes it.
+    `exact_depth` raises StructureDepthError, and a stage without a code,
+    or with code words of several lengths, raises ValueError: neither has
+    such a bound.  Distinct words of one length k are uniquely decipherable
+    with entropy log|Γ|/k (`Stage.entropy`), where Sardinas-Patterson or a
+    power iteration of the presentation could not fail.  `settings` is not
+    read; only perfbench still passes it.
     """
     c, rho = target.c, target.rho
     d = params.delta
@@ -1126,6 +1123,9 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     space, code = stage.space, stage.code
     if code is None:
         raise ValueError(f"stage {stage.index} has no code to bound its invariant measures")
+    k = code.uniform_length
+    if k is None:
+        raise ValueError(f"stage {stage.index} has code words of several lengths")
     depth = max(rho.depth, params.metric.max_depth)
     exact = (code.ambient if structured else stage.shift.renewal).exact_depth
     if depth > exact:
@@ -1137,7 +1137,6 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     lo_e, hi_e = (1 + d) ** 2 * c * ri_prev, (1 + 3 * d) * c * ri_prev
 
     h_top = stage.entropy
-    k = code.uniform_length
     gamma_size = code.size
     ident_target = math.log(gamma_size) / k
 
@@ -1184,8 +1183,8 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         roof_integral_next=ri_next,
         measure_distance=(max(dists), 2 * params.kappa),
         distance_to_prev=dist_prev,
-        # a uniform-length code of distinct words is uniquely decipherable
-        ud_ok=(structured or is_uniquely_decipherable(code)),
+        # distinct words of one length k: a concatenation cuts into k-blocks
+        ud_ok=True,
         overlap=dict(
             ok=(
                 overlap_data is not None
@@ -1201,15 +1200,14 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         normalized_entropy=norm,
         bracket=bracket,
         eta_count=len(roof_vals),
-        ud_note="uniform length" if structured else "sardinas-patterson",
     )
     return report
 
 
 def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
     """Append the roof integral and the distance to `measure` of each code
-    word's periodic orbit to `roof_vals` and `dists`, scoring the words of
-    each length together from the window counts of their cyclic extensions."""
+    word's periodic orbit to `roof_vals` and `dists`, scoring the words (of
+    one length) together from the window counts of their cyclic extensions."""
     roof = dense_table(
         {w: v for w, v in rho.values.items() if max(w) < alphabet_size},
         rho.depth,
@@ -1217,14 +1215,13 @@ def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
         fill=np.nan,
     )
     covered = ~np.isnan(roof)
-    for length in sorted({len(w) for w in words}):
-        rows = np.array([w for w in words if len(w) == length], dtype=np.int64)
-        freq = window_counts(cyclic_windows(rows, rho.depth), rho.depth, alphabet_size) / length
-        if (freq[:, ~covered] > 0).any():
-            raise ValueError("roof has no value on some admissible word")
-        roof_vals.extend((freq[:, covered] @ roof[covered]).tolist())
-        dist = empirical_distances(rows, measure, metric.max_depth, alphabet_size, cyclic=True)
-        dists.extend(dist.tolist())
+    rows = np.array(words, dtype=np.int64)
+    freq = window_counts(cyclic_windows(rows, rho.depth), rho.depth, alphabet_size) / rows.shape[1]
+    if (freq[:, ~covered] > 0).any():
+        raise ValueError("roof has no value on some admissible word")
+    roof_vals.extend((freq[:, covered] @ roof[covered]).tolist())
+    dist = empirical_distances(rows, measure, metric.max_depth, alphabet_size, cyclic=True)
+    dists.extend(dist.tolist())
 
 
 def _nests(space, upstream, depth):

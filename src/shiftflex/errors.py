@@ -45,14 +45,6 @@ class InsufficientWordLengthError(ShiftflexError):
         super().__init__(msg)
 
 
-class NotUniquelyDecipherableError(ShiftflexError):
-    """Code admits a concatenation with two distinct factorizations."""
-
-    def __init__(self, msg, witness=None):
-        self.witness = witness
-        super().__init__(msg)
-
-
 class NonUniformLengthError(ShiftflexError):
     """Renewal presentation requires all code words to share one length."""
 

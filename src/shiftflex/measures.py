@@ -69,7 +69,7 @@ class EmpiricalMeasure:
             counts[w] = counts.get(w, 0) + 1
         return {w: Fraction(c, n) for w, c in sorted(counts.items())}
 
-    def cylinder_table(self, depth, budget=DEFAULT_WORD_BUDGET):
+    def cylinder_table(self, depth):
         if depth in self._tables:
             return self._tables[depth]
         if len(self.word) < depth:

@@ -165,9 +165,10 @@ class MarkovMeasure:
             x = np.where(lab == a, x @ self.P, 0.0)
         return float(x.sum())
 
-    def cylinder_table(self, depth, budget=DEFAULT_WORD_BUDGET):
+    def cylinder_table(self, depth):
         """dict mapping each positive-probability ambient word of the given
-        depth to its cylinder probability."""
+        depth to its cylinder probability; CapacityError past
+        DEFAULT_WORD_BUDGET of them."""
         if depth in self._tables:
             return self._tables[depth]
         lab = np.asarray(self.shift.labels)
@@ -177,8 +178,8 @@ class MarkovMeasure:
         def rec(prefix, x):
             if len(prefix) == depth:
                 out[prefix] = float(x.sum())
-                if len(out) > budget:
-                    raise CapacityError(len(out), budget, what="cylinders")
+                if len(out) > DEFAULT_WORD_BUDGET:
+                    raise CapacityError(len(out), DEFAULT_WORD_BUDGET, what="cylinders")
                 return
             y = x @ self.P
             for a in range(self.shift.ambient_size):
@@ -326,16 +327,14 @@ class RoofFunction:
     def __call__(self, word):
         return self.values[tuple(word)]
 
-    def covers(self, shift, budget=DEFAULT_WORD_BUDGET):
+    def covers(self, shift):
         """True iff every admissible label word of the roof depth has a value."""
-        return all(
-            w in self.values for w in label_language(shift, self.depth, budget=budget)
-        )
+        return all(w in self.values for w in label_language(shift, self.depth))
 
 
-def roof_integral(m, rho, budget=DEFAULT_WORD_BUDGET):
+def roof_integral(m, rho):
     """Exact integral of a locally constant roof against a Markov measure."""
-    table = m.cylinder_table(rho.depth, budget=budget)
+    table = m.cylinder_table(rho.depth)
     total = 0.0
     for w, p in table.items():
         v = rho.values.get(w)

@@ -274,7 +274,7 @@ def test_criterion_9_window_average_inequalities():
             class _Mix:
                 ambient_size = 2
 
-                def cylinder_table(self, depth, budget=None):
+                def cylinder_table(self, depth):
                     return {k: v for k, v in mix.items() if len(k) == depth}
 
             assert weak_star_distance(_Mix(), uni, cfg) <= eps

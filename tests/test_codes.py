@@ -96,7 +96,7 @@ def test_renewal_rejects_bad_codes():
     with pytest.raises(NonUniformLengthError):
         renewal_to_sft(Code(((0,), (0, 1))))
     # distinct uniform-length words are always uniquely decipherable, so the
-    # UD gate only fires on variable-length inputs, after the length check
+    # length check is the whole gate
 
 
 def phase_decompositions(word, code_words, k):

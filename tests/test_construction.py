@@ -12,7 +12,6 @@ from shiftflex import (
     InfeasibleTargetError,
     InsufficientWordLengthError,
     MetricConfig,
-    NotUniquelyDecipherableError,
     RoofFunction,
     StageParams,
     StageVerificationError,
@@ -200,14 +199,26 @@ def test_build_stage_insufficient_word_length():
         build_stage(base_stage(t), t, p)
 
 
-def test_build_stage_rejects_injected_bad_code():
-    t = full2_target()
+def test_coded_stage_takes_ud_and_h_top_from_its_code(monkeypatch):
+    """Neither the build nor the verification of an enumerated stage runs
+    Sardinas-Patterson or power-iterates the stage's presentation."""
+    import shiftflex.codes
 
-    def hook(code):
-        return Code(((0,), (0, 1), (1, 0)))
+    def refuse(code):
+        raise AssertionError("ud_witness ran")
 
-    with pytest.raises(NotUniquelyDecipherableError):
-        build_stage(base_stage(t), t, GREEN, code_hook=hook)
+    monkeypatch.setattr(shiftflex.codes, "ud_witness", refuse)
+    root = Path(__file__).resolve().parent.parent
+    rc = parse_config((root / "configs" / "full2_small.cfg").read_text())
+    t = rc.build_target()
+    params = rc.build_schedule(t)[0]
+    stage, report = build_stage(base_stage(t), t, params)
+    assert stage.shift._perron_cache is None
+    items = {i.name: i for i in report.items()}
+    assert items["unique_decipherability"].ok
+    assert items["unique_decipherability"].detail == "uniform length"
+    assert report.entropy_identity[2] == 0
+    assert report.h_top == math.log(report.gamma_size) / report.k
 
 
 def test_verify_stage_roof_window_on_identical_stage():
@@ -444,6 +455,9 @@ def test_verify_stage_refuses_what_code_words_do_not_bound():
     )
     with pytest.raises(ValueError, match="no code"):
         verify_stage(base_stage(t), codeless, t, within)
+    mixed = replace(stage, code=Code(((0, 1), (0, 0, 1))))
+    with pytest.raises(ValueError, match="stage 1 has code words of several lengths"):
+        verify_stage(base_stage(t), mixed, t, within)
 
 
 def test_built_renewal_stage_checks_only_code_words():
@@ -536,7 +550,7 @@ class CyclicOrbit:
     def __init__(self, word):
         self.word = word
 
-    def cylinder_table(self, depth, budget=None):
+    def cylinder_table(self, depth):
         return cyclic_table(self.word, depth)
 
 
@@ -554,14 +568,14 @@ def test_orbit_scores_match_per_word_cyclic_tables():
         )
         metric = MetricConfig(int(rng.integers(1, 4)))
         measure = bernoulli_measure(full_shift(alph), rng.dirichlet(np.ones(alph)))
+        length = int(rng.integers(3, 9))  # a stage code has one word length
         words = [
-            tuple(int(x) for x in rng.integers(0, alph, int(rng.integers(3, 9))))
+            tuple(int(x) for x in rng.integers(0, alph, length))
             for _ in range(int(rng.integers(1, 12)))
         ]
         roof_vals, dists = [0.5], [0.25]
         _score_orbits(words, rho, measure, metric, alph, roof_vals, dists)
-        ordered = sorted(words, key=len)  # scored one word length at a time
-        want_roof = [0.5] + [roof_integral(CyclicOrbit(w), rho) for w in ordered]
-        want_dist = [0.25] + [weak_star_distance(CyclicOrbit(w), measure, metric) for w in ordered]
+        want_roof = [0.5] + [roof_integral(CyclicOrbit(w), rho) for w in words]
+        want_dist = [0.25] + [weak_star_distance(CyclicOrbit(w), measure, metric) for w in words]
         assert np.allclose(roof_vals, want_roof, rtol=0, atol=1e-12)
         assert np.allclose(dists, want_dist, rtol=0, atol=1e-12)

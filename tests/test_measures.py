@@ -118,7 +118,7 @@ def test_convex_combination_bound(uniform2, full2):
             self.parts, self.weights = parts, weights
             self.ambient_size = 2
 
-        def cylinder_table(self, depth, budget=None):
+        def cylinder_table(self, depth):
             out = {}
             for part, wt in zip(self.parts, self.weights):
                 for k, v in part.cylinder_table(depth).items():

@@ -319,7 +319,9 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     stage, report = build(prev, target(c), params(t, t * 10))
     art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
     plain = graph_twin(prev.code, 3)
-    order = _canonical_order(art.Y, renewal, t * 10)
+    y_words = art.Y.renewal.code.words
+    assert y_words == renewal.code.words[: len(y_words)]  # Y is the first t ambient words
+    order = _canonical_order(len(y_words), k, t * 10)
     start, end = order[0] * k, order[-1] * k + k - 1
     z_states = sorted(set(art.Z.state_words[:, 0].tolist()))
     assert report.overlap["M"] == _connection_time(plain, z_states, start, end)
