@@ -8,7 +8,6 @@ states are (word, offset) pairs labeled by the symbols they read.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -190,40 +189,60 @@ class RenewalStructure:
     k: int
 
     @cached_property
-    def _sorted_tails(self):
-        # offset s -> the code words' tails w[s:], sorted, for prefix search
-        return tuple(sorted(w[s:] for w in self.code.words) for s in range(self.k))
+    def _letters(self):
+        """The code words with every symbol x as the big-endian letter x + 1,
+        so rows compare as byte strings in lexicographic order; 0 pads."""
+        words = np.array(self.code.words) + 1
+        return words.astype(np.dtype(np.min_scalar_type(int(words.max()))).newbyteorder(">"))
 
-    @cached_property
-    def _word_set(self):
-        return frozenset(self.code.words)
+    @_per_depth
+    def _tails(self, s):
+        """The code words' tails w[s:] as byte strings, sorted."""
+        tails = np.ascontiguousarray(self._letters[:, s:])
+        return np.sort(tails.view(f"S{tails.shape[1] * tails.itemsize}").ravel())
 
-    def _tail_starts_with(self, s, piece):
-        tails = self._sorted_tails[s]
-        i = bisect.bisect_left(tails, piece)
-        return i < len(tails) and tails[i][: len(piece)] == piece
+    def _matched(self, s, pieces):
+        """Per row of `pieces` (letters), its longest common prefix with a
+        tail from offset s: with a neighbour of its sorted insertion point."""
+        tails, letters = self._tails(s), self._letters
+        pieces = np.ascontiguousarray(pieces)
+        at = np.searchsorted(tails, pieces.view(tails.dtype).ravel())
+        near = np.stack([np.maximum(at - 1, 0), np.minimum(at, len(tails) - 1)])
+        same = tails.view(letters.dtype).reshape(len(tails), -1)[near] == pieces
+        return np.logical_and.accumulate(same, axis=-1).sum(-1).max(0)
+
+    def admitted(self, words):
+        """Per row of a (rows × d) label array, the length of its longest
+        prefix that occurs in a concatenation of code words.
+
+        From offset s of a code word a prefix reads a tail w[s:], whole
+        code words, then the start of one.  Any code word may follow any
+        other, so each piece is matched on its own (`_matched`): the k
+        symbols at each position p against the code words give how far a
+        reading that starts a code word at p runs, and the first piece of
+        each offset s > 0 hands on to it at p = k - s.  The windows take
+        rows × (d + 1) × k letters at once.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        (rows, d), k, letters = words.shape, self.k, self._letters
+        text = np.zeros((rows, d + k), letters.dtype)
+        text[:, :d] = np.where((words >= 0) & (words < letters.max()), words + 1, 0)
+        lcp = self._matched(0, text[:, np.arange(d + 1)[:, None] + np.arange(k)].reshape(-1, k))
+        lcp = lcp.reshape(rows, d + 1)
+        reach = np.arange(d + 1) + lcp
+        for hi in range(d + 1 - k, 0, -k):  # a whole code word at p hands on to p + k
+            lo = max(hi - k, 0)
+            reach[:, lo:hi] = np.where(lcp[:, lo:hi] == k, reach[:, lo + k : hi + k], reach[:, lo:hi])
+        best = reach[:, 0]
+        for s in range(1, k):
+            head = self._matched(s, text[:, : k - s])
+            best = np.maximum(best, np.where(head == k - s, reach[:, min(k - s, d)], head))
+        return best
 
     def admits(self, word):
-        """True iff the label word occurs in a concatenation of code words.
-
-        Tries every offset at which the word may start inside a code word:
-        the first piece must continue some code word from that offset, the
-        full-length middle pieces must be code words and the last piece
-        must begin one.
-        """
-        word, k = tuple(word), self.k
-        for s in range(k):
-            first = word[: k - s]
-            if not self._tail_starts_with(s, first):
-                continue
-            pos = len(first)
-            while pos + k <= len(word) and word[pos : pos + k] in self._word_set:
-                pos += k
-            if pos + k <= len(word):
-                continue
-            if pos == len(word) or self._tail_starts_with(0, word[pos:]):
-                return True
-        return False
+        """True iff the label word occurs in a concatenation of code words."""
+        word = np.asarray(word, dtype=np.int64).reshape(1, -1)
+        return bool(self.admitted(word)[0] == word.shape[1])
 
     @cached_property
     def shared_ends(self):

@@ -11,6 +11,7 @@ failing window identified.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,7 @@ from .words import (
     induced_subshift,
     is_admissible,
     is_irreducible,
+    label_rows,
     label_word,
     languages_disjoint,
 )
@@ -543,14 +545,7 @@ def sub_code(shift, renewal, lo, hi):
     `shift`, carrying their own `renewal` structure: the slice of its
     states [lo k, hi k)."""
     k = renewal.k
-    part = slice(lo * k, hi * k)
-    words = shift.state_words
-    sub = VertexShift(
-        shift.matrix[part, part],
-        labels=shift.labels[part],
-        ambient_size=shift.ambient_size,
-        state_words=np.arange(shift.num_states)[part, None] if words is None else words[part],
-    )
+    sub = shift.state_slice(lo * k, hi * k)
     sub.renewal = RenewalStructure(Code(renewal.code.words[lo:hi]), k)
     return sub
 
@@ -584,7 +579,7 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
             if d > kappa:
                 continue
             z_sub = sub_code(shift, renewal, t, t + 2)
-            k1 = _disjoint_depth(y_sub.renewal, z_sub.renewal, shift.ambient_size, cap)
+            k1 = _disjoint_depth(y_sub, z_sub, cap)
             if k1 is not None:
                 return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_sub.renewal)
             diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
@@ -595,24 +590,21 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
     )
 
 
-def _disjoint_depth(y, z, ambient_size, cap):
-    """Least depth at which two renewal systems share no label word, or
-    None when they still share one at depth `cap`.
+def _disjoint_depth(y, z, cap):
+    """Least depth at which the renewal presentations y and z share no
+    label word, or None when they still share one at depth `cap`.
 
-    A word both admit at depth d + 1 extends one both admit at depth d, so
-    the shared words grow one symbol at a time.
+    The shared words are closed under prefixes, and every word of z
+    extends to any depth.  So when the longest prefix y admits of any
+    depth-D word of z (`RenewalStructure.admitted`) is m < D, the least
+    depth is m + 1; D starts at 2 k and doubles up to `cap`.
     """
-    shared = [()]
-    for depth in range(1, cap + 1):
-        shared = [
-            v
-            for u in shared
-            for v in (u + (x,) for x in range(ambient_size))
-            if z.admits(v) and y.admits(v)
-        ]
-        if not shared:
-            return depth
-    return None
+    depth = min(2 * z.renewal.k, cap)
+    while True:
+        m = int(y.renewal.admitted(label_rows(z, depth)).max())
+        if m < depth or depth == cap:
+            return m + 1 if m < depth else None
+        depth = min(2 * depth, cap)
 
 
 @dataclass
@@ -1022,21 +1014,24 @@ def _permutation_code(renewal, order, glue_internal, head, c1):
     """Permutation class of `order` whose entropy is nearest c1.
 
     The first f >= 2 slots stay fixed, which pins the first state every
-    code word starts from; entropy falls as f grows.
+    code word starts from; the first f nearest c1 wins.  Fixing slot f
+    divides the number of orders of the free slots by (free slots) /
+    (copies of order[f] among them), so the log size is updated one slot
+    at a time and only the chosen class is built.
     """
     k1 = renewal.k
     glue = tuple(glue_internal[j] // k1 for j in range(0, len(glue_internal), k1))
     if glue_internal != tuple(a * k1 + p for a in glue for p in range(k1)):
         raise StageVerificationError("glue is not a run of whole ambient code words")
-    best = None
-    for f in range(min(2, len(order)), len(order) + 1):
-        code = PermutationCode(renewal, glue, head, order[:f], order[f:])
-        miss = abs(code.entropy - c1)
-        if best is not None and miss >= best[0] and code.entropy < c1:
-            break
-        if best is None or miss < best[0]:
-            best = (miss, code)
-    return best[1]
+    n, f0 = len(order), min(2, len(order))
+    counts = Counter(order[f0:])
+    sizes = [math.lgamma(n - f0 + 1) - sum(math.lgamma(c + 1) for c in counts.values())]
+    for a, free in zip(order[f0:], range(n - f0, 0, -1)):
+        sizes.append(sizes[-1] - math.log(free / counts[a]))
+        counts[a] -= 1
+    length = (len(glue) + n) * k1
+    f = f0 + min(range(len(sizes)), key=lambda i: abs(sizes[i] / length - c1))
+    return PermutationCode(renewal, glue, head, order[:f], order[f:])
 
 
 def _check_separated(code, parry, params, alphabet_size):

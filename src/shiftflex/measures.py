@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientWordLengthError, WordTooShortError
 from .spectral import markov_entropy
-from .words import DEFAULT_WORD_BUDGET, language
+from .words import language
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,7 @@ class KatokResult:
     qualifying: int  # how many words passed the radius filter before sizing
 
 
-def katok_separated_set(
-    shift,
-    m,
-    n,
-    kappa,
-    radius,
-    cfg,
-    budget=DEFAULT_WORD_BUDGET,
-):
+def katok_separated_set(shift, m, n, kappa, radius, cfg):
     """Words of length n whose empirical statistics are radius-close to m.
 
     Returns the rows of `language(shift, n)` it keeps, in lexicographic
@@ -228,7 +220,7 @@ def katok_separated_set(
     if n < 1:
         raise ValueError("n must be >= 1")
     h = markov_entropy(m)
-    states = language(shift, n, budget=budget)
+    states = language(shift, n)
     labels = np.asarray(shift.labels, dtype=np.int64)[states]
     dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
     (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language

@@ -46,6 +46,14 @@ class VertexShift:
         tuples; kept as the array (None when unset).
     """
 
+    # the code of a renewal presentation (`codes.renewal_to_sft`), whose
+    # words answer the queries below up to its `exact_depth`
+    renewal = None
+    # kept by `_predecessor_arrays`, `_adjacency_lists` and the first call
+    # of `perron`, `is_irreducible`, `_levels_from_zero` and `graph_period`
+    _predecessors = _succ = _pred = None
+    _perron_cache = _irreducible_cache = _levels_cache = _period_cache = None
+
     def __init__(self, matrix, labels=None, ambient_size=None, state_words=None):
         m = sp.csr_matrix(matrix, dtype=np.int8)
         if m.shape[0] != m.shape[1]:
@@ -70,16 +78,16 @@ class VertexShift:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
         self.state_words = None if state_words is None else np.asarray(state_words)
-        self._predecessors = None  # see _predecessor_arrays
-        # adjacency lists, see _adjacency_lists
-        self._succ = self._pred = None
-        # the code of a renewal presentation (`codes.renewal_to_sft`), whose
-        # words answer the queries below up to its `exact_depth`
-        self.renewal = None
-        # kept by the first call of `perron`, `is_irreducible`,
-        # `_levels_from_zero` and `graph_period`
-        self._perron_cache = self._irreducible_cache = None
-        self._levels_cache = self._period_cache = None
+
+    def state_slice(self, lo, hi):
+        """The shift on states lo..hi-1, annotated as by `induced_subshift`.
+        A slice of a canonical CSR matrix is canonical and the labels are
+        ints already, so nothing is checked or converted again."""
+        sub, words = object.__new__(VertexShift), self.state_words
+        sub.matrix, sub.num_states = self.matrix[lo:hi, lo:hi], hi - lo
+        sub.labels, sub.ambient_size = self.labels[lo:hi], self.ambient_size
+        sub.state_words = np.arange(lo, hi)[:, None] if words is None else words[lo:hi]
+        return sub
 
     def _predecessor_arrays(self):
         """(indptr, indices) of the transposed matrix in CSR form: row j
@@ -604,15 +612,25 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
     return tuple(out)
 
 
-def languages_disjoint(a, b, depth, budget=DEFAULT_WORD_BUDGET):
+def label_rows(shift, n):
+    """Distinct label words of internal n-paths, lexicographically, as a
+    (words × n) array: the labelled rows of `language`, deduplicated."""
+    return np.unique(np.asarray(shift.labels, dtype=np.int64)[language(shift, n)], axis=0)
+
+
+def languages_disjoint(a, b, depth):
     """True iff the depth-`depth` label languages of the two shifts are disjoint.
 
     Enumerates the language of the shift with fewer edges (words of length
     2) and membership-tests against the other; the verdict is symmetric, so
-    the choice only affects the cost.
+    the choice only affects the cost.  Between two renewal presentations
+    the smaller side's words are one array (`label_rows`), tested in one
+    call of the other's code words (`RenewalStructure.admitted`).
     """
     small, big = (a, b) if a.matrix.nnz <= b.matrix.nnz else (b, a)
-    for w in label_language(small, depth, budget=budget):
+    if small.renewal is not None and big.renewal is not None:
+        return not (big.renewal.admitted(label_rows(small, depth)) == depth).any()
+    for w in label_language(small, depth):
         if is_label_admissible(big, w):
             return False
     return True

@@ -9,9 +9,14 @@ same answers.  The graph searches walk the tuple adjacency of
 `VertexShift.successors` and `predecessors`, one state and one edge at a
 time; the code-word windows of renewal and permutation-class stages are
 one (offset, window) tuple per attributed window; the stage-1 assembly
-checks and labels one word tuple at a time.
+checks and labels one word tuple at a time; a renewal code admits a label
+word one piece at a time, found by bisection in its sorted tails; the
+depth at which two codes stop sharing words grows the shared words one
+symbol at a time; and a permutation class is chosen from one class built
+per number of fixed slots.
 """
 
+import bisect
 import math
 from collections import Counter, deque
 
@@ -19,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 
-from shiftflex.codes import Code
+from shiftflex.codes import Code, PermutationCode
 from shiftflex.errors import (
     CapacityError,
     NoLowOverlapWordError,
@@ -460,3 +465,63 @@ def widest_pair(hits):
         for j in by_hi
         if i != j or hits[i][2] >= 2
     )
+
+
+def renewal_admits(renewal, word):
+    """True iff the label word occurs in a concatenation of the code words.
+
+    Tries every offset at which the word may start inside a code word: the
+    first piece must continue some code word from that offset, the
+    full-length middle pieces must be code words and the last piece must
+    begin one.
+    """
+    word, k, words = tuple(word), renewal.k, renewal.code.words
+    tails = [sorted(w[s:] for w in words) for s in range(k)]
+
+    def starts_a_tail(s, piece):
+        i = bisect.bisect_left(tails[s], piece)
+        return i < len(tails[s]) and tails[s][i][: len(piece)] == piece
+
+    for s in range(k):
+        first = word[: k - s]
+        if not starts_a_tail(s, first):
+            continue
+        pos = len(first)
+        while pos + k <= len(word) and word[pos : pos + k] in words:
+            pos += k
+        if pos + k <= len(word):
+            continue
+        if pos == len(word) or starts_a_tail(0, word[pos:]):
+            return True
+    return False
+
+
+def disjoint_depth(y, z, ambient_size, cap):
+    """Least depth at which the shifts y and z share no label word, or None
+    when they still share one at depth `cap`: the shared words grow one
+    symbol at a time, each tested with `is_label_admissible`."""
+    shared = [()]
+    for depth in range(1, cap + 1):
+        shared = [
+            v
+            for u in shared
+            for v in (u + (x,) for x in range(ambient_size))
+            if is_label_admissible(z, v) and is_label_admissible(y, v)
+        ]
+        if not shared:
+            return depth
+    return None
+
+
+def permutation_code(renewal, glue, head, order, c1):
+    """The permutation class of `order` whose entropy is nearest c1, from
+    one class per number f >= 2 of fixed slots, each counted afresh."""
+    best = None
+    for f in range(min(2, len(order)), len(order) + 1):
+        code = PermutationCode(renewal, glue, head, order[:f], order[f:])
+        miss = abs(code.entropy - c1)
+        if best is not None and miss >= best[0] and code.entropy < c1:
+            break
+        if best is None or miss < best[0]:
+            best = (miss, code)
+    return best[1]

@@ -1,11 +1,15 @@
 """Differential tests: each answer a renewal code gives without a graph
 search against the graph search it replaces, on seeded random codes."""
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tests.loop_oracles as oracle
 from shiftflex import (
@@ -24,6 +28,7 @@ from shiftflex.construction import (
     _disjoint_depth,
     _languages_agree,
     _nests,
+    _permutation_code,
     sub_code,
 )
 from shiftflex.words import (
@@ -33,7 +38,9 @@ from shiftflex.words import (
     connecting_word,
     graph_period,
     is_irreducible,
+    is_label_admissible,
     label_language,
+    label_rows,
     languages_disjoint,
     longest_window_avoiding,
 )
@@ -287,8 +294,133 @@ def test_renewal_paths_match_graph_search():
                     )
 
 
+def test_state_slice_is_the_checked_restriction():
+    for a, code in random_codes(31, 40):
+        full, k, t = renewal_to_sft(code, ambient_size=a), code.uniform_length, len(code)
+        for lo in range(t):
+            for hi in range(lo + 1, t + 1):
+                part = slice(lo * k, hi * k)
+                sub = sub_code(full, full.renewal, lo, hi)
+                checked = VertexShift(
+                    full.matrix[part, part],
+                    labels=full.labels[part],
+                    ambient_size=a,
+                    state_words=np.arange(t * k)[part, None],
+                )
+                assert sub == checked and sub.ambient_size == checked.ambient_size
+                assert (sub.state_words == checked.state_words).all()
+                assert sub.matrix.dtype == np.int8 and sub.matrix.has_canonical_format
+                assert all(type(x) is int for x in sub.labels)
+                assert sub.renewal.code.words == code.words[lo:hi]
+
+
+def test_permutation_code_choice_matches_per_class_loop():
+    rng, chosen = random.Random(29), set()
+    for a, code in random_codes(37, 60):
+        renewal, t = renewal_to_sft(code, ambient_size=a).renewal, len(code)
+        k = renewal.k
+        for _ in range(4):
+            order = tuple(rng.randrange(t) for _ in range(rng.randint(1, 12)))
+            if rng.random() < 0.3:  # a free run of one word: classes of equal size
+                order = order[:3] + (order[-1],) * rng.randint(1, 5)
+            glue = tuple(rng.randrange(t) for _ in range(rng.randint(1, 3)))
+            glue_internal = tuple(g * k + p for g in glue for p in range(k))
+            head = rng.randrange(len(glue_internal))
+            top = math.lgamma(len(order) + 1) / ((len(glue) + len(order)) * k)
+            for c1 in (0.0, rng.uniform(0, 1.2 * top), top):
+                got = _permutation_code(renewal, order, glue_internal, head, c1)
+                assert got == oracle.permutation_code(renewal, glue, head, order, c1)
+                chosen.add(len(got.fixed))
+    assert len(chosen) > 5
+
+
 def disjoint_depth_loop(y, z, cap):
     return next((kk for kk in range(1, cap + 1) if languages_disjoint(y, z, kk)), None)
+
+
+def graph_prefix(plain, row):
+    """Longest prefix of `row` the graph search admits; admitted words are
+    closed under prefixes, so bisect on the length."""
+    lo, hi = 0, len(row)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if is_label_admissible(plain, tuple(row[:mid])):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def check_admitted(code, a, rows):
+    """`admitted` and `admits` of the code against its graph twin, and
+    `admits` against the per-word loop, on the label rows given."""
+    renewal, plain = renewal_to_sft(code, ambient_size=a).renewal, graph_twin(code, a)
+    rows = [list(r) for r in rows]
+    got = renewal.admitted(np.array(rows, dtype=np.int64).reshape(len(rows), -1)).tolist()
+    assert got == [graph_prefix(plain, r) for r in rows]
+    for r, m in zip(rows, got):
+        assert renewal.admits(r) == (m == len(r)) == oracle.renewal_admits(renewal, r)
+    return sum(m == len(r) for r, m in zip(rows, got))
+
+
+def sampled_rows(code, a, depth, rng, count=10):
+    """Label words of the code's renewal system at `depth`, each also with
+    one symbol redrawn from -1..a (symbols outside the alphabet too)."""
+    if depth == 0:
+        return [[]]
+    words = label_rows(renewal_to_sft(code, ambient_size=a), depth).tolist()
+    out = []
+    for w in rng.sample(words, min(count, len(words))):
+        out.append(w)
+        bent = list(w)
+        bent[rng.randrange(depth)] = rng.randint(-1, a)
+        out.append(bent)
+    return out
+
+
+def test_admitted_prefixes_match_graph_twin():
+    rng, admitted, rows = random.Random(17), 0, 0
+    long3 = Code(tuple(tuple(rng.randrange(3) for _ in range(43)) for _ in range(4)))
+    cases = random_codes(23, 40) + [
+        (1, Code(((0, 0, 0),))),  # one symbol
+        (2, Code(((0, 1, 1),))),  # t = 1
+        (2, Code(((0,), (1,)))),  # k = 1: the full shift
+        (3, long3),  # 3^43 > 2^63: no piece fits one integer
+        (300, Code(((0, 299, 256, 1), (255, 1, 299, 299), (299, 299, 0, 256)))),  # 2-byte letters
+    ]
+    for a, code in cases:
+        k, exact = code.uniform_length, renewal_to_sft(code, ambient_size=a).renewal.exact_depth
+        for depth in sorted({0, 1, exact - 1, exact, exact + 1, 2 * exact + k}):
+            batch = sampled_rows(code, a, depth, rng)
+            admitted += check_admitted(code, a, batch)
+            rows += len(batch)
+    assert rows > 2000 and 0.3 < admitted / rows < 0.9
+
+
+@st.composite
+def codes_and_rows(draw):
+    """A code over 1-3 symbols of 1-5 words of length 1-6, and label rows
+    of one depth: windows of concatenations of its words, some with one
+    symbol redrawn from -1..a."""
+    a, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    word = st.tuples(*[st.integers(0, a - 1)] * k)
+    words = draw(st.lists(word, min_size=1, max_size=5, unique=True))
+    depth = draw(st.integers(0, 4 * k + 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        chain = draw(st.lists(st.sampled_from(words), min_size=depth // k + 2, max_size=depth // k + 2))
+        start = draw(st.integers(0, k - 1))
+        row = [x for w in chain for x in w][start : start + depth]
+        if depth and draw(st.booleans()):
+            row[draw(st.integers(0, depth - 1))] = draw(st.integers(-1, a))
+        rows.append(row)
+    return a, Code(tuple(words)), rows
+
+
+@given(codes_and_rows())
+def test_admitted_prefixes_match_graph_twin_hypothesis(case):
+    a, code, rows = case
+    check_admitted(code, a, rows)
 
 
 def test_one_pass_k1_matches_disjointness_loop():
@@ -301,14 +433,35 @@ def test_one_pass_k1_matches_disjointness_loop():
         cut = random.Random(t).randint(1, t - 1)
         y, z = sub_code(full, full.renewal, 0, cut), sub_code(full, full.renewal, cut, t)
         cap = 4 * code.uniform_length
-        k1 = _disjoint_depth(y.renewal, z.renewal, a, cap)
-        assert k1 == disjoint_depth_loop(y, z, cap)
+        k1 = _disjoint_depth(y, z, cap)
+        words = code.words
+        twin_y, twin_z = graph_twin(Code(words[:cut]), a), graph_twin(Code(words[cut:]), a)
+        assert k1 == oracle.disjoint_depth(twin_y, twin_z, a, cap)
         depths += 1
         if k1 is None:
             never += 1
         elif k1 > min(y.renewal.exact_depth, z.renewal.exact_depth):
             beyond_exact += 1
     assert depths > 60 and beyond_exact > 5 and never > 0
+
+
+def test_renewal_pairs_disjointness_matches_graph_twin():
+    verdicts = Counter()
+    for a, code in random_codes(43, 80):
+        t = len(code)
+        if t < 2:
+            continue
+        full, k = renewal_to_sft(code, ambient_size=a), code.uniform_length
+        cut = random.Random(t).randint(1, t - 1)
+        y, z = sub_code(full, full.renewal, 0, cut), sub_code(full, full.renewal, cut, t)
+        words = code.words
+        twin_y, twin_z = graph_twin(Code(words[:cut]), a), graph_twin(Code(words[cut:]), a)
+        for depth in range(1, 3 * k + 2):
+            verdict = languages_disjoint(y, z, depth)
+            assert verdict == languages_disjoint(twin_y, twin_z, depth)
+            assert verdict == languages_disjoint(z, y, depth)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 @pytest.mark.parametrize(
@@ -325,7 +478,9 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     start, end = order[0] * k, order[-1] * k + k - 1
     z_states = sorted(set(art.Z.state_words[:, 0].tolist()))
     assert report.overlap["M"] == _connection_time(plain, z_states, start, end)
-    assert report.overlap["K1"] == disjoint_depth_loop(art.Y, art.Z, 6 * k)
+    y_twin = graph_twin(art.Y.renewal.code, 3)
+    z_twin = graph_twin(art.Z.renewal.code, 3)
+    assert report.overlap["K1"] == disjoint_depth_loop(y_twin, z_twin, 6 * k)
     w = art.low_overlap_word
     assert art.connector_in == connecting_word(plain, end, w[0])[1:-1]
     assert art.connector_out == connecting_word(plain, w[-1], start)[1:-1]
