@@ -197,14 +197,17 @@ class RenewalStructure:
 
     @_per_depth
     def _tails(self, s):
-        """The code words' tails w[s:] as byte strings, sorted."""
+        """The code words' tails w[s:] as sorted byte strings, and the code
+        word of each."""
         tails = np.ascontiguousarray(self._letters[:, s:])
-        return np.sort(tails.view(f"S{tails.shape[1] * tails.itemsize}").ravel())
+        tails = tails.view(f"S{tails.shape[1] * tails.itemsize}").ravel()
+        order = np.argsort(tails, kind="stable")
+        return tails[order], order
 
     def _matched(self, s, pieces):
         """Per row of `pieces` (letters), its longest common prefix with a
         tail from offset s: with a neighbour of its sorted insertion point."""
-        tails, letters = self._tails(s), self._letters
+        tails, letters = self._tails(s)[0], self._letters
         pieces = np.ascontiguousarray(pieces)
         at = np.searchsorted(tails, pieces.view(tails.dtype).ravel())
         near = np.stack([np.maximum(at - 1, 0), np.minimum(at, len(tails) - 1)])
@@ -239,11 +242,6 @@ class RenewalStructure:
             best = np.maximum(best, np.where(head == k - s, reach[:, min(k - s, d)], head))
         return best
 
-    def admits(self, word):
-        """True iff the label word occurs in a concatenation of code words."""
-        word = np.asarray(word, dtype=np.int64).reshape(1, -1)
-        return bool(self.admitted(word)[0] == word.shape[1])
-
     @cached_property
     def shared_ends(self):
         """(P, S): lengths of the prefix and suffix every code word shares."""
@@ -267,34 +265,37 @@ class RenewalStructure:
 
     @_per_depth
     def _table(self, depth):
-        """(ids, windows, ranks) of the depth-`depth` windows.
-
-        `ranks[a, c]` is the lexicographic rank, among all windows of the
-        contexts (shared suffix + code word a + shared prefix), of the one
-        starting at column c: the rank of the pair (rank of its first
-        depth - 1 symbols, last symbol), so no window is read as one
-        number and no depth overflows.  `ids[a, o]` ranks code word a's
+        """(ids, windows): `ids[a, o]` ranks code word a's depth-`depth`
         window at attributed offset o among the distinct attributed
-        windows, which `windows` lists in that order.
-        """
+        windows, which `windows` lists in that (lexicographic) order."""
         if not 1 <= depth <= self.exact_depth:
             raise StructureDepthError(
                 f"depth {depth} outside 1..{self.exact_depth}, the depths "
                 "single code words decide"
             )
-        ctx = self._contexts
-        ranks = ctx
-        if depth > 1:
-            ranks = self._table(depth - 1)[2][:, :-1] * (int(ctx.max()) + 1)
-            ranks = ranks + ctx[:, depth - 1 :]
-        ranks = np.unique(ranks, return_inverse=True)[1].reshape(ranks.shape)
         p, s = self.shared_ends
         col = s - max(0, depth - p - 1)  # attributed offset 0, as in `exact_depth`
-        attributed = ranks[:, col : col + self.k]
+        attributed = self._ranks(depth)[:, col : col + self.k]
         _, first, ids = np.unique(attributed, return_index=True, return_inverse=True)
         a, c = np.divmod(first, self.k)
-        windows = ctx[a[:, None], (c + col)[:, None] + np.arange(depth)]
-        return ids.reshape(attributed.shape), windows, ranks
+        windows = self._contexts[a[:, None], (c + col)[:, None] + np.arange(depth)]
+        return ids.reshape(attributed.shape), windows
+
+    @_per_depth
+    def _ranks(self, depth):
+        """`ranks[a, c]`: the lexicographic rank, among all windows of the
+        contexts (shared suffix + code word a + shared prefix), of the one
+        starting at column c.  Prefix doubling ranks the pair (rank of its
+        first h symbols, rank of the rest), h the largest power of two
+        below depth, so no window is read as one number."""
+        if depth == 1:
+            return self._contexts.astype(np.int64)
+        h = 1 << (depth - 1).bit_length() - 1
+        head, rest = self._ranks(h)[:, : h - depth], self._ranks(depth - h)[:, h:]
+        span = int(rest.max()) + 1
+        if (int(head.max()) + 1) * span > 2**63:  # dense ranks: only past 3e9 windows
+            raise OverflowError(f"depth-{depth} window pairs overflow an int64 key")
+        return np.unique(head * span + rest, return_inverse=True)[1].reshape(head.shape)
 
     @cached_property
     def _contexts(self):
@@ -315,6 +316,7 @@ class RenewalStructure:
         """log t / k, in nats: the entropy of the renewal system."""
         return math.log(len(self.code)) / self.k
 
+    @_per_depth
     def cylinder_table(self, depth):
         """Cylinder table of the measure of maximal entropy, for depths
         single code words decide.
@@ -323,10 +325,6 @@ class RenewalStructure:
         junction a -> b the probability 1/t, so its table is the uniform
         mixture of the code words' windows.
         """
-        return self._mixture(depth)
-
-    @_per_depth
-    def _mixture(self, depth):
         ids = self._table(depth)[0].ravel()
         return _cylinder_dict(self._words(depth), ids, None, len(self.code) * self.k)
 
@@ -385,6 +383,49 @@ class RenewalStructure:
         if a == b and q > p:
             return tuple(range(frm, to + 1))
         return tuple(range(frm, a * k + k)) + tuple(range(b * k, to + 1))
+
+    def sub_code(self, lo, hi):
+        """Code words lo..hi-1, read from these tables (`SubCode`)."""
+        code = object.__new__(Code)  # a slice of sorted distinct words
+        object.__setattr__(code, "words", self.code.words[lo:hi])
+        return SubCode(code, self.k, self, lo)
+
+
+@dataclass(frozen=True)
+class SubCode(RenewalStructure):
+    """Code words lo, lo + 1, ... of `ambient`, a row range of its tables up
+    to its `exact_depth`.  They share the ambient's ends, so its attributed
+    offsets cut their concatenations too: their window ids are its rows,
+    re-ranked and rolled by the offsets their own longer shared prefix
+    gives the word before (windows of shared ends, alike for every word);
+    their sorted tails are its tails, filtered."""
+
+    ambient: RenewalStructure = None
+    lo: int = 0
+
+    @cached_property
+    def _letters(self):
+        return self.ambient._letters[self.lo : self.lo + len(self.code)]
+
+    @property
+    def exact_depth(self):
+        return self.ambient.exact_depth
+
+    @_per_depth
+    def _tails(self, s):
+        tails, words = self.ambient._tails(s)
+        keep = (words >= self.lo) & (words < self.lo + len(self.code))
+        return tails[keep], words[keep] - self.lo
+
+    @_per_depth
+    def _table(self, depth):
+        ids, windows = self.ambient._table(depth)
+        p, q = self.ambient.shared_ends[0], self.shared_ends[0]
+        # the first `late` ambient offsets are, with these ends, the word before's
+        late = min(q - p, max(0, depth - p - 1))
+        rows = np.roll(ids[self.lo : self.lo + len(self.code)], -late, axis=1)
+        used = np.bincount(rows.ravel(), minlength=len(windows)) > 0
+        return (np.cumsum(used) - 1)[rows], windows[used]
 
 
 def max_self_overlap(word):
@@ -513,6 +554,7 @@ class PermutationCode:
         first appearance from the glue on, and how often each occurs."""
         return Counter(self.glue + self.fixed + self.free)
 
+    @_per_depth
     def cylinder_table(self, depth):
         """Cylinder table shared by every invariant measure of the renewal
         system, for depths the ambient's single code words decide."""
@@ -521,25 +563,33 @@ class PermutationCode:
         weights = np.repeat(list(rows.values()), self.ambient.k)
         return _cylinder_dict(self.ambient._words(depth), ids, weights, self.uniform_length)
 
+    def window_ids(self, depth):
+        """Ids of the depth-`depth` windows of the class in the ambient's
+        table (`RenewalStructure._table`), ascending: lexicographically."""
+        ids, windows = self.ambient._table(depth)
+        return np.flatnonzero(np.bincount(ids[list(self._rows())].ravel(), minlength=len(windows)))
+
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered."""
         words = self.ambient._words(depth)
-        ids = np.unique(self.ambient._table(depth)[0][list(self._rows())])
-        return [words[i] for i in ids.tolist()]
+        return [words[i] for i in self.window_ids(depth).tolist()]
 
     def longest_avoiding(self, depth, budget=None):
         """(word, longest window avoiding it) per depth-`depth` word,
-        lexicographically; None where windows of any length avoid the word.
+        lexicographically; every window of a class word recurs.
 
         `budget` bounds the graph search of a presentation
         (`VertexShift.longest_avoiding`); the code-word windows here search
         no graph, so it is not read.
         """
-        return self._longest_avoiding(depth)
+        ids, longest = self._longest_avoiding(depth)
+        words = self.ambient._words(depth)
+        return tuple(zip([words[i] for i in ids.tolist()], longest.tolist()))
 
     @_per_depth
     def _longest_avoiding(self, depth):
-        """`longest_avoiding`, kept per depth.
+        """The ids of the depth-`depth` windows (ascending) and the longest
+        window avoiding each, kept per depth.
 
         Cut a concatenation into ambient code-word slots: slot i of a code
         word (rotated to start at the glue) owns the occurrences starting
@@ -562,8 +612,7 @@ class PermutationCode:
         """
         amb, k1 = self.ambient, self.ambient.k
         win, word, lo, hi, step = amb._spans(depth)
-        words = amb._words(depth)
-        n, slots = len(words), self.glue + self.fixed
+        n, slots = len(amb._table(depth)[1]), self.glue + self.fixed
         s0, n_free = len(slots), len(self.free)
         period = (s0 + n_free) * k1
         seen = np.zeros(n, bool)
@@ -600,8 +649,7 @@ class PermutationCode:
         wrap = np.where(seen, np.maximum(first - fx_hi, period + fx_lo - last), period + first - last)
         wrap = np.where(hits == 0, period + fx_lo - fx_hi, wrap)
         present = np.flatnonzero(seen | (hits > 0))
-        longest = np.maximum(gap, wrap)[present] + depth - 2
-        return tuple(zip([words[i] for i in present.tolist()], longest.tolist()))
+        return present, np.maximum(gap, wrap)[present] + depth - 2
 
 
 def _cylinder_dict(words, ids, weights, mass):

@@ -19,7 +19,6 @@ import numpy as np
 from .codes import (
     Code,
     PermutationCode,
-    RenewalStructure,
     find_low_overlap_word,
     max_self_overlap,
     renewal_to_sft,
@@ -55,6 +54,7 @@ from .spectral import (
     topological_entropy,
 )
 from .words import (
+    DEFAULT_WORD_BUDGET,
     VertexShift,
     _as_tuples,
     connecting_word,
@@ -223,9 +223,10 @@ def derive_c1(target, params, stage_measure):
 
 @dataclass(frozen=True)
 class SubsystemPair:
-    """Y, Z, their disjointness depth K1 and Y's maximal measure."""
+    """Y, Z, their disjointness depth K1 and Y's maximal measure.  On a
+    renewal ambient Y is a `RenewalStructure.sub_code`, its own measure."""
 
-    Y: VertexShift
+    Y: object
     Z: VertexShift
     K1: int
     Y_measure: object
@@ -488,8 +489,8 @@ def select_disjoint_subsystems(
     entropy.  Small presentations are searched exhaustively over induced
     subgraphs of higher-block recodings (block depth escalating on
     failure, up to MAX_BLOCK_DEPTH, while a recoding has at most SUBSET_CAP
-    states); larger positional renewal presentations restrict to sub-codes,
-    the induced subgraphs their structure supports.
+    states); on larger positional renewal presentations Y is a sub-code,
+    rows of the code's window tables, and Z the presentation of two more.
 
     Ranking among admissible candidates prefers entropy closest to
     `entropy_target` (default c1) and, as a tiebreak, a maximal measure
@@ -542,11 +543,12 @@ def select_disjoint_subsystems(
 
 def sub_code(shift, renewal, lo, hi):
     """Presentation of code words lo..hi-1 of the renewal presentation
-    `shift`, carrying their own `renewal` structure: the slice of its
-    states [lo k, hi k)."""
-    k = renewal.k
-    sub = shift.state_slice(lo * k, hi * k)
-    sub.renewal = RenewalStructure(Code(renewal.code.words[lo:hi]), k)
+    `shift`: the slice of its states [lo k, hi k), carrying the row range
+    `renewal.sub_code(lo, hi)` as its `renewal`."""
+    a, b = lo * renewal.k, hi * renewal.k
+    sub = VertexShift(shift.matrix[a:b, a:b], labels=shift.labels[a:b],
+                      ambient_size=shift.ambient_size, state_words=np.arange(a, b)[:, None])
+    sub.renewal = renewal.sub_code(lo, hi)
     return sub
 
 
@@ -573,15 +575,15 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
         for t in ([t_best + off, t_best - off] if off else [t_best]):
             if not (lo_t <= t <= hi_t):
                 continue
-            y_sub = sub_code(shift, renewal, 0, t)
-            d = weak_star_distance(y_sub.renewal, m, cfg)
+            y = renewal.sub_code(0, t)
+            d = weak_star_distance(y, m, cfg)
             tried.append((t, math.log(t) / k, d))
             if d > kappa:
                 continue
             z_sub = sub_code(shift, renewal, t, t + 2)
-            k1 = _disjoint_depth(y_sub, z_sub, cap)
+            k1 = _disjoint_depth(y, z_sub, cap)
             if k1 is not None:
-                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_sub.renewal)
+                return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y)
             diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
     diagnostics["tried"] = tried[:16]
     raise SubsystemSearchError(
@@ -591,17 +593,17 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
 
 
 def _disjoint_depth(y, z, cap):
-    """Least depth at which the renewal presentations y and z share no
-    label word, or None when they still share one at depth `cap`.
+    """Least depth at which the renewal code y and the renewal presentation
+    z share no label word, or None when they still share one at depth `cap`.
 
     The shared words are closed under prefixes, and every word of z
     extends to any depth.  So when the longest prefix y admits of any
     depth-D word of z (`RenewalStructure.admitted`) is m < D, the least
     depth is m + 1; D starts at 2 k and doubles up to `cap`.
     """
-    depth = min(2 * z.renewal.k, cap)
+    depth = min(2 * y.k, cap)
     while True:
-        m = int(y.renewal.admitted(label_rows(z, depth)).max())
+        m = int(y.admitted(label_rows(z, depth)).max())
         if m < depth or depth == cap:
             return m + 1 if m < depth else None
         depth = min(2 * depth, cap)
@@ -753,7 +755,7 @@ SYNC_CAP = 4096
 class BuildArtifacts:
     """Intermediate objects kept for inspection and tests."""
 
-    Y: VertexShift = None
+    Y: object = None  # a shift, or a sub-code on a renewal ambient
     Z: VertexShift = None
     gamma: tuple = ()
     low_overlap_word: tuple = ()
@@ -797,7 +799,7 @@ def build_stage(prev, target, params, settings=None):
     )
     art.Y, art.Z = pair.Y, pair.Z
     # Y is a sub-code on renewal ambients too large for the plain-graph search
-    renewal = prev.shift.renewal if pair.Y.renewal is not None else None
+    renewal = None if isinstance(pair.Y, VertexShift) else prev.shift.renewal
     n = params.word_length
     if renewal is None:
         katok = katok_separated_set(
@@ -812,7 +814,7 @@ def build_stage(prev, target, params, settings=None):
         start_prev = int(pair.Y.state_words[start_state, 0])
         end_prev = int(pair.Y.state_words[end_state, -1])
     else:
-        order = _canonical_order(len(pair.Y.renewal.code), renewal.k, n)
+        order = _canonical_order(len(pair.Y.code), renewal.k, n)
         # every last state (a, k1 - 1) has the same successors, so the
         # glue out of the canonical last word serves each order
         start_prev = order[0] * renewal.k
@@ -831,7 +833,8 @@ def build_stage(prev, target, params, settings=None):
     glue_out = connecting_word(prev.shift, w_prev[-1], start_prev)[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
-    extra = len(glue_out) + len(glue_in) + len(w_prev) + pair.Y.state_words.shape[1] - 1
+    block = 1 if renewal is not None else pair.Y.state_words.shape[1]
+    extra = len(glue_out) + len(glue_in) + len(w_prev) + block - 1
     _refuse_word_length(target, params, prev, pair.Y, renewal, extra)
 
     if renewal is None:
@@ -843,7 +846,7 @@ def build_stage(prev, target, params, settings=None):
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
-        _check_separated(code, pair.Y_measure, params, pair.Y.ambient_size)
+        _check_separated(code, pair.Y_measure, params, prev.shift.ambient_size)
         next_shift, next_measure = None, code
     stage = Stage(
         index=prev.index + 1, shift=next_shift, measure=next_measure, code=code, params=params
@@ -918,7 +921,7 @@ LEAST_N_SEARCH = 4096
 
 def _canonical_order(t, k1, n):
     """γ as ambient code-word indices: q passes through Y's t code words,
-    which are the ambient's first t (`sub_code`), of length k1."""
+    which are the ambient's first t (`RenewalStructure.sub_code`), of length k1."""
     return tuple(range(t)) * max(1, n // (t * k1))
 
 
@@ -930,9 +933,8 @@ def _log_path_counter(Y):
     Other shifts iterate the transition matrix in floating point, only as
     far as the largest n asked for.
     """
-    renewal = Y.renewal
-    if renewal is not None:
-        lt, k = math.log(len(renewal.code)), renewal.k
+    if not isinstance(Y, VertexShift):
+        lt, k = math.log(len(Y.code)), Y.k
 
         def closed_form(n):
             exps = [((p + n - 1) // k) * lt for p in range(k)]
@@ -963,10 +965,12 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
     be q t k1.  With a positive lower edge, Γ is a set of internal n-words
     of Y and every code word has k = n + extra symbols, so log|L_n(Y)|/k
     bounds h_top and must reach the edge.  The error names the least n
-    meeting both, searching LEAST_N_SEARCH candidates.
+    meeting both, searching LEAST_N_SEARCH candidates; without one, when Y
+    already holds all but Z's two code words, it says so.
     """
     edge = (1 + params.delta) ** 2 * target.c * roof_integral(prev.measure, target.rho)
-    step = len(Y.renewal.code) * renewal.k if renewal is not None else 1
+    t = len(Y.code) if renewal is not None else None
+    step = t * renewal.k if renewal is not None else 1
 
     n = params.word_length
     log_count = _log_path_counter(Y)
@@ -982,7 +986,7 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
     reasons = []
     if n % step:
         reasons.append(
-            f"γ must run whole passes through the t = {len(Y.renewal.code)} "
+            f"γ must run whole passes through the t = {t} "
             f"code words of Y (length k1 = {renewal.k}), so n = q*{step}"
         )
     if edge > 0 and bound(n) < edge:
@@ -997,10 +1001,14 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
     if least is not None:
         fix = f"the least admissible word_length is {least}"
     else:
-        fix = (
-            f"no word_length up to {step * LEAST_N_SEARCH} reaches the lower "
-            "edge (raise entropy_target for a Y with more entropy)"
-        )
+        why = "raise entropy_target for a Y with more entropy"
+        if renewal is not None and t == len(renewal.code) - 2:
+            why = (
+                f"stage {prev.index} has too few code words: Y holds t = {t}, all but "
+                f"Z's two, and log t/k1 = {math.log(t) / renewal.k:.6g} against the "
+                f"edge {edge:.6g}"
+            )
+        fix = f"no word_length up to {step * LEAST_N_SEARCH} reaches the lower edge ({why})"
         if step > 1:
             fix += f"; the least word_length of the form q*{step} is {step}"
     raise InsufficientWordLengthError(
@@ -1076,15 +1084,24 @@ def _sync_depth(space, prev_depth):
     is, however large.
     """
     try:
-        pairs = list(space.longest_avoiding(prev_depth, budget=SYNC_CAP))
+        lengths = list(_lengths(space, prev_depth, SYNC_CAP))
     except CapacityError:
         return None, f"sync depth search capped at {SYNC_CAP} depth-{prev_depth} words"
     except StructureDepthError:
         return None, f"depth {prev_depth} beyond the depths the structured stage decides"
-    avoided = next(("".join(map(str, w)) for w, m in pairs if m is None), None)
-    if avoided is not None:
+    if None in lengths:
+        pairs = space.longest_avoiding(prev_depth, budget=SYNC_CAP)
+        avoided = "".join(map(str, next(w for w, m in pairs if m is None)))
         return None, f"windows of every length avoid the depth-{prev_depth} word {avoided}"
-    return max((m for _, m in pairs), default=0) + 1, None
+    return max(lengths, default=0) + 1, None
+
+
+def _lengths(space, depth, budget=DEFAULT_WORD_BUDGET):
+    """The longest window avoiding each depth-`depth` word of `space`, in
+    the order of `longest_avoiding`; a permutation class builds no word."""
+    if isinstance(space, PermutationCode):
+        return space._longest_avoiding(depth)[1].tolist()
+    return (m for _, m in space.longest_avoiding(depth, budget=budget))
 
 
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
@@ -1166,6 +1183,8 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 
     norm = abramov(h_top, ri_next)
     bracket = (c * (1 + d) ** 2 / (1 + d), c * (1 + 3 * d) / (1 - d))
+    ov = dict(l=0, border=0, M=0, K1=0, disjoint=False)  # not a report's `ok`
+    ov = ov if overlap_data is None else {key: overlap_data[key] for key in ov}
 
     report = StageReport(
         index=stage.index,
@@ -1183,11 +1202,11 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
         overlap=dict(
             ok=(
                 overlap_data is not None
-                and overlap_data["l"] > 4 * (overlap_data["M"] + overlap_data["K1"])
-                and overlap_data["border"] < overlap_data["l"] / 4
-                and overlap_data["disjoint"]
+                and ov["l"] > 4 * (ov["M"] + ov["K1"])
+                and ov["border"] < ov["l"] / 4
+                and ov["disjoint"]
             ),
-            **(overlap_data or dict(l=0, border=0, M=0, K1=0, disjoint=False)),
+            **ov,
         ),
         nesting=tuple(nesting),
         language_sync=tuple(sync_checks),
@@ -1223,7 +1242,8 @@ def _nests(space, upstream, depth):
     """(ok, note): whether every label word of `space` of the given depth
     is one of `upstream`, and why not."""
     try:
-        if set(space.language(depth)) <= set(upstream.language(depth)):
+        ours, theirs = _languages(space, upstream, depth)
+        if ours <= theirs:
             return True, "language containment"
     except StructureDepthError:
         return False, f"depth {depth} beyond the depths the structured stage decides"
@@ -1233,8 +1253,7 @@ def _nests(space, upstream, depth):
 def _languages_agree(space, upstream, depth):
     """Equality of the label languages of two spaces at the given depth."""
     try:
-        ours = set(space.language(depth))
-        theirs = set(upstream.language(depth))
+        ours, theirs = _languages(space, upstream, depth)
     except CapacityError:
         return False, f"depth {depth} beyond enumeration budget"
     except StructureDepthError:
@@ -1246,11 +1265,22 @@ def _languages_agree(space, upstream, depth):
     return True, f"languages agree at depth {depth}"
 
 
+def _languages(space, upstream, depth):
+    """The depth-`depth` label languages of the two spaces, as sets of
+    words; for a permutation class and the presentation of its ambient, as
+    the sizes of two sets of ids of the ambient's window table, the first
+    within the second, so they compare as the sets do and no word is built."""
+    ambient = getattr(space, "ambient", None)
+    if ambient is not None and ambient is getattr(upstream, "renewal", None):
+        return len(space.window_ids(depth)), len(ambient._table(depth)[1])
+    return set(space.language(depth)), set(upstream.language(depth))
+
+
 def _saturated(space, depth_from, depth_to):
     """Every depth_from word occurs inside every depth_to word of the
     stage space `space`; a graph search stops at the first word that fails."""
     try:
-        for _, m in space.longest_avoiding(depth_from):
+        for m in _lengths(space, depth_from):
             if m is None or m >= depth_to:
                 return False, f"window of length {m} avoids a depth-{depth_from} word"
     except CapacityError:

@@ -79,16 +79,6 @@ class VertexShift:
         self.ambient_size = int(ambient_size)
         self.state_words = None if state_words is None else np.asarray(state_words)
 
-    def state_slice(self, lo, hi):
-        """The shift on states lo..hi-1, annotated as by `induced_subshift`.
-        A slice of a canonical CSR matrix is canonical and the labels are
-        ints already, so nothing is checked or converted again."""
-        sub, words = object.__new__(VertexShift), self.state_words
-        sub.matrix, sub.num_states = self.matrix[lo:hi, lo:hi], hi - lo
-        sub.labels, sub.ambient_size = self.labels[lo:hi], self.ambient_size
-        sub.state_words = np.arange(lo, hi)[:, None] if words is None else words[lo:hi]
-        return sub
-
     def _predecessor_arrays(self):
         """(indptr, indices) of the transposed matrix in CSR form: row j
         lists the predecessors of state j, ascending.  Built on first use
@@ -560,13 +550,7 @@ def _label_masks(shift):
 
 
 def is_label_admissible(shift, word):
-    """True iff some internal path realizes the given label word.
-
-    Positional renewal presentations (carrying a `renewal` structure)
-    answer from their code words instead of propagating state sets.
-    """
-    if shift.renewal is not None:
-        return shift.renewal.admits(word)
+    """True iff some internal path realizes the given label word."""
     masks = _label_masks(shift)
     cur = None
     for a in word:
@@ -619,17 +603,22 @@ def label_rows(shift, n):
 
 
 def languages_disjoint(a, b, depth):
-    """True iff the depth-`depth` label languages of the two shifts are disjoint.
+    """True iff the depth-`depth` label languages of the two sides are disjoint.
 
-    Enumerates the language of the shift with fewer edges (words of length
-    2) and membership-tests against the other; the verdict is symmetric, so
-    the choice only affects the cost.  Between two renewal presentations
-    the smaller side's words are one array (`label_rows`), tested in one
-    call of the other's code words (`RenewalStructure.admitted`).
+    A side is a shift, or a renewal code (`codes.RenewalStructure`) whose
+    presentation would have t (k - 1) + t^2 edges.  Enumerates the language
+    of the side with fewer edges (words of length 2) that is a shift and
+    membership-tests against the other; the verdict is symmetric, so the
+    choice only affects the cost.  Against a renewal code the words are one
+    array (`label_rows`), tested in one call (`RenewalStructure.admitted`).
     """
-    small, big = (a, b) if a.matrix.nnz <= b.matrix.nnz else (b, a)
-    if small.renewal is not None and big.renewal is not None:
-        return not (big.renewal.admitted(label_rows(small, depth)) == depth).any()
+    small, big = sorted((a, b), key=lambda s: s.matrix.nnz if isinstance(s, VertexShift)
+                        else len(s.code) * (s.k - 1 + len(s.code)))
+    if not isinstance(small, VertexShift):
+        small, big = big, small
+    code = big.renewal if isinstance(big, VertexShift) else big
+    if code is not None:
+        return not (code.admitted(label_rows(small, depth)) == depth).any()
     for w in label_language(small, depth):
         if is_label_admissible(big, w):
             return False

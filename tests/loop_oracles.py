@@ -12,8 +12,10 @@ one (offset, window) tuple per attributed window; the stage-1 assembly
 checks and labels one word tuple at a time; a renewal code admits a label
 word one piece at a time, found by bisection in its sorted tails; the
 depth at which two codes stop sharing words grows the shared words one
-symbol at a time; and a permutation class is chosen from one class built
-per number of fixed slots.
+symbol at a time; a permutation class is chosen from one class built
+per number of fixed slots; window tables rank one more symbol per
+depth; and the language checks of a permutation class compare sets of
+word tuples.
 """
 
 import bisect
@@ -525,3 +527,54 @@ def permutation_code(renewal, glue, head, order, c1):
         if best is None or miss < best[0]:
             best = (miss, code)
     return best[1]
+
+
+def one_step_ranks(renewal, depth):
+    """Context window ranks by one symbol per step: the rank of the pair
+    (rank of the first depth - 1 symbols, last symbol)."""
+    ctx = renewal._contexts
+    ranks = np.unique(ctx, return_inverse=True)[1].reshape(ctx.shape)
+    for d in range(2, depth + 1):
+        key = ranks[:, :-1] * (int(ctx.max()) + 1) + ctx[:, d - 1 :]
+        ranks = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+    return ranks
+
+
+def one_step_table(renewal, depth):
+    """(ids, windows) of the attributed depth-`depth` windows, from
+    `one_step_ranks`."""
+    if not 1 <= depth <= renewal.exact_depth:
+        raise StructureDepthError(f"depth {depth} outside 1..{renewal.exact_depth}")
+    p, s = renewal.shared_ends
+    col = s - max(0, depth - p - 1)
+    attributed = one_step_ranks(renewal, depth)[:, col : col + renewal.k]
+    _, first, ids = np.unique(attributed, return_index=True, return_inverse=True)
+    a, c = np.divmod(first, renewal.k)
+    windows = renewal._contexts[a[:, None], (c + col)[:, None] + np.arange(depth)]
+    return ids.reshape(attributed.shape), windows
+
+
+def set_nests(space, upstream, depth):
+    """Language nesting on Python sets of word tuples."""
+    try:
+        if set(space.language(depth)) <= set(upstream.language(depth)):
+            return True, "language containment"
+    except StructureDepthError:
+        return False, f"depth {depth} beyond the depths the structured stage decides"
+    return False, f"word of stage language missing upstream at depth {depth}"
+
+
+def set_languages_agree(space, upstream, depth):
+    """Language equality on Python sets of word tuples."""
+    try:
+        ours = set(space.language(depth))
+        theirs = set(upstream.language(depth))
+    except CapacityError:
+        return False, f"depth {depth} beyond enumeration budget"
+    except StructureDepthError:
+        return False, f"depth {depth} beyond the depths the structured stage decides"
+    if not ours <= theirs:
+        return False, f"word of stage language missing upstream at depth {depth}"
+    if ours != theirs:
+        return False, "upstream language strictly larger"
+    return True, f"languages agree at depth {depth}"

@@ -271,6 +271,19 @@ def test_cmd_construct_word_length_exit_code(tmp_path):
     assert run.stderr.endswith("; least_word_length: 3\n")
 
 
+def test_cmd_construct_refuses_a_y_that_holds_every_word(tmp_path):
+    """Stage 1 of the config has four code words, and Y already holds the
+    two that Z leaves: the refusal names that, not a higher entropy target."""
+    cfg = tmp_path / "two.cfg"
+    text = open(os.path.join(ROOT, "configs", "full3_roof_first.cfg")).read()
+    cfg.write_text(text.replace("stages = 1", "stages = 2"))
+    run = run_construct(str(cfg), tmp_path)
+    assert run.returncode == 6
+    assert "stage 1 has too few code words: Y holds t = 2, all but Z's two, " in run.stderr
+    assert "and log t/k1 = 0.0346574 against the edge 0.0593487)" in run.stderr
+    assert "raise entropy_target" not in run.stderr
+
+
 TWO_STAGES = SMALL.replace("stages = 1", "stages = 2") + "\n[stage 2]\n{key} = {value}\n"
 
 

@@ -533,6 +533,20 @@ def test_fresh_verification_reproduces_the_build_report():
     assert checked >= 4 and passing >= 1
 
 
+def test_verify_stage_takes_a_reports_own_overlap():
+    """The `overlap` dict of a report, `ok` included, verifies its stage
+    again to an equal report."""
+    root = Path(__file__).resolve().parent.parent
+    rc = parse_config((root / "configs" / "full2_small.cfg").read_text())
+    t = rc.build_target()
+    params = rc.build_schedule(t)[0]
+    prev = base_stage(t)
+    stage, report = build_stage(prev, t, params)
+    again = verify_stage(prev, stage, t, params, overlap_data=report.overlap)
+    assert again == replace(report, artifacts=None)
+    assert list(again.overlap) == ["ok", "l", "border", "M", "K1", "disjoint"]
+
+
 def test_log_path_counter_extends_on_demand():
     """Queried in any order, the iterated counts are the exact word counts."""
     rng = np.random.default_rng(23)

@@ -151,7 +151,7 @@ def test_renewal_admits_matches_matrix_path():
         for n in range(1, 3 * k + 2):
             for _ in range(40):
                 w = tuple(rng.randrange(3) for _ in range(n))
-                assert renewal.admits(w) == is_label_admissible(shift, w)
+                assert (renewal.admitted([w])[0] == n) == is_label_admissible(shift, w)
 
 
 def test_permutation_code_windows_match_enumeration():

@@ -21,6 +21,7 @@ from shiftflex import (
     renewal_to_sft,
     topological_entropy,
 )
+from shiftflex.codes import RenewalStructure
 from shiftflex.construction import (
     NESTING_DEPTHS,
     _canonical_order,
@@ -352,14 +353,14 @@ def graph_prefix(plain, row):
 
 
 def check_admitted(code, a, rows):
-    """`admitted` and `admits` of the code against its graph twin, and
-    `admits` against the per-word loop, on the label rows given."""
+    """`admitted` of the code against its graph twin and the per-word
+    loop, on the label rows given."""
     renewal, plain = renewal_to_sft(code, ambient_size=a).renewal, graph_twin(code, a)
     rows = [list(r) for r in rows]
     got = renewal.admitted(np.array(rows, dtype=np.int64).reshape(len(rows), -1)).tolist()
     assert got == [graph_prefix(plain, r) for r in rows]
     for r, m in zip(rows, got):
-        assert renewal.admits(r) == (m == len(r)) == oracle.renewal_admits(renewal, r)
+        assert (m == len(r)) == oracle.renewal_admits(renewal, r)
     return sum(m == len(r) for r, m in zip(rows, got))
 
 
@@ -431,16 +432,17 @@ def test_one_pass_k1_matches_disjointness_loop():
             continue
         full = renewal_to_sft(code, ambient_size=a)
         cut = random.Random(t).randint(1, t - 1)
-        y, z = sub_code(full, full.renewal, 0, cut), sub_code(full, full.renewal, cut, t)
+        y, z = full.renewal.sub_code(0, cut), sub_code(full, full.renewal, cut, t)
         cap = 4 * code.uniform_length
         k1 = _disjoint_depth(y, z, cap)
-        words = code.words
+        words, k = code.words, code.uniform_length
         twin_y, twin_z = graph_twin(Code(words[:cut]), a), graph_twin(Code(words[cut:]), a)
         assert k1 == oracle.disjoint_depth(twin_y, twin_z, a, cap)
         depths += 1
+        own = (RenewalStructure(Code(part), k).exact_depth for part in (words[:cut], words[cut:]))
         if k1 is None:
             never += 1
-        elif k1 > min(y.renewal.exact_depth, z.renewal.exact_depth):
+        elif k1 > min(own):
             beyond_exact += 1
     assert depths > 60 and beyond_exact > 5 and never > 0
 
@@ -460,6 +462,10 @@ def test_renewal_pairs_disjointness_matches_graph_twin():
             verdict = languages_disjoint(y, z, depth)
             assert verdict == languages_disjoint(twin_y, twin_z, depth)
             assert verdict == languages_disjoint(z, y, depth)
+            # either side given by its code alone, without a presentation
+            assert verdict == languages_disjoint(y.renewal, z, depth)
+            assert verdict == languages_disjoint(y, z.renewal, depth)
+            assert verdict == languages_disjoint(z.renewal, twin_y, depth)
             verdicts[verdict] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
 
@@ -472,13 +478,13 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     stage, report = build(prev, target(c), params(t, t * 10))
     art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
     plain = graph_twin(prev.code, 3)
-    y_words = art.Y.renewal.code.words
+    y_words = art.Y.code.words
     assert y_words == renewal.code.words[: len(y_words)]  # Y is the first t ambient words
     order = _canonical_order(len(y_words), k, t * 10)
     start, end = order[0] * k, order[-1] * k + k - 1
     z_states = sorted(set(art.Z.state_words[:, 0].tolist()))
     assert report.overlap["M"] == _connection_time(plain, z_states, start, end)
-    y_twin = graph_twin(art.Y.renewal.code, 3)
+    y_twin = graph_twin(art.Y.code, 3)
     z_twin = graph_twin(art.Z.renewal.code, 3)
     assert report.overlap["K1"] == disjoint_depth_loop(y_twin, z_twin, 6 * k)
     w = art.low_overlap_word
@@ -489,8 +495,50 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
 def test_unwalked_presentations_hold_no_adjacency():
     prev = renewal_stage(AMBIENT_SYNCED)
     _, report = build(prev, target(0.05), params(6, 60))
-    assert report.artifacts.Y._succ is None and report.artifacts.Y._pred is None
+    # Y has no presentation to walk: it is a row range of the ambient
+    assert not isinstance(report.artifacts.Y, VertexShift)
+    assert report.artifacts.Y.ambient is prev.shift.renewal
     assert prev.shift._succ is None and prev.shift._pred is None
     # the low-overlap search walks Z's CSR arrays, not tuples
     assert report.artifacts.low_overlap_word
     assert report.artifacts.Z._succ is None and report.artifacts.Z._pred is None
+
+
+def test_stage_two_reads_its_ambients_tables(monkeypatch):
+    """A stage-2 build on the acceptance stage 1 builds one presentation,
+    Z's two code words, and no window table but the ambient's: Y is a row
+    range of it."""
+    import dataclasses
+    from pathlib import Path
+
+    from shiftflex.config import parse_config
+    from shiftflex.construction import base_stage, build_stage, verify_stage
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "full3_acceptance.cfg"
+    rc = parse_config(cfg.read_text())
+    tgt = rc.build_target()
+    first, second = rc.build_schedule(tgt)[:2]
+    prev, _ = build_stage(base_stage(tgt), tgt, first)
+    ambient = prev.shift.renewal
+    shifts, tables = [], []
+    init, table = VertexShift.__init__, RenewalStructure._table
+
+    def spy_init(self, matrix, *args, **kwargs):
+        init(self, matrix, *args, **kwargs)
+        shifts.append(self.num_states)
+
+    def spy_table(self, depth):
+        tables.append(self)
+        return table(self, depth)
+
+    monkeypatch.setattr(VertexShift, "__init__", spy_init)
+    monkeypatch.setattr(RenewalStructure, "_table", spy_table)
+    stage, report = build_stage(prev, tgt, second)
+    assert shifts == [2 * ambient.k]
+    assert tables and all(owner is ambient for owner in tables)
+    y = report.artifacts.Y
+    assert not isinstance(y, VertexShift) and y.ambient is ambient
+    assert y.code.words == ambient.code.words[: len(y.code)]
+    # the report's own overlap dict verifies the stage again
+    again = verify_stage(prev, stage, tgt, second, overlap_data=report.overlap)
+    assert again == dataclasses.replace(report, artifacts=None)

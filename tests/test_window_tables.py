@@ -1,17 +1,23 @@
 """The code-word window tables of renewal and permutation-class stages
 against the tuple-per-window code they replaced (`tests/loop_oracles.py`),
 at every depth from 1 to `exact_depth`: languages, cylinder tables (values
-and key order) and longest avoiding windows."""
+and key order) and longest avoiding windows; the tables built by prefix
+doubling against one symbol per depth; a sub-code's row range against a
+structure built from its words; and the language checks of a permutation
+class on window ids against sets of word tuples."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import tests.loop_oracles as oracle
-from shiftflex.codes import Code, PermutationCode, RenewalStructure
+from shiftflex.codes import Code, PermutationCode, RenewalStructure, renewal_to_sft
+from shiftflex.construction import _languages_agree, _nests
 from shiftflex.errors import StructureDepthError
+from shiftflex.words import label_rows
 
 
 def shared_end_code(words, prefix, suffix):
@@ -55,6 +61,11 @@ def permutation_codes(draw):
 
 def assert_renewal_matches(renewal):
     for depth in range(1, renewal.exact_depth + 1):
+        ids, windows = renewal._table(depth)
+        want_ids, want_windows = oracle.one_step_table(renewal, depth)
+        assert (ids == want_ids).all() and (windows == want_windows).all()
+        dense = np.unique(renewal._ranks(depth), return_inverse=True)[1]
+        assert (dense.reshape(-1) == oracle.one_step_ranks(renewal, depth).reshape(-1)).all()
         assert renewal.language(depth) == oracle.renewal_language(renewal, depth)
         table, expected = renewal.cylinder_table(depth), oracle.renewal_mixture(renewal, depth)
         assert table == expected and list(table) == list(expected)
@@ -102,7 +113,8 @@ def test_tables_are_kept_per_depth():
     for depth in range(1, renewal.exact_depth + 1):
         assert renewal.cylinder_table(depth) is renewal.cylinder_table(depth)
         assert renewal.longest_avoiding(depth) is renewal.longest_avoiding(depth)
-        assert code.longest_avoiding(depth) is code.longest_avoiding(depth)
+        assert code.cylinder_table(depth) is code.cylinder_table(depth)
+        assert code._longest_avoiding(depth) is code._longest_avoiding(depth)
 
 
 def test_single_code_word_reaches_twice_its_length():
@@ -135,3 +147,89 @@ def test_ranks_do_not_overflow_past_int64():
     depth = renewal.exact_depth
     assert code.longest_avoiding(depth) == oracle.permutation_longest_avoiding(code, depth)
     assert code.cylinder_table(depth) == oracle.permutation_cylinder_table(code, depth)
+
+
+def assert_sub_code_matches(renewal, lo, hi, rng):
+    """The row range lo..hi-1 against a structure built from its words, at
+    every depth the ambient decides; True when the range's own shared
+    prefix is longer than the ambient's, which rolls its rows."""
+    view = renewal.sub_code(lo, hi)
+    fresh = RenewalStructure(Code(renewal.code.words[lo:hi]), renewal.k)
+    assert view.code.words == fresh.code.words and view.entropy == fresh.entropy
+    for depth in range(1, renewal.exact_depth + 1):
+        assert view.language(depth) == fresh.language(depth)
+        table, expected = view.cylinder_table(depth), fresh.cylinder_table(depth)
+        assert table == expected and list(table) == list(expected)
+        assert view.longest_avoiding(depth) == fresh.longest_avoiding(depth)
+    a = int(renewal._letters.max())  # symbols 0..a - 1, and a stands outside
+    for depth in sorted({1, renewal.exact_depth, 2 * renewal.exact_depth + renewal.k}):
+        rows = label_rows(renewal_to_sft(renewal.code, ambient_size=a + 1), depth)
+        rows = rows[rng.sample(range(len(rows)), min(len(rows), 12))]
+        bent = rows.copy()
+        bent[np.arange(len(rows)), rng.randrange(depth)] = rng.randint(0, a)
+        for batch in (rows, bent):
+            assert (view.admitted(batch) == fresh.admitted(batch)).all()
+    return fresh.shared_ends[0] > renewal.shared_ends[0]
+
+
+@given(renewal_structures(), st.data())
+def test_sub_code_rows_match_a_built_structure(renewal, data):
+    t = len(renewal.code)
+    lo = data.draw(st.integers(0, t - 1))
+    assert_sub_code_matches(renewal, lo, data.draw(st.integers(lo + 1, t)), random.Random(lo))
+
+
+def test_sub_code_rows_match_a_built_structure_seeded():
+    rng, rolled, ranges = random.Random(7), 0, 0
+    # the first two words share 0 1 1, the ambient only 0: rows roll at depth 3
+    cases = [shared_end_code([(0, 1, 1, 0, 0), (0, 1, 1, 1, 0), (0, 2, 0, 1, 0)], 1, 1)]
+    for _ in range(40):
+        a, k = rng.randint(2, 3), rng.randint(2, 6)
+        words = [tuple(rng.randrange(a) for _ in range(k)) for _ in range(rng.randint(2, 8))]
+        prefix = rng.randint(0, k - 1)
+        cases.append(shared_end_code(words, prefix, rng.randint(0, k - 1 - prefix)))
+    for renewal in cases:
+        t = len(renewal.code)
+        for lo in range(t):
+            for hi in range(lo + 1, t + 1):
+                rolled += assert_sub_code_matches(renewal, lo, hi, rng)
+                ranges += 1
+    assert ranges > 200 and rolled > 100
+
+
+@given(permutation_codes())
+def test_class_language_checks_on_ids_match_word_sets(code):
+    """Nesting and language sync of a class against its ambient's
+    presentation, at every depth and one beyond."""
+    upstream = renewal_to_sft(code.ambient.code)
+    upstream.renewal = code.ambient  # the presentation of the class's ambient
+    for depth in range(1, code.ambient.exact_depth + 2):
+        assert _nests(code, upstream, depth) == oracle.set_nests(code, upstream, depth)
+        agree = _languages_agree(code, upstream, depth)
+        assert agree == oracle.set_languages_agree(code, upstream, depth)
+
+
+def test_class_language_checks_name_the_failure():
+    # the class spells only word 0, so the ambient's window 1 1 is missing
+    renewal = shared_end_code([(0, 0, 1, 0), (0, 1, 1, 0)], 1, 1)
+    upstream = renewal_to_sft(renewal.code)
+    upstream.renewal = renewal
+    code = PermutationCode(renewal, (), 0, (0,), (0, 0))
+    verdicts = set()
+    for depth in range(1, renewal.exact_depth + 2):
+        got = _languages_agree(code, upstream, depth)
+        assert got == oracle.set_languages_agree(code, upstream, depth)
+        assert _nests(code, upstream, depth) == oracle.set_nests(code, upstream, depth)
+        verdicts.add(got[1].split(" at ")[0])
+    assert verdicts == {
+        "languages agree", "upstream language strictly larger",
+        f"depth {renewal.exact_depth + 1} beyond the depths the structured stage decides",
+    }
+
+
+def test_rank_pairs_refuse_an_overflowing_key():
+    renewal = shared_end_code([(0, 1), (1, 1)], 0, 0)
+    ranks = np.full((2, 2), 2**40, dtype=np.int64)
+    renewal.__dict__["_cache__ranks"] = {1: ranks}  # ranks no table this small has
+    with pytest.raises(OverflowError, match="depth-2 window pairs"):
+        renewal._ranks(2)
