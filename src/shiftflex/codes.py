@@ -189,10 +189,15 @@ class RenewalStructure:
     k: int
 
     @cached_property
+    def _array(self):
+        """The code words as one (t × k) integer array."""
+        return np.array(self.code.words)
+
+    @cached_property
     def _letters(self):
         """The code words with every symbol x as the big-endian letter x + 1,
         so rows compare as byte strings in lexicographic order; 0 pads."""
-        words = np.array(self.code.words) + 1
+        words = self._array + 1
         return words.astype(np.dtype(np.min_scalar_type(int(words.max()))).newbyteorder(">"))
 
     @_per_depth
@@ -299,7 +304,7 @@ class RenewalStructure:
 
     @cached_property
     def _contexts(self):
-        words, (p, s) = np.array(self.code.words), self.shared_ends
+        words, (p, s) = self._array, self.shared_ends
         ctx = np.hstack([words[:, self.k - s :], words, words[:, :p]])
         return ctx.astype(np.min_scalar_type(int(ctx.max())))
 
@@ -574,14 +579,9 @@ class PermutationCode:
         words = self.ambient._words(depth)
         return [words[i] for i in self.window_ids(depth).tolist()]
 
-    def longest_avoiding(self, depth, budget=None):
+    def longest_avoiding(self, depth):
         """(word, longest window avoiding it) per depth-`depth` word,
-        lexicographically; every window of a class word recurs.
-
-        `budget` bounds the graph search of a presentation
-        (`VertexShift.longest_avoiding`); the code-word windows here search
-        no graph, so it is not read.
-        """
+        lexicographically; every window of a class word recurs."""
         ids, longest = self._longest_avoiding(depth)
         words = self.ambient._words(depth)
         return tuple(zip([words[i] for i in ids.tolist()], longest.tolist()))

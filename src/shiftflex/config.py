@@ -53,20 +53,24 @@ class RunConfig:
     stage_overrides: tuple = ()
 
     def build_shift(self):
+        """The base shift; ConfigError names the field a value fails in."""
         if self.alphabet is None:
             raise ConfigError("missing [shift] alphabet", field="alphabet")
-        if self.matrix_rows is not None:
+        if self.alphabet < 1:
+            raise ConfigError(f"alphabet must be >= 1, got {self.alphabet}", field="alphabet")
+        if self.matrix_rows is None and self.forbidden is None:
+            return full_shift(self.alphabet)
+        field = "matrix" if self.matrix_rows is not None else "forbidden"
+        try:
+            if self.matrix_rows is None:
+                words = [tuple(int(ch) for ch in w) for w in self.forbidden]
+                return from_forbidden_words(self.alphabet, words, block=self.block)
             rows = [[int(ch) for ch in r] for r in self.matrix_rows]
             if len(rows) != self.alphabet or any(len(r) != self.alphabet for r in rows):
-                raise ConfigError(
-                    f"matrix must be {self.alphabet} rows of {self.alphabet} digits",
-                    field="matrix",
-                )
+                raise ValueError(f"matrix must be {self.alphabet} rows of {self.alphabet} digits")
             return VertexShift(rows)
-        if self.forbidden is not None:
-            words = [tuple(int(ch) for ch in w) for w in self.forbidden]
-            return from_forbidden_words(self.alphabet, words, block=self.block)
-        return full_shift(self.alphabet)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=field) from None
 
     def build_roof(self, shift):
         """The roof, with a value on every admissible word of its depth."""
@@ -168,6 +172,8 @@ def parse_config(text):
                 if len(parts) != 2 or not parts[1].isdigit():
                     raise ConfigError("stage sections are `[stage N]`", line=ln)
                 idx = int(parts[1])
+                if idx < 1:
+                    raise ConfigError("stages count from 1: `[stage 0]` has no stage", line=ln)
                 overrides.setdefault(idx, StageOverride(index=idx))
             elif section not in ("shift", "roof", "target", "run"):
                 raise ConfigError(f"unknown section [{section}]", line=ln)
@@ -187,6 +193,8 @@ def parse_config(text):
                     raise ConfigError("matrix rows must be digit strings", line=ln, field=key)
             elif key == "forbidden":
                 forbidden = tuple(value.split())
+                if any(not w.isdigit() for w in forbidden):
+                    raise ConfigError("forbidden words must be digit strings", line=ln, field=key)
             elif key == "block":
                 rc.block = _parse_scalar(value, int, ln, key)
             else:

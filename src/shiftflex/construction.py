@@ -10,6 +10,7 @@ failing window identified.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -19,6 +20,7 @@ import numpy as np
 from .codes import (
     Code,
     PermutationCode,
+    RenewalStructure,
     find_low_overlap_word,
     max_self_overlap,
     renewal_to_sft,
@@ -54,7 +56,6 @@ from .spectral import (
     topological_entropy,
 )
 from .words import (
-    DEFAULT_WORD_BUDGET,
     VertexShift,
     _as_tuples,
     connecting_word,
@@ -486,11 +487,11 @@ def select_disjoint_subsystems(
 
     Y tracks the entropy midpoint c1 within kappa and its maximal measure
     stays kappa-close to m in the surrogate metric; Z only needs positive
-    entropy.  Small presentations are searched exhaustively over induced
+    entropy.  The presentation is searched exhaustively over induced
     subgraphs of higher-block recodings (block depth escalating on
     failure, up to MAX_BLOCK_DEPTH, while a recoding has at most SUBSET_CAP
-    states); on larger positional renewal presentations Y is a sub-code,
-    rows of the code's window tables, and Z the presentation of two more.
+    states).  A renewal ambient is no presentation to search: there
+    `build_stage` takes the pair from the code (`_select_in_renewal`).
 
     Ranking among admissible candidates prefers entropy closest to
     `entropy_target` (default c1) and, as a tiebreak, a maximal measure
@@ -511,8 +512,6 @@ def select_disjoint_subsystems(
     target_h = c1 if entropy_target is None else entropy_target
     roof = (roof, roof_target) if roof is not None and roof_target is not None else None
     diagnostics = {}
-    if shift.renewal is not None and shift.num_states > SUBSET_CAP:
-        return _select_in_renewal(shift, m, c1, kappa, cfg, shift.renewal, target_h, diagnostics)
     depth = block_depth
     while depth <= MAX_BLOCK_DEPTH:
         h = higher_block(shift, depth) if depth > 1 else shift
@@ -541,18 +540,23 @@ def select_disjoint_subsystems(
     )
 
 
-def sub_code(shift, renewal, lo, hi):
-    """Presentation of code words lo..hi-1 of the renewal presentation
-    `shift`: the slice of its states [lo k, hi k), carrying the row range
-    `renewal.sub_code(lo, hi)` as its `renewal`."""
-    a, b = lo * renewal.k, hi * renewal.k
-    sub = VertexShift(shift.matrix[a:b, a:b], labels=shift.labels[a:b],
-                      ambient_size=shift.ambient_size, state_words=np.arange(a, b)[:, None])
-    sub.renewal = renewal.sub_code(lo, hi)
-    return sub
+def code_presentation(renewal, lo, hi):
+    """Presentation of code words lo..hi-1 of `renewal` alone
+    (`renewal_to_sft`), each state annotated with its state a k + p of the
+    ambient's numbering as its state word."""
+    shift = renewal_to_sft(renewal.sub_code(lo, hi).code)
+    shift.state_words = np.arange(lo * renewal.k, hi * renewal.k)[:, None]
+    return shift
 
 
-def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics):
+def _select_in_renewal(renewal, m, c1, kappa, cfg, entropy_target):
+    """(Y, Z) on a renewal ambient: Y its first t code words, a row range
+    of its tables (`RenewalStructure.sub_code`), and Z the presentation of
+    the next two (`code_presentation`); t realizes entropy log t / k
+    within kappa of c1, as near `entropy_target` (c1 when None) as the
+    measure and disjointness allow."""
+    target_h = c1 if entropy_target is None else entropy_target
+    diagnostics = {}
     k = renewal.k
     t_total = len(renewal.code)
     if t_total < 3:
@@ -580,7 +584,7 @@ def _select_in_renewal(shift, m, c1, kappa, cfg, renewal, target_h, diagnostics)
             tried.append((t, math.log(t) / k, d))
             if d > kappa:
                 continue
-            z_sub = sub_code(shift, renewal, t, t + 2)
+            z_sub = code_presentation(renewal, t, t + 2)
             k1 = _disjoint_depth(y, z_sub, cap)
             if k1 is not None:
                 return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y)
@@ -613,15 +617,18 @@ def _disjoint_depth(y, z, cap):
 class Stage:
     """One level of the tower: the shift, its maximal measure, provenance.
 
-    A stage built from an enumerated code is its renewal presentation, and
-    its maximal measure is the presentation's `RenewalStructure`.  A
-    structured stage has no explicit presentation: `shift` is None and
-    `code` (a PermutationCode) also serves as `measure`, the cylinder table
-    every invariant measure of the stage shares.
+    A stage built from an enumerated code keeps its renewal presentation
+    as `shift`, and its maximal measure is the presentation's
+    `RenewalStructure`.  A structured stage has no explicit presentation:
+    `shift` is None and `code` (a PermutationCode) also serves as
+    `measure`, the cylinder table every invariant measure of the stage
+    shares.
 
     `space` is the object that answers the stage's language queries,
-    `language(depth)` and `longest_avoiding(depth)`: the code of a
-    structured stage, the shift otherwise.
+    `language(depth)` and `longest_avoiding(depth)`, and that the next
+    stage is built on.  A coded stage answers from its code: the
+    `RenewalStructure` of an enumerated stage, the `PermutationCode` of a
+    structured one.  Only the code-less base stage answers from its shift.
     """
 
     index: int
@@ -634,18 +641,18 @@ class Stage:
 
     @property
     def space(self):
-        return self.code if self.shift is None else self.shift
+        if self.code is None:
+            return self.shift
+        return self.code if self.shift is None else self.shift.renewal
 
     @property
     def entropy(self):
         """Topological entropy: log|Γ|/k from the code of a coded stage (its
         presentation, built from |Γ| and k alone, has Perron value |Γ|^(1/k)
         for any code); only the code-less base stage takes a Perron value."""
-        if self.shift is None:
-            return self.code.entropy
-        if self.shift.renewal is not None:
-            return self.shift.renewal.entropy
-        return topological_entropy(self.shift)
+        if self.code is None:
+            return topological_entropy(self.shift)
+        return self.space.entropy
 
 
 @dataclass(frozen=True)
@@ -745,10 +752,6 @@ class RunSettings:
 
 # depths of the language nesting check
 NESTING_DEPTHS = (1, 2, 3, 4)
-# most prev-depth words the pattern search behind a sync depth examines on
-# an explicit presentation that its code words do not answer; with more
-# the depth is left uncertified.  It never bounds the depth itself.
-SYNC_CAP = 4096
 
 
 @dataclass
@@ -767,10 +770,12 @@ class BuildArtifacts:
 def build_stage(prev, target, params, settings=None):
     """Assemble stage prev.index + 1 and verify every inequality.
 
-    On a renewal ambient Γ is the permutation class of Y's code words
-    (`PermutationCode`) and the stage is structured: it has no explicit
-    presentation (`shift` is None).  Elsewhere Γ is an enumerated Katok
-    separated set refined by pigeonholing.  Either way Γ has distinct
+    On a renewal ambient (`prev.space` a `RenewalStructure`) the build
+    reads only the code: Y, Z, the connecting paths and Γ, the permutation
+    class of Y's code words (`PermutationCode`), come from it, and the
+    stage is structured: it has no explicit presentation (`shift` is
+    None).  On the base shift Γ is an enumerated Katok separated set
+    refined by pigeonholing.  Either way Γ has distinct
     words of one length k, so it is uniquely decipherable with entropy
     log|Γ|/k (`Stage.entropy`).  Raises InsufficientWordLengthError before
     assembly when word_length cannot reach the entropy window, and
@@ -778,7 +783,7 @@ def build_stage(prev, target, params, settings=None):
     window fails; sub-operation errors propagate.  `settings` is not read;
     only perfbench still passes it.
     """
-    if prev.shift is None:
+    if isinstance(prev.space, PermutationCode):
         raise UnsupportedAmbientError(
             f"stage {prev.index} is a structured permutation-class stage; "
             "it cannot serve as the ambient of a further stage"
@@ -786,20 +791,24 @@ def build_stage(prev, target, params, settings=None):
     art = BuildArtifacts()
     c1 = derive_c1(target, params, prev.measure)
     art.c1 = c1
-    pair = select_disjoint_subsystems(
-        prev.shift,
-        prev.measure,
-        c1,
-        params.kappa,
-        params.metric,
-        block_depth=params.block_depth,
-        entropy_target=params.entropy_target,
-        roof=target.rho,
-        roof_target=roof_integral(prev.measure, target.rho),
-    )
+    renewal = prev.space if isinstance(prev.space, RenewalStructure) else None
+    if renewal is not None:
+        pair = _select_in_renewal(
+            renewal, prev.measure, c1, params.kappa, params.metric, params.entropy_target
+        )
+    else:
+        pair = select_disjoint_subsystems(
+            prev.shift,
+            prev.measure,
+            c1,
+            params.kappa,
+            params.metric,
+            block_depth=params.block_depth,
+            entropy_target=params.entropy_target,
+            roof=target.rho,
+            roof_target=roof_integral(prev.measure, target.rho),
+        )
     art.Y, art.Z = pair.Y, pair.Z
-    # Y is a sub-code on renewal ambients too large for the plain-graph search
-    renewal = None if isinstance(pair.Y, VertexShift) else prev.shift.renewal
     n = params.word_length
     if renewal is None:
         katok = katok_separated_set(
@@ -813,24 +822,26 @@ def build_stage(prev, target, params, settings=None):
         gamma, start_state, end_state = pigeonhole_refine(katok.words, pair.Y)
         start_prev = int(pair.Y.state_words[start_state, 0])
         end_prev = int(pair.Y.state_words[end_state, -1])
+        path = functools.partial(connecting_word, prev.shift)
     else:
         order = _canonical_order(len(pair.Y.code), renewal.k, n)
         # every last state (a, k1 - 1) has the same successors, so the
         # glue out of the canonical last word serves each order
         start_prev = order[0] * renewal.k
         end_prev = order[-1] * renewal.k + renewal.k - 1
+        path = renewal.path
 
     # connection-time bound over every state the low-overlap word may touch
     z_prev_states = np.unique(pair.Z.state_words[:, 0]).tolist()
-    M = _connection_time(prev.shift, z_prev_states, start_prev, end_prev)
+    M = _connection_time(path, z_prev_states, start_prev, end_prev)
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
     w_internal = find_low_overlap_word(pair.Z, l_eff)
     w_prev = tuple(pair.Z.state_words[list(w_internal), 0].tolist())
     art.low_overlap_word = w_prev
 
-    glue_in = connecting_word(prev.shift, end_prev, w_prev[0])[1:-1]
-    glue_out = connecting_word(prev.shift, w_prev[-1], start_prev)[1:-1]
+    glue_in = path(end_prev, w_prev[0])[1:-1]
+    glue_out = path(w_prev[-1], start_prev)[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
     block = 1 if renewal is not None else pair.Y.state_words.shape[1]
@@ -846,7 +857,7 @@ def build_stage(prev, target, params, settings=None):
         code = _permutation_code(
             renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
         )
-        _check_separated(code, pair.Y_measure, params, prev.shift.ambient_size)
+        _check_separated(code, pair.Y_measure, params, target.base.ambient_size)
         next_shift, next_measure = None, code
     stage = Stage(
         index=prev.index + 1, shift=next_shift, measure=next_measure, code=code, params=params
@@ -860,7 +871,7 @@ def build_stage(prev, target, params, settings=None):
         params,
         overlap_data={
             "l": l_eff,
-            "border": max_self_overlap(label_word(prev.shift, w_prev)),
+            "border": max_self_overlap(label_word(pair.Z, w_internal)),
             "M": M,
             "K1": pair.K1,
             "disjoint": languages_disjoint(pair.Y, pair.Z, pair.K1),
@@ -877,13 +888,14 @@ def build_stage(prev, target, params, settings=None):
     return stage, report
 
 
-def _connection_time(shift, states, start, end):
+def _connection_time(path, states, start, end):
     """Most edges on a shortest path (of at least one edge) from `end` to
-    one of `states` or from one of them to `start` (`connecting_word`)."""
+    one of `states` or from one of them to `start`; `path(frm, to)` gives
+    each (`connecting_word` on a shift, `RenewalStructure.path`)."""
     M = 1
     for z in states:
         try:
-            paths = connecting_word(shift, end, z), connecting_word(shift, z, start)
+            paths = path(end, z), path(z, start)
         except UnreachableStateError:
             raise SubsystemSearchError(
                 f"state {z} of Z is not connected to the separated set"
@@ -1057,7 +1069,7 @@ def _check_separated(code, parry, params, alphabet_size):
             f"metric depth {depth} exceeds the exact depth "
             f"{code.ambient.exact_depth} of the permutation class"
         )
-    word = np.asarray(code.gamma_word(), dtype=np.int64)[None, :]
+    word = code.ambient._array[list(code.fixed + code.free)].reshape(1, -1)
     dist = empirical_distances(word, parry, depth, alphabet_size)[0]
     if dist >= params.effective_radius:
         raise InsufficientWordLengthError(
@@ -1078,38 +1090,34 @@ def _sync_depth(space, prev_depth):
     prev-depth word of the stage space `space`, or (None, why not).
 
     There is no depth when windows of any length avoid some prev-depth
-    word; it is left uncertified when a graph search has more than
-    SYNC_CAP prev-depth words to examine, or beyond the depths a
-    structured stage decides.  A depth computed exactly is returned as it
-    is, however large.
+    word, and none is certified beyond the depths a coded stage decides.
+    A depth computed exactly is returned as it is, however large.
     """
     try:
-        lengths = list(_lengths(space, prev_depth, SYNC_CAP))
-    except CapacityError:
-        return None, f"sync depth search capped at {SYNC_CAP} depth-{prev_depth} words"
+        lengths = _lengths(space, prev_depth)
     except StructureDepthError:
-        return None, f"depth {prev_depth} beyond the depths the structured stage decides"
+        return None, f"depth {prev_depth} beyond the depths the coded stage decides"
     if None in lengths:
-        pairs = space.longest_avoiding(prev_depth, budget=SYNC_CAP)
+        pairs = space.longest_avoiding(prev_depth)
         avoided = "".join(map(str, next(w for w, m in pairs if m is None)))
         return None, f"windows of every length avoid the depth-{prev_depth} word {avoided}"
     return max(lengths, default=0) + 1, None
 
 
-def _lengths(space, depth, budget=DEFAULT_WORD_BUDGET):
+def _lengths(space, depth):
     """The longest window avoiding each depth-`depth` word of `space`, in
     the order of `longest_avoiding`; a permutation class builds no word."""
     if isinstance(space, PermutationCode):
         return space._longest_avoiding(depth)[1].tolist()
-    return (m for _, m in space.longest_avoiding(depth, budget=budget))
+    return [m for _, m in space.longest_avoiding(depth)]
 
 
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     """Evaluate every stage inequality; failures are data, not exceptions.
 
     The language checks (nesting, language synchronization, saturation)
-    ask the spaces of the two stages (`Stage.space`); a structured stage
-    fails those deeper than the depths its code words decide, with a note.
+    ask the spaces of the two stages (`Stage.space`); a coded stage fails
+    those deeper than the depths its code words decide, with a note.
 
     The roof window and the measure distance range over every invariant
     measure of the stage.  The roof integral is linear in the measure and
@@ -1139,7 +1147,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     if k is None:
         raise ValueError(f"stage {stage.index} has code words of several lengths")
     depth = max(rho.depth, params.metric.max_depth)
-    exact = (code.ambient if structured else stage.shift.renewal).exact_depth
+    exact = (code.ambient if structured else space).exact_depth
     if depth > exact:
         raise StructureDepthError(
             f"roof or metric depth {depth} exceeds the exact depth {exact} "
@@ -1157,7 +1165,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     roof_vals, dists = [ri_next], [dist_prev]
     if not structured:
         _score_orbits(code.words, rho, prev.measure, params.metric,
-                      stage.shift.ambient_size, roof_vals, dists)
+                      target.base.ambient_size, roof_vals, dists)
 
     nesting = [(depth, *_nests(space, prev.space, depth)) for depth in NESTING_DEPTHS]
 
@@ -1246,7 +1254,7 @@ def _nests(space, upstream, depth):
         if ours <= theirs:
             return True, "language containment"
     except StructureDepthError:
-        return False, f"depth {depth} beyond the depths the structured stage decides"
+        return False, f"depth {depth} beyond the depths the coded stage decides"
     return False, f"word of stage language missing upstream at depth {depth}"
 
 
@@ -1257,7 +1265,7 @@ def _languages_agree(space, upstream, depth):
     except CapacityError:
         return False, f"depth {depth} beyond enumeration budget"
     except StructureDepthError:
-        return False, f"depth {depth} beyond the depths the structured stage decides"
+        return False, f"depth {depth} beyond the depths the coded stage decides"
     if not ours <= theirs:
         return False, f"word of stage language missing upstream at depth {depth}"
     if ours != theirs:
@@ -1267,26 +1275,23 @@ def _languages_agree(space, upstream, depth):
 
 def _languages(space, upstream, depth):
     """The depth-`depth` label languages of the two spaces, as sets of
-    words; for a permutation class and the presentation of its ambient, as
-    the sizes of two sets of ids of the ambient's window table, the first
-    within the second, so they compare as the sets do and no word is built."""
-    ambient = getattr(space, "ambient", None)
-    if ambient is not None and ambient is getattr(upstream, "renewal", None):
-        return len(space.window_ids(depth)), len(ambient._table(depth)[1])
+    words; for a permutation class and its ambient, as the sizes of two
+    sets of ids of the ambient's window table, the first within the second,
+    so they compare as the sets do and no word is built."""
+    if getattr(space, "ambient", None) is upstream:
+        return len(space.window_ids(depth)), len(upstream._table(depth)[1])
     return set(space.language(depth)), set(upstream.language(depth))
 
 
 def _saturated(space, depth_from, depth_to):
     """Every depth_from word occurs inside every depth_to word of the
-    stage space `space`; a graph search stops at the first word that fails."""
+    stage space `space`."""
     try:
         for m in _lengths(space, depth_from):
             if m is None or m >= depth_to:
                 return False, f"window of length {m} avoids a depth-{depth_from} word"
-    except CapacityError:
-        return False, f"depth {depth_from} beyond enumeration budget"
     except StructureDepthError:
-        return False, f"depth {depth_from} beyond the depths the structured stage decides"
+        return False, f"depth {depth_from} beyond the depths the coded stage decides"
     return True, f"all depth-{depth_from} words occur in every depth-{depth_to} word"
 
 

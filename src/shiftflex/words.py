@@ -7,6 +7,10 @@ recodings (higher-block presentations, renewal presentations) label each
 state by the base symbol it reads.  A word is a tuple of internal states
 and a set of words one (words × length) state array; label words are
 their projections to the base alphabet.
+
+Every query here searches the graph.  A coded stage answers from its code
+(`codes.RenewalStructure`, `codes.PermutationCode`), never from a
+presentation of it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class VertexShift:
         tuples; kept as the array (None when unset).
     """
 
-    # the code of a renewal presentation (`codes.renewal_to_sft`), whose
-    # words answer the queries below up to its `exact_depth`
+    # the code of a renewal presentation (`codes.renewal_to_sft`): the
+    # `space` of its stage; no query of the shift reads it
     renewal = None
     # kept by `_predecessor_arrays`, `_adjacency_lists` and the first call
     # of `perron`, `is_irreducible`, `_levels_from_zero` and `graph_period`
@@ -123,29 +127,17 @@ class VertexShift:
         return j in self.successors(i)
 
     def language(self, depth):
-        """Label words of the given depth, lexicographically ordered.
-
-        Up to `renewal.exact_depth` they come from the code words, elsewhere
-        from `label_language` (the module function `language` lists
-        internal words instead).
-        """
-        if self.renewal is not None and depth <= self.renewal.exact_depth:
-            return self.renewal.language(depth)
+        """Label words of the given depth, lexicographically ordered
+        (`label_language`; the module function `language` lists internal
+        words instead)."""
         return label_language(self, depth)
 
-    def longest_avoiding(self, depth, budget=DEFAULT_WORD_BUDGET):
+    def longest_avoiding(self, depth):
         """(word, longest label window avoiding it) per label word of the
         given depth, lexicographically; None where windows of any length
-        avoid the word.
-
-        Up to `renewal.exact_depth` the code words answer.  Elsewhere
-        `longest_window_avoiding` answers each word of `label_language`
-        lazily, after CapacityError past `budget` words.
-        """
-        if self.renewal is not None and depth <= self.renewal.exact_depth:
-            return self.renewal.longest_avoiding(depth)
-        words = label_language(self, depth, budget=budget)
-        return ((v, longest_window_avoiding(self, v)) for v in words)
+        avoid the word.  `longest_window_avoiding` answers each word of
+        `label_language` lazily."""
+        return ((v, longest_window_avoiding(self, v)) for v in label_language(self, depth))
 
     def dense(self):
         return np.asarray(self.matrix.todense())
@@ -425,12 +417,8 @@ def is_irreducible(shift):
     """True iff the transition graph is strongly connected.
 
     Every state must reach every state by a path of at least one edge, so a
-    single state needs a self loop.  A renewal presentation is irreducible:
-    each state lies on its code word's cycle, which passes every word
-    start.  Cached on the shift object.
+    single state needs a self loop.  Cached on the shift object.
     """
-    if shift.renewal is not None:
-        return True
     cached = shift._irreducible_cache
     if cached is None:
         cached = shift._irreducible_cache = _strongly_connected(shift)
@@ -464,14 +452,11 @@ def connecting_word(shift, frm, to):
 
     The word contains at least one edge (a length-2 word for a direct
     transition); among shortest words the lexicographically smallest is
-    returned.  On a renewal presentation it is the unique shortest path
-    `renewal.path`.  Raises UnreachableStateError when no path exists.
+    returned.  Raises UnreachableStateError when no path exists.
     """
     n = shift.num_states
     if not (0 <= frm < n and 0 <= to < n):
         raise ValueError("state out of range")
-    if shift.renewal is not None:
-        return shift.renewal.path(frm, to)
     dist = bfs_distances(shift, (to,), reverse=True)
     # at least one edge: start from successors of frm
     best = None
@@ -605,37 +590,26 @@ def label_rows(shift, n):
 def languages_disjoint(a, b, depth):
     """True iff the depth-`depth` label languages of the two sides are disjoint.
 
-    A side is a shift, or a renewal code (`codes.RenewalStructure`) whose
-    presentation would have t (k - 1) + t^2 edges.  Enumerates the language
-    of the side with fewer edges (words of length 2) that is a shift and
-    membership-tests against the other; the verdict is symmetric, so the
-    choice only affects the cost.  Against a renewal code the words are one
-    array (`label_rows`), tested in one call (`RenewalStructure.admitted`).
+    A side is a shift or a renewal code (`codes.RenewalStructure`); the
+    verdict is symmetric, so the order only affects the cost.  Against a
+    code the shift's words are one array (`label_rows`), tested in one call
+    (`RenewalStructure.admitted`).  Between two shifts the language of the
+    one with fewer edges is enumerated and each word membership-tested
+    against the other.
     """
-    small, big = sorted((a, b), key=lambda s: s.matrix.nnz if isinstance(s, VertexShift)
-                        else len(s.code) * (s.k - 1 + len(s.code)))
-    if not isinstance(small, VertexShift):
-        small, big = big, small
-    code = big.renewal if isinstance(big, VertexShift) else big
-    if code is not None:
-        return not (code.admitted(label_rows(small, depth)) == depth).any()
-    for w in label_language(small, depth):
-        if is_label_admissible(big, w):
-            return False
-    return True
+    if not isinstance(a, VertexShift):
+        a, b = b, a
+    if not isinstance(b, VertexShift):
+        return not (b.admitted(label_rows(a, depth)) == depth).any()
+    small, big = sorted((a, b), key=lambda s: s.matrix.nnz)
+    return not any(is_label_admissible(big, w) for w in label_language(small, depth))
 
 
 def graph_period(shift):
     """gcd of cycle lengths of the (strongly connected) transition graph.
-
-    A renewal presentation's cycles are runs of whole code words, one word
-    alone among them, so its period is the code-word length.  Cached on the
-    shift object.
-    """
+    Cached on the shift object."""
     if not is_irreducible(shift):
         raise ReducibleShiftError("period is defined for irreducible shifts")
-    if shift.renewal is not None:
-        return shift.renewal.k
     cached = shift._period_cache
     if cached is None:
         cached = shift._period_cache = _cycle_gcd(shift)

@@ -560,7 +560,7 @@ def set_nests(space, upstream, depth):
         if set(space.language(depth)) <= set(upstream.language(depth)):
             return True, "language containment"
     except StructureDepthError:
-        return False, f"depth {depth} beyond the depths the structured stage decides"
+        return False, f"depth {depth} beyond the depths the coded stage decides"
     return False, f"word of stage language missing upstream at depth {depth}"
 
 
@@ -572,7 +572,7 @@ def set_languages_agree(space, upstream, depth):
     except CapacityError:
         return False, f"depth {depth} beyond enumeration budget"
     except StructureDepthError:
-        return False, f"depth {depth} beyond the depths the structured stage decides"
+        return False, f"depth {depth} beyond the depths the coded stage decides"
     if not ours <= theirs:
         return False, f"word of stage language missing upstream at depth {depth}"
     if ours != theirs:

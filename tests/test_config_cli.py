@@ -315,3 +315,29 @@ def test_cmd_construct_refused_values_are_config_errors(text, args, error, tmp_p
     captured = capsys.readouterr()
     assert captured.err == f"config error: {error}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("matrix = 11 11", "matrix = 12 11",
+         "field 'matrix': transition matrix entries must be 0 or 1"),
+        ("matrix = 11 11", "forbidden = 1x",
+         "line 3: field 'forbidden': forbidden words must be digit strings"),
+        ("matrix = 11 11", "forbidden = 12",
+         "field 'forbidden': forbidden word (1, 2) outside alphabet"),
+        ("alphabet = 2\nmatrix = 11 11", "alphabet = 0",
+         "field 'alphabet': alphabet must be >= 1, got 0"),
+        ("[stage 1]", "[stage 0]\ndelta = 0.2\n\n[stage 1]",
+         "line 17: stages count from 1: `[stage 0]` has no stage"),
+    ],
+    ids=["matrix-entry", "forbidden-token", "forbidden-symbol", "alphabet-zero", "stage-zero"],
+)
+def test_cmd_construct_malformed_values_are_config_errors(old, new, error, tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SMALL.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == "" and not out.exists()

@@ -16,7 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
 
-@pytest.mark.parametrize("config", ["full2_small", "full3_acceptance", "full3_roof_first"])
+@pytest.mark.parametrize(
+    "config", ["full2_small", "full2_tower", "full3_acceptance", "full3_roof_first"]
+)
 def test_construct_outputs_match_golden(config, tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["construct", "--config", str(ROOT / "configs" / f"{config}.cfg"), "--out", str(out)]

@@ -147,7 +147,6 @@ def test_renewal_admits_matches_matrix_path():
         code = Code(tuple(rng.sample(pool, rng.randint(1, min(6, len(pool))))))
         shift = renewal_to_sft(code, ambient_size=3)
         renewal = shift.renewal
-        shift.renewal = None  # fall back to state-set propagation
         for n in range(1, 3 * k + 2):
             for _ in range(40):
                 w = tuple(rng.randrange(3) for _ in range(n))
@@ -174,7 +173,6 @@ def test_permutation_code_windows_match_enumeration():
         code = Code(tuple(pc.words()))
         assert len(code) == pc.size and pc.log_size == pytest.approx(math.log(pc.size))
         shift = renewal_to_sft(code, ambient_size=3)
-        shift.renewal = None  # the graph search answers its queries
         parry = parry_measure(shift)
         for depth in range(1, ambient.exact_depth + 1):
             language = list(label_language(shift, depth))

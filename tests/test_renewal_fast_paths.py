@@ -1,6 +1,8 @@
 """Differential tests: each answer a renewal code gives without a graph
-search against the graph search it replaces, on seeded random codes."""
+search against the graph search of its presentation, on seeded random
+codes."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -30,7 +32,7 @@ from shiftflex.construction import (
     _languages_agree,
     _nests,
     _permutation_code,
-    sub_code,
+    code_presentation,
 )
 from shiftflex.words import (
     _cycle_gcd,
@@ -74,25 +76,22 @@ def random_codes(seed, count):
 
 
 def graph_twin(code, a):
-    """The renewal presentation of `code` without its code: every query
-    falls back to the graph search."""
-    plain = renewal_to_sft(code, ambient_size=a)
-    plain.renewal = None
-    return plain
+    """The renewal presentation of `code`: a shift, whose every query is a
+    graph search."""
+    return renewal_to_sft(code, ambient_size=a)
 
 
 def test_code_word_windows_match_graph_search():
     pairs = 0
     for a, code in random_codes(5, 120):
-        shift, plain = renewal_to_sft(code, ambient_size=a), graph_twin(code, a)
-        for depth in range(1, shift.renewal.exact_depth + 1):
+        plain = graph_twin(code, a)
+        renewal = plain.renewal
+        for depth in range(1, renewal.exact_depth + 1):
             language = list(label_language(plain, depth))
             expected = [(w, longest_window_avoiding(plain, w)) for w in language]
-            assert list(shift.renewal.longest_avoiding(depth)) == expected
-            assert list(shift.longest_avoiding(depth)) == expected
+            assert list(renewal.longest_avoiding(depth)) == expected
             assert list(plain.longest_avoiding(depth)) == expected
-            assert list(shift.language(depth)) == language
-            assert list(plain.language(depth)) == language
+            assert renewal.language(depth) == language == list(plain.language(depth))
             pairs += 1
     assert pairs > 500
 
@@ -108,12 +107,15 @@ def test_code_word_window_examples():
 
 
 def test_renewal_graph_invariants_match_graph_search():
+    """A renewal system of one word length k is irreducible with period k:
+    the closed forms a coded stage rests on, against the graph searches of
+    its presentations and of those of its code-word ranges."""
     checked = 0
     for a, code in random_codes(9, 80):
         full = renewal_to_sft(code, ambient_size=a)
         t = len(code)
         shifts = [full] + [
-            sub_code(full, full.renewal, lo, hi)
+            code_presentation(full.renewal, lo, hi)
             for lo in range(t)
             for hi in range(lo + 1, t + 1)
         ]
@@ -287,28 +289,32 @@ def test_renewal_paths_match_graph_search():
                 path = connecting_word(shift, z, start)
                 assert path == renewal.path(z, start) == connecting_word(plain, z, start)
                 assert len(path) == back[z] + 2
+        graph_path = functools.partial(connecting_word, plain)
         for end in ends:
             for start in starts:
                 for states in ([z] for z in range(n)):
-                    assert _connection_time(shift, states, start, end) == (
-                        _connection_time(plain, states, start, end)
+                    assert _connection_time(renewal.path, states, start, end) == (
+                        _connection_time(graph_path, states, start, end)
                     )
 
 
 def test_state_slice_is_the_checked_restriction():
+    """The presentation of a range of code words, built from the code
+    alone, is the slice of the full presentation on their states, and its
+    state words number them as the full one does."""
     for a, code in random_codes(31, 40):
         full, k, t = renewal_to_sft(code, ambient_size=a), code.uniform_length, len(code)
         for lo in range(t):
             for hi in range(lo + 1, t + 1):
                 part = slice(lo * k, hi * k)
-                sub = sub_code(full, full.renewal, lo, hi)
+                sub = code_presentation(full.renewal, lo, hi)
                 checked = VertexShift(
                     full.matrix[part, part],
                     labels=full.labels[part],
-                    ambient_size=a,
                     state_words=np.arange(t * k)[part, None],
                 )
-                assert sub == checked and sub.ambient_size == checked.ambient_size
+                assert sub == checked
+                assert sub.ambient_size == Code(code.words[lo:hi]).alphabet_size
                 assert (sub.state_words == checked.state_words).all()
                 assert sub.matrix.dtype == np.int8 and sub.matrix.has_canonical_format
                 assert all(type(x) is int for x in sub.labels)
@@ -432,7 +438,7 @@ def test_one_pass_k1_matches_disjointness_loop():
             continue
         full = renewal_to_sft(code, ambient_size=a)
         cut = random.Random(t).randint(1, t - 1)
-        y, z = full.renewal.sub_code(0, cut), sub_code(full, full.renewal, cut, t)
+        y, z = full.renewal.sub_code(0, cut), code_presentation(full.renewal, cut, t)
         cap = 4 * code.uniform_length
         k1 = _disjoint_depth(y, z, cap)
         words, k = code.words, code.uniform_length
@@ -455,7 +461,7 @@ def test_renewal_pairs_disjointness_matches_graph_twin():
             continue
         full, k = renewal_to_sft(code, ambient_size=a), code.uniform_length
         cut = random.Random(t).randint(1, t - 1)
-        y, z = sub_code(full, full.renewal, 0, cut), sub_code(full, full.renewal, cut, t)
+        y, z = code_presentation(full.renewal, 0, cut), code_presentation(full.renewal, cut, t)
         words = code.words
         twin_y, twin_z = graph_twin(Code(words[:cut]), a), graph_twin(Code(words[cut:]), a)
         for depth in range(1, 3 * k + 2):
@@ -483,7 +489,8 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     order = _canonical_order(len(y_words), k, t * 10)
     start, end = order[0] * k, order[-1] * k + k - 1
     z_states = sorted(set(art.Z.state_words[:, 0].tolist()))
-    assert report.overlap["M"] == _connection_time(plain, z_states, start, end)
+    graph_path = functools.partial(connecting_word, plain)
+    assert report.overlap["M"] == _connection_time(graph_path, z_states, start, end)
     y_twin = graph_twin(art.Y.code, 3)
     z_twin = graph_twin(art.Z.renewal.code, 3)
     assert report.overlap["K1"] == disjoint_depth_loop(y_twin, z_twin, 6 * k)
@@ -542,3 +549,42 @@ def test_stage_two_reads_its_ambients_tables(monkeypatch):
     # the report's own overlap dict verifies the stage again
     again = verify_stage(prev, stage, tgt, second, overlap_data=report.overlap)
     assert again == dataclasses.replace(report, artifacts=None)
+
+
+class SealedPresentation:
+    """Stands in for a stage's renewal presentation: its `renewal` link is
+    all that can be read; any other attribute (`matrix`, `labels`,
+    `state_words`, ...) fails the test."""
+
+    def __init__(self, renewal):
+        self.renewal = renewal
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the build read the presentation's {name!r}")
+
+
+@pytest.mark.parametrize("config", ["full3_acceptance", "full2_tower"])
+def test_stage_two_builds_without_stage_ones_presentation(config):
+    """Stage 2 of a tower, built on a stage 1 whose presentation cannot be
+    read, is the stage built on the full stage 1, report and code alike."""
+    import dataclasses
+    from pathlib import Path
+
+    from shiftflex.config import parse_config
+    from shiftflex.construction import base_stage, build_stage
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / f"{config}.cfg"
+    rc = parse_config(cfg.read_text())
+    tgt = rc.build_target()
+    first, second = rc.build_schedule(tgt)[:2]
+    prev, _ = build_stage(base_stage(tgt), tgt, first)
+    sealed = dataclasses.replace(prev, shift=SealedPresentation(prev.shift.renewal))
+    blind, blind_report = build_stage(sealed, tgt, second)
+    stage, report = build_stage(prev, tgt, second)
+    assert dataclasses.replace(blind_report, artifacts=None) == (
+        dataclasses.replace(report, artifacts=None)
+    )
+    assert blind.code == stage.code and blind.sync_depths == stage.sync_depths
+    seen, want = blind_report.artifacts, report.artifacts
+    for name in ("low_overlap_word", "connector_in", "connector_out"):
+        assert getattr(seen, name) == getattr(want, name)

@@ -199,10 +199,9 @@ def test_sub_code_rows_match_a_built_structure_seeded():
 
 @given(permutation_codes())
 def test_class_language_checks_on_ids_match_word_sets(code):
-    """Nesting and language sync of a class against its ambient's
-    presentation, at every depth and one beyond."""
-    upstream = renewal_to_sft(code.ambient.code)
-    upstream.renewal = code.ambient  # the presentation of the class's ambient
+    """Nesting and language sync of a class against its ambient, at every
+    depth and one beyond."""
+    upstream = code.ambient  # the space of the class's ambient stage
     for depth in range(1, code.ambient.exact_depth + 2):
         assert _nests(code, upstream, depth) == oracle.set_nests(code, upstream, depth)
         agree = _languages_agree(code, upstream, depth)
@@ -212,18 +211,16 @@ def test_class_language_checks_on_ids_match_word_sets(code):
 def test_class_language_checks_name_the_failure():
     # the class spells only word 0, so the ambient's window 1 1 is missing
     renewal = shared_end_code([(0, 0, 1, 0), (0, 1, 1, 0)], 1, 1)
-    upstream = renewal_to_sft(renewal.code)
-    upstream.renewal = renewal
     code = PermutationCode(renewal, (), 0, (0,), (0, 0))
     verdicts = set()
     for depth in range(1, renewal.exact_depth + 2):
-        got = _languages_agree(code, upstream, depth)
-        assert got == oracle.set_languages_agree(code, upstream, depth)
-        assert _nests(code, upstream, depth) == oracle.set_nests(code, upstream, depth)
+        got = _languages_agree(code, renewal, depth)
+        assert got == oracle.set_languages_agree(code, renewal, depth)
+        assert _nests(code, renewal, depth) == oracle.set_nests(code, renewal, depth)
         verdicts.add(got[1].split(" at ")[0])
     assert verdicts == {
         "languages agree", "upstream language strictly larger",
-        f"depth {renewal.exact_depth + 1} beyond the depths the structured stage decides",
+        f"depth {renewal.exact_depth + 1} beyond the depths the coded stage decides",
     }
 
 
