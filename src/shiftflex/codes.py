@@ -148,27 +148,35 @@ def renewal_to_sft(code, ambient_size=None):
     exactly the bi-infinite free concatenations.  Distinct words of one
     length are uniquely decipherable, so the length check is the whole
     gate.  The spectral radius is |code|^(1/k) (`RenewalStructure.entropy`).
+
+    The code itself is the `renewal` link, which a stage reads as its
+    space; the t(k - 1) + t^2 edges and the labels are built and checked
+    when a graph query first reads them (`VertexShift.deferred`).
     """
     k = code.uniform_length
     if k is None:
         raise NonUniformLengthError(
             "renewal presentation requires a uniform-length code"
         )
+    renewal = RenewalStructure(code=code, k=k)
     t = len(code)
     n = t * k
-    states = np.arange(n).reshape(t, k)
-    inner = states[:, :-1].ravel()
-    # every word end (a, k-1) -> every word start (b, 0)
-    rows = np.concatenate([inner, np.repeat(states[:, -1], t)])
-    cols = np.concatenate([inner + 1, np.tile(states[:, 0], t)])
-    mat = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
+
+    def build():
+        states = np.arange(n).reshape(t, k)
+        inner = states[:, :-1].ravel()
+        # every word end (a, k-1) -> every word start (b, 0)
+        rows = np.concatenate([inner, np.repeat(states[:, -1], t)])
+        cols = np.concatenate([inner + 1, np.tile(states[:, 0], t)])
+        mat = sp.csr_matrix(
+            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+        )
+        return mat, renewal._array.ravel()
+
     if ambient_size is None:
         ambient_size = code.alphabet_size
-    labels = [x for w in code.words for x in w]
-    shift = VertexShift(mat, labels=labels, ambient_size=ambient_size)
-    shift.renewal = RenewalStructure(code=code, k=k)
+    shift = VertexShift.deferred(build, n, ambient_size)
+    shift.renewal = renewal
     return shift
 
 
@@ -522,11 +530,10 @@ class PermutationCode:
 
     @cached_property
     def size(self):
-        """Exact number of code words: distinct orders of the free multiset."""
-        total = math.factorial(len(self.free))
-        for c in Counter(self.free).values():
-            total //= math.factorial(c)
-        return total
+        """Exact number of code words: distinct orders of the free multiset,
+        |free|! over the factorials of its multiplicities, in one division."""
+        repeats = (math.factorial(c) for c in Counter(self.free).values() if c > 1)
+        return math.factorial(len(self.free)) // math.prod(repeats)
 
     @property
     def log_size(self):

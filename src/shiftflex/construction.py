@@ -618,11 +618,12 @@ class Stage:
     """One level of the tower: the shift, its maximal measure, provenance.
 
     A stage built from an enumerated code keeps its renewal presentation
-    as `shift`, and its maximal measure is the presentation's
-    `RenewalStructure`.  A structured stage has no explicit presentation:
-    `shift` is None and `code` (a PermutationCode) also serves as
-    `measure`, the cylinder table every invariant measure of the stage
-    shares.
+    as `shift`, deferred: its matrix and labels are built only if a graph
+    query reads them (`renewal_to_sft`), which no build or check does.
+    Its maximal measure is the presentation's `RenewalStructure`.  A
+    structured stage has no explicit presentation: `shift` is None and
+    `code` (a PermutationCode) also serves as `measure`, the cylinder
+    table every invariant measure of the stage shares.
 
     `space` is the object that answers the stage's language queries,
     `language(depth)` and `longest_avoiding(depth)`, and that the next

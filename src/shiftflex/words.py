@@ -48,6 +48,10 @@ class VertexShift:
         recodings (the word of original states each block state stands
         for), given as a (states × length) integer array or as equal-length
         tuples; kept as the array (None when unset).
+
+    A shift made by `deferred` has its state count, alphabet size and state
+    words at once, and builds and checks its matrix and labels here when
+    one of them is first read.
     """
 
     # the code of a renewal presentation (`codes.renewal_to_sft`): the
@@ -82,6 +86,28 @@ class VertexShift:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
         self.state_words = None if state_words is None else np.asarray(state_words)
+
+    @classmethod
+    def deferred(cls, build, num_states, ambient_size):
+        """A shift of `num_states` states whose (matrix, labels) `build()`
+        returns when either is first read.  `__init__` checks them then and
+        keeps the state words set before, so a shift that nothing searches
+        never holds its edges."""
+        shift = object.__new__(cls)
+        shift._build, shift.num_states, shift.ambient_size = build, num_states, int(ambient_size)
+        shift.state_words = None
+        return shift
+
+    def __getattr__(self, name):
+        # reached only for attributes never set: before their first read,
+        # the matrix and labels of a `deferred` shift
+        build = self.__dict__.get("_build")
+        if build is None or name not in ("matrix", "labels"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix, labels = build()
+        VertexShift.__init__(self, matrix, labels, self.ambient_size, self.state_words)
+        del self._build
+        return self.__dict__[name]
 
     def _predecessor_arrays(self):
         """(indptr, indices) of the transposed matrix in CSR form: row j

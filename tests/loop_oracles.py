@@ -13,7 +13,7 @@ checks and labels one word tuple at a time; a renewal code admits a label
 word one piece at a time, found by bisection in its sorted tails; the
 depth at which two codes stop sharing words grows the shared words one
 symbol at a time; a permutation class is chosen from one class built
-per number of fixed slots; window tables rank one more symbol per
+per number of fixed slots and counted one multiplicity at a time; window tables rank one more symbol per
 depth; and the language checks of a permutation class compare sets of
 word tuples.
 """
@@ -395,6 +395,15 @@ def renewal_longest_avoiding(renewal, depth):
 
 def _block(code):
     return code.glue + code.fixed + code.free
+
+
+def permutation_size(code):
+    """Distinct orders of the free multiset: |free|! divided by the
+    factorial of one multiplicity at a time."""
+    total = math.factorial(len(code.free))
+    for c in Counter(code.free).values():
+        total //= math.factorial(c)
+    return total
 
 
 def permutation_cylinder_table(code, depth):

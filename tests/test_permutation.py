@@ -7,6 +7,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import tests.loop_oracles as oracle
 
 from shiftflex import (
     Code,
@@ -148,9 +152,17 @@ def test_renewal_admits_matches_matrix_path():
         shift = renewal_to_sft(code, ambient_size=3)
         renewal = shift.renewal
         for n in range(1, 3 * k + 2):
-            for _ in range(40):
-                w = tuple(rng.randrange(3) for _ in range(n))
-                assert (renewal.admitted([w])[0] == n) == is_label_admissible(shift, w)
+            ws = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(40)]
+            for w, m in zip(ws, renewal.admitted(ws).tolist()):
+                assert (m == n) == is_label_admissible(shift, w)
+
+
+@given(st.lists(st.integers(0, 7), max_size=300), st.integers(0, 7))
+def test_permutation_code_size_matches_loop(free, repeated):
+    """The class size in one division is the per-multiplicity quotient."""
+    free = free + [repeated] * len(free)  # multiplicities above 1
+    code = PermutationCode(RenewalStructure(Code(AMBIENT_SYNCED), 10), (0,), 0, (), tuple(free))
+    assert code.size == oracle.permutation_size(code)
 
 
 def test_permutation_code_windows_match_enumeration():

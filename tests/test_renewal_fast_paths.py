@@ -3,9 +3,11 @@ search against the graph search of its presentation, on seeded random
 codes."""
 
 import functools
+import importlib
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,8 @@ from tests.test_permutation import (
     renewal_stage,
     target,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_codes(seed, count):
@@ -142,12 +146,62 @@ def loop_renewal_matrix(code):
 
 
 def test_renewal_matrix_matches_loop_build():
-    for a, code in random_codes(13, 60):
+    """The presentation knows its sizes at once and builds at its first
+    graph read the matrix and labels of the edge-by-edge build."""
+    edge_cases = [
+        (3, Code(((0, 1, 1),))),  # t = 1
+        (3, Code(((0,), (2,)))),  # k = 1
+        (301, Code(((300, 1, 7), (5, 299, 300), (0, 0, 256)))),  # 2-byte letters
+    ]
+    for a, code in edge_cases + random_codes(13, 60):
         shift = renewal_to_sft(code, ambient_size=a)
         dense, labels = loop_renewal_matrix(code)
+        assert not {"matrix", "labels"} & set(vars(shift))
+        assert (shift.num_states, shift.ambient_size, shift.state_words) == (len(labels), a, None)
+        assert shift.labels == labels and all(type(x) is int for x in shift.labels)
         assert (shift.dense() == dense).all()
-        assert shift.labels == labels
-        assert shift.ambient_size == a
+        assert shift.matrix.dtype == np.int8 and shift.matrix.has_canonical_format
+        assert (shift.num_states, shift.ambient_size, shift.state_words) == (len(labels), a, None)
+        assert renewal_to_sft(code).ambient_size == code.alphabet_size
+
+
+def test_presentation_runs_init_on_first_read(monkeypatch):
+    """The checked construction runs once, at the first graph read, so a
+    wrapper around `VertexShift.__init__` sees the edges only when they
+    exist."""
+    built, init = [], VertexShift.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.matrix.nnz)
+
+    monkeypatch.setattr(VertexShift, "__init__", spy)
+    shift = renewal_to_sft(Code(((0, 1), (1, 0), (1, 1))))
+    assert built == [] and shift.num_states == 6 and shift.renewal.k == 2
+    assert shift.labels == (0, 1, 1, 0, 1, 1)
+    assert built == [3 + 9]
+    shift.matrix, shift.labels
+    assert built == [12]
+
+
+def test_deferred_shift_checks_on_first_read():
+    """A deferred matrix or labels that `__init__` refuses are refused at
+    every read, and no other missing attribute builds anything."""
+    bad = VertexShift.deferred(lambda: (np.array([[2]]), [0]), 1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            bad.matrix
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        bad.labels
+    wide = VertexShift.deferred(lambda: (np.array([[1]]), [3]), 1, 2)
+    with pytest.raises(ValueError, match="label out of ambient alphabet range"):
+        wide.labels
+    calls = []
+    lazy = VertexShift.deferred(lambda: calls.append(1) or (np.array([[1]]), [0]), 1, 1)
+    assert getattr(lazy, "ambient", None) is None and lazy.renewal is None and not calls
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        lazy.missing
+    assert not calls and lazy.matrix.nnz == 1 and calls == [1]
 
 
 def loop_adjacency(m):
@@ -308,6 +362,8 @@ def test_state_slice_is_the_checked_restriction():
             for hi in range(lo + 1, t + 1):
                 part = slice(lo * k, hi * k)
                 sub = code_presentation(full.renewal, lo, hi)
+                numbered = sub.state_words  # set before the first graph read
+                assert "matrix" not in vars(sub)
                 checked = VertexShift(
                     full.matrix[part, part],
                     labels=full.labels[part],
@@ -315,7 +371,9 @@ def test_state_slice_is_the_checked_restriction():
                 )
                 assert sub == checked
                 assert sub.ambient_size == Code(code.words[lo:hi]).alphabet_size
-                assert (sub.state_words == checked.state_words).all()
+                for words in (numbered, sub.state_words):
+                    assert words.shape == checked.state_words.shape
+                    assert (words == checked.state_words).all()
                 assert sub.matrix.dtype == np.int8 and sub.matrix.has_canonical_format
                 assert all(type(x) is int for x in sub.labels)
                 assert sub.renewal.code.words == code.words[lo:hi]
@@ -549,6 +607,36 @@ def test_stage_two_reads_its_ambients_tables(monkeypatch):
     # the report's own overlap dict verifies the stage again
     again = verify_stage(prev, stage, tgt, second, overlap_data=report.overlap)
     assert again == dataclasses.replace(report, artifacts=None)
+
+
+@pytest.mark.parametrize("config", ["full3_acceptance", "full2_tower"])
+def test_tower_never_builds_stage_ones_presentation(config, tmp_path, monkeypatch):
+    """A two-stage tower, its written outputs and the benchmark's stage
+    checks read stage 1 through its code: the matrix and labels of its
+    presentation are never built, while those of Z's presentation are."""
+    from shiftflex.cli import _write_outputs
+    from shiftflex.config import parse_config
+    from shiftflex.construction import iterate
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    checks = importlib.import_module("checks")
+    rc = parse_config((ROOT / "configs" / f"{config}.cfg").read_text())
+    tgt = rc.build_target()
+    schedule = rc.build_schedule(tgt)
+    tower = iterate(tgt, 2, schedule)
+    assert tower.ok
+    _write_outputs(rc, tgt, tower, str(tmp_path))
+    stages, reports = tower.stages, tower.reports
+    # the benchmark counts a class only with distinct free words, as on the
+    # acceptance tower; full2_tower's stage 2 repeats them
+    free = stages[2].code.free
+    for i in (1, 2) if len(set(free)) == len(free) else (1,):
+        checks.check_stage(stages[i - 1], stages[i], reports[i], tgt.c, schedule[i - 1].delta, tgt.rho.values)
+    first = stages[1].shift
+    assert first.num_states == len(first.renewal.code) * first.renewal.k
+    assert not {"matrix", "labels"} & set(vars(first))
+    z = reports[2].artifacts.Z
+    assert {"matrix", "labels"} <= set(vars(z)) and z.num_states == 2 * first.renewal.k
 
 
 class SealedPresentation:
