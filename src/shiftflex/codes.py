@@ -497,6 +497,12 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     )
 
 
+def log_orders(multiplicities):
+    """Log of the number of distinct orders of a multiset with these
+    multiplicities: (their sum)! over the product of their factorials."""
+    return math.lgamma(sum(multiplicities) + 1) - sum(math.lgamma(c + 1) for c in multiplicities)
+
+
 @dataclass(frozen=True)
 class PermutationCode:
     """Uniform-length code built from the code words of a renewal ambient.
@@ -537,9 +543,7 @@ class PermutationCode:
 
     @property
     def log_size(self):
-        return math.lgamma(len(self.free) + 1) - sum(
-            math.lgamma(c + 1) for c in Counter(self.free).values()
-        )
+        return log_orders(Counter(self.free).values())
 
     @property
     def entropy(self):

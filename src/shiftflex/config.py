@@ -32,6 +32,7 @@ class StageOverride:
 
     FLOATS = ("delta", "kappa", "radius", "entropy_target")
     INTS = ("word_length", "overlap_length", "block_depth")
+    STAGE_ONE = ("block_depth", "entropy_target")  # keys of stage 1's subset search
 
 
 @dataclass
@@ -124,6 +125,10 @@ class RunConfig:
             else:
                 params = next_params(schedule[-1])
             o = overrides.get(i, StageOverride(index=i))
+            late = [name for name in StageOverride.STAGE_ONE if getattr(o, name) is not None]
+            if i > 1 and late:
+                raise ConfigError(f"stage {i} {late[0]}: only stage 1 searches for Y; a later "
+                                  "stage takes Y by rule from the code of its ambient")
             for name in StageOverride.FLOATS + StageOverride.INTS:
                 v = getattr(o, name)
                 if v is None:

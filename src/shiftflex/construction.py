@@ -22,6 +22,7 @@ from .codes import (
     PermutationCode,
     RenewalStructure,
     find_low_overlap_word,
+    log_orders,
     max_self_overlap,
     renewal_to_sft,
 )
@@ -123,10 +124,11 @@ DELTA_CAP = 0.5
 class StageParams:
     """Per-stage knobs: window slack delta, proximity kappa, word lengths.
 
-    radius defaults to kappa; entropy_target optionally redirects the
-    subsystem search away from the naive midpoint (finite word lengths
-    inflate the code length k relative to n, so the subsystem carrying the
-    separated set must run hotter than the midpoint by roughly k/n).
+    radius defaults to kappa.  block_depth and entropy_target steer only
+    the subset search of stage 1: entropy_target redirects it away from
+    the naive midpoint (finite word lengths inflate the code length k
+    relative to n, so the subsystem carrying the separated set must run
+    hotter than the midpoint by roughly k/n).  Later stages take Y by rule.
     """
 
     delta: float
@@ -168,9 +170,8 @@ def validate_schedule(schedule):
 def next_params(prev, **overrides):
     """Default decayed parameters for the following stage.
 
-    delta and kappa shrink inside the hard decay constraints; the
-    per-stage calibration knobs (radius, entropy_target) reset to their
-    defaults rather than inheriting stale values.
+    delta and kappa shrink inside the hard decay constraints; radius and
+    entropy_target, which only stage 1 reads, reset to their defaults.
     """
     delta = 0.9 * (math.sqrt(1 + prev.delta) - 1)
     kappa = 0.49 * prev.kappa
@@ -549,51 +550,29 @@ def code_presentation(renewal, lo, hi):
     return shift
 
 
-def _select_in_renewal(renewal, m, c1, kappa, cfg, entropy_target):
-    """(Y, Z) on a renewal ambient: Y its first t code words, a row range
-    of its tables (`RenewalStructure.sub_code`), and Z the presentation of
-    the next two (`code_presentation`); t realizes entropy log t / k
-    within kappa of c1, as near `entropy_target` (c1 when None) as the
-    measure and disjointness allow."""
-    target_h = c1 if entropy_target is None else entropy_target
-    diagnostics = {}
-    k = renewal.k
-    t_total = len(renewal.code)
-    if t_total < 3:
-        raise SubsystemSearchError(
-            "renewal presentation has too few code words for a disjoint pair",
-            diagnostics={"code_words": t_total},
-        )
-    lo_t = max(2 if c1 > 1e-12 else 1, math.ceil(math.exp((c1 - kappa) * k)))
-    hi_t = min(t_total - 2, math.floor(math.exp((c1 + kappa) * k)))
-    if lo_t > hi_t:
-        raise SubsystemSearchError(
-            f"no sub-code size realizes entropy {c1:.4g} within {kappa:.4g}",
-            diagnostics={"code_words": t_total, "k": k},
-        )
-    t_best = min(max(lo_t, round(math.exp(target_h * k))), hi_t)
-    cap = 6 * k
-
-    tried = []
-    for off in range(hi_t - lo_t + 1):
-        for t in ([t_best + off, t_best - off] if off else [t_best]):
-            if not (lo_t <= t <= hi_t):
-                continue
-            y = renewal.sub_code(0, t)
-            d = weak_star_distance(y, m, cfg)
-            tried.append((t, math.log(t) / k, d))
-            if d > kappa:
-                continue
-            z_sub = code_presentation(renewal, t, t + 2)
-            k1 = _disjoint_depth(y, z_sub, cap)
-            if k1 is not None:
-                return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y)
-            diagnostics["k1_cap"] = f"languages still meet at depth {cap}"
-    diagnostics["tried"] = tried[:16]
-    raise SubsystemSearchError(
-        "no sub-code satisfied the entropy/measure constraints",
-        diagnostics=diagnostics,
-    )
+def _select_in_renewal(renewal, m, c1, kappa, cfg):
+    """(Y, Z) on a renewal ambient, by rule: Y its first t = t_total - 2
+    code words, a row range of its tables (`RenewalStructure.sub_code`),
+    and Z the presentation of the other two (`code_presentation`).  Raises
+    SubsystemSearchError, with the numbers, when log t / k or Y's measure
+    is farther than kappa from c1 or m, or when K1 would exceed 6 k."""
+    t, k = len(renewal.code) - 2, renewal.k
+    if t < 1:
+        raise SubsystemSearchError(f"{t + 2} code words are too few for a disjoint pair")
+    y = renewal.sub_code(0, t)
+    h, d = math.log(t) / k, weak_star_distance(y, m, cfg)
+    z_sub = code_presentation(renewal, t, t + 2)
+    k1 = _disjoint_depth(y, z_sub, 6 * k)
+    why = []
+    if abs(h - c1) > kappa:
+        why.append(f"log t/k1 = {h:.6g} is not within kappa = {kappa:.6g} of c1 = {c1:.6g}")
+    if d > kappa:
+        why.append(f"its measure lies at distance {d:.6g} > kappa = {kappa:.6g} from m")
+    if k1 is None:
+        why.append(f"its language still meets Z's at depth {6 * k}")
+    if why:
+        raise SubsystemSearchError(f"Y of t = {t} code words, all but Z's two: " + "; ".join(why))
+    return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y)
 
 
 def _disjoint_depth(y, z, cap):
@@ -772,11 +751,12 @@ def build_stage(prev, target, params, settings=None):
     """Assemble stage prev.index + 1 and verify every inequality.
 
     On a renewal ambient (`prev.space` a `RenewalStructure`) the build
-    reads only the code: Y, Z, the connecting paths and Γ, the permutation
-    class of Y's code words (`PermutationCode`), come from it, and the
-    stage is structured: it has no explicit presentation (`shift` is
-    None).  On the base shift Γ is an enumerated Katok separated set
-    refined by pigeonholing.  Either way Γ has distinct
+    reads only the code and searches nothing: Y, Z (`_select_in_renewal`),
+    the connecting paths and Γ, the permutation class of Y's code words
+    (`PermutationCode`), come from it by rule, so `params.entropy_target`
+    must be None (ValueError); the stage has no explicit presentation
+    (`shift` is None).  On the base shift Γ is an enumerated Katok
+    separated set refined by pigeonholing.  Either way Γ has distinct
     words of one length k, so it is uniquely decipherable with entropy
     log|Γ|/k (`Stage.entropy`).  Raises InsufficientWordLengthError before
     assembly when word_length cannot reach the entropy window, and
@@ -794,9 +774,12 @@ def build_stage(prev, target, params, settings=None):
     art.c1 = c1
     renewal = prev.space if isinstance(prev.space, RenewalStructure) else None
     if renewal is not None:
-        pair = _select_in_renewal(
-            renewal, prev.measure, c1, params.kappa, params.metric, params.entropy_target
-        )
+        if params.entropy_target is not None:
+            raise ValueError(
+                f"stage {prev.index + 1}: entropy_target steers only the subset "
+                "search of stage 1; on a renewal ambient Y is set by rule"
+            )
+        pair = _select_in_renewal(renewal, prev.measure, c1, params.kappa, params.metric)
     else:
         pair = select_disjoint_subsystems(
             prev.shift,
@@ -938,23 +921,17 @@ def _canonical_order(t, k1, n):
     return tuple(range(t)) * max(1, n // (t * k1))
 
 
+def _largest_class_log_size(t, q):
+    """log|Γ| of the largest class `_permutation_code` builds from q passes
+    through t code words: the first two slots fixed, the rest free."""
+    fixed = Counter((tuple(range(t)) * min(2, q))[:2])
+    return log_orders([q - fixed[a] for a in range(t)])
+
+
 def _log_path_counter(Y):
-    """n -> log of the number of internal words of length n in Y.
-
-    A renewal sub-code of t words of length k has t * sum_p t^floor((p+n-1)/k)
-    of them: a start word, then one choice per code-word boundary crossed.
-    Other shifts iterate the transition matrix in floating point, only as
-    far as the largest n asked for.
-    """
-    if not isinstance(Y, VertexShift):
-        lt, k = math.log(len(Y.code)), Y.k
-
-        def closed_form(n):
-            exps = [((p + n - 1) // k) * lt for p in range(k)]
-            top = max(exps)
-            return lt + top + math.log(sum(math.exp(x - top) for x in exps))
-
-        return closed_form
+    """n -> log of the number of internal words of length n in the shift Y,
+    iterating its transition matrix in floating point, only as far as the
+    largest n asked for."""
     mat = Y.matrix.astype(np.float64)
     vec, scale, logs = np.ones(Y.num_states), 0.0, []
 
@@ -974,59 +951,64 @@ def _log_path_counter(Y):
 def _refuse_word_length(target, params, prev, Y, renewal, extra):
     """Refuse a word length n that cannot reach the entropy window.
 
-    On a renewal ambient γ runs q times through Y's t code words, so n must
-    be q t k1.  With a positive lower edge, Γ is a set of internal n-words
-    of Y and every code word has k = n + extra symbols, so log|L_n(Y)|/k
-    bounds h_top and must reach the edge.  The error names the least n
-    meeting both, searching LEAST_N_SEARCH candidates; without one, when Y
-    already holds all but Z's two code words, it says so.
+    Every code word has k = n + extra symbols, so with a positive lower
+    edge a bound on log|Γ| over k must reach it.  On a renewal ambient γ
+    runs q times through Y's t code words, so n must be q t k1, and the
+    bound is the size of the largest class it can build there: the n it
+    admits is built.  On the base shift the bound is log|L_n(Y)|, which
+    overcounts Γ, so only a build can tell.  The error names the least n
+    admitted, searching LEAST_N_SEARCH candidates.
     """
     edge = (1 + params.delta) ** 2 * target.c * roof_integral(prev.measure, target.rho)
-    t = len(Y.code) if renewal is not None else None
-    step = t * renewal.k if renewal is not None else 1
-
     n = params.word_length
-    log_count = _log_path_counter(Y)
+    if renewal is not None:
+        t = len(Y.code)
+        step = t * renewal.k
 
-    def bound(m):
-        return log_count(m) / (m + extra)
+        def log_size(m):
+            return _largest_class_log_size(t, m // step)
+
+        counted = "log|Γ|/k of the largest class (two fixed slots)"
+    else:
+        step, log_size, counted = 1, _log_path_counter(Y), "log|L_n(Y)|/k"
 
     def admissible(m):
-        return m % step == 0 and (edge <= 0 or bound(m) >= edge)
+        return m % step == 0 and (edge <= 0 or log_size(m) / (m + extra) >= edge)
 
     if admissible(n):
         return
-    reasons = []
     if n % step:
-        reasons.append(
+        reason = (
             f"γ must run whole passes through the t = {t} "
             f"code words of Y (length k1 = {renewal.k}), so n = q*{step}"
         )
-    if edge > 0 and bound(n) < edge:
-        reasons.append(
-            f"log|L_n(Y)|/k = {bound(n):.6g} < (1+delta)^2 c int(rho) = "
+    else:
+        reason = (
+            f"{counted} = {log_size(n) / (n + extra):.6g} < (1+delta)^2 c int(rho) = "
             f"{edge:.6g} with k = {n + extra}"
         )
-    least = next(
-        (m for m in range(step, step * LEAST_N_SEARCH + 1, step) if admissible(m)),
-        None,
-    )
+    # log|Γ|/k stays below log t/k1: with fewer code words no n can reach the edge
+    few = renewal is not None and math.log(t) / renewal.k < edge
+    candidates = range(step, step * LEAST_N_SEARCH + 1, step) if not few else ()
+    least = next((m for m in candidates if admissible(m)), None)
     if least is not None:
         fix = f"the least admissible word_length is {least}"
+        if renewal is None:
+            fix += "; log|L_n(Y)|/k overcounts Γ, so only a build can tell if it reaches the edge"
+    elif renewal is None:
+        fix = (
+            f"no word_length up to {LEAST_N_SEARCH} reaches the lower edge "
+            "(raise entropy_target for a Y with more entropy)"
+        )
     else:
-        why = "raise entropy_target for a Y with more entropy"
-        if renewal is not None and t == len(renewal.code) - 2:
-            why = (
-                f"stage {prev.index} has too few code words: Y holds t = {t}, all but "
-                f"Z's two, and log t/k1 = {math.log(t) / renewal.k:.6g} against the "
-                f"edge {edge:.6g}"
-            )
-        fix = f"no word_length up to {step * LEAST_N_SEARCH} reaches the lower edge ({why})"
-        if step > 1:
-            fix += f"; the least word_length of the form q*{step} is {step}"
+        fix = (
+            f"no word_length up to {step * LEAST_N_SEARCH} reaches the lower edge "
+            f"(stage {prev.index} has too few code words: Y holds t = {t}, all but "
+            f"Z's two, and log t/k1 = {math.log(t) / renewal.k:.6g} against the "
+            f"edge {edge:.6g}); the least word_length of the form q*{step} is {step}"
+        )
     raise InsufficientWordLengthError(
-        f"word_length {n} cannot reach the entropy window: "
-        + "; ".join(reasons) + f"; {fix}",
+        f"word_length {n} cannot reach the entropy window: {reason}; {fix}",
         least_word_length=least,
     )
 
@@ -1046,7 +1028,7 @@ def _permutation_code(renewal, order, glue_internal, head, c1):
         raise StageVerificationError("glue is not a run of whole ambient code words")
     n, f0 = len(order), min(2, len(order))
     counts = Counter(order[f0:])
-    sizes = [math.lgamma(n - f0 + 1) - sum(math.lgamma(c + 1) for c in counts.values())]
+    sizes = [log_orders(counts.values())]
     for a, free in zip(order[f0:], range(n - f0, 0, -1)):
         sizes.append(sizes[-1] - math.log(free / counts[a]))
         counts[a] -= 1

@@ -39,7 +39,7 @@ class PerronData:
 
 
 def _power_vector(mat, period, tol, max_iter):
-    """Positive eigenvector of an irreducible 0/1 (or stochastic) matrix.
+    """Positive eigenvector of an irreducible 0/1 matrix.
 
     For aperiodic matrices iterates mat + I, which is primitive whenever mat
     is irreducible.  For period p > 1 the spectrum carries a full ring of
@@ -282,11 +282,19 @@ def periodic_orbit_measure(shift, cycle):
     return MarkovMeasure(shift, pi, P)
 
 
-def stationary_distribution(shift, P, tol=1e-13, max_iter=PERRON_MAX_ITER):
-    """Stationary vector of a row-stochastic matrix supported on the shift."""
-    p = graph_period(shift)
-    PT = sp.csr_matrix(P.T)
-    lam, pi, resid, _ = _power_vector(PT, p, tol, max_iter)
+def stationary_distribution(shift, P):
+    """Stationary vector of a row-stochastic matrix on an irreducible shift
+    (else ReducibleShiftError), whatever the chain's mixing time: one sparse
+    direct solve of pi (P - I) = 0, its first equation made pi_0 = 1."""
+    # imported here: scipy.sparse.linalg costs every process about 8 MB
+    from scipy.sparse.linalg import spsolve
+
+    if not is_irreducible(shift):
+        raise ReducibleShiftError("the stationary vector needs an irreducible shift")
+    n = shift.num_states
+    rows = (sp.csr_matrix(P).T - sp.identity(n, format="csr")).tocsr()[1:]
+    first = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
+    pi = spsolve(sp.vstack([first, rows], format="csc"), np.eye(1, n)[0])
     return pi / pi.sum()
 
 

@@ -219,13 +219,13 @@ FULL3_ROOF = FULL3.replace("constant = 1.0", "{roof}")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_construct(config, tmp_path):
+def run_construct(config, tmp_path, *args):
     """`python -m shiftflex construct` on a config, as a subprocess."""
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "shiftflex", "construct", "--config", config,
-         "--out", str(tmp_path / "o")],
+         "--out", str(tmp_path / "o"), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -284,6 +284,21 @@ def test_cmd_construct_refuses_a_y_that_holds_every_word(tmp_path):
     assert "raise entropy_target" not in run.stderr
 
 
+def test_cmd_construct_refusal_names_a_verifying_word_length(tmp_path):
+    """On a renewal ambient the refusal counts the class it would build, so
+    the n it names verifies: full2_tower is full2_small with stage 2 at
+    that n, and its golden outputs pass every check."""
+    small = os.path.join(ROOT, "configs", "full2_small.cfg")
+    run = run_construct(small, tmp_path, "--stages", "2")
+    assert run.returncode == 6
+    assert run.stderr.endswith("; least_word_length: 7656\n")
+    with open(small) as fh:
+        text = fh.read().replace("stages = 1", "stages = 2")
+    with open(os.path.join(ROOT, "configs", "full2_tower.cfg")) as fh:
+        tower = parse_config(fh.read())
+    assert tower == parse_config(text + "\n[stage 2]\nword_length = 7656\n")
+
+
 TWO_STAGES = SMALL.replace("stages = 1", "stages = 2") + "\n[stage 2]\n{key} = {value}\n"
 
 
@@ -302,10 +317,17 @@ TWO_STAGES = SMALL.replace("stages = 1", "stages = 2") + "\n[stage 2]\n{key} = {
          "stage 2 delta: (1+0.3)^2 must stay below 1+0.11"),
         (TWO_STAGES.format(key="kappa", value=0.4), [],
          "stage 2 kappa: must at least halve, 0.4 vs 0.5"),
+        (TWO_STAGES.format(key="entropy_target", value=0.08), [],
+         "stage 2 entropy_target: only stage 1 searches for Y; "
+         "a later stage takes Y by rule from the code of its ambient"),
+        (TWO_STAGES.format(key="block_depth", value=2), [],
+         "stage 2 block_depth: only stage 1 searches for Y; "
+         "a later stage takes Y by rule from the code of its ambient"),
         (SMALL, ["--stages", "-1"], "field 'stages': stages must be >= 0, got -1"),
     ],
     ids=["metric-depth-flag", "metric-depth-key", "word-length", "delta",
-         "delta-decay", "kappa-decay", "negative-stages"],
+         "delta-decay", "kappa-decay", "stage-2-entropy-target", "stage-2-block-depth",
+         "negative-stages"],
 )
 def test_cmd_construct_refused_values_are_config_errors(text, args, error, tmp_path, capsys):
     cfg = tmp_path / "case.cfg"

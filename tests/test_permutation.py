@@ -20,6 +20,7 @@ from shiftflex import (
     RoofFunction,
     StageParams,
     StageVerificationError,
+    SubsystemSearchError,
     Target,
     UnsupportedAmbientError,
     build_stage,
@@ -30,7 +31,12 @@ from shiftflex import (
     weak_star_distance,
 )
 from shiftflex.codes import PermutationCode, RenewalStructure
-from shiftflex.construction import Stage, _check_separated, _sync_depth
+from shiftflex.construction import (
+    Stage,
+    _check_separated,
+    _largest_class_log_size,
+    _sync_depth,
+)
 from shiftflex.words import is_label_admissible, label_language, longest_window_avoiding
 
 # Two small renewal ambients over {0, 1, 2}: code words of length 10 that
@@ -68,10 +74,9 @@ def target(c):
     )
 
 
-def params(t, word_length):
+def params(word_length):
     return StageParams(
-        delta=0.05, kappa=0.6, word_length=word_length, metric=MetricConfig(2),
-        radius=0.6, entropy_target=math.log(t) / 10,
+        delta=0.05, kappa=0.6, word_length=word_length, metric=MetricConfig(2), radius=0.6,
     )
 
 
@@ -82,13 +87,14 @@ def build(prev, tgt, p):
         return exc.stage, exc.report
 
 
+# Y holds every code word but Z's two: t = 6 and t = 8 words of length 10
 @pytest.mark.parametrize(
     "words, c, t, size",
-    [(AMBIENT_SYNCED, 0.05, 6, 24), (AMBIENT_UNSYNCED, 0.03, 5, 6)],
+    [(AMBIENT_SYNCED, 0.01, 6, 24), (AMBIENT_UNSYNCED, 0.01, 8, 24)],
 )
 def test_structured_stage_matches_explicit_presentation(words, c, t, size):
     prev, tgt = renewal_stage(words), target(c)
-    p = params(t, t * 10)
+    p = params(t * 10)
     stage, report = build(prev, tgt, p)
     assert stage.shift is None and report.gamma_size == size
     code = Code(tuple(stage.code.words()))
@@ -121,10 +127,12 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
 @pytest.mark.parametrize(
     "c, n, least, message",
     [
-        # n = 12 is no whole pass through Y's t = 6 code words of length 10
-        (0.05, 12, 60, "least admissible word_length is 60"),
-        # log|L_n(Y)|/k stays below (1+delta)^2 c int(rho) at one pass, not at two
-        (0.065, 60, 120, "least admissible word_length is 120"),
+        # n = 12 is no whole pass through Y's t = 6 code words of length 10,
+        # and the largest class of fewer than four passes is below the edge
+        (0.05, 12, 240, "least admissible word_length is 240"),
+        # log|Γ|/k of the largest class stays below (1+delta)^2 c int(rho)
+        # up to four passes, not at five
+        (0.065, 60, 300, "least admissible word_length is 300"),
         # the lower edge lies above h(Y) = log(6)/10: no word length reaches it
         (0.2, 12, None, "least word_length of the form q\\*60 is 60"),
     ],
@@ -132,12 +140,35 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
 def test_renewal_ambient_refuses_word_length(c, n, least, message):
     prev, tgt = renewal_stage(AMBIENT_SYNCED), target(c)
     with pytest.raises(InsufficientWordLengthError, match=message) as exc:
-        build_stage(prev, tgt, params(6, n))
+        build_stage(prev, tgt, params(n))
     assert exc.value.least_word_length == least
 
 
+def test_renewal_ambient_builds_the_named_word_length():
+    """The refusal's bound is the entropy of the class with two fixed slots,
+    so the n it names is built, and here it verifies."""
+    prev, tgt = renewal_stage(AMBIENT_SYNCED), target(0.065)
+    stage, report = build_stage(prev, tgt, params(300))
+    assert report.all_pass and len(stage.code.fixed) == 2
+    assert _largest_class_log_size(6, 5) / report.k == report.h_top
+
+
+def test_renewal_ambient_takes_y_by_rule():
+    """Y is every code word but Z's two, with no search and no knob: a kappa
+    below its entropy gap and its distance to the measure names both, and
+    an entropy_target is refused."""
+    prev, tgt = renewal_stage(AMBIENT_SYNCED), target(0.01)
+    with pytest.raises(SubsystemSearchError, match=(
+        r"^Y of t = 6 code words, all but Z's two: log t/k1 = 0.179176 is not within "
+        r"kappa = 0.001 of c1 = 0.0170345; its measure lies at distance 0.015625 > kappa"
+    )):
+        build_stage(prev, tgt, replace(params(60), kappa=1e-3))
+    with pytest.raises(ValueError, match="entropy_target steers only the subset search"):
+        build_stage(prev, tgt, replace(params(60), entropy_target=math.log(6) / 10))
+
+
 def test_structured_stage_is_no_ambient():
-    tgt, p = target(0.03), params(5, 50)
+    tgt, p = target(0.01), params(80)
     stage, _ = build(renewal_stage(AMBIENT_UNSYNCED), tgt, p)
     with pytest.raises(UnsupportedAmbientError):
         build_stage(stage, tgt, p)

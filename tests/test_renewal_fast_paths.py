@@ -535,11 +535,11 @@ def test_renewal_pairs_disjointness_matches_graph_twin():
 
 
 @pytest.mark.parametrize(
-    "words, c, t", [(AMBIENT_SYNCED, 0.05, 6), (AMBIENT_UNSYNCED, 0.03, 5)]
+    "words, c, t", [(AMBIENT_SYNCED, 0.01, 6), (AMBIENT_UNSYNCED, 0.01, 8)]
 )
 def test_structured_stage_glue_matches_graph_search(words, c, t):
     prev = renewal_stage(words)
-    stage, report = build(prev, target(c), params(t, t * 10))
+    stage, report = build(prev, target(c), params(t * 10))
     art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
     plain = graph_twin(prev.code, 3)
     y_words = art.Y.code.words
@@ -559,7 +559,7 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
 
 def test_unwalked_presentations_hold_no_adjacency():
     prev = renewal_stage(AMBIENT_SYNCED)
-    _, report = build(prev, target(0.05), params(6, 60))
+    _, report = build(prev, target(0.01), params(60))
     # Y has no presentation to walk: it is a row range of the ambient
     assert not isinstance(report.artifacts.Y, VertexShift)
     assert report.artifacts.Y.ambient is prev.shift.renewal

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from shiftflex import (
     topological_entropy,
     word_count,
 )
+from shiftflex.spectral import stationary_distribution
 from tests.conftest import PHI, random_irreducible_shift
 
 
@@ -182,6 +184,24 @@ def test_abramov():
     assert abramov(math.log(2), 2.0) == pytest.approx(math.log(2) / 2)
     with pytest.raises(ValueError):
         abramov(1.0, 0.0)
+
+
+def test_stationary_distribution_does_not_wait_for_mixing():
+    """One direct solve: a 2-cycle and a 3-cycle joined by exits of
+    probability eps and 2 eps, a chain that needs about 1/eps steps to
+    move mass between them, get their exact stationary vector, far from
+    uniform; a reducible shift has none."""
+    eps = 1e-6
+    m = np.zeros((5, 5), dtype=int)
+    P = np.zeros((5, 5))
+    for a, b, p in [(0, 1, 1 - eps), (1, 0, 1.0), (0, 2, eps), (2, 3, 1 - 2 * eps),
+                    (3, 4, 1.0), (4, 2, 1.0), (2, 0, 2 * eps)]:
+        m[a, b], P[a, b] = 1, p
+    pi = stationary_distribution(VertexShift(m), sp.csr_matrix(P))
+    exact = np.array([2, 2 * (1 - eps), 1, 1 - 2 * eps, 1 - 2 * eps]) / (7 - 6 * eps)
+    assert pi == pytest.approx(exact, rel=1e-9)
+    with pytest.raises(ReducibleShiftError):
+        stationary_distribution(VertexShift([[1, 1], [0, 1]]), sp.csr_matrix([[0.5, 0.5], [0, 1]]))
 
 
 def test_markov_measure_validation(full2):
