@@ -85,10 +85,8 @@ class RunConfig:
                 rho = RoofFunction(self.roof_depth, values)
         except ValueError as exc:
             raise ConfigError(f"bad roof: {exc}", field="roof") from None
-        if not rho.covers(shift):
-            missing = next(
-                w for w in label_language(shift, rho.depth) if w not in rho.values
-            )
+        missing = next((w for w in label_language(shift, rho.depth) if w not in rho.values), None)
+        if missing is not None:
             raise ConfigError(
                 f"roof has no value on the admissible word {''.join(map(str, missing))}",
                 field="roof",

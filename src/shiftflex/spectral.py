@@ -16,7 +16,6 @@ from .words import (
     DEFAULT_WORD_BUDGET,
     graph_period,
     is_irreducible,
-    label_language,
 )
 
 PERRON_TOL = 1e-12
@@ -334,10 +333,6 @@ class RoofFunction:
 
     def __call__(self, word):
         return self.values[tuple(word)]
-
-    def covers(self, shift):
-        """True iff every admissible label word of the roof depth has a value."""
-        return all(w in self.values for w in label_language(shift, self.depth))
 
 
 def roof_integral(m, rho):

@@ -241,13 +241,21 @@ def _grow(matrix, n, keep=None):
         keys = parent * size + state
         states.append(state)
         parents.append(parent)
-    words = np.empty((len(states[-1]), n), dtype=np.int64)
-    at = np.arange(len(states[-1]))
-    for j in range(n - 1, 0, -1):
-        words[:, j] = states[j][at]
+    return _parent_walk(states, parents), parent, suffix
+
+
+def _parent_walk(columns, parents):
+    """The (nodes × levels) array of the last level of a tree grown level by
+    level: `columns[j]` holds a value per node of level j and `parents[j]`
+    the index among level j of each node of level j + 1; rows in the order
+    of the last level."""
+    at = np.arange(len(columns[-1]))
+    words = np.empty((len(at), len(columns)), dtype=np.int64)
+    for j in range(len(columns) - 1, 0, -1):
+        words[:, j] = columns[j][at]
         at = parents[j - 1][at]
-    words[:, 0] = at
-    return words, parent, suffix
+    words[:, 0] = columns[0][at]
+    return words
 
 
 def _recoded(words, parent, suffix, labels, ambient_size):
@@ -555,22 +563,33 @@ def label_word(shift, word):
     return tuple(shift.labels[s] for s in word)
 
 
-def _label_masks(shift):
-    lab = np.asarray(shift.labels)
-    return [lab == a for a in range(shift.ambient_size)]
+class _LabelSets:
+    """The subset construction on a shift's labels (Lind & Marcus, 1995,
+    §3.3) on boolean state vectors: `start[a]` is the set of states
+    labelled a, and `read(states, a)` the set of states labelled a that end
+    an edge from the set `states`, or every symbol's set as the rows of a
+    (symbols × states) array when `a` is omitted."""
+
+    def __init__(self, shift):
+        m = shift.matrix
+        labels = np.asarray(shift.labels, dtype=np.int64)
+        self.start = labels == np.arange(shift.ambient_size)[:, None]
+        # the CSR arrays read as CSC are the transpose; boolean entries, so
+        # a state with many predecessors in the set cannot sum past int8
+        self._into = sp.csc_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
+
+    def read(self, states, a=slice(None)):
+        return (self._into @ states) & self.start[a]
 
 
 def is_label_admissible(shift, word):
     """True iff some internal path realizes the given label word."""
-    masks = _label_masks(shift)
+    sets = _LabelSets(shift)
     cur = None
     for a in word:
         if a < 0 or a >= shift.ambient_size:
             return False
-        if cur is None:
-            cur = masks[a].copy()
-        else:
-            cur = (shift.matrix.T @ cur).astype(bool) & masks[a]
+        cur = sets.start[a] if cur is None else sets.read(cur, a)
         if not cur.any():
             return False
     return True
@@ -580,31 +599,69 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
     """Distinct label words of internal n-paths, lexicographically ordered,
     as a tuple of tuples.
 
-    Enumerated by forward propagation of consistent state sets, so the cost
-    is bounded by the number of distinct label words, not internal paths.
+    A subset construction memoised on the state set.  The states that end
+    the paths reading a label prefix form a set; each distinct set gets an
+    id, keyed by its packed bits, and is expanded once, by one sparse
+    product and one mask per symbol (`_LabelSets.read`), into its row of an
+    (ids × symbols) child table, -1 where no path reads the symbol.  Sets
+    are expanded in the order they are found, the ones first found within
+    n - 1 symbols.  The words are counted on the table, then grow level by
+    level as (parent, symbol, id) arrays, one gather of the table per level,
+    keeping only the prefixes whose set reaches length n, so no level
+    outgrows the output.  The cost is one sparse product per distinct set,
+    not per prefix, plus the output.  CapacityError with the exact count
+    past `budget` words, before any word is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    masks = _label_masks(shift)
-    out = []
-    matT = shift.matrix.T.tocsr()
+    sets = _LabelSets(shift)
+    size, symbols = shift.num_states, shift.ambient_size
+    ids, keys, first = {}, [], []  # key -> id; per id its key and first level
 
-    def rec(prefix, cur):
-        if len(prefix) == n:
-            out.append(prefix)
-            if len(out) > budget:
-                raise CapacityError(len(out), budget, what="label words")
-            return
-        nxt = (matT @ cur).astype(bool)
-        for a in range(shift.ambient_size):
-            step = nxt & masks[a]
-            if step.any():
-                rec(prefix + (a,), step)
+    def intern(rows, level):
+        """Ids of the boolean sets `rows`, -1 for an empty one; a set not
+        seen before gets the next id."""
+        out = np.full(len(rows), -1, dtype=np.int64)
+        for a in np.flatnonzero(rows.any(axis=1)):
+            key = np.packbits(rows[a]).tobytes()
+            out[a] = i = ids.setdefault(key, len(keys))
+            if i == len(keys):
+                keys.append(key)
+                first.append(level)
+        return out
 
-    for a in range(shift.ambient_size):
-        if masks[a].any():
-            rec((a,), masks[a].copy())
-    return tuple(out)
+    roots = intern(sets.start, 1)
+    child = []
+    while len(child) < len(keys) and first[len(child)] < n:
+        # a set is kept as its key only; its vector is unpacked to expand it
+        states = np.unpackbits(np.frombuffer(keys[len(child)], dtype=np.uint8), count=size)
+        child.append(intern(sets.read(states.view(bool)), first[len(child)] + 1))
+    # ids first found at level n are never expanded: no row, so no child
+    child = np.vstack(child + [np.full((len(keys) - len(child), symbols), -1, dtype=np.int64)])
+
+    # ways[i]: label words of k more symbols from id i, k = 0..n-1, with a
+    # zero past the last id for the -1 entries; Python integers past int64
+    ways = np.append(np.ones(len(keys), dtype=np.int64), 0)
+    alive = [ways > 0]
+    for _ in range(n - 1):
+        if ways.dtype != object and ways.max() > 2**62 // max(symbols, 1):
+            ways = ways.astype(object)
+        ways = np.append(ways[child].sum(axis=1), 0)
+        alive.append(ways > 0)
+    total = int(ways[roots].sum())
+    if total > budget:
+        raise CapacityError(total, budget, what="label words")
+
+    # nonzero walks the (prefix, symbol) pairs row by row: lexicographic
+    sym = np.flatnonzero(alive[n - 1][roots])
+    cur, parents, syms = roots[sym], [], [sym]
+    for k in range(n - 2, -1, -1):
+        kids = child[cur]
+        parent, sym = np.nonzero(alive[k][kids])
+        cur = kids[parent, sym]
+        parents.append(parent)
+        syms.append(sym)
+    return _as_tuples(_parent_walk(syms, parents))
 
 
 def label_rows(shift, n):

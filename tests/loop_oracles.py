@@ -14,8 +14,9 @@ word one piece at a time, found by bisection in its sorted tails; the
 depth at which two codes stop sharing words grows the shared words one
 symbol at a time; a permutation class is chosen from one class built
 per number of fixed slots and counted one multiplicity at a time; window tables rank one more symbol per
-depth; and the language checks of a permutation class compare sets of
-word tuples.
+depth; the language checks of a permutation class compare sets of
+word tuples; and a label language recurses over label prefixes, one
+state-set product per prefix.
 """
 
 import bisect
@@ -37,7 +38,6 @@ from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
     is_label_admissible,
-    label_language,
     label_word,
 )
 
@@ -68,6 +68,35 @@ def language(shift, n, budget=DEFAULT_WORD_BUDGET):
 
     for s in range(shift.num_states):
         rec(s, 1)
+    return tuple(out)
+
+
+def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
+    """Depth-first recursion over label prefixes, one sparse product of the
+    state set per prefix, lexicographic; every word is enumerated before
+    the budget is checked, so a refusal names the exact count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lab = np.asarray(shift.labels)
+    masks = [lab == a for a in range(shift.ambient_size)]
+    out = []
+    matT = shift.matrix.T.tocsr()
+
+    def rec(prefix, cur):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        nxt = (matT @ cur).astype(bool)
+        for a in range(shift.ambient_size):
+            step = nxt & masks[a]
+            if step.any():
+                rec(prefix + (a,), step)
+
+    for a in range(shift.ambient_size):
+        if masks[a].any():
+            rec((a,), masks[a].copy())
+    if len(out) > budget:
+        raise CapacityError(len(out), budget, what="label words")
     return tuple(out)
 
 

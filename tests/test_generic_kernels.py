@@ -3,7 +3,10 @@ the per-edge loops they replaced (`tests/loop_oracles.py`), on small
 labelled graphs with dead ends, reducible graphs and single states with
 and without a loop."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from shiftflex import (
     from_forbidden_words,
     full_shift,
     higher_block,
+    label_language,
     language,
     max_self_overlap,
     parry_measure,
@@ -29,6 +33,7 @@ from shiftflex.words import (
     bfs_distances,
     graph_period,
     is_irreducible,
+    is_label_admissible,
     longest_window_avoiding,
 )
 
@@ -100,6 +105,50 @@ def test_higher_block_and_language_match_loops(shift, m, budget):
         assert words.tolist() == [list(w) for w in reference]
         assert words.shape == (len(reference), m)
     assert word_count(shift, m) == oracle.word_count(shift, m)
+
+
+@settings(max_examples=300)
+@given(labelled_graphs(), st.integers(1, 6), st.sampled_from([None, 3, 20]))
+def test_label_language_matches_loop(shift, n, budget):
+    kwargs = {} if budget is None else {"budget": budget}
+    assert outcome(label_language, shift, n, **kwargs) == outcome(oracle.label_language, shift, n, **kwargs)
+
+
+@settings(max_examples=300)
+@given(labelled_graphs(), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_label_admissible_matches_label_language(shift, word):
+    word = tuple(word)
+    assert is_label_admissible(shift, word) == (word in oracle.label_language(shift, len(word)))
+
+
+def test_label_language_where_prefixes_share_state_sets():
+    # on a 3-block recoding most prefixes end in the same few state sets
+    shift = higher_block(from_forbidden_words(2, [(1, 1, 1)]), 3)
+    clean = [w for w in itertools.product(range(2), repeat=10) if (1, 1, 1) not in zip(w, w[1:], w[2:])]
+    got = label_language(shift, 10)
+    assert len(got) == len(clean) == 504
+    assert got == tuple(clean) == oracle.label_language(shift, 10)
+
+
+def test_label_language_refusal_names_the_exact_count():
+    with pytest.raises(CapacityError) as err:
+        label_language(full_shift(2), 12, budget=1000)
+    assert (err.value.requested, err.value.budget) == (4096, 1000)
+    assert str(err.value) == "enumeration of 4096 label words exceeds budget 1000"
+    assert len(label_language(full_shift(2), 12, budget=4096)) == 4096
+    with pytest.raises(CapacityError) as err:  # counted past int64
+        label_language(full_shift(3), 50)
+    assert err.value.requested == 3**50
+
+
+def test_label_sets_do_not_overflow_with_many_predecessors():
+    # 256 states labelled 0 all lead to state 256, labelled 1: a sum of the
+    # 256 edges in int8 would wrap to 0 and lose the word (0, 1)
+    dense = np.zeros((257, 257), dtype=np.int8)
+    dense[:256, 256] = 1
+    shift = VertexShift(dense, labels=[0] * 256 + [1])
+    assert label_language(shift, 2) == ((0, 1),)
+    assert is_label_admissible(shift, (0, 1))
 
 
 @settings(max_examples=300)
