@@ -142,14 +142,21 @@ def window_counts(words, depth, alphabet_size):
     Each length-`depth` window is read as a base-`alphabet_size` integer,
     first symbol most significant; entry (r, c) of the (rows,
     alphabet_size**depth) result counts the windows of row r with code c.
-    One bincount over row-offset codes fills the whole table.
+    One bincount over row-offset codes fills the whole table.  `words` may
+    be of any integer dtype; only the window codes are int64.  ValueError
+    for a symbol outside 0..alphabet_size - 1.
     """
-    words = np.asarray(words, dtype=np.int64)
+    words = np.asarray(words)
     rows, length = words.shape
     span = length - depth + 1
     if span < 1:
         raise WordTooShortError(f"word of length {length} has no depth-{depth} windows")
-    codes = words[:, :span].copy()
+    if words.size:
+        lo, hi = int(words.min()), int(words.max())
+        if lo < 0 or hi >= alphabet_size:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"symbol {bad} outside the alphabet of size {alphabet_size}")
+    codes = words[:, :span].astype(np.int64)
     for i in range(1, depth):
         codes *= alphabet_size
         codes += words[:, i : i + span]
@@ -177,21 +184,24 @@ def cyclic_windows(words, depth):
 def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
     """weak_star_distance at `depth` from each row's empirical measure to m.
 
-    `words` is a (rows, length) array of label words; m's cylinder tables
-    become dense vectors indexed like the columns of `window_counts`.
-    With `cyclic`, a row stands for the periodic orbit of its word
-    (`cyclic_windows`).  Rows are counted in blocks, so no count table
-    exceeds 2^22 entries.
+    `words` is a (rows, length) array of label words of any integer dtype;
+    m's cylinder tables become dense vectors indexed like the columns of
+    `window_counts`.  With `cyclic`, a row stands for the periodic orbit of
+    its word (`cyclic_windows`).  At each depth, rows are scored in blocks
+    whose window codes and count table hold about 2^16 entries together
+    (at least one row), so only `words` and the result grow with the row
+    count.
     """
-    words = np.asarray(words, dtype=np.int64)
-    total = np.zeros(words.shape[0])
-    block = max(1, (1 << 22) // alphabet_size**depth)
+    words = np.asarray(words)
+    rows, length = words.shape
+    total = np.zeros(rows)
     for d in range(1, depth + 1):
         target = dense_table(m.cylinder_table(d), d, alphabet_size)
-        rows = cyclic_windows(words, d) if cyclic else words
-        for lo in range(0, len(rows), block):
-            counts = window_counts(rows[lo : lo + block], d, alphabet_size)
-            freq = counts / (rows.shape[1] - d + 1)
+        block = max(1, (1 << 16) // (length + d - 1 + alphabet_size**d))
+        for lo in range(0, rows, block):
+            chunk = words[lo : lo + block]
+            windows = cyclic_windows(chunk, d) if cyclic else chunk
+            freq = window_counts(windows, d, alphabet_size) / (windows.shape[1] - d + 1)
             total[lo : lo + block] += 0.5 * np.abs(freq - target).sum(axis=1) / (1 << d)
     return total
 
@@ -221,7 +231,8 @@ def katok_separated_set(shift, m, n, kappa, radius, cfg):
         raise ValueError("n must be >= 1")
     h = markov_entropy(m)
     states = language(shift, n)
-    labels = np.asarray(shift.labels, dtype=np.int64)[states]
+    alphabet = np.min_scalar_type(shift.ambient_size - 1)
+    labels = np.asarray(shift.labels, dtype=alphabet)[states]
     dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
     (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language
     count = len(chosen)

@@ -15,6 +15,7 @@ from .errors import CapacityError, ConvergenceError, ReducibleShiftError
 from .words import (
     DEFAULT_WORD_BUDGET,
     graph_period,
+    is_admissible,
     is_irreducible,
 )
 
@@ -144,8 +145,10 @@ class MarkovMeasure:
         rows = np.asarray(self.P.sum(axis=1)).ravel()
         if np.abs(rows - 1.0).max() > vtol:
             raise ValueError("P must be row-stochastic")
-        off_support = self.P - self.P.multiply(shift.matrix)
-        if off_support.nnz and np.abs(off_support.data).max() > vtol:
+        row = np.repeat(np.arange(n), np.diff(self.P.indptr))
+        on_edges = is_admissible(shift, np.column_stack((row, self.P.indices)))
+        off_support = self.P.data[~on_edges]
+        if off_support.size and np.abs(off_support).max() > vtol:
             raise ValueError("P supported outside the shift's edges")
         drift = np.abs(self.pi @ self.P - self.pi).max()
         if drift > max(vtol, 1e-9):
@@ -157,7 +160,10 @@ class MarkovMeasure:
         return self.shift.ambient_size
 
     def label_cylinder(self, word):
-        """Probability of the ambient cylinder [word] under the measure."""
+        """Probability of the ambient cylinder [word] under the measure;
+        ValueError for the empty word."""
+        if len(word) == 0:
+            raise ValueError("cylinder word must be nonempty")
         lab = np.asarray(self.shift.labels)
         x = np.where(lab == word[0], self.pi, 0.0)
         for a in word[1:]:
@@ -167,7 +173,9 @@ class MarkovMeasure:
     def cylinder_table(self, depth):
         """dict mapping each positive-probability ambient word of the given
         depth to its cylinder probability; CapacityError past
-        DEFAULT_WORD_BUDGET of them."""
+        DEFAULT_WORD_BUDGET of them; ValueError for a depth below 1."""
+        if depth < 1:
+            raise ValueError("cylinder depth must be >= 1")
         if depth in self._tables:
             return self._tables[depth]
         lab = np.asarray(self.shift.labels)
@@ -229,11 +237,13 @@ def parry_measure(shift, tol=PERRON_TOL):
     """
     pd = perron(shift, tol=tol)
     lam, v, u = pd.value, pd.right, pd.left
-    coo = shift.matrix.tocoo()
-    data = v[coo.col] / (lam * v[coo.row])
-    P = sp.csr_matrix((data, (coo.row, coo.col)), shape=shift.matrix.shape)
-    rows = np.asarray(P.sum(axis=1)).ravel()
-    P = sp.diags(1.0 / rows) @ P  # absorb residual drift, rows sum to 1
+    m = shift.matrix
+    row = np.repeat(np.arange(shift.num_states), np.diff(m.indptr))
+    data = v[m.indices] / (lam * v[row])
+    # an irreducible shift leaves no row empty
+    data *= (1.0 / np.add.reduceat(data, m.indptr[:-1]))[row]  # rows sum to 1
+    # P gets its own index arrays: the shift's matrix must not change with it
+    P = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     pi = u * v
     pi = pi / pi.sum()
     return MarkovMeasure(shift, pi, P)

@@ -3,20 +3,23 @@
 Each function is the plain-Python version that the array kernels of
 `shiftflex.words`, `shiftflex.measures` and `shiftflex.codes`, or the set
 operations of `shiftflex.construction`, replaced; the differential tests in
-`test_generic_kernels.py`, `test_renewal_fast_paths.py`,
-`test_window_tables.py` and `test_word_arrays.py` require them to give the
-same answers.  The graph searches walk the tuple adjacency of
-`VertexShift.successors` and `predecessors`, one state and one edge at a
-time; the code-word windows of renewal and permutation-class stages are
-one (offset, window) tuple per attributed window; the stage-1 assembly
-checks and labels one word tuple at a time; a renewal code admits a label
-word one piece at a time, found by bisection in its sorted tails; the
-depth at which two codes stop sharing words grows the shared words one
-symbol at a time; a permutation class is chosen from one class built
-per number of fixed slots and counted one multiplicity at a time; window tables rank one more symbol per
-depth; the language checks of a permutation class compare sets of
-word tuples; and a label language recurses over label prefixes, one
-state-set product per prefix.
+`test_generic_kernels.py`, `test_measures.py`,
+`test_renewal_fast_paths.py`, `test_spectral.py`, `test_window_tables.py`
+and `test_word_arrays.py` require them to give the same answers.  The graph
+searches walk the tuple adjacency of `VertexShift.successors` and
+`predecessors`, one state and one edge at a time; the code-word windows of
+renewal and permutation-class stages are one (offset, window) tuple per
+attributed window; the stage-1 assembly checks and labels one word tuple at
+a time; a renewal code admits a label word one piece at a time, found by
+bisection in its sorted tails; the depth at which two codes stop sharing
+words grows the shared words one symbol at a time; a permutation class is
+chosen from one class built per number of fixed slots and counted one
+multiplicity at a time; window tables rank one more symbol per depth; the
+language checks of a permutation class compare sets of word tuples; a label
+language recurses over label prefixes, one state-set product per prefix;
+the Katok scorer counts the windows of all words in one int64 table per
+depth; and the Parry measure is built through COO arrays and a diagonal
+product.
 """
 
 import bisect
@@ -34,6 +37,8 @@ from shiftflex.errors import (
     StageVerificationError,
     StructureDepthError,
 )
+from shiftflex.measures import cyclic_windows, dense_table
+from shiftflex.spectral import MarkovMeasure, perron
 from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
@@ -616,3 +621,38 @@ def set_languages_agree(space, upstream, depth):
     if ours != theirs:
         return False, "upstream language strictly larger"
     return True, f"languages agree at depth {depth}"
+
+
+def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
+    """The whole-array Katok scorer: an int64 copy of every row, then, per
+    depth, the window codes and count table of all rows at once."""
+    words = np.asarray(words, dtype=np.int64)
+    total = np.zeros(words.shape[0])
+    for d in range(1, depth + 1):
+        target = dense_table(m.cylinder_table(d), d, alphabet_size)
+        rows = cyclic_windows(words, d) if cyclic else words
+        span = rows.shape[1] - d + 1
+        codes = rows[:, :span].copy()
+        for i in range(1, d):
+            codes *= alphabet_size
+            codes += rows[:, i : i + span]
+        cols = alphabet_size**d
+        codes += (np.arange(len(rows), dtype=np.int64) * cols)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=len(rows) * cols).reshape(-1, cols)
+        freq = counts / span
+        total += 0.5 * np.abs(freq - target).sum(axis=1) / (1 << d)
+    return total
+
+
+def parry_measure(shift):
+    """The Parry measure through COO arrays, a CSR rebuild and a sparse
+    diagonal product."""
+    pd = perron(shift)
+    lam, v, u = pd.value, pd.right, pd.left
+    coo = shift.matrix.tocoo()
+    data = v[coo.col] / (lam * v[coo.row])
+    P = sp.csr_matrix((data, (coo.row, coo.col)), shape=shift.matrix.shape)
+    rows = np.asarray(P.sum(axis=1)).ravel()
+    P = sp.diags(1.0 / rows) @ P
+    pi = u * v
+    return MarkovMeasure(shift, pi / pi.sum(), P)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tests.loop_oracles as oracle
 from shiftflex import (
     EmpiricalMeasure,
     InsufficientWordLengthError,
@@ -342,8 +344,57 @@ def test_empirical_distances_match_weak_star_distance():
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_window_counts_refuse_symbols_outside_the_alphabet():
+    """A symbol past the alphabet would count into the next row's table."""
+    with pytest.raises(ValueError, match="symbol 2 outside the alphabet of size 2"):
+        window_counts(np.array([[0, 2], [0, 0]]), 1, 2)
+    with pytest.raises(ValueError, match="symbol -1 outside the alphabet of size 3"):
+        window_counts(np.array([[0, -1, 2]]), 2, 3)
+
+
+def _block(length, depth, a):
+    """Rows per block at one depth: window codes and count table of about
+    2^16 entries together, at least one row."""
+    return max(1, (1 << 16) // (length + depth - 1 + a**depth))
+
+
+def test_empirical_distances_match_whole_array_scorer():
+    """Bit for bit the whole-array scorer, on int64 and uint8 rows, with
+    row counts at and across the block edges of the deepest and the
+    shallowest depth."""
+    rng = np.random.default_rng(12)
+    for a, length in ((2, 9), (3, 14)):
+        m = random_markov_measure(full_shift(a), rng)
+        for depth in range(1, 5):
+            edge, first = _block(length, depth, a), _block(length, 1, a)
+            for rows in (1, edge, edge + 1, first + 1):
+                words = rng.integers(0, a, size=(rows, length))
+                for cyclic in (False, True):
+                    want = oracle.empirical_distances(words, m, depth, a, cyclic)
+                    for dtype in (np.int64, np.uint8):
+                        got = empirical_distances(words.astype(dtype), m, depth, a, cyclic)
+                        assert np.array_equal(got, want), (a, depth, rows, cyclic, dtype)
+
+
+def test_katok_scores_in_bounded_memory():
+    """Scoring adds little beside the language and the kept rows: with
+    every word kept, the peak stays within 2.5 times the language's bytes
+    (the whole-array scorer peaked at 4.06 times)."""
+    shift = full_shift(2)
+    m = parry_measure(shift)
+    size = language(shift, 16).nbytes
+    tracemalloc.start()
+    try:
+        res = katok_separated_set(shift, m, 16, 0.5, 1.0, MetricConfig(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.words) == 1 << 16
+    assert peak <= 2.5 * size
+
+
 def test_empirical_distances_count_deep_tables_in_blocks():
-    """At depth 20 over two symbols a block holds 4 rows; 9 rows take 3."""
+    """At depth 20 over two symbols a block holds one row; 9 rows take 9."""
     rng = np.random.default_rng(6)
     words = rng.integers(0, 2, size=(9, 26))
     m = EmpiricalMeasure(tuple(int(x) for x in rng.integers(0, 2, size=40)), 20)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tests.loop_oracles as oracle
 from shiftflex import (
     MarkovMeasure,
     ReducibleShiftError,
@@ -207,8 +208,29 @@ def test_stationary_distribution_does_not_wait_for_mixing():
 def test_markov_measure_validation(full2):
     with pytest.raises(ValueError):
         MarkovMeasure(full2, [0.7, 0.3], [[0.0, 1.0], [1.0, 0.0]])  # not stationary
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the shift's edges"):
         MarkovMeasure(golden_mean_shift(), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+    # mass within the tolerance off the edges is accepted
+    eps = 1e-12
+    MarkovMeasure(golden_mean_shift(), [2 / 3, 1 / 3], [[0.5, 0.5], [1 - eps, eps]])
+
+
+def test_markov_measure_refuses_empty_cylinders(golden_parry):
+    with pytest.raises(ValueError, match="nonempty"):
+        golden_parry.label_cylinder(())
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        golden_parry.cylinder_table(0)
+
+
+def test_parry_measure_matches_coo_construction():
+    """The same transition probabilities and stationary vector, bit for
+    bit, as the construction through COO arrays and a diagonal product."""
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        shift = random_irreducible_shift(rng, max_states=12)
+        got, want = parry_measure(shift), oracle.parry_measure(shift)
+        assert np.array_equal(got.P.toarray(), want.P.toarray())
+        assert np.array_equal(got.pi, want.pi)
 
 
 def test_label_cylinder_matches_internal(golden_parry, golden):
