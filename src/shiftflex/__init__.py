@@ -9,7 +9,6 @@ from .codes import (
     Code,
     PermutationCode,
     find_low_overlap_word,
-    is_uniquely_decipherable,
     max_self_overlap,
     renewal_to_sft,
     ud_witness,
@@ -52,7 +51,6 @@ from .measures import (
     EmpiricalMeasure,
     MetricConfig,
     empirical_from_windows,
-    empirical_measure,
     katok_separated_set,
     pigeonhole_refine,
     weak_star_distance,
@@ -63,10 +61,8 @@ from .spectral import (
     RoofFunction,
     abramov,
     bernoulli_measure,
-    cylinder_prob,
     markov_entropy,
     parry_measure,
-    periodic_orbit_measure,
     perron,
     random_markov_measure,
     roof_integral,

@@ -134,11 +134,6 @@ def ud_witness(code):
     return None
 
 
-def is_uniquely_decipherable(code):
-    """Sardinas-Patterson test: every concatenation factors uniquely."""
-    return ud_witness(code) is None
-
-
 def renewal_to_sft(code, ambient_size=None):
     """Positional vertex shift of a uniform-length code.
 

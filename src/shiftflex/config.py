@@ -2,8 +2,7 @@
 
 Matrices are written as rows of 0/1 digits, roof values as `word = value`
 lines, and per-stage overrides live in `[stage N]` sections.  The parser
-keeps line numbers for diagnostics and the renderer emits a canonical form
-that reparses to an identical configuration.
+keeps line numbers for diagnostics.
 """
 
 from __future__ import annotations
@@ -154,6 +153,20 @@ def _parse_scalar(value, kind, line, key):
     return value
 
 
+def _refuse_conflicts(seen):
+    """ConfigError for two keys of which the run would read only one, and
+    for a `block` with nothing to recode."""
+    word = next((key for section, key in seen if section == "roof" and key.isdigit()), None)
+    for section, a, b in [("shift", "matrix", "forbidden"), ("target", "c", "c_fraction"),
+                          ("roof", "constant", "depth"), ("roof", "constant", word)]:
+        if (section, a) in seen and (section, b) in seen:
+            raise ConfigError(f"[{section}] {a} and {b} exclude each other; give one",
+                              line=max(seen[section, a], seen[section, b]))
+    if ("shift", "block") in seen and ("shift", "forbidden") not in seen:
+        raise ConfigError("block recodes a `forbidden` list, and there is none",
+                          line=seen["shift", "block"], field="block")
+
+
 def parse_config(text):
     """Parse the sectioned key-value format into a RunConfig."""
     rc = RunConfig()
@@ -161,6 +174,7 @@ def parse_config(text):
     matrix_rows = None
     forbidden = None
     overrides = {}
+    seen = {}  # (section, key) -> line
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,6 +192,7 @@ def parse_config(text):
                 if idx < 1:
                     raise ConfigError("stages count from 1: `[stage 0]` has no stage", line=ln)
                 overrides.setdefault(idx, StageOverride(index=idx))
+                section = f"stage {idx}"
             elif section not in ("shift", "roof", "target", "run"):
                 raise ConfigError(f"unknown section [{section}]", line=ln)
             continue
@@ -187,6 +202,9 @@ def parse_config(text):
         key, value = key.strip().lower(), value.strip()
         if section is None:
             raise ConfigError("key outside any section", line=ln, field=key)
+        if seen.setdefault((section, key), ln) != ln:
+            raise ConfigError(f"[{section}] {key} is also given on line {seen[section, key]}",
+                              line=ln, field=key)
         if section == "shift":
             if key == "alphabet":
                 rc.alphabet = _parse_scalar(value, int, ln, key)
@@ -240,49 +258,10 @@ def parse_config(text):
                 setattr(o, key, _parse_scalar(value, float, ln, key))
             else:
                 raise ConfigError(f"unknown stage key {key!r}", line=ln, field=key)
+    _refuse_conflicts(seen)
     rc.matrix_rows = matrix_rows
     rc.forbidden = forbidden
     rc.roof_values = tuple(roof_values)
     rc.stage_overrides = tuple(overrides[i] for i in sorted(overrides))
     return rc
 
-
-def render_config(rc):
-    """Canonical text form; parse_config(render_config(rc)) == rc."""
-    lines = ["[shift]", f"alphabet = {rc.alphabet}"]
-    if rc.matrix_rows is not None:
-        lines.append("matrix = " + " ".join(rc.matrix_rows))
-    if rc.forbidden is not None:
-        lines.append("forbidden = " + " ".join(rc.forbidden))
-    if rc.block is not None:
-        lines.append(f"block = {rc.block}")
-    lines.append("")
-    lines.append("[roof]")
-    if rc.roof_constant is not None:
-        lines.append(f"constant = {rc.roof_constant!r}")
-    else:
-        lines.append(f"depth = {rc.roof_depth}")
-        for w, v in rc.roof_values:
-            lines.append(f"{w} = {v!r}")
-    lines.append("")
-    lines.append("[target]")
-    if rc.c is not None:
-        lines.append(f"c = {rc.c!r}")
-    if rc.c_fraction is not None:
-        lines.append(f"c_fraction = {rc.c_fraction!r}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"stages = {rc.stages}")
-    lines.append(f"seed = {rc.seed}")
-    lines.append(f"metric_depth = {rc.metric_depth}")
-    lines.append(f"samples = {rc.samples}")
-    if rc.out is not None:
-        lines.append(f"out = {rc.out}")
-    for o in rc.stage_overrides:
-        lines.append("")
-        lines.append(f"[stage {o.index}]")
-        for name in StageOverride.INTS + StageOverride.FLOATS:
-            v = getattr(o, name)
-            if v is not None:
-                lines.append(f"{name} = {v!r}")
-    return "\n".join(lines) + "\n"

@@ -167,7 +167,7 @@ def validate_schedule(schedule):
             raise ValueError(f"stage {i} kappa: must at least halve, {b.kappa} vs {a.kappa}")
 
 
-def next_params(prev, **overrides):
+def next_params(prev):
     """Default decayed parameters for the following stage.
 
     delta and kappa shrink inside the hard decay constraints; radius and
@@ -175,16 +175,10 @@ def next_params(prev, **overrides):
     """
     delta = 0.9 * (math.sqrt(1 + prev.delta) - 1)
     kappa = 0.49 * prev.kappa
-    base = replace(prev, delta=delta, kappa=kappa, radius=None, entropy_target=None)
-    return replace(base, **overrides) if overrides else base
+    return replace(prev, delta=delta, kappa=kappa, radius=None, entropy_target=None)
 
 
-def plan_initial_params(
-    target,
-    word_length=12,
-    overlap_length=1,
-    metric=None,
-):
+def plan_initial_params(target, metric=None):
     """First-stage parameters from the feasibility gap.
 
     delta_1 is half the supremum of admissible slacks (the largest delta
@@ -210,8 +204,8 @@ def plan_initial_params(
     return StageParams(
         delta=delta,
         kappa=kappa,
-        word_length=word_length,
-        overlap_length=overlap_length,
+        word_length=12,
+        overlap_length=1,
         metric=metric,
     )
 
@@ -740,7 +734,6 @@ class BuildArtifacts:
 
     Y: object = None  # a shift, or a sub-code on a renewal ambient
     Z: VertexShift = None
-    gamma: tuple = ()
     low_overlap_word: tuple = ()
     connector_in: tuple = ()
     connector_out: tuple = ()
@@ -834,7 +827,6 @@ def build_stage(prev, target, params, settings=None):
 
     if renewal is None:
         code = _enumerated_code(prev, pair.Y, gamma, glue_in, glue_out, w_prev)
-        art.gamma = code.words
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
         next_measure = next_shift.renewal
     else:

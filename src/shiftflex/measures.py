@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,17 +58,10 @@ class EmpiricalMeasure:
         )
         self._tables = {}
 
-    @property
-    def frequencies(self):
-        """Exact window frequencies at the declared depth, as Fractions."""
-        counts = {}
-        n = len(self.word) - self.depth + 1
-        for i in range(n):
-            w = self.word[i : i + self.depth]
-            counts[w] = counts.get(w, 0) + 1
-        return {w: Fraction(c, n) for w, c in sorted(counts.items())}
-
     def cylinder_table(self, depth):
+        """Window frequencies at the given depth; ValueError below depth 1."""
+        if depth < 1:
+            raise ValueError("cylinder depth must be >= 1")
         if depth in self._tables:
             return self._tables[depth]
         if len(self.word) < depth:
@@ -87,11 +79,6 @@ class EmpiricalMeasure:
 
     def __repr__(self):
         return f"EmpiricalMeasure(len={len(self.word)}, depth={self.depth})"
-
-
-def empirical_measure(word, depth, ambient_size=None):
-    """Empirical measure of a word at the given window depth."""
-    return EmpiricalMeasure(word, depth, ambient_size=ambient_size)
 
 
 def empirical_from_windows(word, positions, depth, ambient_size=None):

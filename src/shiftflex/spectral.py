@@ -21,6 +21,7 @@ from .words import (
 
 PERRON_TOL = 1e-12
 PERRON_MAX_ITER = 10**6
+MEASURE_TOL = 1e-9  # how far MarkovMeasure lets pi and P miss their constraints
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class PerronData:
     iterations: int
 
 
-def _power_vector(mat, period, tol, max_iter):
+def _power_vector(mat, period):
     """Positive eigenvector of an irreducible 0/1 matrix.
 
     For aperiodic matrices iterates mat + I, which is primitive whenever mat
@@ -51,7 +52,7 @@ def _power_vector(mat, period, tol, max_iter):
     v = np.full(n, 1.0 / n)
     if period == 1:
         mv = mat @ v
-        for it in range(1, max_iter + 1):
+        for it in range(1, PERRON_MAX_ITER + 1):
             w = mv + v
             s = w.sum()
             w /= s
@@ -59,12 +60,12 @@ def _power_vector(mat, period, tol, max_iter):
             mv = mat @ w  # the residual's product, and the next step's
             resid = np.abs(mv - lam * w).max()
             v = w
-            if resid <= tol and it >= 2:
+            if resid <= PERRON_TOL and it >= 2:
                 return lam, w, resid, it
         raise ConvergenceError(
-            f"power iteration did not reach tol={tol} in {max_iter} iterations"
+            f"power iteration did not reach tol={PERRON_TOL} in {PERRON_MAX_ITER} iterations"
         )
-    for it in range(1, max_iter + 1):
+    for it in range(1, PERRON_MAX_ITER + 1):
         w = v
         for _ in range(period):
             w = mat @ w
@@ -82,30 +83,29 @@ def _power_vector(mat, period, tol, max_iter):
         r /= r.sum()
         resid = np.abs(mat @ r - lam * r).max()
         v = w
-        if resid <= tol:
+        if resid <= PERRON_TOL:
             return lam, r, resid, it
     raise ConvergenceError(
-        f"power iteration (period {period}) did not reach tol={tol}"
+        f"power iteration (period {period}) did not reach tol={PERRON_TOL}"
     )
 
 
-def perron(shift, tol=PERRON_TOL, max_iter=PERRON_MAX_ITER):
-    """Perron-Frobenius data of an irreducible vertex shift.
+def perron(shift):
+    """Perron-Frobenius data of an irreducible vertex shift, to PERRON_TOL.
 
     Raises ReducibleShiftError when the graph is not strongly connected and
-    ConvergenceError past the iteration cap.  Results are cached on the
-    shift object.
+    ConvergenceError past PERRON_MAX_ITER iterations.  Results are cached
+    on the shift object.
     """
-    cached = shift._perron_cache
-    if cached is not None and cached[0] <= tol:
-        return cached[1]
+    if shift._perron_cache is not None:
+        return shift._perron_cache
     if not is_irreducible(shift):
         raise ReducibleShiftError("perron data requires an irreducible shift")
     p = graph_period(shift)
     mat = shift.matrix.astype(np.float64)
-    lam, right, res_r, it_r = _power_vector(mat, p, tol, max_iter)
+    lam, right, res_r, it_r = _power_vector(mat, p)
     matT = mat.T.tocsr()
-    lam_l, left, res_l, it_l = _power_vector(matT, p, tol, max_iter)
+    lam_l, left, res_l, it_l = _power_vector(matT, p)
     left = left / (left @ right)
     # bilinear quotient: eigenvalue error quadratic in the vector residuals
     lam = float((left @ (mat @ right)) / (left @ right))
@@ -117,13 +117,13 @@ def perron(shift, tol=PERRON_TOL, max_iter=PERRON_MAX_ITER):
         residual_left=float(np.abs(matT @ left - lam * left).max()),
         iterations=it_r + it_l,
     )
-    shift._perron_cache = (tol, data)
+    shift._perron_cache = data
     return data
 
 
-def topological_entropy(shift, tol=PERRON_TOL):
+def topological_entropy(shift):
     """log of the spectral radius of the transition matrix, in nats."""
-    return math.log(perron(shift, tol=tol).value)
+    return math.log(perron(shift).value)
 
 
 class MarkovMeasure:
@@ -133,42 +133,31 @@ class MarkovMeasure:
     row-stochastic transition matrix supported on allowed edges.
     """
 
-    def __init__(self, shift, pi, P, vtol=1e-9):
+    def __init__(self, shift, pi, P):
         self.shift = shift
         self.pi = np.asarray(pi, dtype=np.float64)
         self.P = sp.csr_matrix(P, dtype=np.float64)
         n = shift.num_states
         if self.pi.shape != (n,) or self.P.shape != (n, n):
             raise ValueError("measure dimensions do not match the shift")
-        if self.pi.min() < -vtol or abs(self.pi.sum() - 1.0) > vtol:
+        if self.pi.min() < -MEASURE_TOL or abs(self.pi.sum() - 1.0) > MEASURE_TOL:
             raise ValueError("pi must be a probability vector")
         rows = np.asarray(self.P.sum(axis=1)).ravel()
-        if np.abs(rows - 1.0).max() > vtol:
+        if np.abs(rows - 1.0).max() > MEASURE_TOL:
             raise ValueError("P must be row-stochastic")
         row = np.repeat(np.arange(n), np.diff(self.P.indptr))
         on_edges = is_admissible(shift, np.column_stack((row, self.P.indices)))
         off_support = self.P.data[~on_edges]
-        if off_support.size and np.abs(off_support).max() > vtol:
+        if off_support.size and np.abs(off_support).max() > MEASURE_TOL:
             raise ValueError("P supported outside the shift's edges")
         drift = np.abs(self.pi @ self.P - self.pi).max()
-        if drift > max(vtol, 1e-9):
+        if drift > MEASURE_TOL:
             raise ValueError(f"pi is not stationary for P (drift {drift:.2e})")
         self._tables = {}
 
     @property
     def ambient_size(self):
         return self.shift.ambient_size
-
-    def label_cylinder(self, word):
-        """Probability of the ambient cylinder [word] under the measure;
-        ValueError for the empty word."""
-        if len(word) == 0:
-            raise ValueError("cylinder word must be nonempty")
-        lab = np.asarray(self.shift.labels)
-        x = np.where(lab == word[0], self.pi, 0.0)
-        for a in word[1:]:
-            x = np.where(lab == a, x @ self.P, 0.0)
-        return float(x.sum())
 
     def cylinder_table(self, depth):
         """dict mapping each positive-probability ambient word of the given
@@ -205,21 +194,6 @@ class MarkovMeasure:
         return f"MarkovMeasure(states={self.shift.num_states})"
 
 
-def cylinder_prob(m, word):
-    """pi[w0] * prod P[w_i, w_i+1] for an internal word; 0 on broken support."""
-    if len(word) == 0:
-        raise ValueError("cylinder word must be nonempty")
-    n = m.shift.num_states
-    if any(s < 0 or s >= n for s in word):
-        raise ValueError("symbol outside the shift's state set")
-    p = float(m.pi[word[0]])
-    for i in range(len(word) - 1):
-        if p == 0.0:
-            return 0.0
-        p *= m.P[word[i], word[i + 1]]
-    return float(p)
-
-
 def markov_entropy(m):
     """-sum_i pi_i sum_j P_ij log P_ij with 0 log 0 = 0, in nats."""
     coo = m.P.tocoo()
@@ -229,13 +203,13 @@ def markov_entropy(m):
     return float(-(m.pi[rows] * data * np.log(data)).sum())
 
 
-def parry_measure(shift, tol=PERRON_TOL):
+def parry_measure(shift):
     """Markov measure of maximal entropy of an irreducible shift.
 
     P_ij = A_ij v_j / (lambda v_i) with v the right Perron vector, and
     pi_i proportional to u_i v_i.
     """
-    pd = perron(shift, tol=tol)
+    pd = perron(shift)
     lam, v, u = pd.value, pd.right, pd.left
     m = shift.matrix
     row = np.repeat(np.arange(shift.num_states), np.diff(m.indptr))
@@ -257,38 +231,6 @@ def bernoulli_measure(shift, probs):
         raise ValueError("need one probability per state")
     P = np.tile(probs, (n, 1))
     return MarkovMeasure(shift, probs, P)
-
-
-def periodic_orbit_measure(shift, cycle):
-    """Invariant measure of the periodic orbit through a simple state cycle.
-
-    `cycle` lists distinct states with an edge between consecutive entries
-    and from the last back to the first.  Off-cycle rows of P are filled
-    deterministically so the matrix stays stochastic; they carry no mass.
-    """
-    cycle = tuple(cycle)
-    if len(set(cycle)) != len(cycle):
-        raise ValueError("cycle must visit distinct states")
-    n = shift.num_states
-    nxt = {}
-    for i, s in enumerate(cycle):
-        t = cycle[(i + 1) % len(cycle)]
-        if not shift.has_edge(s, t):
-            raise ValueError(f"missing edge {s}->{t} in the cycle")
-        nxt[s] = t
-    rows, cols = [], []
-    for s in range(n):
-        t = nxt.get(s)
-        if t is None:
-            t = shift.successors(s)[0]
-        rows.append(s)
-        cols.append(t)
-    P = sp.csr_matrix(
-        (np.ones(n), (rows, cols)), shape=(n, n)
-    )
-    pi = np.zeros(n)
-    pi[list(cycle)] = 1.0 / len(cycle)
-    return MarkovMeasure(shift, pi, P)
 
 
 def stationary_distribution(shift, P):
@@ -340,9 +282,6 @@ class RoofFunction:
     @classmethod
     def constant(cls, value, alphabet_size=1):
         return cls(1, {(a,): value for a in range(alphabet_size)})
-
-    def __call__(self, word):
-        return self.values[tuple(word)]
 
 
 def roof_integral(m, rho):

@@ -126,8 +126,7 @@ class VertexShift:
         in ascending order (enumeration order).
 
         Built on first use, for the callers that still step through single
-        states: `has_edge`, `connecting_word`,
-        `spectral.periodic_orbit_measure`, and the bit masks of
+        states: `connecting_word` and the bit masks of
         `construction._neighbour_masks`.
         The searches of the generic layer walk the CSR arrays instead, so a
         presentation that only they search never holds a tuple per edge.
@@ -148,9 +147,6 @@ class VertexShift:
         if pred is None:
             pred = self._adjacency_lists()[1]
         return pred[state]
-
-    def has_edge(self, i, j):
-        return j in self.successors(i)
 
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered

@@ -198,7 +198,7 @@ def strongly_connected(shift):
     if None in bfs_distances(shift, (0,), reverse=True):
         return False
     if n == 1:
-        return shift.has_edge(0, 0)
+        return 0 in shift.successors(0)
     return True
 
 
@@ -321,7 +321,7 @@ def is_admissible(shift, word):
     time."""
     if any(s < 0 or s >= shift.num_states for s in word):
         raise ValueError("symbol outside the shift's state set")
-    return all(shift.has_edge(word[i], word[i + 1]) for i in range(len(word) - 1))
+    return all(word[i + 1] in shift.successors(word[i]) for i in range(len(word) - 1))
 
 
 def pigeonhole_refine(gamma, shift):

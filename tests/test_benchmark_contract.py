@@ -1,13 +1,17 @@
 """The benchmark's contract with the package.
 
-`perfbench/tracing.py` wraps the package's functions by name and
-`perfbench/run.py --self-test` drives small real runs through them; a
-rename in `src/` that breaks either fails here.  Both files are only
-read: the tracing module is executed from its source text, and the
+`perfbench/tracing.py` wraps the package's functions by name,
+`perfbench/run.py --self-test` drives small real runs through them, and
+the workloads call the package through the attributes of `sf`; a rename
+or deletion in `src/` that breaks any of them fails here, also on a
+workload path the self-test does not run.  The perfbench files are only
+read: they are parsed or executed from their source text, and the
 self-test runs with bytecode writing off.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -33,6 +37,66 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, part), f"shiftflex.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"shiftflex.{module}.{attr}"
+
+
+def _chain(node):
+    """The dotted names of an attribute chain `a.b.c`, or None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id] + names[::-1] if isinstance(node, ast.Name) else None
+
+
+def perfbench_reads():
+    """(file, line, names, call) for each package attribute perfbench reads:
+    `sf.X`, `sf.mod.X`, and `alias.X` for an alias bound to `sf.mod`
+    (`words, spectral, codes = sf.words, sf.spectral, sf.codes`).  `call`
+    is the ast.Call when the attribute is called, else None."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {"sf": []}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            pairs = [(node.targets[0], node.value)]
+            if all(isinstance(n, ast.Tuple) for n in pairs[0]):
+                pairs = zip(node.targets[0].elts, node.value.elts)
+            for name, value in pairs:
+                chain = _chain(value)
+                if isinstance(name, ast.Name) and chain and chain[0] == "sf":
+                    aliases[name.id] = chain[1:]
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            chain = _chain(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in aliases:
+                names = aliases[chain[0]] + chain[1:]
+                yield path.name, node.lineno, names, calls.get(id(node))
+
+
+def test_every_perfbench_read_resolves():
+    import shiftflex
+    import shiftflex.config  # noqa: F401  (perfbench imports it too)
+
+    seen = set()
+    for file, line, names, call in perfbench_reads():
+        where = f"perfbench/{file}:{line}: sf.{'.'.join(names)}"
+        obj = shiftflex
+        for part in names:
+            assert hasattr(obj, part), where
+            obj = getattr(obj, part)
+        seen.add(".".join(names))
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args):
+            continue
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(obj).bind(*[None] * len(call.args), **keywords)
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+    # the workloads' own calls, which --self-test does not all make
+    assert {"build_stage", "verify_stage", "RunSettings", "construction.base_stage",
+            "words.higher_block", "words.label_language", "spectral.topological_entropy",
+            "codes.find_low_overlap_word"} <= seen
 
 
 def test_perfbench_self_test_passes():

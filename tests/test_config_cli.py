@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from shiftflex.cli import main
-from shiftflex.config import RunConfig, StageOverride, parse_config, render_config
+from shiftflex.config import parse_config
 from shiftflex.errors import ConfigError
 
 SMALL = """\
@@ -71,23 +71,6 @@ def small_cfg(tmp_path):
     p = tmp_path / "small.cfg"
     p.write_text(SMALL)
     return str(p)
-
-
-def test_roundtrip_is_field_identical():
-    rc = parse_config(SMALL)
-    assert parse_config(render_config(rc)) == rc
-    rc2 = RunConfig(
-        alphabet=3,
-        forbidden=("11", "202"),
-        block=3,
-        roof_depth=1,
-        roof_values=(("0", 1.0), ("1", 1.5), ("2", 2.0)),
-        c=0.25,
-        stages=2,
-        seed=9,
-        stage_overrides=(StageOverride(index=1, delta=0.2, word_length=8),),
-    )
-    assert parse_config(render_config(rc2)) == rc2
 
 
 def test_parse_diagnostics_carry_line_numbers():
@@ -352,8 +335,27 @@ def test_cmd_construct_refused_values_are_config_errors(text, args, error, tmp_p
          "field 'alphabet': alphabet must be >= 1, got 0"),
         ("[stage 1]", "[stage 0]\ndelta = 0.2\n\n[stage 1]",
          "line 17: stages count from 1: `[stage 0]` has no stage"),
+        ("matrix = 11 11", "matrix = 11 11\nforbidden = 11",
+         "line 4: [shift] matrix and forbidden exclude each other; give one"),
+        ("matrix = 11 11", "matrix = 11 11\nblock = 2",
+         "line 4: field 'block': block recodes a `forbidden` list, and there is none"),
+        ("c_fraction = 0.1", "c = 0.05\nc_fraction = 0.1",
+         "line 10: [target] c and c_fraction exclude each other; give one"),
+        ("constant = 1.0", "depth = 2\nconstant = 1.0",
+         "line 7: [roof] constant and depth exclude each other; give one"),
+        ("constant = 1.0", "constant = 1.0\n0 = 1.0\n1 = 1.5",
+         "line 7: [roof] constant and 0 exclude each other; give one"),
+        ("alphabet = 2", "alphabet = 2\nalphabet = 3",
+         "line 3: field 'alphabet': [shift] alphabet is also given on line 2"),
+        ("kappa = 0.5", "kappa = 0.5\nkappa = 0.4",
+         "line 22: field 'kappa': [stage 1] kappa is also given on line 21"),
+        ("block_depth = 2", "block_depth = 2\n\n[stage 01]\ndelta = 0.2",
+         "line 27: field 'delta': [stage 1] delta is also given on line 20"),
     ],
-    ids=["matrix-entry", "forbidden-token", "forbidden-symbol", "alphabet-zero", "stage-zero"],
+    ids=["matrix-entry", "forbidden-token", "forbidden-symbol", "alphabet-zero", "stage-zero",
+         "matrix-and-forbidden", "block-without-forbidden", "c-and-c-fraction",
+         "roof-constant-and-depth", "roof-constant-and-values", "repeated-alphabet",
+         "repeated-stage-key", "repeated-key-across-sections"],
 )
 def test_cmd_construct_malformed_values_are_config_errors(old, new, error, tmp_path, capsys):
     cfg = tmp_path / "case.cfg"

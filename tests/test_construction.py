@@ -23,7 +23,6 @@ from shiftflex import (
     derive_c1,
     full_shift,
     golden_mean_shift,
-    is_uniquely_decipherable,
     iterate,
     markov_entropy,
     next_params,
@@ -35,6 +34,7 @@ from shiftflex import (
     renewal_to_sft,
     select_disjoint_subsystems,
     topological_entropy,
+    ud_witness,
     validate_schedule,
     verify_stage,
     weak_star_distance,
@@ -177,7 +177,7 @@ def test_build_stage_green_path():
     lo, v, hi = report.entropy_window
     assert lo <= v <= hi
     assert report.measure_distance[0] <= 2 * GREEN.kappa
-    assert is_uniquely_decipherable(stage.code)
+    assert ud_witness(stage.code) is None
     # claim-style invariants on the built stage
     assert abs(report.h_top - math.log(13) / 29) < 1e-9
     d = weak_star_distance(stage.measure, t.base_measure, GREEN.metric)
@@ -300,7 +300,7 @@ def test_iterate_c_zero_trajectory():
 
 def test_iterate_partial_tower_on_stage_failure():
     t = full2_target()
-    p2 = next_params(GREEN, word_length=10, radius=0.25)
+    p2 = replace(next_params(GREEN), word_length=10, radius=0.25)
     tower = iterate(t, 2, [GREEN, p2])
     assert tower.error is not None
     assert tower.reports[1].all_pass

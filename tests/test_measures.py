@@ -17,7 +17,6 @@ from shiftflex import (
     WordTooShortError,
     bernoulli_measure,
     empirical_from_windows,
-    empirical_measure,
     full_shift,
     golden_mean_shift,
     is_irreducible,
@@ -38,21 +37,25 @@ D2 = MetricConfig(2)
 
 
 def test_empirical_examples():
-    assert empirical_measure((0, 1, 0, 1), 1).frequencies == {
-        (0,): Fraction(1, 2),
-        (1,): Fraction(1, 2),
+    assert EmpiricalMeasure((0, 1, 0, 1), 1).cylinder_table(1) == {(0,): 1 / 2, (1,): 1 / 2}
+    assert EmpiricalMeasure((0, 0, 0, 0), 2).cylinder_table(2) == {(0, 0): 1.0}
+    assert EmpiricalMeasure((0, 0, 1, 0), 2).cylinder_table(2) == {
+        (0, 0): 1 / 3,
+        (0, 1): 1 / 3,
+        (1, 0): 1 / 3,
     }
-    assert empirical_measure((0, 0, 0, 0), 2).frequencies == {(0, 0): Fraction(1, 1)}
-    assert empirical_measure((0, 0, 1, 0), 2).frequencies == {
-        (0, 0): Fraction(1, 3),
-        (0, 1): Fraction(1, 3),
-        (1, 0): Fraction(1, 3),
-    }
+
+
+def test_empirical_refuses_depths_below_one():
+    e = EmpiricalMeasure((0, 1, 0), 2)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            e.cylinder_table(depth)
 
 
 def test_empirical_word_too_short():
     with pytest.raises(WordTooShortError):
-        empirical_measure((0, 1), 3)
+        EmpiricalMeasure((0, 1), 3)
 
 
 def test_weak_star_identity(uniform2):
@@ -65,7 +68,7 @@ def test_weak_star_point_mass(full2, uniform2):
 
 
 def test_weak_star_empirical_vs_bernoulli(uniform2):
-    e = empirical_measure((0, 1), 1, ambient_size=2)
+    e = EmpiricalMeasure((0, 1), 1, ambient_size=2)
     assert weak_star_distance(e, uniform2, MetricConfig(1)) == 0.0
 
 
@@ -92,8 +95,8 @@ def test_window_difference_bound(symbols, data):
     w2 = w1[:flip_at] + (1 - w1[flip_at],) + w1[flip_at + 1 :]
     depth = data.draw(st.integers(1, 3))
     cfg = MetricConfig(depth)
-    a = empirical_measure(w1, depth, ambient_size=2)
-    b = empirical_measure(w2, depth, ambient_size=2)
+    a = EmpiricalMeasure(w1, depth, ambient_size=2)
+    b = EmpiricalMeasure(w2, depth, ambient_size=2)
     # one symbol flip touches at most `depth` windows at each depth m <= depth,
     # and the window count is N - m + 1 >= N - depth + 1
     n_windows = len(w1) - depth + 1
@@ -102,8 +105,8 @@ def test_window_difference_bound(symbols, data):
 
 def test_agreeing_windows_zero_distance():
     # distinct words tracing the same depth-2 window multiset
-    a = empirical_measure((0, 0, 1, 1, 0, 1, 0), 2, ambient_size=2)
-    b = empirical_measure((0, 1, 0, 1, 1, 0, 0), 2, ambient_size=2)
+    a = EmpiricalMeasure((0, 0, 1, 1, 0, 1, 0), 2, ambient_size=2)
+    b = EmpiricalMeasure((0, 1, 0, 1, 1, 0, 0), 2, ambient_size=2)
     assert a.word != b.word
     assert a.cylinder_table(2) == b.cylinder_table(2)
     assert weak_star_distance(a, b, D2) == 0.0
@@ -159,7 +162,7 @@ def test_katok_full_shift(uniform2, full2):
     assert abs(math.log(len(res.words)) / 10 - math.log(2)) < 0.2
     assert res.deviation < 0.2
     for w in res.words:
-        e = empirical_measure(w, 2, ambient_size=2)
+        e = EmpiricalMeasure(w, 2, ambient_size=2)
         assert weak_star_distance(e, uniform2, D2) < 0.2
 
 

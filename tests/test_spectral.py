@@ -13,13 +13,11 @@ from shiftflex import (
     RoofFunction,
     VertexShift,
     abramov,
-    cylinder_prob,
     full_shift,
     golden_mean_shift,
     language,
     markov_entropy,
     parry_measure,
-    periodic_orbit_measure,
     perron,
     random_markov_measure,
     roof_integral,
@@ -111,7 +109,7 @@ def test_markov_entropy_examples(full2, uniform2, golden_parry):
     assert abs(markov_entropy(uniform2) - math.log(2)) < 1e-12
     assert abs(markov_entropy(golden_parry) - math.log(PHI)) < 1e-11
     cyc = VertexShift([[0, 1], [1, 0]])
-    orbit = periodic_orbit_measure(cyc, (0, 1))
+    orbit = MarkovMeasure(cyc, [0.5, 0.5], [[0, 1], [1, 0]])  # the period-2 orbit
     assert markov_entropy(orbit) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -134,19 +132,21 @@ def test_maximality_under_perturbation():
 
 
 def test_cylinder_prob_examples(full2, uniform2, golden_parry):
-    assert cylinder_prob(uniform2, (0, 1, 0)) == pytest.approx(1 / 8)
-    assert cylinder_prob(golden_parry, (1, 1)) == 0.0
+    assert uniform2.cylinder_table(3)[(0, 1, 0)] == pytest.approx(1 / 8)
+    assert (1, 1) not in golden_parry.cylinder_table(2)
     expected = golden_parry.pi[0] * golden_parry.P[0, 1]
-    assert cylinder_prob(golden_parry, (0, 1)) == pytest.approx(expected)
+    assert golden_parry.cylinder_table(2)[(0, 1)] == pytest.approx(expected)
 
 
 def test_cylinder_consistency_and_stationarity(golden, golden_parry):
     for n in range(1, 8):
-        total = sum(cylinder_prob(golden_parry, tuple(w)) for w in language(golden, n).tolist())
-        assert abs(total - 1.0) < 1e-9
-    for w in map(tuple, language(golden, 3).tolist()):
-        ext = sum(cylinder_prob(golden_parry, (a,) + w) for a in range(2))
-        assert abs(ext - cylinder_prob(golden_parry, w)) < 1e-9
+        table = golden_parry.cylinder_table(n)
+        assert set(table) == set(map(tuple, language(golden, n).tolist()))
+        assert abs(sum(table.values()) - 1.0) < 1e-9
+    longer = golden_parry.cylinder_table(4)
+    for w, p in golden_parry.cylinder_table(3).items():
+        ext = sum(longer.get((a,) + w, 0.0) for a in range(2))
+        assert abs(ext - p) < 1e-9
 
 
 def test_roof_validation():
@@ -216,8 +216,6 @@ def test_markov_measure_validation(full2):
 
 
 def test_markov_measure_refuses_empty_cylinders(golden_parry):
-    with pytest.raises(ValueError, match="nonempty"):
-        golden_parry.label_cylinder(())
     with pytest.raises(ValueError, match="depth must be >= 1"):
         golden_parry.cylinder_table(0)
 
@@ -234,10 +232,12 @@ def test_parry_measure_matches_coo_construction():
 
 
 def test_label_cylinder_matches_internal(golden_parry, golden):
+    """On a shift labelled by its states, a cylinder's probability is
+    pi[w0] * prod P[w_i, w_i+1] over the internal word."""
+    table = golden_parry.cylinder_table(3)
     for w in map(tuple, language(golden, 3).tolist()):
-        assert golden_parry.label_cylinder(w) == pytest.approx(
-            cylinder_prob(golden_parry, w)
-        )
+        p = golden_parry.pi[w[0]] * golden_parry.P[w[0], w[1]] * golden_parry.P[w[1], w[2]]
+        assert table[w] == pytest.approx(p)
     table = golden_parry.cylinder_table(2)
     assert set(table) == {(0, 0), (0, 1), (1, 0)}
     assert sum(table.values()) == pytest.approx(1.0)
