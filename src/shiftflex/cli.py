@@ -296,8 +296,8 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="shiftflex")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required)
+    def common(p):
+        p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--stages", type=int)
         p.add_argument("--metric-depth", dest="metric_depth", type=int)

@@ -92,8 +92,8 @@ class RunConfig:
             )
         return rho
 
-    def build_target(self, shift=None):
-        shift = shift or self.build_shift()
+    def build_target(self):
+        shift = self.build_shift()
         rho = self.build_roof(shift)
         require_irreducible(shift)  # before the Parry measure needs it
         mu = parry_measure(shift)

@@ -328,7 +328,7 @@ def _subset_scores(shift, m, cfg):
     n, alph = shift.num_states, shift.ambient_size
     succ, pred = _neighbour_masks(shift)
     dense = shift.dense().astype(np.float64)
-    labels = np.asarray(shift.labels)
+    labels = shift.label_array
     depth = cfg.max_depth
     targets = [dense_table(m.cylinder_table(d), d, alph) for d in range(1, depth + 1)]
     by_size = {}
@@ -737,7 +737,6 @@ class BuildArtifacts:
     low_overlap_word: tuple = ()
     connector_in: tuple = ()
     connector_out: tuple = ()
-    c1: float = 0.0
 
 
 def build_stage(prev, target, params, settings=None):
@@ -764,7 +763,6 @@ def build_stage(prev, target, params, settings=None):
         )
     art = BuildArtifacts()
     c1 = derive_c1(target, params, prev.measure)
-    art.c1 = c1
     renewal = prev.space if isinstance(prev.space, RenewalStructure) else None
     if renewal is not None:
         if params.entropy_target is not None:
@@ -900,7 +898,7 @@ def _enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
     if not is_admissible(prev.shift, (w_prev[-1], internal[0, 0])):
         raise StageVerificationError("cyclic splice is not admissible")
     # Code keeps one copy of each label word, sorted
-    return Code(_as_tuples(np.asarray(prev.shift.labels, dtype=np.int64)[internal]))
+    return Code(_as_tuples(prev.shift.label_array[internal]))
 
 
 # candidates the least-word-length search of a refusal examines

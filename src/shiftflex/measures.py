@@ -219,7 +219,7 @@ def katok_separated_set(shift, m, n, kappa, radius, cfg):
     h = markov_entropy(m)
     states = language(shift, n)
     alphabet = np.min_scalar_type(shift.ambient_size - 1)
-    labels = np.asarray(shift.labels, dtype=alphabet)[states]
+    labels = shift.label_array.astype(alphabet)[states]
     dist = empirical_distances(labels, m, min(cfg.max_depth, n), shift.ambient_size)
     (chosen,) = np.nonzero(dist < radius)  # indices into the lexicographic language
     count = len(chosen)

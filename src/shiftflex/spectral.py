@@ -28,7 +28,8 @@ MEASURE_TOL = 1e-9  # how far MarkovMeasure lets pi and P miss their constraints
 class PerronData:
     """Spectral radius with right/left eigenvectors of a 0/1 matrix.
 
-    right is normalized to sum 1, left is scaled so left @ right = 1.
+    right is normalized to sum 1, left is scaled so left @ right = 1; the
+    residuals are each power iteration's own, at its last step.
     """
 
     value: float
@@ -104,7 +105,9 @@ def perron(shift):
     p = graph_period(shift)
     mat = shift.matrix.astype(np.float64)
     lam, right, res_r, it_r = _power_vector(mat, p)
-    matT = mat.T.tocsr()
+    # the transpose in CSR form: the predecessor arrays kept on the shift
+    indptr, indices = shift._predecessor_arrays()
+    matT = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=mat.shape)
     lam_l, left, res_l, it_l = _power_vector(matT, p)
     left = left / (left @ right)
     # bilinear quotient: eigenvalue error quadratic in the vector residuals
@@ -113,8 +116,8 @@ def perron(shift):
         value=lam,
         right=right,
         left=left,
-        residual_right=float(np.abs(mat @ right - lam * right).max()),
-        residual_left=float(np.abs(matT @ left - lam * left).max()),
+        residual_right=float(res_r),
+        residual_left=float(res_l),
         iterations=it_r + it_l,
     )
     shift._perron_cache = data
@@ -145,11 +148,15 @@ class MarkovMeasure:
         rows = np.asarray(self.P.sum(axis=1)).ravel()
         if np.abs(rows - 1.0).max() > MEASURE_TOL:
             raise ValueError("P must be row-stochastic")
-        row = np.repeat(np.arange(n), np.diff(self.P.indptr))
-        on_edges = is_admissible(shift, np.column_stack((row, self.P.indices)))
-        off_support = self.P.data[~on_edges]
-        if off_support.size and np.abs(off_support).max() > MEASURE_TOL:
-            raise ValueError("P supported outside the shift's edges")
+        m = shift.matrix
+        # P on the shift's own CSR structure (`parry_measure`) stores entries
+        # on edges only; any other P is checked entry by entry
+        if not (np.array_equal(self.P.indptr, m.indptr) and np.array_equal(self.P.indices, m.indices)):
+            row = np.repeat(np.arange(n), np.diff(self.P.indptr))
+            on_edges = is_admissible(shift, np.column_stack((row, self.P.indices)))
+            off_support = self.P.data[~on_edges]
+            if off_support.size and np.abs(off_support).max() > MEASURE_TOL:
+                raise ValueError("P supported outside the shift's edges")
         drift = np.abs(self.pi @ self.P - self.pi).max()
         if drift > MEASURE_TOL:
             raise ValueError(f"pi is not stationary for P (drift {drift:.2e})")
@@ -167,7 +174,7 @@ class MarkovMeasure:
             raise ValueError("cylinder depth must be >= 1")
         if depth in self._tables:
             return self._tables[depth]
-        lab = np.asarray(self.shift.labels)
+        lab = self.shift.label_array
         masks = [lab == a for a in range(self.shift.ambient_size)]
         out = {}
 

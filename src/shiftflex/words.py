@@ -34,14 +34,17 @@ class VertexShift:
 
     The CSR arrays of `matrix` (`indptr`, `indices`, columns ascending in
     every row) are the one representation every graph search of the
-    generic layer walks: the extension kernel `_grow`, the frontier BFS
-    `_bfs_levels`, `longest_window_avoiding` and `find_low_overlap_word`.
+    generic layer walks: the edge-graph levels `_edge_levels` of the
+    recodings, the extension kernel `_grow`, the frontier BFS `_bfs_levels`,
+    `longest_window_avoiding` and `find_low_overlap_word`.
 
     Parameters
     ----------
     matrix : array-like or sparse, square, entries in {0, 1}
     labels : optional sequence mapping each state to a base-alphabet symbol;
-        identity when omitted.
+        identity when omitted.  Kept twice: `label_array`, a read-only
+        int64 array that the array kernels index, and `labels`, the same
+        values as a tuple of ints.
     ambient_size : size of the base alphabet the labels map into; inferred
         from the labels (or the state count) when omitted.
     state_words : optional per-state annotation used by higher-block
@@ -51,7 +54,7 @@ class VertexShift:
 
     A shift made by `deferred` has its state count, alphabet size and state
     words at once, and builds and checks its matrix and labels here when
-    one of them is first read.
+    one of them (or `label_array`) is first read.
     """
 
     # the code of a renewal presentation (`codes.renewal_to_sft`): the
@@ -72,16 +75,19 @@ class VertexShift:
         m.eliminate_zeros()
         m.sort_indices()
         self.matrix = m
-        self.num_states = m.shape[0]
+        n = self.num_states = m.shape[0]
         if labels is None:
-            self.labels = tuple(range(self.num_states))
+            label_array = np.arange(n, dtype=np.int64)
         else:
-            self.labels = tuple(np.asarray(labels, dtype=np.int64).tolist())
-            if len(self.labels) != self.num_states:
+            label_array = np.array(labels, dtype=np.int64)
+            if label_array.shape != (n,):
                 raise ValueError("labels length must equal state count")
-        top = max(self.labels, default=-1)
+        label_array.flags.writeable = False
+        self.label_array = label_array
+        self.labels = tuple(label_array.tolist())
+        top = int(label_array.max(initial=-1))
         if ambient_size is None:
-            ambient_size = self.num_states if labels is None else top + 1
+            ambient_size = n if labels is None else top + 1
         if top >= ambient_size:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
@@ -102,7 +108,7 @@ class VertexShift:
         # reached only for attributes never set: before their first read,
         # the matrix and labels of a `deferred` shift
         build = self.__dict__.get("_build")
-        if build is None or name not in ("matrix", "labels"):
+        if build is None or name not in ("matrix", "labels", "label_array"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         matrix, labels = build()
         VertexShift.__init__(self, matrix, labels, self.ambient_size, self.state_words)
@@ -114,11 +120,8 @@ class VertexShift:
         lists the predecessors of state j, ascending.  Built on first use
         and kept."""
         if self._predecessors is None:
-            m, n = self.matrix, self.num_states
-            rows = np.repeat(np.arange(n), np.diff(m.indptr))
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(m.indices, minlength=n), out=indptr[1:])
-            self._predecessors = (indptr, rows[np.argsort(m.indices, kind="stable")])
+            transposed = self.matrix.tocsc()  # the CSC arrays of the matrix
+            self._predecessors = (transposed.indptr, transposed.indices)
         return self._predecessors
 
     def _adjacency_lists(self):
@@ -205,77 +208,80 @@ def _edge_ids(indptr, rows):
     return deg, np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + deg, deg)
 
 
-def _grow(matrix, n, keep=None):
-    """Words of length n of the graph of a CSR matrix, lexicographically
-    ordered: the extension kernel of the generic layer.
-
-    Grows every word by the out-edges of its last state, one state at a
-    time; a CSR row lists its columns ascending, so every length comes out
-    in lexicographic order.  Returns the (words × n) state array and, for
-    n > 1, the index among the words of length n - 1 of each word's prefix
-    (its first n - 1 states) and of its suffix (its last n - 1 states).
-    `keep(parent, state, length)` may drop extensions (a boolean mask over
-    them); the words it keeps at each length must include the suffixes of
-    the next length's words, as the words avoiding a forbidden list do.
-    """
+def _grow(matrix, n):
+    """Words of length n of the graph of a CSR matrix as a (words × n) state
+    array, grown by the out-edges of each word's last state one state at a
+    time: CSR rows list their columns ascending, so in lexicographic order."""
     indptr, indices = matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64)
-    size = matrix.shape[0]
-    states, parents = [np.arange(size)], []
-    parent = suffix = keys = None
-    for length in range(2, n + 1):
-        parent, edge = _out_edges(indptr, states[-1])
-        state = indices[edge]
-        if keep is not None:
-            kept = keep(parent, state, length)
-            parent, state = parent[kept], state[kept]
-        # the suffix of a word extends its parent's suffix by the same state;
-        # (parent, state) pairs ascend along every length's list
-        if length == 2:
-            suffix = state
-        else:
-            suffix = np.searchsorted(keys, suffix[parent] * size + state)
-        keys = parent * size + state
-        states.append(state)
+    last = np.arange(matrix.shape[0])
+    states, parents = [], []
+    for _ in range(n - 1):
+        parent, edge = _out_edges(indptr, last)
+        last = indices[edge]
+        states.append(last)
         parents.append(parent)
-    return _parent_walk(states, parents), parent, suffix
+    return _parent_walk(np.arange(matrix.shape[0])[:, None], states, parents)
 
 
-def _parent_walk(columns, parents):
-    """The (nodes × levels) array of the last level of a tree grown level by
-    level: `columns[j]` holds a value per node of level j and `parents[j]`
-    the index among level j of each node of level j + 1; rows in the order
-    of the last level."""
-    at = np.arange(len(columns[-1]))
-    words = np.empty((len(at), len(columns)), dtype=np.int64)
-    for j in range(len(columns) - 1, 0, -1):
-        words[:, j] = columns[j][at]
-        at = parents[j - 1][at]
-    words[:, 0] = columns[0][at]
-    return words
+def _parent_walk(first, columns, parents):
+    """The words of the last level of a tree grown level by level, one row
+    per node in that level's order: `first` holds a row of values per node
+    of level 0, `columns[j]` a value per node of level j + 1 and
+    `parents[j]` the index among level j of each node of level j + 1.
+    Filled one level per contiguous row, then transposed."""
+    at = np.arange(len(columns[-1]) if columns else len(first))
+    width = first.shape[1]
+    words = np.empty((width + len(columns), len(at)), dtype=np.int64)
+    for j in range(len(columns) - 1, -1, -1):
+        words[width + j] = columns[j][at]
+        at = parents[j][at]
+    words[:width] = first[at].T
+    return words.T
 
 
-def _recoded(words, parent, suffix, labels, ambient_size):
-    """Vertex shift on overlapping blocks from `_grow`'s output at length m.
+def _edge_levels(indptr, indices, words, levels):
+    """The CSR arrays of the edge graph of (indptr, indices) taken `levels`
+    times, and the words its states stand for (Lind & Marcus 1995, §2.3:
+    the m-block presentation is the edge graph of the (m-1)-block one).
 
-    Block u is followed by the blocks that extend its suffix u[1:], which
-    sit side by side in the lexicographic list: the CSR rows are written
-    directly.  Each block is labeled by the label of its first state.
+    An edge graph's states are the edges below in CSR order; edge u -> v is
+    followed by the out-edges of v, one contiguous id range, so each
+    level's rows are written directly.  Where the states below stand for
+    the lexicographically ordered rows of `words`, edge u -> v stands for
+    u's word and the last state of v's, in lexicographic order too.
     """
-    lo = np.searchsorted(parent, suffix, side="left")
-    deg = np.searchsorted(parent, suffix, side="right") - lo
-    indptr = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], deg)
-    mat = sp.csr_matrix(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr),
-        shape=(len(words), len(words)),
-    )
-    return VertexShift(
-        mat,
-        labels=np.asarray(labels)[words[:, 0]].tolist(),
-        ambient_size=ambient_size,
-        state_words=words,
-    )
+    last, columns, parents = words[:, -1], [], []
+    for _ in range(levels):
+        parents.append(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)))
+        last = last[indices]
+        columns.append(last)
+        lo = indptr[indices]
+        deg = indptr[indices + 1] - lo
+        indptr = np.zeros(len(indices) + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        indices = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], deg)
+    return indptr, indices, _parent_walk(words, columns, parents)
+
+
+def _graph(indptr, indices, **kwargs):
+    """Vertex shift on the CSR arrays of a 0/1 matrix."""
+    n = len(indptr) - 1
+    matrix = sp.csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    return VertexShift(matrix, **kwargs)
+
+
+def _block_shift(indptr, indices, words, labels, ambient_size, base):
+    """Vertex shift on the CSR arrays of a block presentation of `base`,
+    each block labeled by the label of its first state.  An edge graph of a
+    strongly connected graph is strongly connected, and its cycles are the
+    closed walks of the graph below, of the same lengths; so when `base` is
+    irreducible the result is, with the same period, and both are set
+    without a search."""
+    shift = _graph(indptr, indices, labels=labels[words[:, 0]], ambient_size=ambient_size, state_words=words)
+    if is_irreducible(base):
+        shift._irreducible_cache = True
+        shift._period_cache = graph_period(base)
+    return shift
 
 
 def full_shift(n):
@@ -303,51 +309,49 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
             raise ValueError(f"forbidden word {w} outside alphabet")
     if any(len(w) == 1 for w in forbidden):
         raise ValueError("length-1 forbidden words would delete symbols; shrink the alphabet instead")
-    m = max((len(w) for w in forbidden), default=2)
-    if block is not None:
-        if block < m:
-            raise ValueError(f"block depth {block} below longest forbidden word {m}")
-        m = block
+    longest = max((len(w) for w in forbidden), default=2)
+    if block is not None and block < longest:
+        raise ValueError(f"block depth {block} below longest forbidden word {longest}")
+    m = longest if block is None else block
+    a = np.ones((alphabet_size, alphabet_size), dtype=np.int8)
+    for w in forbidden:
+        if len(w) == 2:
+            a[w] = 0
     if m == 2:
-        a = np.ones((alphabet_size, alphabet_size), dtype=np.int8)
-        for w in forbidden:
-            a[w[0], w[1]] = 0
         return VertexShift(a)
 
-    # clean words grown one symbol at a time over the full shift, only the
-    # new suffixes tested; with m at least the longest forbidden word,
-    # u + (s,) is clean when both of its m-blocks are
-    full = sp.csr_matrix(np.ones((alphabet_size, alphabet_size), dtype=np.int8))
-    words, parent, suffix = _grow(full, m, keep=_avoids(alphabet_size, forbidden))
-    return _recoded(words, parent, suffix, range(alphabet_size), alphabet_size)
+    # the seed: from the graph on symbols whose edges are the allowed
+    # 2-words, each level is the edge graph of the one below, less the
+    # edges that spell a forbidden word of their length (their two windows
+    # are clean), up to the graph on clean (L-1)-words whose edges are the
+    # clean L-words, L the longest forbidden word
+    mat = sp.csr_matrix(a)
+    indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
+    words = np.arange(alphabet_size)[:, None]
+    for length in range(3, longest + 1):
+        indptr, indices, words = _edge_levels(indptr, indices, words, 1)
+        keep = np.ones(len(indices), dtype=bool)
+        for w in (w for w in forbidden if len(w) == length):
+            u, v = _row_of(words, w[:-1]), _row_of(words, w[1:])
+            if u is not None and v is not None:
+                keep[indptr[u] + np.searchsorted(indices[indptr[u] : indptr[u + 1]], v)] = False
+        indptr, indices = np.append(0, np.cumsum(keep))[indptr], indices[keep]
+    seed = _graph(indptr, indices)
+    # a word of at least L symbols is clean iff all its L-windows are: the
+    # rest are edge graphs of the seed
+    indptr, indices, words = _edge_levels(indptr, indices, words, m - longest + 1)
+    return _block_shift(indptr, indices, words, np.arange(alphabet_size), alphabet_size, seed)
 
 
-def _avoids(alphabet_size, forbidden):
-    """`_grow` filter keeping the words that no forbidden word ends.
-
-    Tracks the base-a code of each word's last L symbols, L the longest
-    forbidden length, never of whole words; Python integers past int64.
-    """
-    a = alphabet_size
-    longest = max((len(f) for f in forbidden), default=1)
-    dtype = np.int64 if a**longest <= 2**62 else object
-    banned = {}  # length -> codes of the forbidden words of that length
-    for f in forbidden:
-        banned.setdefault(len(f), set()).add(sum(s * a ** (len(f) - 1 - i) for i, s in enumerate(f)))
-    banned = {n: np.array(sorted(c), dtype=dtype) for n, c in sorted(banned.items())}
-    codes = np.arange(a).astype(dtype)  # codes of the words of length 1
-
-    def keep(parent, state, length):
-        nonlocal codes
-        code = codes[parent] % a ** (longest - 1) * a + state
-        clean = np.ones(len(code), dtype=bool)
-        for n, table in banned.items():
-            if n <= length:
-                clean &= ~np.isin(code % a**n, table)
-        codes = code[clean]
-        return clean
-
-    return keep
+def _row_of(rows, word):
+    """Index of `word` among the lexicographically ordered rows of the
+    state array `rows`, None when it is not one, narrowed column by
+    column."""
+    lo, hi = 0, len(rows)
+    for j, x in enumerate(word):
+        col = rows[lo:hi, j]
+        lo, hi = lo + np.searchsorted(col, x), lo + np.searchsorted(col, x, side="right")
+    return lo if lo < hi else None
 
 
 def word_count(shift, n):
@@ -379,11 +383,6 @@ def language(shift, n, budget=DEFAULT_WORD_BUDGET):
     per word.  CapacityError past `budget` words (`word_count` refuses
     n < 1).
     """
-    return _grow_within(shift, n, budget)[0]
-
-
-def _grow_within(shift, n, budget):
-    """`_grow` on the shift, after CapacityError past `budget` words."""
     total = word_count(shift, n)
     if total > budget:
         raise CapacityError(total, budget)
@@ -458,9 +457,10 @@ def is_irreducible(shift):
 def _strongly_connected(shift):
     """No dead end, and state 0 reaches and is reached by every state.
 
-    Without dead ends a single state has an edge, its own loop.
+    Without dead ends a single state has an edge, its own loop.  A shift
+    with no states is not irreducible.
     """
-    if (np.diff(shift.matrix.indptr) == 0).any():
+    if shift.num_states == 0 or (np.diff(shift.matrix.indptr) == 0).any():
         return False
     if (_levels_from_zero(shift) < 0).any():
         return False
@@ -522,15 +522,15 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return VertexShift(
-            shift.matrix.copy(),
-            labels=shift.labels,
-            ambient_size=shift.ambient_size,
-            state_words=np.arange(shift.num_states)[:, None],
-        )
-    words, parent, suffix = _grow_within(shift, m, budget)
-    return _recoded(words, parent, suffix, shift.labels, shift.ambient_size)
+    if m > 1:
+        total = word_count(shift, m)
+        if total > budget:
+            raise CapacityError(total, budget)
+    mat = shift.matrix
+    indptr, indices, words = _edge_levels(
+        mat.indptr.astype(np.int64), mat.indices.astype(np.int64), np.arange(shift.num_states)[:, None], m - 1
+    )
+    return _block_shift(indptr, indices, words, shift.label_array, shift.ambient_size, shift)
 
 
 def induced_subshift(shift, states):
@@ -544,7 +544,7 @@ def induced_subshift(shift, states):
     words = shift.state_words
     return VertexShift(
         sub,
-        labels=[shift.labels[s] for s in states],
+        labels=shift.label_array[list(states)],
         ambient_size=shift.ambient_size,
         state_words=(
             np.array(states, dtype=np.int64)[:, None]
@@ -568,8 +568,7 @@ class _LabelSets:
 
     def __init__(self, shift):
         m = shift.matrix
-        labels = np.asarray(shift.labels, dtype=np.int64)
-        self.start = labels == np.arange(shift.ambient_size)[:, None]
+        self.start = shift.label_array == np.arange(shift.ambient_size)[:, None]
         # the CSR arrays read as CSC are the transpose; boolean entries, so
         # a state with many predecessors in the set cannot sum past int8
         self._into = sp.csc_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
@@ -657,13 +656,13 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
         cur = kids[parent, sym]
         parents.append(parent)
         syms.append(sym)
-    return _as_tuples(_parent_walk(syms, parents))
+    return _as_tuples(_parent_walk(syms[0][:, None], syms[1:], parents))
 
 
 def label_rows(shift, n):
     """Distinct label words of internal n-paths, lexicographically, as a
     (words × n) array: the labelled rows of `language`, deduplicated."""
-    return np.unique(np.asarray(shift.labels, dtype=np.int64)[language(shift, n)], axis=0)
+    return np.unique(shift.label_array[language(shift, n)], axis=0)
 
 
 def languages_disjoint(a, b, depth):
@@ -750,7 +749,7 @@ def longest_window_avoiding(shift, pattern):
 
     # product nodes (state, matched prefix length k < m), keyed s * m + k;
     # matched == m is fatal
-    labels = np.asarray(shift.labels, dtype=np.int64)
+    labels = shift.label_array
     indptr = shift.matrix.indptr.astype(np.int64)
     indices = shift.matrix.indices.astype(np.int64)
     first = delta[0, labels]

@@ -18,8 +18,9 @@ multiplicity at a time; window tables rank one more symbol per depth; the
 language checks of a permutation class compare sets of word tuples; a label
 language recurses over label prefixes, one state-set product per prefix;
 the Katok scorer counts the windows of all words in one int64 table per
-depth; and the Parry measure is built through COO arrays and a diagonal
-product.
+depth; the Parry measure is built through COO arrays and a diagonal
+product; and the Perron iteration runs on the transpose rebuilt by
+scipy, its residuals recomputed.
 """
 
 import bisect
@@ -38,10 +39,12 @@ from shiftflex.errors import (
     StructureDepthError,
 )
 from shiftflex.measures import cyclic_windows, dense_table
-from shiftflex.spectral import MarkovMeasure, perron
+from shiftflex import spectral
+from shiftflex.spectral import MarkovMeasure, PerronData, _power_vector
 from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
+    graph_period,
     is_label_admissible,
     label_word,
 )
@@ -647,7 +650,7 @@ def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
 def parry_measure(shift):
     """The Parry measure through COO arrays, a CSR rebuild and a sparse
     diagonal product."""
-    pd = perron(shift)
+    pd = spectral.perron(shift)
     lam, v, u = pd.value, pd.right, pd.left
     coo = shift.matrix.tocoo()
     data = v[coo.col] / (lam * v[coo.row])
@@ -656,3 +659,24 @@ def parry_measure(shift):
     P = sp.diags(1.0 / rows) @ P
     pi = u * v
     return MarkovMeasure(shift, pi / pi.sum(), P)
+
+
+def perron(shift):
+    """Perron data with the left iteration on the transpose rebuilt as
+    `mat.T.tocsr()`, and both residuals recomputed by two more sparse
+    products (irreducible shifts only)."""
+    p = graph_period(shift)
+    mat = shift.matrix.astype(np.float64)
+    _, right, _, it_r = _power_vector(mat, p)
+    matT = mat.T.tocsr()
+    _, left, _, it_l = _power_vector(matT, p)
+    left = left / (left @ right)
+    lam = float((left @ (mat @ right)) / (left @ right))
+    return PerronData(
+        value=lam,
+        right=right,
+        left=left,
+        residual_right=float(np.abs(mat @ right - lam * right).max()),
+        residual_left=float(np.abs(matT @ left - lam * left).max()),
+        iterations=it_r + it_l,
+    )

@@ -115,6 +115,19 @@ def test_cmd_entropy_reducible(tmp_path, capsys):
     assert "reducible transition matrix" in capsys.readouterr().err
 
 
+def test_cmd_entropy_refuses_an_empty_shift_like_a_reducible_one(tmp_path, capsys):
+    # every 3-word forbidden: the presentation has no states
+    empty = tmp_path / "empty.cfg"
+    words = " ".join(f"{i:03b}" for i in range(8))
+    empty.write_text(GOLDEN.replace("matrix = 11 10", f"forbidden = {words}"))
+    reducible = os.path.join(os.path.dirname(__file__), "..", "configs", "reducible.cfg")
+    outcomes = []
+    for path in (str(empty), reducible):
+        code = main(["entropy", "--config", path])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] == (1, "error: reducible transition matrix\n")
+
+
 def test_cmd_parry(tmp_path, capsys):
     g = tmp_path / "golden.cfg"
     g.write_text(GOLDEN)

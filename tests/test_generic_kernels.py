@@ -7,12 +7,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.loop_oracles as oracle
 from shiftflex import (
     CapacityError,
+    Code,
+    MarkovMeasure,
     NoLowOverlapWordError,
     VertexShift,
     find_low_overlap_word,
@@ -23,6 +26,8 @@ from shiftflex import (
     language,
     max_self_overlap,
     parry_measure,
+    perron,
+    renewal_to_sft,
     word_count,
 )
 from shiftflex.construction import _mask_subshift, _subset_scores
@@ -32,6 +37,7 @@ from shiftflex.words import (
     _strongly_connected,
     bfs_distances,
     graph_period,
+    induced_subshift,
     is_irreducible,
     is_label_admissible,
     longest_window_avoiding,
@@ -254,8 +260,8 @@ def test_forbidden_words_at_a_block_past_int64():
 
 
 def test_forbidden_words_longer_than_int64_codes():
-    # a forbidden word of length 41 over 3 symbols: 3**41 > 2**62, so the
-    # suffix codes are Python integers
+    # a forbidden word of length 41 over 3 symbols: 3**41 > 2**62, so a
+    # design encoding forbidden words as int64 codes would overflow
     cycle = [(a, b) for a in range(3) for b in range(3) if (a, b) not in {(0, 1), (1, 2), (2, 0)}]
     for long_word in ((0, 1, 2) * 13 + (0, 1), (1, 2, 0) * 13 + (1, 2), (2, 1) * 20 + (0,)):
         for block in (None, 42):
@@ -284,3 +290,114 @@ def test_subset_search_masks_are_strongly_connected():
             assert is_irreducible(sub) and oracle.strongly_connected(sub)
             checked += 1
     assert checked > 300
+
+
+def test_perron_matches_the_transpose_path():
+    # the left iteration on the shift's predecessor arrays and the
+    # iteration's own residuals give the values of the path that rebuilt
+    # the transpose and recomputed the residuals, bit for bit
+    rng = np.random.default_rng(17)
+    periods = set()
+    for _ in range(300):
+        n, period = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        shift = VertexShift(cyclic_graph(rng, n, rng.uniform(0.3, 1.0), period))
+        if not oracle.strongly_connected(shift):
+            continue
+        want = oracle.perron(VertexShift(shift.matrix))
+        got = perron(shift)
+        assert np.array_equal(got.right, want.right) and np.array_equal(got.left, want.left)
+        assert (got.value, got.iterations) == (want.value, want.iterations)
+        assert max(got.residual_right, got.residual_left) <= 1e-12
+        periods.add(graph_period(shift))
+    assert periods >= {1, 2, 3}
+
+
+def test_recodings_inherit_irreducibility_and_period():
+    # a block presentation of an irreducible base carries its verdict and
+    # period without a search; they must equal a fresh computation, and a
+    # reducible base leaves both to be computed
+    rng = np.random.default_rng(19)
+    kinds = set()
+    for _ in range(150):
+        n, period = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        base = VertexShift(cyclic_graph(rng, n, rng.uniform(0.2, 0.9), period))
+        a = int(rng.integers(2, 5))
+        pairs = [(x, y) for x in range(a) for y in range(a) if rng.random() < 0.3]
+        if rng.random() < 0.5:  # two symbol classes that must alternate
+            pairs = [(x, y) for x in range(a) for y in range(a) if (x < a // 2) == (y < a // 2)]
+        longer = [tuple(rng.integers(0, a, size=int(rng.integers(3, 5))).tolist()) for _ in range(3)]
+        forbidden = pairs + longer
+        recoded = [
+            ("higher", base, higher_block(base, int(rng.integers(1, 4)))),
+            ("forbidden", None, from_forbidden_words(a, forbidden, block=5)),
+        ]
+        for how, source, h in recoded:
+            inherited, cached_period = h._irreducible_cache, h._period_cache
+            fresh = VertexShift(h.matrix)
+            verdict = is_irreducible(fresh)
+            if source is not None:
+                assert inherited == (True if is_irreducible(source) else None)
+            assert inherited in (None, verdict) and is_irreducible(h) == verdict
+            if inherited:
+                assert cached_period == graph_period(fresh)
+            if verdict:
+                assert graph_period(h) == graph_period(fresh)
+            kinds.add((how, inherited, cached_period))
+    assert {(how, True, p) for how in ("higher", "forbidden") for p in (1, 2)} < kinds
+    assert {("higher", None, None), ("forbidden", None, None)} < kinds
+
+
+def test_an_empty_shift_is_not_irreducible():
+    empty = VertexShift(np.zeros((0, 0), dtype=np.int8))
+    assert not _strongly_connected(empty) and not is_irreducible(empty)
+    # no 3-word allowed: the 3-block presentation has no states
+    shift = from_forbidden_words(2, list(itertools.product(range(2), repeat=3)))
+    assert shift.num_states == 0 and not is_irreducible(shift)
+    # no 2-word allowed: the seed on 2-words has no states either
+    shift = from_forbidden_words(2, list(itertools.product(range(2), repeat=2)) + [(0, 0, 0)], block=4)
+    assert shift.num_states == 0 and not is_irreducible(shift)
+
+
+def test_labels_are_one_read_only_array_and_its_tuple():
+    full = from_forbidden_words(3, [(0, 0, 1), (2, 1)], block=4)
+    shifts = [
+        full,
+        higher_block(full, 2),
+        induced_subshift(full, range(0, full.num_states, 2)),
+        VertexShift([[1, 1], [1, 0]], labels=np.array([1, 0], dtype=np.int8)),
+        renewal_to_sft(Code([(0, 1), (1, 1), (2, 0)])),
+    ]
+    for shift in shifts:
+        array = shift.label_array  # first read of a deferred shift's labels
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert shift.labels == tuple(array.tolist())
+        assert all(type(x) is int for x in shift.labels)
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert shifts[-1].labels == (0, 1, 1, 1, 2, 0)
+
+
+@pytest.mark.parametrize("case", ["own arrays", "one entry off the edges", "other columns"])
+def test_parry_support_shortcut_agrees_with_the_general_check(case):
+    # a P on the shift's own CSR arrays skips the per-entry support check;
+    # any other P takes it, and is refused with the same message
+    shift = from_forbidden_words(2, [(1, 1, 1), (0, 1, 0)], block=3)
+    n, m = shift.num_states, shift.matrix
+    parry = parry_measure(shift)
+    P = parry.P.toarray()
+    if case == "one entry off the edges":
+        j = next(j for j in range(n) if j not in shift.successors(0))
+        P[0, j], P[0, m.indices[0]] = P[0, m.indices[0]], 0.0
+    elif case == "other columns":
+        P = np.roll(P, 1, axis=1)  # every row keeps its number of entries
+    P = sp.csr_matrix(P)
+    on_edges = all(oracle.is_admissible(shift, (i, j)) for i, j in zip(*P.nonzero()))
+    assert on_edges == (case == "own arrays")
+    # every row keeps its number of entries: only the columns tell them apart
+    assert np.array_equal(P.indptr, m.indptr)
+    assert np.array_equal(P.indices, m.indices) == on_edges
+    if on_edges:
+        MarkovMeasure(shift, parry.pi, P)
+    else:
+        with pytest.raises(ValueError, match="P supported outside the shift's edges"):
+            MarkovMeasure(shift, np.full(n, 1 / n), P)
