@@ -114,8 +114,12 @@ def _parse_words(tokens):
 
 def cmd_ud_check(args):
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                tokens = fh.read().split()
+        except OSError as exc:
+            print(f"error: cannot read code words: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         tokens = args.words
     if not tokens:
@@ -135,6 +139,9 @@ def cmd_ud_check(args):
 
 
 def cmd_find_word(args):
+    if args.length < 1:
+        print(f"error: word length must be >= 1, got {args.length}", file=sys.stderr)
+        return EXIT_USAGE
     rc = _load_config(args.config, args)
     shift = rc.build_shift()
     try:

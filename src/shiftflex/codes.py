@@ -28,7 +28,6 @@ from .words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
     _as_tuples,
-    _extend_borders,
     _failure_function,
 )
 
@@ -462,7 +461,7 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
         raise ValueError("l must be >= 1")
     bound = l / 4
     indptr, indices = shift.matrix.indptr.tolist(), shift.matrix.indices.tolist()
-    labels = shift.labels
+    labels = shift.label_array.tolist()
     word, lab, borders = [0] * l, [0] * l, [-1] + [0] * l
     # per depth, the next candidate and the end of the candidates: the
     # states themselves at depth 0, CSR positions below
@@ -476,8 +475,13 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
         s = indices[nxt[depth]] if depth else nxt[depth]
         nxt[depth] += 1
         word[depth], lab[depth] = s, labels[s]
+        # one step of the KMP prefix function, inline: a call per scanned
+        # symbol would cost a fifth of the scan
+        k = borders[depth]
+        while k >= 0 and lab[k] != lab[depth]:
+            k = borders[k]
         depth += 1
-        _extend_borders(borders, lab, depth)
+        borders[depth] = k + 1
         if depth < l:
             nxt[depth], stop[depth] = indptr[s], indptr[s + 1]
             continue

@@ -66,6 +66,7 @@ from .words import (
     is_irreducible,
     label_rows,
     label_word,
+    language,
     languages_disjoint,
 )
 
@@ -219,21 +220,25 @@ def derive_c1(target, params, stage_measure):
 
 @dataclass(frozen=True)
 class SubsystemPair:
-    """Y, Z, their disjointness depth K1 and Y's maximal measure.  On a
-    renewal ambient Y is a `RenewalStructure.sub_code`, its own measure."""
+    """Y, Z, their disjointness depth K1 and Y's maximal measure, and per
+    state of Y and of Z the word of ambient states it stands for, a
+    (states × length) array.  On a renewal ambient Y is a
+    `RenewalStructure.sub_code`, its own measure, and `Y_words` is None."""
 
     Y: object
     Z: VertexShift
     K1: int
     Y_measure: object
+    Y_words: np.ndarray
+    Z_words: np.ndarray
 
 
 def _neighbour_masks(shift):
-    """Per state, the bit masks of its successors and of its predecessors."""
-    n = shift.num_states
-    succ = [sum(1 << j for j in shift.successors(i)) for i in range(n)]
-    pred = [sum(1 << j for j in shift.predecessors(i)) for i in range(n)]
-    return succ, pred
+    """Per state, the bit masks of its successors and of its predecessors,
+    as Python ints (fewer than 63 states)."""
+    dense = shift.dense().astype(np.int64)
+    bits = 1 << np.arange(shift.num_states, dtype=np.int64)
+    return (dense @ bits).tolist(), (dense.T @ bits).tolist()
 
 
 def _strongly_connected_mask(succ, pred, mask):
@@ -258,11 +263,16 @@ def _strongly_connected_mask(succ, pred, mask):
     return mask != low or bool(succ[low.bit_length() - 1] & low)
 
 
+def _mask_states(mask, n):
+    """The states of a subset mask over n states, ascending."""
+    return [i for i in range(n) if mask >> i & 1]
+
+
 def _mask_subshift(shift, mask):
     """The subshift on a mask of the subset search, which only yields
     strongly connected masks (`_strongly_connected_mask`): the subshift
     carries that verdict, so `is_irreducible` does not search it again."""
-    sub = induced_subshift(shift, [i for i in range(shift.num_states) if mask >> i & 1])
+    sub = induced_subshift(shift, _mask_states(mask, shift.num_states))
     sub._irreducible_cache = True
     return sub
 
@@ -348,7 +358,7 @@ def _subset_scores(shift, m, cfg):
 def _score_block(dense, labels, masks, size, targets, alph):
     """Masks, entropies and distances of subsets of one size."""
     n = len(labels)
-    states = np.array([[i for i in range(n) if mask >> i & 1] for mask in masks])
+    states = np.array([_mask_states(mask, n) for mask in masks])
     mats = dense[states[:, :, None], states[:, None, :]]
     lam, right, left = _perron_batch(mats)
     onehot = (labels[states][:, None, :] == np.arange(alph)[:, None]).astype(np.float64)
@@ -427,7 +437,7 @@ def _disjoint_depths(shift, y_mask, masks, cap):
     """
     n = shift.num_states
     dense = shift.dense().astype(bool)
-    labels = shift.labels
+    labels = shift.label_array.tolist()
     pairs = [
         (y, z) for y in range(n) if y_mask >> y & 1 for z in range(n) if labels[y] == labels[z]
     ]
@@ -487,6 +497,9 @@ def select_disjoint_subsystems(
     failure, up to MAX_BLOCK_DEPTH, while a recoding has at most SUBSET_CAP
     states).  A renewal ambient is no presentation to search: there
     `build_stage` takes the pair from the code (`_select_in_renewal`).
+    The states of a depth-m recoding are the m-words of `shift` in
+    lexicographic order, the rows of `language(shift, m)`, which give
+    `Y_words` and `Z_words`.
 
     Ranking among admissible candidates prefers entropy closest to
     `entropy_target` (default c1) and, as a tiebreak, a maximal measure
@@ -524,8 +537,11 @@ def select_disjoint_subsystems(
             count += 1
             z = next(_zed_candidates(h, scores, y_mask, cap), None)
             if z is not None:
-                k1, _, z_sub = z
-                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_pm)
+                k1, z_mask, z_sub = z
+                words = language(shift, depth)
+                y_words, z_words = (words[_mask_states(s, h.num_states)] for s in (y_mask, z_mask))
+                return SubsystemPair(Y=y_sub, Z=z_sub, K1=k1, Y_measure=y_pm,
+                                     Y_words=y_words, Z_words=z_words)
         diagnostics[f"block_{depth}_y_candidates"] = count
         depth += 1
     raise SubsystemSearchError(
@@ -535,19 +551,11 @@ def select_disjoint_subsystems(
     )
 
 
-def code_presentation(renewal, lo, hi):
-    """Presentation of code words lo..hi-1 of `renewal` alone
-    (`renewal_to_sft`), each state annotated with its state a k + p of the
-    ambient's numbering as its state word."""
-    shift = renewal_to_sft(renewal.sub_code(lo, hi).code)
-    shift.state_words = np.arange(lo * renewal.k, hi * renewal.k)[:, None]
-    return shift
-
-
 def _select_in_renewal(renewal, m, c1, kappa, cfg):
     """(Y, Z) on a renewal ambient, by rule: Y its first t = t_total - 2
     code words, a row range of its tables (`RenewalStructure.sub_code`),
-    and Z the presentation of the other two (`code_presentation`).  Raises
+    and Z the presentation of the other two alone (`renewal_to_sft`),
+    whose state a k + p is the ambient's state (t + a) k + p.  Raises
     SubsystemSearchError, with the numbers, when log t / k or Y's measure
     is farther than kappa from c1 or m, or when K1 would exceed 6 k."""
     t, k = len(renewal.code) - 2, renewal.k
@@ -555,7 +563,7 @@ def _select_in_renewal(renewal, m, c1, kappa, cfg):
         raise SubsystemSearchError(f"{t + 2} code words are too few for a disjoint pair")
     y = renewal.sub_code(0, t)
     h, d = math.log(t) / k, weak_star_distance(y, m, cfg)
-    z_sub = code_presentation(renewal, t, t + 2)
+    z_sub = renewal_to_sft(renewal.sub_code(t, t + 2).code)
     k1 = _disjoint_depth(y, z_sub, 6 * k)
     why = []
     if abs(h - c1) > kappa:
@@ -566,7 +574,8 @@ def _select_in_renewal(renewal, m, c1, kappa, cfg):
         why.append(f"its language still meets Z's at depth {6 * k}")
     if why:
         raise SubsystemSearchError(f"Y of t = {t} code words, all but Z's two: " + "; ".join(why))
-    return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y)
+    z_words = np.arange(t * k, (t + 2) * k)[:, None]
+    return SubsystemPair(Y=y, Z=z_sub, K1=k1, Y_measure=y, Y_words=None, Z_words=z_words)
 
 
 def _disjoint_depth(y, z, cap):
@@ -795,8 +804,8 @@ def build_stage(prev, target, params, settings=None):
             params.metric,
         )
         gamma, start_state, end_state = pigeonhole_refine(katok.words, pair.Y)
-        start_prev = int(pair.Y.state_words[start_state, 0])
-        end_prev = int(pair.Y.state_words[end_state, -1])
+        start_prev = int(pair.Y_words[start_state, 0])
+        end_prev = int(pair.Y_words[end_state, -1])
         path = functools.partial(connecting_word, prev.shift)
     else:
         order = _canonical_order(len(pair.Y.code), renewal.k, n)
@@ -807,24 +816,24 @@ def build_stage(prev, target, params, settings=None):
         path = renewal.path
 
     # connection-time bound over every state the low-overlap word may touch
-    z_prev_states = np.unique(pair.Z.state_words[:, 0]).tolist()
+    z_prev_states = np.unique(pair.Z_words[:, 0]).tolist()
     M = _connection_time(path, z_prev_states, start_prev, end_prev)
 
     l_eff = max(params.overlap_length, 4 * (M + pair.K1) + 1)
     w_internal = find_low_overlap_word(pair.Z, l_eff)
-    w_prev = tuple(pair.Z.state_words[list(w_internal), 0].tolist())
+    w_prev = tuple(pair.Z_words[list(w_internal), 0].tolist())
     art.low_overlap_word = w_prev
 
     glue_in = path(end_prev, w_prev[0])[1:-1]
     glue_out = path(w_prev[-1], start_prev)[1:-1]
     art.connector_in, art.connector_out = glue_in, glue_out
     # label length of every code word beyond the n symbols of Y it spends
-    block = 1 if renewal is not None else pair.Y.state_words.shape[1]
+    block = 1 if renewal is not None else pair.Y_words.shape[1]
     extra = len(glue_out) + len(glue_in) + len(w_prev) + block - 1
     _refuse_word_length(target, params, prev, pair.Y, renewal, extra)
 
     if renewal is None:
-        code = _enumerated_code(prev, pair.Y, gamma, glue_in, glue_out, w_prev)
+        code = _enumerated_code(prev, pair.Y_words, gamma, glue_in, glue_out, w_prev)
         next_shift = renewal_to_sft(code, ambient_size=target.base.ambient_size)
         next_measure = next_shift.renewal
     else:
@@ -878,17 +887,18 @@ def _connection_time(path, states, start, end):
     return M
 
 
-def _enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
+def _enumerated_code(prev, words, gamma, glue_in, glue_out, w_prev):
     """The code of Γ, a (words × n) state array of Y: each row's ambient
-    path glued to w_prev.  Every assembled word and the cyclic splice
-    must be admissible in the ambient."""
-    sw, rows = Y.state_words, len(gamma)
+    path, read off `words` (per state of Y, its word of ambient states),
+    glued to w_prev.  Every assembled word and the cyclic splice must be
+    admissible in the ambient."""
+    rows = len(gamma)
 
     def repeated(word):
         return np.repeat(np.asarray(word, dtype=np.int64).reshape(1, -1), rows, axis=0)
 
     internal = np.hstack(
-        [repeated(glue_out), sw[gamma, 0], sw[gamma[:, -1], 1:], repeated(glue_in + w_prev)]
+        [repeated(glue_out), words[gamma, 0], words[gamma[:, -1], 1:], repeated(glue_in + w_prev)]
     )
     if not is_admissible(prev.shift, internal).all():
         raise StageVerificationError(

@@ -32,40 +32,35 @@ def _as_tuples(states):
 class VertexShift:
     """Shift of finite type presented by a 0/1 transition matrix.
 
-    The CSR arrays of `matrix` (`indptr`, `indices`, columns ascending in
-    every row) are the one representation every graph search of the
-    generic layer walks: the edge-graph levels `_edge_levels` of the
-    recodings, the extension kernel `_grow`, the frontier BFS `_bfs_levels`,
+    A shift is its CSR `matrix` (`indptr`, `indices`, columns ascending in
+    every row) and one read-only int64 `label_array`, plus the caches of
+    the queries below.  Every graph search of the generic layer walks the
+    CSR arrays: the edge graphs of the recodings, the extension kernel
+    `_grow`, the frontier BFS `_bfs_levels`, `connecting_word`,
     `longest_window_avoiding` and `find_low_overlap_word`.
 
     Parameters
     ----------
     matrix : array-like or sparse, square, entries in {0, 1}
     labels : optional sequence mapping each state to a base-alphabet symbol;
-        identity when omitted.  Kept twice: `label_array`, a read-only
-        int64 array that the array kernels index, and `labels`, the same
-        values as a tuple of ints.
+        identity when omitted.  Kept as `label_array`.
     ambient_size : size of the base alphabet the labels map into; inferred
         from the labels (or the state count) when omitted.
-    state_words : optional per-state annotation used by higher-block
-        recodings (the word of original states each block state stands
-        for), given as a (states × length) integer array or as equal-length
-        tuples; kept as the array (None when unset).
 
-    A shift made by `deferred` has its state count, alphabet size and state
-    words at once, and builds and checks its matrix and labels here when
-    one of them (or `label_array`) is first read.
+    A shift made by `deferred` has its state count and alphabet size at
+    once, and builds and checks its matrix and labels here when one of
+    them is first read.
     """
 
     # the code of a renewal presentation (`codes.renewal_to_sft`): the
     # `space` of its stage; no query of the shift reads it
     renewal = None
-    # kept by `_predecessor_arrays`, `_adjacency_lists` and the first call
-    # of `perron`, `is_irreducible`, `_levels_from_zero` and `graph_period`
-    _predecessors = _succ = _pred = None
+    # kept by `_predecessor_arrays` and the first call of `perron`,
+    # `is_irreducible`, `_levels_from_zero` and `graph_period`
+    _predecessors = None
     _perron_cache = _irreducible_cache = _levels_cache = _period_cache = None
 
-    def __init__(self, matrix, labels=None, ambient_size=None, state_words=None):
+    def __init__(self, matrix, labels=None, ambient_size=None):
         m = sp.csr_matrix(matrix, dtype=np.int8)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got {m.shape}")
@@ -84,34 +79,30 @@ class VertexShift:
                 raise ValueError("labels length must equal state count")
         label_array.flags.writeable = False
         self.label_array = label_array
-        self.labels = tuple(label_array.tolist())
         top = int(label_array.max(initial=-1))
         if ambient_size is None:
             ambient_size = n if labels is None else top + 1
         if top >= ambient_size:
             raise ValueError("label out of ambient alphabet range")
         self.ambient_size = int(ambient_size)
-        self.state_words = None if state_words is None else np.asarray(state_words)
 
     @classmethod
     def deferred(cls, build, num_states, ambient_size):
         """A shift of `num_states` states whose (matrix, labels) `build()`
-        returns when either is first read.  `__init__` checks them then and
-        keeps the state words set before, so a shift that nothing searches
-        never holds its edges."""
+        returns when either is first read.  `__init__` checks them then, so
+        a shift that nothing searches never holds its edges."""
         shift = object.__new__(cls)
         shift._build, shift.num_states, shift.ambient_size = build, num_states, int(ambient_size)
-        shift.state_words = None
         return shift
 
     def __getattr__(self, name):
         # reached only for attributes never set: before their first read,
         # the matrix and labels of a `deferred` shift
         build = self.__dict__.get("_build")
-        if build is None or name not in ("matrix", "labels", "label_array"):
+        if build is None or name not in ("matrix", "label_array"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         matrix, labels = build()
-        VertexShift.__init__(self, matrix, labels, self.ambient_size, self.state_words)
+        VertexShift.__init__(self, matrix, labels, self.ambient_size)
         del self._build
         return self.__dict__[name]
 
@@ -123,33 +114,6 @@ class VertexShift:
             transposed = self.matrix.tocsc()  # the CSC arrays of the matrix
             self._predecessors = (transposed.indptr, transposed.indices)
         return self._predecessors
-
-    def _adjacency_lists(self):
-        """(successors, predecessors) of every state, each a tuple of ints
-        in ascending order (enumeration order).
-
-        Built on first use, for the callers that still step through single
-        states: `connecting_word` and the bit masks of
-        `construction._neighbour_masks`.
-        The searches of the generic layer walk the CSR arrays instead, so a
-        presentation that only they search never holds a tuple per edge.
-        """
-        if self._succ is None:
-            self._succ = _adjacency(self.matrix.indptr, self.matrix.indices)
-            self._pred = _adjacency(*self._predecessor_arrays())
-        return self._succ, self._pred
-
-    def successors(self, state):
-        succ = self._succ
-        if succ is None:
-            succ = self._adjacency_lists()[0]
-        return succ[state]
-
-    def predecessors(self, state):
-        pred = self._pred
-        if pred is None:
-            pred = self._adjacency_lists()[1]
-        return pred[state]
 
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered
@@ -172,24 +136,18 @@ class VertexShift:
             return NotImplemented
         return (
             self.num_states == other.num_states
-            and self.labels == other.labels
+            and np.array_equal(self.label_array, other.label_array)
             and (self.matrix != other.matrix).nnz == 0
         )
 
     def __hash__(self):
-        return hash((self.num_states, self.labels, self.matrix.indices.tobytes()))
+        return hash((self.num_states, self.label_array.tobytes(), self.matrix.indices.tobytes()))
 
     def __repr__(self):
         return (
             f"VertexShift(states={self.num_states}, "
             f"edges={self.matrix.nnz}, ambient={self.ambient_size})"
         )
-
-
-def _adjacency(indptr, indices):
-    """Per CSR row, its sorted indices as a tuple of ints."""
-    indptr, indices = indptr.tolist(), indices.tolist()
-    return tuple(tuple(indices[lo:hi]) for lo, hi in zip(indptr, indptr[1:]))
 
 
 def _out_edges(indptr, rows):
@@ -239,28 +197,22 @@ def _parent_walk(first, columns, parents):
     return words.T
 
 
-def _edge_levels(indptr, indices, words, levels):
-    """The CSR arrays of the edge graph of (indptr, indices) taken `levels`
-    times, and the words its states stand for (Lind & Marcus 1995, §2.3:
-    the m-block presentation is the edge graph of the (m-1)-block one).
+def _edge_graph(indptr, indices):
+    """The CSR arrays of the edge graph of (indptr, indices) (Lind & Marcus
+    1995, §2.3: the m-block presentation is the edge graph of the
+    (m-1)-block one).
 
-    An edge graph's states are the edges below in CSR order; edge u -> v is
-    followed by the out-edges of v, one contiguous id range, so each
-    level's rows are written directly.  Where the states below stand for
-    the lexicographically ordered rows of `words`, edge u -> v stands for
-    u's word and the last state of v's, in lexicographic order too.
+    Its states are the edges below in CSR order; edge u -> v is followed by
+    the out-edges of v, one contiguous id range, so the rows are written
+    directly.  Where the states below stand for lexicographically ordered
+    words, edge u -> v stands for u's word and the last state of v's, in
+    lexicographic order too.
     """
-    last, columns, parents = words[:, -1], [], []
-    for _ in range(levels):
-        parents.append(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)))
-        last = last[indices]
-        columns.append(last)
-        lo = indptr[indices]
-        deg = indptr[indices + 1] - lo
-        indptr = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], deg)
-    return indptr, indices, _parent_walk(words, columns, parents)
+    lo = indptr[indices]
+    deg = indptr[indices + 1] - lo
+    indptr = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    return indptr, np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], deg)
 
 
 def _graph(indptr, indices, **kwargs):
@@ -270,14 +222,18 @@ def _graph(indptr, indices, **kwargs):
     return VertexShift(matrix, **kwargs)
 
 
-def _block_shift(indptr, indices, words, labels, ambient_size, base):
-    """Vertex shift on the CSR arrays of a block presentation of `base`,
-    each block labeled by the label of its first state.  An edge graph of a
-    strongly connected graph is strongly connected, and its cycles are the
-    closed walks of the graph below, of the same lengths; so when `base` is
-    irreducible the result is, with the same period, and both are set
-    without a search."""
-    shift = _graph(indptr, indices, labels=labels[words[:, 0]], ambient_size=ambient_size, state_words=words)
+def _block_shift(indptr, indices, labels, levels, ambient_size, base):
+    """Vertex shift on the edge graph of (indptr, indices), the CSR arrays
+    of `base`, taken `levels` times, each block labeled by `labels` of its
+    first state: an edge takes the label of its tail, one `np.repeat` per
+    level.  An edge graph of a strongly connected graph is strongly
+    connected, and its cycles are the closed walks of the graph below, of
+    the same lengths; so when `base` is irreducible the result is, with the
+    same period, and both are set without a search."""
+    for _ in range(levels):
+        labels = np.repeat(labels, np.diff(indptr))
+        indptr, indices = _edge_graph(indptr, indices)
+    shift = _graph(indptr, indices, labels=labels, ambient_size=ambient_size)
     if is_irreducible(base):
         shift._irreducible_cache = True
         shift._period_cache = graph_period(base)
@@ -329,7 +285,9 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
     indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
     words = np.arange(alphabet_size)[:, None]
     for length in range(3, longest + 1):
-        indptr, indices, words = _edge_levels(indptr, indices, words, 1)
+        # edge u -> v spells u's word and the last symbol of v's
+        words = np.hstack([np.repeat(words, np.diff(indptr), axis=0), words[indices, -1:]])
+        indptr, indices = _edge_graph(indptr, indices)
         keep = np.ones(len(indices), dtype=bool)
         for w in (w for w in forbidden if len(w) == length):
             u, v = _row_of(words, w[:-1]), _row_of(words, w[1:])
@@ -339,8 +297,7 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
     seed = _graph(indptr, indices)
     # a word of at least L symbols is clean iff all its L-windows are: the
     # rest are edge graphs of the seed
-    indptr, indices, words = _edge_levels(indptr, indices, words, m - longest + 1)
-    return _block_shift(indptr, indices, words, np.arange(alphabet_size), alphabet_size, seed)
+    return _block_shift(indptr, indices, words[:, 0], m - longest + 1, alphabet_size, seed)
 
 
 def _row_of(rows, word):
@@ -404,18 +361,6 @@ def is_admissible(shift, words):
     pairs = words[..., :-1] * n + words[..., 1:]
     ok = (edges[np.searchsorted(edges, pairs)] == pairs).all(axis=-1)
     return bool(ok) if words.ndim == 1 else ok
-
-
-def bfs_distances(shift, sources, reverse=False):
-    """Edges from the nearest source to each state, None where unreachable.
-
-    Follows edges backwards with `reverse`, giving the distance from each
-    state to the nearest source.
-    """
-    m = shift.matrix
-    indptr, indices = shift._predecessor_arrays() if reverse else (m.indptr, m.indices)
-    levels = _bfs_levels(indptr, indices, list(sources))
-    return [None if d < 0 else d for d in levels.tolist()]
 
 
 def _bfs_levels(indptr, indices, sources):
@@ -482,32 +427,23 @@ def connecting_word(shift, frm, to):
 
     The word contains at least one edge (a length-2 word for a direct
     transition); among shortest words the lexicographically smallest is
-    returned.  Raises UnreachableStateError when no path exists.
+    returned: from each state the first CSR column one edge nearer `to`.
+    Raises UnreachableStateError when no path exists.
     """
     n = shift.num_states
     if not (0 <= frm < n and 0 <= to < n):
         raise ValueError("state out of range")
-    dist = bfs_distances(shift, (to,), reverse=True)
-    # at least one edge: start from successors of frm
-    best = None
-    for s in shift.successors(frm):
-        if dist[s] is not None:
-            d = dist[s] + 1
-            if best is None or d < best:
-                best = d
-    if best is None:
+    dist = _bfs_levels(*shift._predecessor_arrays(), [to])  # edges to `to`
+    indptr, indices = shift.matrix.indptr, shift.matrix.indices
+    first = dist[indices[indptr[frm] : indptr[frm + 1]]]
+    if not (first >= 0).any():
         raise UnreachableStateError(
             f"no admissible path from state {frm} to state {to}"
         )
     word = [frm]
-    cur, remaining = frm, best
-    while remaining:
-        for s in shift.successors(cur):  # ascending: lexicographic choice
-            if dist[s] == remaining - 1:
-                word.append(s)
-                cur = s
-                break
-        remaining -= 1
+    for remaining in range(int(first[first >= 0].min()), -1, -1):
+        row = indices[indptr[word[-1]] : indptr[word[-1] + 1]]
+        word.append(int(row[np.argmax(dist[row] == remaining)]))
     return tuple(word)
 
 
@@ -527,36 +463,27 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
         if total > budget:
             raise CapacityError(total, budget)
     mat = shift.matrix
-    indptr, indices, words = _edge_levels(
-        mat.indptr.astype(np.int64), mat.indices.astype(np.int64), np.arange(shift.num_states)[:, None], m - 1
-    )
-    return _block_shift(indptr, indices, words, shift.label_array, shift.ambient_size, shift)
+    indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
+    return _block_shift(indptr, indices, shift.label_array, m - 1, shift.ambient_size, shift)
 
 
 def induced_subshift(shift, states):
     """Restriction of the shift to a subset of its states.
 
     The caller is responsible for the subset being strongly connected when
-    irreducibility is needed.  State annotations and labels are restricted.
+    irreducibility is needed.  Labels are restricted.
     """
-    states = tuple(sorted(set(states)))
-    sub = shift.matrix[np.ix_(states, states)]
-    words = shift.state_words
+    states = sorted(set(states))
     return VertexShift(
-        sub,
-        labels=shift.label_array[list(states)],
+        shift.matrix[np.ix_(states, states)],
+        labels=shift.label_array[states],
         ambient_size=shift.ambient_size,
-        state_words=(
-            np.array(states, dtype=np.int64)[:, None]
-            if words is None
-            else words[list(states)]
-        ),
     )
 
 
 def label_word(shift, word):
     """Project an internal word to its base-alphabet label word."""
-    return tuple(shift.labels[s] for s in word)
+    return tuple(shift.label_array[list(word)].tolist())
 
 
 class _LabelSets:
@@ -702,23 +629,15 @@ def _cycle_gcd(shift):
     return g if g > 0 else 1
 
 
-def _extend_borders(borders, word, i):
-    """Set borders[i], the longest proper border of word[:i], from
-    borders[:i] and word[:i]: one step of the KMP prefix function
-    (borders[0] = -1), so a caller growing a word extends its table one
-    symbol at a time."""
-    k = borders[i - 1]
-    while k >= 0 and word[k] != word[i - 1]:
-        k = borders[k]
-    borders[i] = k + 1
-
-
 def _failure_function(pattern):
     """The KMP prefix function: entry i is the longest proper border of
     pattern[:i] (-1 for the empty prefix)."""
     borders = [-1] + [0] * len(pattern)
     for i in range(1, len(pattern) + 1):
-        _extend_borders(borders, pattern, i)
+        k = borders[i - 1]
+        while k >= 0 and pattern[k] != pattern[i - 1]:
+            k = borders[k]
+        borders[i] = k + 1
     return borders
 
 

@@ -6,8 +6,8 @@ operations of `shiftflex.construction`, replaced; the differential tests in
 `test_generic_kernels.py`, `test_measures.py`,
 `test_renewal_fast_paths.py`, `test_spectral.py`, `test_window_tables.py`
 and `test_word_arrays.py` require them to give the same answers.  The graph
-searches walk the tuple adjacency of `VertexShift.successors` and
-`predecessors`, one state and one edge at a time; the code-word windows of
+searches walk per-state successor and predecessor lists (`successors`,
+`predecessors`), one state and one edge at a time; the code-word windows of
 renewal and permutation-class stages are one (offset, window) tuple per
 attributed window; the stage-1 assembly checks and labels one word tuple at
 a time; a renewal code admits a label word one piece at a time, found by
@@ -24,6 +24,7 @@ scipy, its residuals recomputed.
 """
 
 import bisect
+import functools
 import math
 from collections import Counter, deque
 
@@ -37,6 +38,7 @@ from shiftflex.errors import (
     NoLowOverlapWordError,
     StageVerificationError,
     StructureDepthError,
+    UnreachableStateError,
 )
 from shiftflex.measures import cyclic_windows, dense_table
 from shiftflex import spectral
@@ -50,10 +52,21 @@ from shiftflex.words import (
 )
 
 
+def successors(shift, state):
+    """The successors of a state, ascending, as a list of ints."""
+    m = shift.matrix
+    return m.indices[m.indptr[state] : m.indptr[state + 1]].tolist()
+
+
+def predecessors(shift, state):
+    """The predecessors of a state, ascending, as a list of ints."""
+    return np.flatnonzero(shift.dense()[:, state]).tolist()
+
+
 def word_count(shift, n):
     vec = [1] * shift.num_states
     for _ in range(n - 1):
-        vec = [sum(vec[j] for j in shift.successors(i)) for i in range(shift.num_states)]
+        vec = [sum(vec[j] for j in successors(shift, i)) for i in range(shift.num_states)]
     return sum(vec)
 
 
@@ -70,7 +83,7 @@ def language(shift, n, budget=DEFAULT_WORD_BUDGET):
         if depth == n:
             out.append(tuple(word))
         else:
-            for j in shift.successors(state):
+            for j in successors(shift, state):
                 rec(j, depth + 1)
         word.pop()
 
@@ -85,7 +98,7 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
     the budget is checked, so a refusal names the exact count."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lab = np.asarray(shift.labels)
+    lab = shift.label_array
     masks = [lab == a for a in range(shift.ambient_size)]
     out = []
     matT = shift.matrix.T.tocsr()
@@ -111,17 +124,12 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
 def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
     """Blocks from `language`, edges looked up in a dict of tuples."""
     if m == 1:
-        return VertexShift(
-            shift.matrix.copy(),
-            labels=shift.labels,
-            ambient_size=shift.ambient_size,
-            state_words=tuple((s,) for s in range(shift.num_states)),
-        )
+        return VertexShift(shift.matrix.copy(), labels=shift.label_array, ambient_size=shift.ambient_size)
     blocks = language(shift, m, budget=budget)
     index = {w: i for i, w in enumerate(blocks)}
     rows, cols = [], []
     for i, u in enumerate(blocks):
-        for s in shift.successors(u[-1]):
+        for s in successors(shift, u[-1]):
             j = index.get(u[1:] + (s,))
             if j is not None:
                 rows.append(i)
@@ -130,12 +138,7 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(len(blocks), len(blocks)),
     )
-    return VertexShift(
-        mat,
-        labels=[shift.labels[w[0]] for w in blocks],
-        ambient_size=shift.ambient_size,
-        state_words=blocks,
-    )
+    return VertexShift(mat, labels=[shift.label_array[w[0]] for w in blocks], ambient_size=shift.ambient_size)
 
 
 def from_forbidden_words(alphabet_size, forbidden, block):
@@ -163,16 +166,13 @@ def from_forbidden_words(alphabet_size, forbidden, block):
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(len(blocks), len(blocks)),
     )
-    return VertexShift(
-        mat,
-        labels=[w[0] for w in blocks],
-        ambient_size=alphabet_size,
-        state_words=tuple(blocks),
-    )
+    return VertexShift(mat, labels=[w[0] for w in blocks], ambient_size=alphabet_size)
 
 
 def bfs_distances(shift, sources, reverse=False):
-    nbrs = shift.predecessors if reverse else shift.successors
+    """Edges from the nearest source to each state (to it, with
+    `reverse`), None where unreachable."""
+    nbrs = functools.partial(predecessors if reverse else successors, shift)
     dist = [None] * shift.num_states
     frontier = []
     for s in sources:
@@ -192,16 +192,36 @@ def bfs_distances(shift, sources, reverse=False):
     return dist
 
 
+def connecting_word(shift, frm, to):
+    """Shortest word of at least one edge from `frm` to `to`, the
+    lexicographically least: the distances to `to`, then from each state
+    its first successor one edge nearer."""
+    n = shift.num_states
+    if not (0 <= frm < n and 0 <= to < n):
+        raise ValueError("state out of range")
+    dist = bfs_distances(shift, (to,), reverse=True)
+    best = None
+    for s in successors(shift, frm):
+        if dist[s] is not None and (best is None or dist[s] + 1 < best):
+            best = dist[s] + 1
+    if best is None:
+        raise UnreachableStateError(f"no admissible path from state {frm} to state {to}")
+    word = [frm]
+    for remaining in range(best - 1, -1, -1):
+        word.append(next(s for s in successors(shift, word[-1]) if dist[s] == remaining))
+    return tuple(word)
+
+
 def strongly_connected(shift):
     n = shift.num_states
-    if any(len(shift.successors(i)) == 0 for i in range(n)):
+    if any(len(successors(shift, i)) == 0 for i in range(n)):
         return False
     if None in bfs_distances(shift, (0,)):
         return False
     if None in bfs_distances(shift, (0,), reverse=True):
         return False
     if n == 1:
-        return 0 in shift.successors(0)
+        return 0 in successors(shift, 0)
     return True
 
 
@@ -209,7 +229,7 @@ def cycle_gcd(shift):
     level = bfs_distances(shift, (0,))
     g = 0
     for u in range(shift.num_states):
-        for v in shift.successors(u):
+        for v in successors(shift, u):
             g = math.gcd(g, level[u] + 1 - level[v])
     return g if g > 0 else 1
 
@@ -251,8 +271,9 @@ def longest_window_avoiding(shift, pattern):
         return nodes[key]
 
     edges = []
+    lab = shift.label_array.tolist()
     for s in range(shift.num_states):
-        k0 = advance(0, shift.labels[s])
+        k0 = advance(0, lab[s])
         if k0 < m:
             node_id(s, k0)
     if not nodes:
@@ -264,8 +285,8 @@ def longest_window_avoiding(shift, pattern):
         for key in frontier:
             s, k = divmod(key, m)
             u = nodes[key]
-            for t in shift.successors(s):
-                k2 = advance(k, shift.labels[t])
+            for t in successors(shift, s):
+                k2 = advance(k, lab[t])
                 if k2 < m:
                     key2 = t * m + k2
                     if key2 not in seen:
@@ -302,17 +323,18 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     """Stack of word tuples, each leaf's border computed from scratch."""
     bound = l / 4
     scanned = 0
+    lab = shift.label_array.tolist()
     stack = [(s,) for s in reversed(range(shift.num_states))]
     while stack:
         w = stack.pop()
         if len(w) == l:
             scanned += 1
-            if max_self_overlap(tuple(shift.labels[s] for s in w)) < bound:
+            if max_self_overlap(tuple(lab[s] for s in w)) < bound:
                 return w
             if scanned > budget:
                 raise CapacityError(scanned, budget, what="scanned words")
             continue
-        for s in reversed(shift.successors(w[-1])):
+        for s in reversed(successors(shift, w[-1])):
             stack.append(w + (s,))
     raise NoLowOverlapWordError(
         f"no admissible word of length {l} has self-overlap below {bound:g}"
@@ -324,7 +346,7 @@ def is_admissible(shift, word):
     time."""
     if any(s < 0 or s >= shift.num_states for s in word):
         raise ValueError("symbol outside the shift's state set")
-    return all(word[i + 1] in shift.successors(word[i]) for i in range(len(word) - 1))
+    return all(word[i + 1] in successors(shift, word[i]) for i in range(len(word) - 1))
 
 
 def pigeonhole_refine(gamma, shift):
@@ -340,20 +362,21 @@ def pigeonhole_refine(gamma, shift):
     return tuple(sorted(cell)), start, end
 
 
-def prev_word(sub, word, with_tail):
-    """States of the ambient a word of a recoded subsystem runs through."""
-    sw = [tuple(w) for w in sub.state_words.tolist()]
+def prev_word(words, word, with_tail):
+    """States of the ambient a word of a recoded subsystem runs through,
+    `words` giving per state of the subsystem its word of ambient states."""
+    sw = [tuple(w) for w in words.tolist()]
     out = [sw[s][0] for s in word]
     if with_tail:
         out.extend(sw[word[-1]][1:])
     return tuple(out)
 
 
-def enumerated_code(prev, Y, gamma, glue_in, glue_out, w_prev):
+def enumerated_code(prev, words, gamma, glue_in, glue_out, w_prev):
     """The stage-1 code assembled, checked and labelled word by word."""
     label_words = {}
     for g in gamma:
-        internal = glue_out + prev_word(Y, g, with_tail=True) + glue_in + w_prev
+        internal = glue_out + prev_word(words, g, with_tail=True) + glue_in + w_prev
         if not is_admissible(prev.shift, internal):
             raise StageVerificationError(
                 f"assembled word is not admissible in stage {prev.index}"

@@ -160,6 +160,25 @@ def test_cmd_find_word(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cmd_ud_check_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["ud-check", "--file", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read code words: [Errno 2] No such file or directory")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_cmd_find_word_refuses_a_length_below_one(length, tmp_path, capsys):
+    f = tmp_path / "golden.cfg"
+    f.write_text(GOLDEN)
+    assert main(["find-word", "--config", str(f), "-l", length]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: word length must be >= 1, got {length}\n"
+
+
 def test_cmd_construct_small(small_cfg, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["construct", "--config", small_cfg, "--out", out]) == 0

@@ -20,6 +20,7 @@ from shiftflex import (
     Target,
     bernoulli_measure,
     build_stage,
+    from_forbidden_words,
     derive_c1,
     full_shift,
     golden_mean_shift,
@@ -52,6 +53,8 @@ from shiftflex.words import (
     VertexShift,
     _strongly_connected,
     induced_subshift,
+    is_admissible,
+    is_irreducible,
     languages_disjoint,
     word_count,
 )
@@ -142,12 +145,96 @@ def test_select_contract_full2():
     assert topological_entropy(pair.Z) > 0
     assert languages_disjoint(pair.Y, pair.Z, pair.K1)
     # deterministic: the recorded pair
-    assert pair.Y.state_words.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    assert pair.Z.state_words.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    assert pair.Y_words.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert pair.Z_words.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
     assert pair.K1 == 3
     again = select_disjoint_subsystems(f2, b, c1, 0.2, cfg)
-    assert (again.Y.state_words == pair.Y.state_words).all()
-    assert (again.Z.state_words == pair.Z.state_words).all()
+    assert (again.Y_words == pair.Y_words).all()
+    assert (again.Z_words == pair.Z_words).all()
+
+
+def pair_bases(rng):
+    """Seeded irreducible bases of at most 16 states: a random matrix or
+    the presentation of a random forbidden-word list (blocks of symbols)."""
+    while True:
+        if rng.random() < 0.5:
+            return "matrix", random_irreducible_shift(rng, max_states=5)
+        a = int(rng.integers(2, 4))
+        forbidden = [
+            tuple(rng.integers(0, a, size=int(rng.integers(2, 5))).tolist())
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        base = from_forbidden_words(a, forbidden)
+        if 0 < base.num_states <= 16 and is_irreducible(base):
+            return "forbidden", base
+
+
+def test_pair_words_are_base_words_carrying_the_labels():
+    """Per state of Y and of Z, the pair's word of base states is an
+    admissible base word that starts with a state of that state's label,
+    and the words follow the edges: i -> j joins words overlapping in all
+    but one state into a longer admissible word.  On a forbidden-word base
+    at block depth 1 the states are the base's own."""
+    rng = np.random.default_rng(29)
+    found = set()
+    for _ in range(40):
+        kind, base = pair_bases(rng)
+        depth = int(rng.integers(1, 4))
+        c1 = float(rng.uniform(0.2, 0.8)) * topological_entropy(base)
+        try:
+            pair = select_disjoint_subsystems(
+                base, parry_measure(base), c1, 1.0, MetricConfig(1), block_depth=depth
+            )
+        except SubsystemSearchError:
+            continue
+        for sub, words in ((pair.Y, pair.Y_words), (pair.Z, pair.Z_words)):
+            assert words.shape[0] == sub.num_states and depth <= words.shape[1] <= 3
+            assert is_admissible(base, words).all()
+            assert (base.label_array[words[:, 0]] == sub.label_array).all()
+            i, j = sub.matrix.nonzero()
+            assert (words[i, 1:] == words[j, :-1]).all()
+            assert is_admissible(base, np.hstack([words[i], words[j, -1:]])).all()
+        assert not set(map(tuple, pair.Y_words.tolist())) & set(map(tuple, pair.Z_words.tolist()))
+        found.add((kind, pair.Y_words.shape[1]))
+    assert found == {(kind, d) for kind in ("matrix", "forbidden") for d in (1, 2, 3)}
+
+
+FORBIDDEN_0000 = """[shift]
+alphabet = 2
+forbidden = 0000
+
+[roof]
+constant = 1.0
+
+[target]
+c_fraction = {c}
+
+[run]
+stages = 1
+
+[stage 1]
+word_length = 6
+delta = 0.11
+kappa = 0.5
+radius = 0.5
+block_depth = 1
+"""
+
+
+def test_block_depth_one_on_a_forbidden_base_reads_base_states():
+    """At block depth 1 the subsystems of a forbidden-word base are induced
+    on its own states, which stand for 3-blocks of symbols: the assembly
+    glues base states, and the refusal counts k with blocks of one state."""
+    outcomes = {}
+    for c in (0.05, 0.1):
+        rc = parse_config(FORBIDDEN_0000.format(c=c))
+        tgt = rc.build_target()
+        tower = iterate(tgt, 1, rc.build_schedule(tgt))
+        outcomes[c] = tower.error
+    assert isinstance(outcomes[0.05], StageVerificationError)
+    assert str(outcomes[0.05]) == "stage 1 failed verification: entropy_window, bracket"
+    assert isinstance(outcomes[0.1], InsufficientWordLengthError)
+    assert "log|L_n(Y)|/k = 0.05965 < (1+delta)^2 c int(rho) = 0.0808573 with k = 43;" in str(outcomes[0.1])
 
 
 def test_select_failure_when_entropy_too_high():
@@ -348,8 +435,8 @@ def test_select_acceptance_pair_golden():
     pair = select_disjoint_subsystems(
         f3, mu, c1, p.kappa, p.metric, entropy_target=0.81, roof=rho3, roof_target=1.5
     )
-    assert pair.Y.state_words.tolist() == [[0, 0], [0, 2], [1, 2], [2, 0], [2, 1], [2, 2]]
-    assert pair.Z.state_words.tolist() == [[0, 1], [1, 0], [1, 1]]
+    assert pair.Y_words.tolist() == [[0, 0], [0, 2], [1, 2], [2, 0], [2, 1], [2, 2]]
+    assert pair.Z_words.tolist() == [[0, 1], [1, 0], [1, 1]]
     assert pair.K1 == 2
     assert abs(topological_entropy(pair.Y) - 0.8095869160446497) < 1e-9
     # the planned default kappa is far too tight for any candidate here

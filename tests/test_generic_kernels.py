@@ -17,6 +17,7 @@ from shiftflex import (
     Code,
     MarkovMeasure,
     NoLowOverlapWordError,
+    UnreachableStateError,
     VertexShift,
     find_low_overlap_word,
     from_forbidden_words,
@@ -33,9 +34,10 @@ from shiftflex import (
 from shiftflex.construction import _mask_subshift, _subset_scores
 from shiftflex.measures import MetricConfig
 from shiftflex.words import (
+    _bfs_levels,
     _cycle_gcd,
     _strongly_connected,
-    bfs_distances,
+    connecting_word,
     graph_period,
     induced_subshift,
     is_irreducible,
@@ -79,9 +81,24 @@ def same_shift(got, want):
     assert got.num_states == want.num_states
     assert got.matrix.indptr.tolist() == want.matrix.indptr.tolist()
     assert got.matrix.indices.tolist() == want.matrix.indices.tolist()
-    assert got.labels == want.labels
+    assert got.label_array.tolist() == want.label_array.tolist()
     assert got.ambient_size == want.ambient_size
-    assert got.state_words.tolist() == want.state_words.tolist()
+
+
+def same_blocks(got, base, m):
+    """`got` is the m-block presentation of `base` on the rows of
+    `language(base, m)`, edge by edge: state i is row i, labelled by the
+    label of its first state, every edge i -> j joins rows that overlap in
+    m - 1 states into an admissible (m + 1)-word, and there is one edge
+    per admissible (m + 1)-word."""
+    rows = language(base, m)
+    assert got.num_states == len(rows)
+    assert got.label_array.tolist() == base.label_array[rows[:, 0]].tolist()
+    i, j = got.matrix.nonzero()
+    assert (rows[i, 1:] == rows[j, :-1]).all()
+    walks = np.hstack([rows[i], rows[j, -1:]])
+    assert base.dense()[walks[:, :-1], walks[:, 1:]].all()
+    assert len(i) == oracle.word_count(base, m + 1)
 
 
 def outcome(fn, *args, **kwargs):
@@ -103,6 +120,7 @@ def test_higher_block_and_language_match_loops(shift, m, budget):
         assert got == want
     else:
         same_shift(got, want)
+        same_blocks(got, shift, m)
     words = outcome(language, shift, m, **kwargs)
     reference = outcome(oracle.language, shift, m, **kwargs)
     if isinstance(words, tuple):
@@ -165,12 +183,54 @@ def test_irreducibility_period_and_distances_match_loops(shift):
     assert is_irreducible(shift) == verdict
     if verdict:
         assert _cycle_gcd(shift) == graph_period(shift) == oracle.cycle_gcd(shift)
-    n = shift.num_states
+    n, m = shift.num_states, shift.matrix
     for sources in ([0], [n - 1], list(range(0, n, 2)), []):
         for reverse in (False, True):
-            assert bfs_distances(shift, sources, reverse) == oracle.bfs_distances(
-                shift, sources, reverse
-            )
+            arrays = shift._predecessor_arrays() if reverse else (m.indptr, m.indices)
+            want = oracle.bfs_distances(shift, sources, reverse)
+            assert _bfs_levels(*arrays, sources).tolist() == [-1 if d is None else d for d in want]
+
+
+def path_or_refusal(fn, shift, frm, to):
+    try:
+        return fn(shift, frm, to)
+    except UnreachableStateError as exc:
+        return ("UnreachableStateError", str(exc))
+
+
+@settings(max_examples=300)
+@given(labelled_graphs())
+def test_connecting_word_matches_loop(shift):
+    n = shift.num_states
+    for frm in range(n):
+        for to in range(n):
+            got = path_or_refusal(connecting_word, shift, frm, to)
+            assert got == path_or_refusal(oracle.connecting_word, shift, frm, to)
+            if got[0] != "UnreachableStateError":
+                assert all(type(s) is int for s in got)
+
+
+def test_connecting_word_is_the_least_shortest_walk():
+    # against every walk of up to n edges: the shortest of at least one
+    # edge from frm to to, the lexicographically least among those, and a
+    # refusal exactly where there is none
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 6))
+        shift = VertexShift(cyclic_graph(rng, n, rng.uniform(0.1, 0.8), int(rng.integers(1, 4))))
+        walks = [w for length in range(2, n + 2) for w in oracle.language(shift, length)]
+        for frm in range(n):
+            for to in range(n):
+                ends = [w for w in walks if w[0] == frm and w[-1] == to]
+                got = path_or_refusal(connecting_word, shift, frm, to)
+                if not ends:
+                    assert got == ("UnreachableStateError", f"no admissible path from state {frm} to state {to}")
+                    kinds.add("refused")
+                    continue
+                assert got == min(ends, key=lambda w: (len(w), w))
+                kinds.add("loop" if frm == to else min(len(got), 4))
+    assert kinds == {"refused", "loop", 2, 3, 4}
 
 
 def test_irreducibility_and_period_cover_periodic_graphs():
@@ -254,9 +314,9 @@ def test_forbidden_words_at_a_block_past_int64():
     shift = from_forbidden_words(3, pairs, block=50)
     assert shift.num_states == 3
     assert shift.dense().tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert shift.labels == (0, 1, 2)
-    assert shift.state_words[:, :4].tolist() == [[0, 1, 2, 0], [1, 2, 0, 1], [2, 0, 1, 2]]
-    assert shift.state_words.shape == (3, 50)
+    assert shift.label_array.tolist() == [0, 1, 2]
+    # each state's 50-block starts as its path of four states reads
+    assert label_language(shift, 4) == ((0, 1, 2, 0), (1, 2, 0, 1), (2, 0, 1, 2))
 
 
 def test_forbidden_words_longer_than_int64_codes():
@@ -358,7 +418,7 @@ def test_an_empty_shift_is_not_irreducible():
     assert shift.num_states == 0 and not is_irreducible(shift)
 
 
-def test_labels_are_one_read_only_array_and_its_tuple():
+def test_labels_are_one_read_only_array():
     full = from_forbidden_words(3, [(0, 0, 1), (2, 1)], block=4)
     shifts = [
         full,
@@ -370,11 +430,10 @@ def test_labels_are_one_read_only_array_and_its_tuple():
     for shift in shifts:
         array = shift.label_array  # first read of a deferred shift's labels
         assert array.dtype == np.int64 and not array.flags.writeable
-        assert shift.labels == tuple(array.tolist())
-        assert all(type(x) is int for x in shift.labels)
+        assert not hasattr(shift, "labels")
         with pytest.raises(ValueError):
             array[0] = 0
-    assert shifts[-1].labels == (0, 1, 1, 1, 2, 0)
+    assert shifts[-1].label_array.tolist() == [0, 1, 1, 1, 2, 0]
 
 
 @pytest.mark.parametrize("case", ["own arrays", "one entry off the edges", "other columns"])
@@ -386,7 +445,7 @@ def test_parry_support_shortcut_agrees_with_the_general_check(case):
     parry = parry_measure(shift)
     P = parry.P.toarray()
     if case == "one entry off the edges":
-        j = next(j for j in range(n) if j not in shift.successors(0))
+        j = next(j for j in range(n) if j not in oracle.successors(shift, 0))
         P[0, j], P[0, m.indices[0]] = P[0, m.indices[0]], 0.0
     elif case == "other columns":
         P = np.roll(P, 1, axis=1)  # every row keeps its number of entries

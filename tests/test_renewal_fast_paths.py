@@ -33,19 +33,19 @@ from shiftflex.construction import (
     _disjoint_depth,
     _languages_agree,
     _nests,
+    _neighbour_masks,
     _permutation_code,
-    code_presentation,
 )
 from shiftflex.words import (
     _cycle_gcd,
     _strongly_connected,
-    bfs_distances,
     connecting_word,
     graph_period,
     is_irreducible,
     is_label_admissible,
     label_language,
     label_rows,
+    language,
     languages_disjoint,
     longest_window_avoiding,
 )
@@ -77,6 +77,12 @@ def random_codes(seed, count):
         }
         out.append((a, Code(tuple(words))))
     return out
+
+
+def presentation(renewal, lo, hi):
+    """The presentation of code words lo..hi-1 of `renewal` alone, as the
+    build makes Z's."""
+    return renewal_to_sft(renewal.sub_code(lo, hi).code)
 
 
 def graph_twin(code, a):
@@ -119,7 +125,7 @@ def test_renewal_graph_invariants_match_graph_search():
         full = renewal_to_sft(code, ambient_size=a)
         t = len(code)
         shifts = [full] + [
-            code_presentation(full.renewal, lo, hi)
+            presentation(full.renewal, lo, hi)
             for lo in range(t)
             for hi in range(lo + 1, t + 1)
         ]
@@ -156,12 +162,12 @@ def test_renewal_matrix_matches_loop_build():
     for a, code in edge_cases + random_codes(13, 60):
         shift = renewal_to_sft(code, ambient_size=a)
         dense, labels = loop_renewal_matrix(code)
-        assert not {"matrix", "labels"} & set(vars(shift))
-        assert (shift.num_states, shift.ambient_size, shift.state_words) == (len(labels), a, None)
-        assert shift.labels == labels and all(type(x) is int for x in shift.labels)
+        assert not {"matrix", "label_array"} & set(vars(shift))
+        assert (shift.num_states, shift.ambient_size) == (len(labels), a)
+        assert shift.label_array.tolist() == list(labels)
         assert (shift.dense() == dense).all()
         assert shift.matrix.dtype == np.int8 and shift.matrix.has_canonical_format
-        assert (shift.num_states, shift.ambient_size, shift.state_words) == (len(labels), a, None)
+        assert (shift.num_states, shift.ambient_size) == (len(labels), a)
         assert renewal_to_sft(code).ambient_size == code.alphabet_size
 
 
@@ -178,9 +184,9 @@ def test_presentation_runs_init_on_first_read(monkeypatch):
     monkeypatch.setattr(VertexShift, "__init__", spy)
     shift = renewal_to_sft(Code(((0, 1), (1, 0), (1, 1))))
     assert built == [] and shift.num_states == 6 and shift.renewal.k == 2
-    assert shift.labels == (0, 1, 1, 0, 1, 1)
+    assert shift.label_array.tolist() == [0, 1, 1, 0, 1, 1]
     assert built == [3 + 9]
-    shift.matrix, shift.labels
+    shift.matrix, shift.label_array
     assert built == [12]
 
 
@@ -192,10 +198,10 @@ def test_deferred_shift_checks_on_first_read():
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             bad.matrix
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
-        bad.labels
+        bad.label_array
     wide = VertexShift.deferred(lambda: (np.array([[1]]), [3]), 1, 2)
     with pytest.raises(ValueError, match="label out of ambient alphabet range"):
-        wide.labels
+        wide.label_array
     calls = []
     lazy = VertexShift.deferred(lambda: calls.append(1) or (np.array([[1]]), [0]), 1, 1)
     assert getattr(lazy, "ambient", None) is None and lazy.renewal is None and not calls
@@ -211,7 +217,7 @@ def loop_adjacency(m):
     )
 
 
-def test_adjacency_matches_int_loop():
+def test_neighbour_masks_match_int_loop():
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.integers(1, 40))
@@ -219,10 +225,10 @@ def test_adjacency_matches_int_loop():
         dense[rng.integers(n)] = 0  # an empty row
         dense[:, rng.integers(n)] = 0  # an empty column
         shift = VertexShift(sp.csr_matrix(dense))
-        succ, pred = shift._adjacency_lists()
-        assert succ == loop_adjacency(shift.matrix)
-        assert pred == loop_adjacency(shift.matrix.tocsc())
-        assert all(type(j) is int for row in succ + pred for j in row)
+        succ, pred = _neighbour_masks(shift)
+        assert succ == [sum(1 << j for j in row) for row in loop_adjacency(shift.matrix)]
+        assert pred == [sum(1 << j for j in row) for row in loop_adjacency(shift.matrix.tocsc())]
+        assert all(type(mask) is int for mask in succ + pred)
 
 
 def scan_forbidden_words(alphabet_size, forbidden, block):
@@ -260,9 +266,11 @@ def test_forbidden_words_match_full_scan():
         block = rng.choice([None, m, m + 1]) if m > 2 else rng.choice([3, 4])
         shift = from_forbidden_words(a, forbidden, block=block)
         blocks, dense = scan_forbidden_words(a, forbidden, block or m)
-        assert shift.state_words.tolist() == [list(w) for w in blocks]
-        assert shift.labels == tuple(w[0] for w in blocks)
+        assert shift.label_array.tolist() == [w[0] for w in blocks]
         assert (shift.dense() == dense).all()
+        # a path of block length from state i reads block i
+        paths = language(shift, block or m)
+        assert shift.label_array[paths].tolist() == [list(blocks[i]) for i in paths[:, 0]]
 
 
 def test_language_agreement_matches_admissibility_path():
@@ -332,13 +340,13 @@ def test_renewal_paths_match_graph_search():
         renewal, k, n = shift.renewal, code.uniform_length, shift.num_states
         ends, starts = range(k - 1, n, k), range(0, n, k)
         for end in ends:
-            out = bfs_distances(plain, plain.successors(end))
+            out = oracle.bfs_distances(plain, oracle.successors(plain, end))
             for z in range(n):
                 path = connecting_word(shift, end, z)
                 assert path == renewal.path(end, z) == connecting_word(plain, end, z)
                 assert len(path) == out[z] + 2
         for start in starts:
-            back = bfs_distances(plain, plain.predecessors(start), reverse=True)
+            back = oracle.bfs_distances(plain, oracle.predecessors(plain, start), reverse=True)
             for z in range(n):
                 path = connecting_word(shift, z, start)
                 assert path == renewal.path(z, start) == connecting_word(plain, z, start)
@@ -354,28 +362,19 @@ def test_renewal_paths_match_graph_search():
 
 def test_state_slice_is_the_checked_restriction():
     """The presentation of a range of code words, built from the code
-    alone, is the slice of the full presentation on their states, and its
-    state words number them as the full one does."""
+    alone, is the slice of the full presentation on their states: its
+    state a k + p is the full one's state (lo + a) k + p."""
     for a, code in random_codes(31, 40):
         full, k, t = renewal_to_sft(code, ambient_size=a), code.uniform_length, len(code)
         for lo in range(t):
             for hi in range(lo + 1, t + 1):
                 part = slice(lo * k, hi * k)
-                sub = code_presentation(full.renewal, lo, hi)
-                numbered = sub.state_words  # set before the first graph read
-                assert "matrix" not in vars(sub)
-                checked = VertexShift(
-                    full.matrix[part, part],
-                    labels=full.labels[part],
-                    state_words=np.arange(t * k)[part, None],
-                )
+                sub = presentation(full.renewal, lo, hi)
+                assert "matrix" not in vars(sub) and sub.num_states == (hi - lo) * k
+                checked = VertexShift(full.matrix[part, part], labels=full.label_array[part])
                 assert sub == checked
                 assert sub.ambient_size == Code(code.words[lo:hi]).alphabet_size
-                for words in (numbered, sub.state_words):
-                    assert words.shape == checked.state_words.shape
-                    assert (words == checked.state_words).all()
                 assert sub.matrix.dtype == np.int8 and sub.matrix.has_canonical_format
-                assert all(type(x) is int for x in sub.labels)
                 assert sub.renewal.code.words == code.words[lo:hi]
 
 
@@ -496,7 +495,7 @@ def test_one_pass_k1_matches_disjointness_loop():
             continue
         full = renewal_to_sft(code, ambient_size=a)
         cut = random.Random(t).randint(1, t - 1)
-        y, z = full.renewal.sub_code(0, cut), code_presentation(full.renewal, cut, t)
+        y, z = full.renewal.sub_code(0, cut), presentation(full.renewal, cut, t)
         cap = 4 * code.uniform_length
         k1 = _disjoint_depth(y, z, cap)
         words, k = code.words, code.uniform_length
@@ -519,7 +518,7 @@ def test_renewal_pairs_disjointness_matches_graph_twin():
             continue
         full, k = renewal_to_sft(code, ambient_size=a), code.uniform_length
         cut = random.Random(t).randint(1, t - 1)
-        y, z = code_presentation(full.renewal, 0, cut), code_presentation(full.renewal, cut, t)
+        y, z = presentation(full.renewal, 0, cut), presentation(full.renewal, cut, t)
         words = code.words
         twin_y, twin_z = graph_twin(Code(words[:cut]), a), graph_twin(Code(words[cut:]), a)
         for depth in range(1, 3 * k + 2):
@@ -546,7 +545,9 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
     assert y_words == renewal.code.words[: len(y_words)]  # Y is the first t ambient words
     order = _canonical_order(len(y_words), k, t * 10)
     start, end = order[0] * k, order[-1] * k + k - 1
-    z_states = sorted(set(art.Z.state_words[:, 0].tolist()))
+    # Z is the two ambient code words after Y's
+    z_states = list(range(len(y_words) * k, (len(y_words) + 2) * k))
+    assert art.Z.renewal.code.words == renewal.code.words[len(y_words) : len(y_words) + 2]
     graph_path = functools.partial(connecting_word, plain)
     assert report.overlap["M"] == _connection_time(graph_path, z_states, start, end)
     y_twin = graph_twin(art.Y.code, 3)
@@ -563,10 +564,11 @@ def test_unwalked_presentations_hold_no_adjacency():
     # Y has no presentation to walk: it is a row range of the ambient
     assert not isinstance(report.artifacts.Y, VertexShift)
     assert report.artifacts.Y.ambient is prev.shift.renewal
-    assert prev.shift._succ is None and prev.shift._pred is None
-    # the low-overlap search walks Z's CSR arrays, not tuples
+    # the low-overlap search walks Z's CSR arrays: no shift holds a tuple
+    # per state
     assert report.artifacts.low_overlap_word
-    assert report.artifacts.Z._succ is None and report.artifacts.Z._pred is None
+    for shift in (prev.shift, report.artifacts.Z):
+        assert not any(isinstance(v, tuple) and v and isinstance(v[0], tuple) for v in vars(shift).values())
 
 
 def test_stage_two_reads_its_ambients_tables(monkeypatch):
@@ -634,15 +636,15 @@ def test_tower_never_builds_stage_ones_presentation(config, tmp_path, monkeypatc
         checks.check_stage(stages[i - 1], stages[i], reports[i], tgt.c, schedule[i - 1].delta, tgt.rho.values)
     first = stages[1].shift
     assert first.num_states == len(first.renewal.code) * first.renewal.k
-    assert not {"matrix", "labels"} & set(vars(first))
+    assert not {"matrix", "label_array"} & set(vars(first))
     z = reports[2].artifacts.Z
-    assert {"matrix", "labels"} <= set(vars(z)) and z.num_states == 2 * first.renewal.k
+    assert {"matrix", "label_array"} <= set(vars(z)) and z.num_states == 2 * first.renewal.k
 
 
 class SealedPresentation:
     """Stands in for a stage's renewal presentation: its `renewal` link is
-    all that can be read; any other attribute (`matrix`, `labels`,
-    `state_words`, ...) fails the test."""
+    all that can be read; any other attribute (`matrix`, `label_array`,
+    ...) fails the test."""
 
     def __init__(self, renewal):
         self.renewal = renewal

@@ -109,9 +109,9 @@ def test_pigeonhole_matches_the_tuple_cells_on_block_presentations():
         assert (tuples(got), start, end) == (list(want), w_start, w_end)
 
 
-def oracle_rows(base, Y, gamma):
+def oracle_rows(base, words, gamma):
     """Per Γ row, whether its ambient path is admissible, word by word."""
-    paths = [oracle.prev_word(Y, g, with_tail=True) for g in tuples(gamma)]
+    paths = [oracle.prev_word(words, g, with_tail=True) for g in tuples(gamma)]
     return np.array([oracle.is_admissible(base, p) for p in paths])
 
 
@@ -137,11 +137,12 @@ def test_enumerated_code_matches_the_per_word_assembly():
         kind = ("valid", "rows", "glue", "splice")[i % 4]
         if kind == "rows":
             n = base.num_states
-            Y = VertexShift(np.ones((n, n)), state_words=np.arange(n)[:, None])
+            Y, words = VertexShift(np.ones((n, n))), np.arange(n)[:, None]
         else:
-            Y = higher_block(base, int(rng.integers(1, 4)))
+            depth = int(rng.integers(1, 4))
+            Y, words = higher_block(base, depth), language(base, depth)
         gamma, start, end = pigeonhole_refine(some_words(rng, Y), Y)
-        start_prev, end_prev = int(Y.state_words[start, 0]), int(Y.state_words[end, -1])
+        start_prev, end_prev = int(words[start, 0]), int(words[end, -1])
         paths = language(base, int(rng.integers(1, 4)))
         if kind == "splice":
             paths = paths[~base.dense()[paths[:, -1], start_prev].astype(bool)]
@@ -155,14 +156,14 @@ def test_enumerated_code_matches_the_per_word_assembly():
             glue_in = tuple(rng.integers(0, base.num_states, size=size).tolist())
         elif kind == "splice":
             glue_out = ()
-        args = (prev, Y, gamma, glue_in, glue_out, w_prev)
+        args = (prev, words, gamma, glue_in, glue_out, w_prev)
         got = outcome(_enumerated_code, *args)
-        want = outcome(oracle.enumerated_code, prev, Y, tuples(gamma), *args[3:])
+        want = outcome(oracle.enumerated_code, prev, words, tuples(gamma), *args[3:])
         assert got == want, args
         if isinstance(want, str):
             seen.add(want)
             if kind == "rows":  # some rows run along ambient edges, some do not
-                partial |= 0 < oracle_rows(base, Y, gamma).sum() < len(gamma)
+                partial |= 0 < oracle_rows(base, words, gamma).sum() < len(gamma)
         else:
             seen.add(kind)
     assert {"valid", "rows", "glue", "cyclic splice is not admissible"} <= seen
@@ -175,8 +176,8 @@ def test_enumerated_code_folds_paths_with_one_label_word():
     # spell one label word, and the code keeps one word per label word
     folded = VertexShift(full_shift(2).matrix, labels=[0, 0], ambient_size=1)
     prev = Stage(index=0, shift=folded, measure=None)
-    Y = higher_block(folded, 1)
+    words = language(folded, 1)
     gamma = np.array([[0, 0], [0, 1]])
-    code = _enumerated_code(prev, Y, gamma, (), (), (1,))
+    code = _enumerated_code(prev, words, gamma, (), (), (1,))
     assert code.words == ((0, 0, 0),)
-    assert code == oracle.enumerated_code(prev, Y, tuples(gamma), (), (), (1,))
+    assert code == oracle.enumerated_code(prev, words, tuples(gamma), (), (), (1,))

@@ -20,7 +20,7 @@ from shiftflex import (
     word_count,
 )
 from shiftflex.words import (
-    bfs_distances,
+    _bfs_levels,
     graph_period,
     induced_subshift,
     is_label_admissible,
@@ -139,8 +139,12 @@ def test_higher_block_identity():
 
 
 def test_higher_block_golden():
-    h = higher_block(golden_mean_shift(), 2)
-    assert h.state_words.tolist() == [[0, 0], [0, 1], [1, 0]]
+    g = golden_mean_shift()
+    h = higher_block(g, 2)
+    # the states are the 2-words 00, 01, 10, labelled by their first symbol
+    assert language(g, 2).tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert h.label_array.tolist() == [0, 0, 1]
+    assert h.dense().tolist() == [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
     assert abs(topological_entropy(h) - math.log((1 + 5**0.5) / 2)) < 1e-12
 
 
@@ -164,7 +168,7 @@ def test_higher_block_label_language():
 def test_induced_subshift_labels():
     f = full_shift(3)
     sub = induced_subshift(f, [0, 2])
-    assert sub.labels == (0, 2)
+    assert sub.label_array.tolist() == [0, 2]
     assert is_label_admissible(sub, (0, 2, 0))
     assert not is_label_admissible(sub, (0, 1))
 
@@ -220,7 +224,7 @@ def test_from_forbidden_words_block_recoding():
     assert abs(lam**3 - lam**2 - lam - 1) < 1e-9
 
 
-def test_bfs_distances_and_period_match_matrix_powers():
+def test_bfs_levels_and_period_match_matrix_powers():
     rng = np.random.default_rng(5)
     periods = set()
     for draw in range(600):
@@ -238,7 +242,8 @@ def test_bfs_distances_and_period_match_matrix_powers():
                 for v in np.flatnonzero(walk_ends):
                     if expected[v] is None:
                         expected[v] = n
-            assert bfs_distances(shift, sources, reverse=reverse) == expected
+            arrays = shift._predecessor_arrays() if reverse else (shift.matrix.indptr, shift.matrix.indices)
+            assert _bfs_levels(*arrays, sources).tolist() == [-1 if d is None else d for d in expected]
         if is_irreducible(shift):
             # every cycle is a sum of simple cycles, of length at most 5
             power, cycle_lengths = np.eye(5, dtype=int), []
