@@ -29,7 +29,9 @@ class PerronData:
     """Spectral radius with right/left eigenvectors of a 0/1 matrix.
 
     right is normalized to sum 1, left is scaled so left @ right = 1; the
-    residuals are each power iteration's own, at its last step.
+    residuals are each power iteration's own, at its last step, on its
+    vector normalized to sum 1.  Data lifted from a root (`_lifted_perron`)
+    ran no iteration, `iterations = 0`, and its residuals are recomputed.
     """
 
     value: float
@@ -98,6 +100,8 @@ def perron(shift):
     ConvergenceError past PERRON_MAX_ITER iterations.  Results are cached
     on the shift object.
     """
+    if shift._perron_cache is None and shift._lift is not None:
+        shift._perron_cache = _lifted_perron(shift)
     if shift._perron_cache is not None:
         return shift._perron_cache
     if not is_irreducible(shift):
@@ -122,6 +126,22 @@ def perron(shift):
     )
     shift._perron_cache = data
     return data
+
+
+def _lifted_perron(shift):
+    """A block presentation's Perron data from its root's: an edge graph B
+    of A has lambda(B) = lambda(A), right vector r_A[head] and left vector
+    l_A[tail] (Lind & Marcus 1995, §2.3), so r_A[last] and l_A[first]."""
+    root, first, last = shift._lift
+    pd = perron(root)
+    lam, mat = pd.value, shift.matrix
+    right = pd.right[last]
+    right /= right.sum()
+    left = pd.left[first]
+    res_l = np.abs(mat.T @ left - lam * left).max() / left.sum()
+    left /= (left * right).sum()
+    res_r = np.abs(mat @ right - lam * right).max()
+    return PerronData(lam, right, left, float(res_r), float(res_l), 0)
 
 
 def topological_entropy(shift):

@@ -59,6 +59,8 @@ class VertexShift:
     # `is_irreducible`, `_levels_from_zero` and `graph_period`
     _predecessors = None
     _perron_cache = _irreducible_cache = _levels_cache = _period_cache = None
+    # (root, first, last) of a block presentation, set by `_block_shift`
+    _lift = None
 
     def __init__(self, matrix, labels=None, ambient_size=None):
         m = sp.csr_matrix(matrix, dtype=np.int8)
@@ -229,14 +231,21 @@ def _block_shift(indptr, indices, labels, levels, ambient_size, base):
     level.  An edge graph of a strongly connected graph is strongly
     connected, and its cycles are the closed walks of the graph below, of
     the same lengths; so when `base` is irreducible the result is, with the
-    same period, and both are set without a search."""
+    same period, and both are set without a search.  With them goes
+    `_lift = (root, first, last)`: the root is `base`, or the root `base`
+    was lifted from, so it is never lifted itself; an edge takes its tail's
+    first and its head's last root state, so `spectral.perron` answers
+    from the root's data, and nothing between root and result is kept."""
+    root, first, last = base._lift or (base, np.arange(base.num_states), np.arange(base.num_states))
     for _ in range(levels):
-        labels = np.repeat(labels, np.diff(indptr))
+        deg = np.diff(indptr)
+        labels, first, last = np.repeat(labels, deg), np.repeat(first, deg), last[indices]
         indptr, indices = _edge_graph(indptr, indices)
     shift = _graph(indptr, indices, labels=labels, ambient_size=ambient_size)
     if is_irreducible(base):
         shift._irreducible_cache = True
         shift._period_cache = graph_period(base)
+        shift._lift = root, first, last
     return shift
 
 

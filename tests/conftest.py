@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -56,3 +57,16 @@ def random_irreducible_shift(rng, max_states=6):
         shift = VertexShift(m)
         if is_irreducible(shift):
             return shift
+
+
+def dense_perron(shift):
+    """(spectral radius, right vector summing to 1, left vector with
+    left @ right = 1) of the shift's matrix from numpy's dense `eig`."""
+    dense = shift.dense().astype(np.float64)
+    values, vectors = np.linalg.eig(dense)
+    top = np.argmax(values.real)
+    right = np.abs(vectors[:, top].real)
+    right /= right.sum()
+    values_t, vectors_t = np.linalg.eig(dense.T)
+    left = np.abs(vectors_t[:, np.argmax(values_t.real)].real)
+    return float(values[top].real), right, left / (left * right).sum()

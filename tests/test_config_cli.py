@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shiftflex.cli import main
 from shiftflex.config import parse_config
 from shiftflex.errors import ConfigError
+from tests.conftest import dense_perron
 
 SMALL = """\
 [shift]
@@ -135,6 +137,25 @@ def test_cmd_parry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("pi = 0.723606797750 0.276393202250")
     assert "P[1] = 1.000000000000 0.000000000000" in out
+
+
+def test_cmd_entropy_and_parry_on_a_block_presentation(tmp_path, capsys):
+    # a `forbidden` base recoded past its longest word: both commands answer
+    # from the lifted Perron data, which must match numpy's dense eig
+    cfg = tmp_path / "block.cfg"
+    cfg.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 111 0000\nblock = 7"))
+    shift = parse_config(cfg.read_text()).build_shift()
+    value, right, left = dense_perron(shift)
+    pi = left * right / (left * right).sum()
+    P = shift.dense() * right[None, :] / (value * right[:, None])
+    assert main(["entropy", "--config", str(cfg)]) == 0
+    assert abs(float(capsys.readouterr().out) - np.log(value)) <= 1e-10
+    assert main(["parry", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == shift.num_states + 1
+    assert np.allclose([float(x) for x in lines[0].split()[2:]], pi, rtol=0, atol=1e-11)
+    for i, line in enumerate(lines[1:]):
+        assert np.allclose([float(x) for x in line.split()[2:]], P[i], rtol=0, atol=1e-11)
 
 
 def test_cmd_ud_check(capsys):

@@ -17,6 +17,7 @@ from shiftflex import (
     Code,
     MarkovMeasure,
     NoLowOverlapWordError,
+    ReducibleShiftError,
     UnreachableStateError,
     VertexShift,
     find_low_overlap_word,
@@ -29,8 +30,10 @@ from shiftflex import (
     parry_measure,
     perron,
     renewal_to_sft,
+    topological_entropy,
     word_count,
 )
+from shiftflex import spectral
 from shiftflex.construction import _mask_subshift, _subset_scores
 from shiftflex.measures import MetricConfig
 from shiftflex.words import (
@@ -44,6 +47,7 @@ from shiftflex.words import (
     is_label_admissible,
     longest_window_avoiding,
 )
+from tests.conftest import dense_perron
 
 
 @st.composite
@@ -405,6 +409,96 @@ def test_recodings_inherit_irreducibility_and_period():
             kinds.add((how, inherited, cached_period))
     assert {(how, True, p) for how in ("higher", "forbidden") for p in (1, 2)} < kinds
     assert {("higher", None, None), ("forbidden", None, None)} < kinds
+
+
+def test_lifted_perron_matches_the_power_iteration():
+    # a block presentation of an irreducible base takes its Perron data from
+    # the root's; it must agree with the power iteration on the same matrix
+    # in a shift that carries no lift
+    rng = np.random.default_rng(23)
+    kinds, cases = set(), 0
+    while cases < 160:
+        if rng.random() < 0.5:
+            n, period = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            base = VertexShift(cyclic_graph(rng, n, rng.uniform(0.3, 0.9), period))
+            if not is_irreducible(base):
+                continue
+            shift = higher_block(base, int(rng.integers(2, 5)))
+            how = "higher"
+        else:
+            a = int(rng.integers(2, 4))
+            forbidden = [tuple(rng.integers(0, a, size=int(rng.integers(2, 5))).tolist()) for _ in range(3)]
+            base = from_forbidden_words(a, forbidden)
+            if not is_irreducible(base):
+                continue
+            block = max(map(len, forbidden)) + int(rng.integers(1, 4))
+            shift = from_forbidden_words(a, forbidden, block=block)
+            if shift._lift is None:  # a seed with a dead end: nothing to lift from
+                continue
+            how = "forbidden"
+        m = int(rng.integers(1, 4))
+        assert topological_entropy(higher_block(base, m)) == topological_entropy(base)
+        got = perron(shift)
+        want = perron(VertexShift(shift.matrix, shift.label_array, shift.ambient_size))
+        assert got.iterations == 0 and want.iterations > 0
+        assert abs(got.value - want.value) <= 1e-12 * want.value
+        assert (np.abs(got.right - want.right) <= 1e-8 * want.right).all()
+        assert (np.abs(got.left - want.left) <= 1e-8 * want.left).all()
+        assert max(got.residual_right, got.residual_left) <= spectral.PERRON_TOL
+        assert abs((got.left * got.right).sum() - 1.0) <= 1e-12
+        parry_measure(shift)  # MarkovMeasure checks pi and P
+        kinds.add((how, graph_period(base)))
+        cases += 1
+    assert {(how, p) for how in ("higher", "forbidden") for p in (1, 2)} <= kinds
+    assert ("higher", 3) in kinds
+
+
+def test_lifted_perron_is_within_1e10_of_dense_eig():
+    # the root's vectors are accurate to its tolerance relative to entries
+    # of about 1/26; the power iteration on the 1519 states only to 1e-12
+    # absolute on entries of about 1e-3
+    shift = from_forbidden_words(3, [(0, 1, 2, 0), (2, 2, 1), (1, 1, 1, 1), (0, 2, 0, 2)], block=7)
+    assert shift.num_states == 1519
+    got = perron(shift)
+    value, right, left = dense_perron(shift)
+    assert abs(got.value - value) <= 1e-12 * value
+    assert (np.abs(got.right - right) <= 1e-10 * right).all()
+    assert (np.abs(got.left - left) <= 1e-10 * left).all()
+
+
+def test_only_irreducible_bases_lift():
+    # a reducible base, a reducible seed, or a seed with no states leaves
+    # the presentation without a lift, and perron refuses it as before
+    reducible = [
+        higher_block(VertexShift([[1, 1], [0, 1]]), 3),
+        from_forbidden_words(2, [(1, 0), (1, 1, 1)], block=4),
+        from_forbidden_words(2, list(itertools.product(range(2), repeat=2)) + [(0, 0, 0)], block=4),
+    ]
+    assert reducible[2].num_states == 0
+    for shift in reducible:
+        assert shift._lift is None
+        with pytest.raises(ReducibleShiftError):
+            perron(shift)
+
+
+def test_perron_iterates_only_the_root(monkeypatch):
+    # the 3-block presentation of a 4-block presentation lifts from the
+    # seed below both: no power iteration runs on a larger matrix
+    sizes = []
+
+    def spy(mat, period):
+        sizes.append(mat.shape[0])
+        return power_vector(mat, period)
+
+    power_vector = spectral._power_vector
+    monkeypatch.setattr(spectral, "_power_vector", spy)
+    forbidden = [(0, 1, 2, 0), (2, 2, 1), (1, 1, 1, 1), (0, 2, 0, 2)]
+    base = from_forbidden_words(3, forbidden)
+    shift = higher_block(base, 3)
+    root = shift._lift[0]
+    assert root._lift is None and root.num_states < base.num_states < shift.num_states
+    perron(shift)
+    assert sizes == [root.num_states] * 2
 
 
 def test_an_empty_shift_is_not_irreducible():
