@@ -8,13 +8,14 @@ Usage, from anywhere:
 Runs `python3 -m shiftflex construct` and the analysis commands
 `entropy`, `parry` and `find-word -l 24` on every file in this checkout's
 `configs/` and on every entry of its `perfbench/flex_entries.json` (read,
-never written), once with each checkout's `src/`.  Both sides of a case
-run on the same config text, in working directories laid out alike, so
-that printed paths agree.  The output directories of `construct` (file
-names and bytes), stdout, stderr and the exit code must match.  Runs
-every case, prints each differing one with all its differences (for
-each differing output file, how many lines differ and the first of
-them), and exits 1 when any case differs, 0 when every case matches.
+never written), and the `construct` refusal runs of `REFUSALS`, once with
+each checkout's `src/`.  Both sides of a case run on the same config
+text, in working directories laid out alike, so that printed paths
+agree.  The output directories of `construct` (file names and bytes),
+stdout, stderr and the exit code must match.  Runs every case, prints
+each differing one with all its differences (for each differing output
+file, how many lines differ and the first of them), and exits 1 when any
+case differs, 0 when every case matches.
 """
 
 import argparse
@@ -26,6 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = (("construct", "--out", "out"), ("entropy",), ("parry",), ("find-word", "-l", "24"))
+# runs of a config in `configs/` with more stages than it verifies, each
+# ending in a refusal: (config, construct flags)
+REFUSALS = (
+    ("full2_small", "--stages", "2"),  # exit 6, names word_length 7656
+    ("full3_roof_first", "--stages", "2"),  # exit 6
+    ("full2_tower", "--stages", "3"),  # exit 3, no ambient past a structured stage
+)
 
 
 def cases():
@@ -40,6 +48,17 @@ def cases():
             yield f"flex-{i}", (ROOT / entry["config"]).read_text(encoding="utf-8")
         else:
             yield f"flex-{i}", common.entry_config(entry)
+
+
+def runs():
+    """(case name, config text, command) of every comparison."""
+    for name, text in cases():
+        for command in COMMANDS:
+            yield f"{name}-{command[0]}", text, command
+    for name, *flags in REFUSALS:
+        text = (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+        case = "-".join([name, "construct", *(flag.lstrip("-") for flag in flags)])
+        yield case, text, (*COMMANDS[0], *flags)
 
 
 def run(checkout, config_text, command, workdir):
@@ -96,19 +115,17 @@ def main(argv=None):
         ap.error(f"{args.against} holds no src/shiftflex")
     count = differing = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        for name, text in cases():
-            for command in COMMANDS:
-                case = f"{name}-{command[0]}"
-                mine = run(ROOT, text, command, Path(tmp) / "here" / case)
-                theirs = run(args.against, text, command, Path(tmp) / "there" / case)
-                count += 1
-                diffs = differences(mine, theirs)
-                if diffs:
-                    differing += 1
-                    print(f"{case}: differs", *(f"  {d}" for d in diffs), sep="\n", flush=True)
-                    continue
-                print(f"{case}: same (exit code {mine['exit code']}, "
-                      f"{len(mine['files'])} output files)", flush=True)
+        for case, text, command in runs():
+            mine = run(ROOT, text, command, Path(tmp) / "here" / case)
+            theirs = run(args.against, text, command, Path(tmp) / "there" / case)
+            count += 1
+            diffs = differences(mine, theirs)
+            if diffs:
+                differing += 1
+                print(f"{case}: differs", *(f"  {d}" for d in diffs), sep="\n", flush=True)
+                continue
+            print(f"{case}: same (exit code {mine['exit code']}, "
+                  f"{len(mine['files'])} output files)", flush=True)
     if differing:
         print(f"{differing} of {count} cases differ")
         return 1

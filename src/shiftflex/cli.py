@@ -1,9 +1,8 @@
 """Batch command line front end.
 
 Subcommands: entropy, parry, ud-check, find-word, construct, report.
-Exit codes: 0 success, 1 usage/parse, 2 infeasible target, 3 stage
-verification failure, 4 capacity exceeded, 5 no subsystem pair found,
-6 word length too short.
+A run ends in exit code 0, or in one stderr line and the exit code that
+`OUTCOMES` gives its error (README, "CLI").
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import sys
 
 from .codes import Code, find_low_overlap_word, max_self_overlap, ud_witness
 from .config import parse_config
-from .construction import iterate
+from .construction import iterate, normalized_entropy
 from .errors import (
     CapacityError,
     ConfigError,
@@ -31,11 +30,33 @@ from .words import label_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INFEASIBLE = 2
 EXIT_STAGE = 3
-EXIT_CAPACITY = 4
-EXIT_SUBSYSTEM = 5
-EXIT_WORD_LENGTH = 6
+
+# the stderr prefix and exit code of each library error a command can end
+# in; any other error takes the caller's default
+OUTCOMES = (
+    (ConfigError, "config error", EXIT_USAGE),
+    (InfeasibleTargetError, "infeasible-target", 2),
+    (StageVerificationError, "stage failure", EXIT_STAGE),
+    (CapacityError, "capacity", 4),
+    (SubsystemSearchError, "subsystem-search", 5),
+    (InsufficientWordLengthError, "word-length", 6),
+)
+
+
+def _fail(exc, prefix="error", code=EXIT_USAGE):
+    """Print the stderr line of a run that ended in the library error `exc`
+    and return its exit code.  The line is the prefix, the message, and
+    `; key: value` per detail the error carries; a reducible shift is
+    refused the same way whichever query met it."""
+    prefix, code = next((row[1:] for row in OUTCOMES if isinstance(exc, row[0])), (prefix, code))
+    message = "reducible transition matrix" if isinstance(exc, ReducibleShiftError) else exc
+    details = getattr(exc, "diagnostics", {})
+    if isinstance(exc, InsufficientWordLengthError):
+        details = {"least_word_length": exc.least_word_length}
+    print(f"{prefix}: {message}" + "".join(f"; {k}: {v}" for k, v in details.items()),
+          file=sys.stderr)
+    return code
 
 
 def _fmt12(x):
@@ -78,24 +99,13 @@ def _load_config(path, args):
 
 def cmd_entropy(args):
     rc = _load_config(args.config, args)
-    shift = rc.build_shift()
-    try:
-        h = topological_entropy(shift)
-    except ReducibleShiftError:
-        print("error: reducible transition matrix", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"{h:.12f}")
+    print(f"{topological_entropy(rc.build_shift()):.12f}")
     return EXIT_OK
 
 
 def cmd_parry(args):
     rc = _load_config(args.config, args)
-    shift = rc.build_shift()
-    try:
-        m = parry_measure(shift)
-    except ReducibleShiftError:
-        print("error: reducible transition matrix", file=sys.stderr)
-        return EXIT_USAGE
+    m = parry_measure(rc.build_shift())
     print("pi = " + " ".join(f"{x:.12f}" for x in m.pi))
     dense = m.P.toarray()
     for i, row in enumerate(dense):
@@ -147,8 +157,7 @@ def cmd_find_word(args):
     try:
         w = find_low_overlap_word(shift, args.length)
     except NoLowOverlapWordError as exc:
-        print(f"not found: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, "not found")
     lw = label_word(shift, w)
     border = max_self_overlap(lw)
     print("".join(map(str, lw)) + f"  max overlap {border} < {args.length / 4:g}")
@@ -159,132 +168,63 @@ CSV_HEADER = (
     "stage,k,gamma,h_top,roof_integral,normalized_entropy,"
     "bracket_lower,bracket_upper,dist_prev,ud_pass,sync_depth"
 )
+SUMMARY_HEADER = "stage  k     gamma  h_top      norm       sync  verdict"
 
 
-def _stage_rows(target, tower):
-    rows = []
-    for st, rep in zip(tower.stages, tower.reports):
-        if rep is None:
-            h = topological_entropy(st.shift)
-            ri = roof_integral(st.measure, target.rho)
-            rows.append(
-                [
-                    str(st.index),
-                    "",
-                    "",
-                    _fmt12(h),
-                    _fmt12(ri),
-                    _fmt12(h / ri),
-                    "",
-                    "",
-                    "",
-                    "",
-                    str(st.sync_depth),
-                ]
-            )
-        else:
-            rows.append(
-                [
-                    str(st.index),
-                    str(rep.k),
-                    _decimal(rep.gamma_size),
-                    _fmt12(rep.h_top),
-                    _fmt12(rep.roof_integral_next),
-                    _fmt12(rep.normalized_entropy),
-                    _fmt12(rep.bracket[0]),
-                    _fmt12(rep.bracket[1]),
-                    _fmt12(rep.distance_to_prev),
-                    "pass" if rep.ud_ok else "fail",
-                    str(st.sync_depth),
-                ]
-            )
-    return rows
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
-def _write_outputs(rc, target, tower, outdir):
+def _write_outputs(target, tower, outdir):
+    """Write stages.csv, summary.txt and the report of each built stage into
+    `outdir`, each stage's fields built once; return the summary lines."""
     os.makedirs(outdir, exist_ok=True)
-    rows = _stage_rows(target, tower)
-    with open(os.path.join(outdir, "stages.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    lines = ["stage  k     gamma  h_top      norm       sync  verdict"]
+    rows, lines = [CSV_HEADER], [SUMMARY_HEADER]
     for st, rep in zip(tower.stages, tower.reports):
-        if rep is None:
-            h = topological_entropy(st.shift)
-            lines.append(
-                f"{st.index:<6} {'-':<5} {'-':<6} {_fmt6(h):<10} "
-                f"{_fmt6(h / roof_integral(st.measure, target.rho)):<10} "
-                f"{st.sync_depth!s:<5} base"
-            )
-        else:
-            verdict = "pass" if rep.all_pass else (
-                "FAIL:" + ",".join(i.name for i in rep.failing())
-            )
-            lines.append(
-                f"{st.index:<6} {rep.k:<5} {_decimal(rep.gamma_size):<6} "
-                f"{_fmt6(rep.h_top):<10} {_fmt6(rep.normalized_entropy):<10} "
-                f"{st.sync_depth!s:<5} {verdict}"
-            )
+        if rep is None:  # the base
+            h, norm = st.entropy, normalized_entropy(st, target.rho)
+            ri = roof_integral(st.measure, target.rho)
+            rows.append(f"{st.index},,,{_fmt12(h)},{_fmt12(ri)},{_fmt12(norm)},,,,,{st.sync_depth}")
+            lines.append(f"{st.index:<6} {'-':<5} {'-':<6} {_fmt6(h):<10} {_fmt6(norm):<10} "
+                         f"{st.sync_depth!s:<5} base")
+            continue
+        gamma = _decimal(rep.gamma_size)
+        values = (rep.h_top, rep.roof_integral_next, rep.normalized_entropy,
+                  rep.bracket[0], rep.bracket[1], rep.distance_to_prev)
+        rows.append(",".join([str(st.index), str(rep.k), gamma, *map(_fmt12, values),
+                              "pass" if rep.ud_ok else "fail", str(st.sync_depth)]))
+        verdict = "pass" if rep.all_pass else "FAIL:" + ",".join(i.name for i in rep.failing())
+        lines.append(f"{st.index:<6} {rep.k:<5} {gamma:<6} {_fmt6(rep.h_top):<10} "
+                     f"{_fmt6(rep.normalized_entropy):<10} {st.sync_depth!s:<5} {verdict}")
+        _write_lines(os.path.join(outdir, f"stage-{st.index}.report"), [
+            f"stage: {st.index}",
+            f"k: {rep.k}",
+            f"gamma: {gamma}",
+            f"h_top: {_fmt12(rep.h_top)}",
+            f"roof_integral: {_fmt12(rep.roof_integral_next)}",
+            f"normalized_entropy: {_fmt12(rep.normalized_entropy)}",
+            f"eta_count: {rep.eta_count}",
+            f"sync_depth: {st.sync_depth}",
+            *(f"check {i.name}: {'PASS' if i.ok else 'FAIL'} ({i.detail})" for i in rep.items()),
+        ])
     if tower.error is not None:
         lines.append(f"error: {tower.error}")
-    with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for st, rep in zip(tower.stages, tower.reports):
-        if rep is None:
-            continue
-        path = os.path.join(outdir, f"stage-{st.index}.report")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"stage: {st.index}\n")
-            fh.write(f"k: {rep.k}\n")
-            fh.write(f"gamma: {_decimal(rep.gamma_size)}\n")
-            fh.write(f"h_top: {_fmt12(rep.h_top)}\n")
-            fh.write(f"roof_integral: {_fmt12(rep.roof_integral_next)}\n")
-            fh.write(f"normalized_entropy: {_fmt12(rep.normalized_entropy)}\n")
-            fh.write(f"eta_count: {rep.eta_count}\n")
-            fh.write(f"sync_depth: {st.sync_depth}\n")
-            for item in rep.items():
-                status = "PASS" if item.ok else "FAIL"
-                fh.write(f"check {item.name}: {status} ({item.detail})\n")
+    _write_lines(os.path.join(outdir, "stages.csv"), rows)
+    _write_lines(os.path.join(outdir, "summary.txt"), lines)
     return lines
 
 
 def cmd_construct(args):
     rc = _load_config(args.config, args)
-    try:
-        target = rc.build_target()
-        schedule = rc.build_schedule(target)
-    except InfeasibleTargetError as exc:
-        print(f"infeasible-target: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    tower = iterate(target, rc.stages, schedule)
+    target = rc.build_target()
+    tower = iterate(target, rc.stages, rc.build_schedule(target))
     outdir = rc.out or "shiftflex-out"
-    lines = _write_outputs(rc, target, tower, outdir)
-    for ln in lines:
-        print(ln)
+    for line in _write_outputs(target, tower, outdir):
+        print(line)
     print(f"wrote {outdir}/stages.csv")
     if tower.error is not None:
-        if isinstance(tower.error, CapacityError):
-            print(f"capacity: {tower.error}", file=sys.stderr)
-            return EXIT_CAPACITY
-        if isinstance(tower.error, InfeasibleTargetError):
-            print(f"infeasible-target: {tower.error}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        if isinstance(tower.error, SubsystemSearchError):
-            diagnostics = "".join(
-                f"; {key}: {value}" for key, value in tower.error.diagnostics.items()
-            )
-            print(f"subsystem-search: {tower.error}{diagnostics}", file=sys.stderr)
-            return EXIT_SUBSYSTEM
-        if isinstance(tower.error, InsufficientWordLengthError):
-            print(
-                f"word-length: {tower.error}; least_word_length: "
-                f"{tower.error.least_word_length}",
-                file=sys.stderr,
-            )
-            return EXIT_WORD_LENGTH
-        print(f"stage failure: {tower.error}", file=sys.stderr)
-        return EXIT_STAGE
+        return _fail(tower.error, "stage failure", EXIT_STAGE)
     return EXIT_OK
 
 
@@ -340,21 +280,8 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InfeasibleTargetError as exc:
-        print(f"infeasible-target: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except StageVerificationError as exc:
-        print(f"stage failure: {exc}", file=sys.stderr)
-        return EXIT_STAGE
     except ShiftflexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc)
 
 
 if __name__ == "__main__":

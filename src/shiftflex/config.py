@@ -7,7 +7,7 @@ keeps line numbers for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .construction import (
     Target, next_params, plan_initial_params, require_irreducible, validate_schedule
@@ -16,22 +16,6 @@ from .errors import ConfigError
 from .measures import MetricConfig
 from .spectral import RoofFunction, abramov, markov_entropy, parry_measure, roof_integral
 from .words import VertexShift, from_forbidden_words, full_shift, label_language
-
-
-@dataclass
-class StageOverride:
-    index: int
-    word_length: int = None
-    overlap_length: int = None
-    delta: float = None
-    kappa: float = None
-    radius: float = None
-    block_depth: int = None
-    entropy_target: float = None
-
-    FLOATS = ("delta", "kappa", "radius", "entropy_target")
-    INTS = ("word_length", "overlap_length", "block_depth")
-    STAGE_ONE = ("block_depth", "entropy_target")  # keys of stage 1's subset search
 
 
 @dataclass
@@ -50,7 +34,7 @@ class RunConfig:
     metric_depth: int = 2
     samples: int = 32  # only perfbench still passes it on, into RunSettings
     out: str = None
-    stage_overrides: tuple = ()
+    stage_overrides: dict = field(default_factory=dict)  # stage index -> {key: value}
 
     def build_shift(self):
         """The base shift; ConfigError names the field a value fails in."""
@@ -114,26 +98,22 @@ class RunConfig:
             metric = MetricConfig(self.metric_depth)
         except ValueError as exc:
             raise ConfigError(f"{exc}, got {self.metric_depth}", field="metric_depth") from None
-        overrides = {o.index: o for o in self.stage_overrides}
         schedule = []
         for i in range(1, self.stages + 1):
             if i == 1:
                 params = plan_initial_params(target, metric=metric)
             else:
                 params = next_params(schedule[-1])
-            o = overrides.get(i, StageOverride(index=i))
-            late = [name for name in StageOverride.STAGE_ONE if getattr(o, name) is not None]
+            given = self.stage_overrides.get(i, {})
+            late = [key for key in STAGE_ONE if key in given]
             if i > 1 and late:
                 raise ConfigError(f"stage {i} {late[0]}: only stage 1 searches for Y; a later "
                                   "stage takes Y by rule from the code of its ambient")
-            for name in StageOverride.FLOATS + StageOverride.INTS:
-                v = getattr(o, name)
-                if v is None:
-                    continue
+            for key in [k for k in STAGE_KEYS if k in given]:
                 try:
-                    params = replace(params, **{name: v})
+                    params = replace(params, **{key: given[key]})
                 except ValueError as exc:
-                    raise ConfigError(f"stage {i} {name}: {exc}, got {v!r}") from None
+                    raise ConfigError(f"stage {i} {key}: {exc}, got {given[key]!r}") from None
             schedule.append(params)
         try:
             validate_schedule(schedule)
@@ -142,15 +122,44 @@ class RunConfig:
         return schedule
 
 
-def _parse_scalar(value, kind, line, key):
+# (section, key) -> (RunConfig field, kind) of every key but a roof word's
+# value (a float) and the keys of a `[stage N]` section, `STAGE_KEYS`.  A
+# kind is a type, or the plural noun of a list of digit strings.
+KEYS = {
+    ("shift", "alphabet"): ("alphabet", int),
+    ("shift", "matrix"): ("matrix_rows", "matrix rows"),
+    ("shift", "forbidden"): ("forbidden", "forbidden words"),
+    ("shift", "block"): ("block", int),
+    ("roof", "depth"): ("roof_depth", int),
+    ("roof", "constant"): ("roof_constant", float),
+    ("target", "c"): ("c", float),
+    ("target", "c_fraction"): ("c_fraction", float),
+    ("run", "stages"): ("stages", int),
+    ("run", "seed"): ("seed", int),
+    ("run", "metric_depth"): ("metric_depth", int),
+    ("run", "samples"): ("samples", int),
+    ("run", "out"): ("out", str),
+}
+# the StageParams fields a `[stage N]` section overrides, in the order
+# `build_schedule` applies them; only stage 1's subset search reads STAGE_ONE
+STAGE_KEYS = {
+    "delta": float, "kappa": float, "radius": float, "entropy_target": float,
+    "word_length": int, "overlap_length": int, "block_depth": int,
+}
+STAGE_ONE = ("block_depth", "entropy_target")
+
+
+def _parse_value(value, kind, line, key):
+    """`value` read as `kind` (see KEYS); ConfigError names its line and key."""
+    if isinstance(kind, str):
+        words = tuple(value.split())
+        if not all(w.isdigit() for w in words):
+            raise ConfigError(f"{kind} must be digit strings", line=line, field=key)
+        return words
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"expected {kind.__name__}, got {value!r}", line=line, field=key)
-    return value
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", line=line, field=key) from None
 
 
 def _refuse_conflicts(seen):
@@ -170,10 +179,6 @@ def _refuse_conflicts(seen):
 def parse_config(text):
     """Parse the sectioned key-value format into a RunConfig."""
     rc = RunConfig()
-    roof_values = []
-    matrix_rows = None
-    forbidden = None
-    overrides = {}
     seen = {}  # (section, key) -> line
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -191,9 +196,9 @@ def parse_config(text):
                 idx = int(parts[1])
                 if idx < 1:
                     raise ConfigError("stages count from 1: `[stage 0]` has no stage", line=ln)
-                overrides.setdefault(idx, StageOverride(index=idx))
+                overrides = rc.stage_overrides.setdefault(idx, {})
                 section = f"stage {idx}"
-            elif section not in ("shift", "roof", "target", "run"):
+            elif section not in {s for s, _ in KEYS}:
                 raise ConfigError(f"unknown section [{section}]", line=ln)
             continue
         if "=" not in line:
@@ -205,63 +210,14 @@ def parse_config(text):
         if seen.setdefault((section, key), ln) != ln:
             raise ConfigError(f"[{section}] {key} is also given on line {seen[section, key]}",
                               line=ln, field=key)
-        if section == "shift":
-            if key == "alphabet":
-                rc.alphabet = _parse_scalar(value, int, ln, key)
-            elif key == "matrix":
-                matrix_rows = tuple(value.split())
-                if any(not r.isdigit() for r in matrix_rows):
-                    raise ConfigError("matrix rows must be digit strings", line=ln, field=key)
-            elif key == "forbidden":
-                forbidden = tuple(value.split())
-                if any(not w.isdigit() for w in forbidden):
-                    raise ConfigError("forbidden words must be digit strings", line=ln, field=key)
-            elif key == "block":
-                rc.block = _parse_scalar(value, int, ln, key)
-            else:
-                raise ConfigError(f"unknown shift key {key!r}", line=ln, field=key)
-        elif section == "roof":
-            if key == "depth":
-                rc.roof_depth = _parse_scalar(value, int, ln, key)
-            elif key == "constant":
-                rc.roof_constant = _parse_scalar(value, float, ln, key)
-            elif key.isdigit():
-                roof_values.append((key, _parse_scalar(value, float, ln, key)))
-            else:
-                raise ConfigError(f"unknown roof key {key!r}", line=ln, field=key)
-        elif section == "target":
-            if key == "c":
-                rc.c = _parse_scalar(value, float, ln, key)
-            elif key == "c_fraction":
-                rc.c_fraction = _parse_scalar(value, float, ln, key)
-            else:
-                raise ConfigError(f"unknown target key {key!r}", line=ln, field=key)
-        elif section == "run":
-            if key == "stages":
-                rc.stages = _parse_scalar(value, int, ln, key)
-            elif key == "seed":
-                rc.seed = _parse_scalar(value, int, ln, key)
-            elif key == "metric_depth":
-                rc.metric_depth = _parse_scalar(value, int, ln, key)
-            elif key == "samples":
-                rc.samples = _parse_scalar(value, int, ln, key)
-            elif key == "out":
-                rc.out = value
-            else:
-                raise ConfigError(f"unknown run key {key!r}", line=ln, field=key)
-        else:  # stage N
-            idx = int(section.split()[1])
-            o = overrides[idx]
-            if key in StageOverride.INTS:
-                setattr(o, key, _parse_scalar(value, int, ln, key))
-            elif key in StageOverride.FLOATS:
-                setattr(o, key, _parse_scalar(value, float, ln, key))
-            else:
-                raise ConfigError(f"unknown stage key {key!r}", line=ln, field=key)
+        if section.startswith("stage ") and key in STAGE_KEYS:
+            overrides[key] = _parse_value(value, STAGE_KEYS[key], ln, key)
+        elif (section, key) in KEYS:
+            name, kind = KEYS[section, key]
+            setattr(rc, name, _parse_value(value, kind, ln, key))
+        elif section == "roof" and key.isdigit():
+            rc.roof_values += ((key, _parse_value(value, float, ln, key)),)
+        else:
+            raise ConfigError(f"unknown {section.split()[0]} key {key!r}", line=ln, field=key)
     _refuse_conflicts(seen)
-    rc.matrix_rows = matrix_rows
-    rc.forbidden = forbidden
-    rc.roof_values = tuple(roof_values)
-    rc.stage_overrides = tuple(overrides[i] for i in sorted(overrides))
     return rc
-

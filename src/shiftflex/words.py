@@ -264,7 +264,8 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
 
     Words of length > 2 are handled by recoding on blocks of length
     ``block`` (default: the longest forbidden word).  States of the result
-    are the allowed blocks, labeled by their first symbol.
+    are the allowed blocks on a bi-infinite path of allowed blocks (the
+    essential part), labeled by their first symbol.
     """
     forbidden = [tuple(w) for w in forbidden]
     for w in forbidden:
@@ -282,16 +283,17 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
     for w in forbidden:
         if len(w) == 2:
             a[w] = 0
+    mat = sp.csr_matrix(a)
+    indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
     if m == 2:
-        return VertexShift(a)
+        kept, indptr, indices = _essential_part(indptr, indices)
+        return _graph(indptr, indices, labels=kept, ambient_size=alphabet_size)
 
     # the seed: from the graph on symbols whose edges are the allowed
     # 2-words, each level is the edge graph of the one below, less the
     # edges that spell a forbidden word of their length (their two windows
     # are clean), up to the graph on clean (L-1)-words whose edges are the
     # clean L-words, L the longest forbidden word
-    mat = sp.csr_matrix(a)
-    indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
     words = np.arange(alphabet_size)[:, None]
     for length in range(3, longest + 1):
         # edge u -> v spells u's word and the last symbol of v's
@@ -303,10 +305,36 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
             if u is not None and v is not None:
                 keep[indptr[u] + np.searchsorted(indices[indptr[u] : indptr[u + 1]], v)] = False
         indptr, indices = np.append(0, np.cumsum(keep))[indptr], indices[keep]
-    seed = _graph(indptr, indices)
     # a word of at least L symbols is clean iff all its L-windows are: the
-    # rest are edge graphs of the seed
-    return _block_shift(indptr, indices, words[:, 0], m - longest + 1, alphabet_size, seed)
+    # rest are edge graphs of the seed, of its essential part alone
+    kept, indptr, indices = _essential_part(indptr, indices)
+    seed = _graph(indptr, indices)
+    return _block_shift(indptr, indices, words[kept, 0], m - longest + 1, alphabet_size, seed)
+
+
+def _essential_part(indptr, indices):
+    """The essential part of the graph of (indptr, indices), the states on
+    a bi-infinite path: found by dropping every state with no in-edge or no
+    out-edge until none is left (Lind & Marcus 1995, §2.2).  Returns the
+    old ids of its states, ascending, and its CSR arrays, the arrays given
+    when no state is dropped."""
+    n = len(indptr) - 1
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    keep = np.ones(n, dtype=bool)
+    while True:
+        live = keep[tails] & keep[indices]
+        now = keep & (np.bincount(tails[live], minlength=n) > 0)
+        now &= np.bincount(indices[live], minlength=n) > 0
+        if (now == keep).all():
+            break
+        keep = now
+    kept = np.flatnonzero(keep)
+    if len(kept) == n:
+        return kept, indptr, indices
+    new = np.cumsum(keep) - 1
+    indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(new[tails[live]], minlength=len(kept)), out=indptr[1:])
+    return kept, indptr, new[indices[live]]
 
 
 def _row_of(rows, word):

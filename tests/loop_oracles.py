@@ -141,9 +141,26 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
     return VertexShift(mat, labels=[shift.label_array[w[0]] for w in blocks], ambient_size=shift.ambient_size)
 
 
+def essential_blocks(blocks, alphabet_size):
+    """The blocks, in order, that lie on a bi-infinite path of blocks
+    overlapping in all but one symbol: those with no successor or no
+    predecessor among the rest dropped until none is left."""
+    while True:
+        present = set(blocks)
+        kept = [
+            u
+            for u in blocks
+            if any(u[1:] + (s,) in present for s in range(alphabet_size))
+            and any((s,) + u[:-1] in present for s in range(alphabet_size))
+        ]
+        if len(kept) == len(blocks):
+            return blocks
+        blocks = kept
+
+
 def from_forbidden_words(alphabet_size, forbidden, block):
-    """Clean words grown one symbol at a time, suffixes tested as tuples
-    (block >= 3)."""
+    """Clean words grown one symbol at a time, suffixes tested as tuples,
+    and their essential part (block >= 3)."""
     banned = {tuple(f) for f in forbidden}
     lengths = sorted({len(f) for f in banned})
     blocks = [()]
@@ -154,6 +171,7 @@ def from_forbidden_words(alphabet_size, forbidden, block):
             for v in (u + (s,) for s in range(alphabet_size))
             if not any(v[-n:] in banned for n in lengths if n <= len(v))
         ]
+    blocks = essential_blocks(blocks, alphabet_size)
     index = {w: i for i, w in enumerate(blocks)}
     rows, cols = [], []
     for i, u in enumerate(blocks):

@@ -78,14 +78,12 @@ OUTCOMES = [
     ("ud-check-no-words", ["ud-check"], 1, "error: no code words given\n"),
     ("ud-check-bad-word", ["ud-check", "0", "1x"], 1,
      "config error: code words are digit strings, got '1x'\n"),
-    ("find-word-length", ["find-word", "--config", "{configs}/golden_mean.cfg", "-l", "0"], 1,
-     "error: word length must be >= 1, got 0\n"),
     ("find-word-not-found", ["find-word", "--config", "{tmp}/one.cfg", "-l", "8"], 1,
      "not found: no admissible word of length 8 has self-overlap below 2\n"),
     ("report-missing", ["report", "--out", "{tmp}/nothing"], 1,
      "error: [Errno 2] No such file or directory: '{tmp}/nothing/summary.txt'\n"),
-    ("infeasible-target", ["construct", "--config", "{configs}/reducible.cfg"], 2,
-     "infeasible-target: base shift must be irreducible\n"),
+    ("infeasible-target", ["construct", "--config", "{tmp}/far.cfg"], 2,
+     "infeasible-target: target c=1.03972 is not below h*=0.693147\n"),
     ("stage-failure", ["construct", "--config", "{tmp}/full2.cfg"], 3,
      "stage failure: stage 1 failed verification: entropy_window, bracket\n"),
     ("unsupported-ambient", ["construct", "--config", "{configs}/full2_tower.cfg", "--stages", "3"], 3,
@@ -113,6 +111,7 @@ OUTCOMES = [
 def test_each_outcome_has_its_exit_code_and_stderr_line(argv, code, err, tmp_path, capsys):
     (tmp_path / "case.cfg").write_text(FULL2.replace("matrix = 11 11", "matrix = 11 11\ncolour = 1"))
     (tmp_path / "full2.cfg").write_text(FULL2)
+    (tmp_path / "far.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = 1.5"))
     (tmp_path / "deep.cfg").write_text(DEEP_ROOF)
     (tmp_path / "one.cfg").write_text(ONE_SYMBOL)
     argv = [a.format(tmp=tmp_path, configs=CONFIGS) for a in argv]

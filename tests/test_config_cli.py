@@ -130,6 +130,14 @@ def test_cmd_entropy_refuses_an_empty_shift_like_a_reducible_one(tmp_path, capsy
     assert outcomes[0] == outcomes[1] == (1, "error: reducible transition matrix\n")
 
 
+def test_cmd_entropy_on_a_forbidden_list_with_a_stranded_block(tmp_path, capsys):
+    # 11 can never occur once 011 and 111 are forbidden: the golden-mean shift
+    p = tmp_path / "gm.cfg"
+    p.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 011 111"))
+    assert main(["entropy", "--config", str(p)]) == 0
+    assert capsys.readouterr().out == "0.481211825060\n"
+
+
 def test_cmd_parry(tmp_path, capsys):
     g = tmp_path / "golden.cfg"
     g.write_text(GOLDEN)

@@ -23,6 +23,7 @@ from shiftflex import (
     find_low_overlap_word,
     from_forbidden_words,
     full_shift,
+    golden_mean_shift,
     higher_block,
     label_language,
     language,
@@ -471,7 +472,7 @@ def test_only_irreducible_bases_lift():
     # the presentation without a lift, and perron refuses it as before
     reducible = [
         higher_block(VertexShift([[1, 1], [0, 1]]), 3),
-        from_forbidden_words(2, [(1, 0), (1, 1, 1)], block=4),
+        from_forbidden_words(2, [(1, 0), (0, 0, 1)], block=4),  # essential part: two loops
         from_forbidden_words(2, list(itertools.product(range(2), repeat=2)) + [(0, 0, 0)], block=4),
     ]
     assert reducible[2].num_states == 0
@@ -479,6 +480,26 @@ def test_only_irreducible_bases_lift():
         assert shift._lift is None
         with pytest.raises(ReducibleShiftError):
             perron(shift)
+
+
+def test_forbidden_words_keep_only_the_essential_part():
+    # 11 can never occur once 011 and 111 are forbidden: the golden-mean
+    # shift on its 3-blocks, irreducible and lifted like any other
+    shift = from_forbidden_words(2, [(0, 1, 1), (1, 1, 1)])
+    same_blocks(shift, golden_mean_shift(), 3)
+    assert shift._lift is not None and is_irreducible(shift)
+    assert topological_entropy(shift) == pytest.approx(np.log((1 + 5**0.5) / 2), abs=1e-12)
+    # a dead end 01 in the seed on 2-words: one state is left, 11111
+    shift = from_forbidden_words(2, [(1, 0), (0, 1, 1), (0, 0)], block=5)
+    assert shift.dense().tolist() == [[1]] and shift.label_array.tolist() == [1]
+    assert shift._lift is not None and is_irreducible(shift)
+    # on symbols, a dropped symbol keeps the labels of the others
+    shift = from_forbidden_words(3, [(0, 1), (1, 1), (2, 1)])
+    assert shift.dense().tolist() == [[1, 1], [1, 1]]
+    assert shift.label_array.tolist() == [0, 2] and shift.ambient_size == 3
+    same_shift(from_forbidden_words(2, [(1, 1)]), golden_mean_shift())
+    empty = from_forbidden_words(2, list(itertools.product(range(2), repeat=2)))
+    assert empty.num_states == 0 and empty.ambient_size == 2 and not is_irreducible(empty)
 
 
 def test_perron_iterates_only_the_root(monkeypatch):

@@ -232,7 +232,8 @@ def test_neighbour_masks_match_int_loop():
 
 
 def scan_forbidden_words(alphabet_size, forbidden, block):
-    """Every word of the block length tested against every forbidden word."""
+    """Every word of the block length tested against every forbidden word,
+    and the essential part of the clean ones."""
     forbidden = [tuple(w) for w in forbidden]
 
     def clean(w):
@@ -243,7 +244,7 @@ def scan_forbidden_words(alphabet_size, forbidden, block):
     words = [()]
     for _ in range(block):
         words = [w + (s,) for w in words for s in range(alphabet_size)]
-    blocks = [w for w in words if clean(w)]
+    blocks = oracle.essential_blocks([w for w in words if clean(w)], alphabet_size)
     index = {w: i for i, w in enumerate(blocks)}
     dense = np.zeros((len(blocks), len(blocks)), dtype=np.int8)
     for i, u in enumerate(blocks):
@@ -627,7 +628,7 @@ def test_tower_never_builds_stage_ones_presentation(config, tmp_path, monkeypatc
     schedule = rc.build_schedule(tgt)
     tower = iterate(tgt, 2, schedule)
     assert tower.ok
-    _write_outputs(rc, tgt, tower, str(tmp_path))
+    _write_outputs(tgt, tower, str(tmp_path))
     stages, reports = tower.stages, tower.reports
     # the benchmark counts a class only with distinct free words, as on the
     # acceptance tower; full2_tower's stage 2 repeats them
