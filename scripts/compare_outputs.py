@@ -8,8 +8,9 @@ Usage, from anywhere:
 Runs `python3 -m shiftflex construct` and the analysis commands
 `entropy`, `parry` and `find-word -l 24` on every file in this checkout's
 `configs/` and on every entry of its `perfbench/flex_entries.json` (read,
-never written), and the `construct` refusal runs of `REFUSALS`, once with
-each checkout's `src/`.  Both sides of a case run on the same config
+never written), the `construct` refusal runs of `REFUSALS`, and the
+analysis commands on the block presentation `BLOCK`, once with each
+checkout's `src/`.  Both sides of a case run on the same config
 text, in working directories laid out alike, so that printed paths
 agree.  The output directories of `construct` (file names and bytes),
 stdout, stderr and the exit code must match.  Runs every case, prints
@@ -34,6 +35,25 @@ REFUSALS = (
     ("full3_roof_first", "--stages", "2"),  # exit 6
     ("full2_tower", "--stages", "3"),  # exit 3, no ambient past a structured stage
 )
+# a `forbidden` list recoded past its longest word, whose analysis commands
+# answer from the root it is lifted from, which no config in `configs/` and
+# no flex entry reaches; its `construct` stops at the subset search's state
+# cap (exit 5), so only the analyses run
+BLOCK = """\
+[shift]
+alphabet = 2
+forbidden = 111 0000
+block = 7
+
+[roof]
+constant = 1.0
+
+[target]
+c_fraction = 0.5
+
+[run]
+stages = 1
+"""
 
 
 def cases():
@@ -59,6 +79,8 @@ def runs():
         text = (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
         case = "-".join([name, "construct", *(flag.lstrip("-") for flag in flags)])
         yield case, text, (*COMMANDS[0], *flags)
+    for command in COMMANDS[1:]:
+        yield f"block7-{command[0]}", BLOCK, command
 
 
 def run(checkout, config_text, command, workdir):

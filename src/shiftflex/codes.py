@@ -28,6 +28,7 @@ from .words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
     _as_tuples,
+    _block_path,
     _failure_function,
 )
 
@@ -456,9 +457,28 @@ def find_low_overlap_word(shift, l, budget=DEFAULT_WORD_BUDGET):
     last symbol.  Raises NoLowOverlapWordError after an exhaustive scan
     (the border bound needs positive entropy) and CapacityError if the scan
     passes the budget without success.
+
+    A block presentation scans its root instead, and `budget` counts root
+    words.  Its words of length l stand for the root's words of length
+    l + levels in the same lexicographic order, and the verdict reads only
+    the first l labels; so its first qualifying word spells the root's
+    first qualifying word extended by the least successor `levels` times,
+    which an irreducible root always has (`words._block_path`).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
+    if shift._lift is None:
+        return _first_low_overlap_word(shift, l, budget)
+    root, _, _, levels = shift._lift
+    word = list(_first_low_overlap_word(root, l, budget))
+    indptr, indices = root.matrix.indptr, root.matrix.indices
+    for _ in range(levels):
+        word.append(int(indices[indptr[word[-1]]]))
+    return _block_path(shift, word)
+
+
+def _first_low_overlap_word(shift, l, budget):
+    """`find_low_overlap_word`'s scan of the graph of `shift` itself."""
     bound = l / 4
     indptr, indices = shift.matrix.indptr.tolist(), shift.matrix.indices.tolist()
     labels = shift.label_array.tolist()

@@ -132,7 +132,7 @@ def _lifted_perron(shift):
     """A block presentation's Perron data from its root's: an edge graph B
     of A has lambda(B) = lambda(A), right vector r_A[head] and left vector
     l_A[tail] (Lind & Marcus 1995, §2.3), so r_A[last] and l_A[first]."""
-    root, first, last = shift._lift
+    root, first, last, _ = shift._lift
     pd = perron(root)
     lam, mat = pd.value, shift.matrix
     right = pd.right[last]

@@ -8,7 +8,8 @@ state by the base symbol it reads.  A word is a tuple of internal states
 and a set of words one (words × length) state array; label words are
 their projections to the base alphabet.
 
-Every query here searches the graph.  A coded stage answers from its code
+Every query here searches a graph: a block presentation's label queries
+search its root's (`_label_root`).  A coded stage answers from its code
 (`codes.RenewalStructure`, `codes.PermutationCode`), never from a
 presentation of it.
 """
@@ -59,7 +60,7 @@ class VertexShift:
     # `is_irreducible`, `_levels_from_zero` and `graph_period`
     _predecessors = None
     _perron_cache = _irreducible_cache = _levels_cache = _period_cache = None
-    # (root, first, last) of a block presentation, set by `_block_shift`
+    # (root, first, last, levels) of a block presentation, set by `_block_shift`
     _lift = None
 
     def __init__(self, matrix, labels=None, ambient_size=None):
@@ -224,29 +225,69 @@ def _graph(indptr, indices, **kwargs):
     return VertexShift(matrix, **kwargs)
 
 
-def _block_shift(indptr, indices, labels, levels, ambient_size, base):
-    """Vertex shift on the edge graph of (indptr, indices), the CSR arrays
-    of `base`, taken `levels` times, each block labeled by `labels` of its
-    first state: an edge takes the label of its tail, one `np.repeat` per
-    level.  An edge graph of a strongly connected graph is strongly
-    connected, and its cycles are the closed walks of the graph below, of
-    the same lengths; so when `base` is irreducible the result is, with the
-    same period, and both are set without a search.  With them goes
-    `_lift = (root, first, last)`: the root is `base`, or the root `base`
-    was lifted from, so it is never lifted itself; an edge takes its tail's
-    first and its head's last root state, so `spectral.perron` answers
-    from the root's data, and nothing between root and result is kept."""
-    root, first, last = base._lift or (base, np.arange(base.num_states), np.arange(base.num_states))
+def _block_shift(base, levels):
+    """Vertex shift on the edge graph of `base`'s CSR arrays, taken
+    `levels` times, each block labeled by the label of its first state: an
+    edge takes the label of its tail, one `np.repeat` per level.  An edge
+    graph of a strongly connected graph is strongly connected, and its
+    cycles are the closed walks of the graph below, of the same lengths; so
+    when `base` is irreducible the result is, with the same period, and both
+    are set without a search.  With them goes `_lift = (root, first, last,
+    levels)`: the root is `base`, or the root `base` was lifted from, so it
+    is never lifted itself, and each state stands for the root path of
+    `levels + 1` states that is its row of `language(root, levels + 1)`; an
+    edge takes its tail's first and its head's last root state, so
+    `spectral.perron` answers from the root's data, the label queries from
+    the root itself, and nothing between root and result is kept."""
+    indptr, indices = base.matrix.indptr.astype(np.int64), base.matrix.indices.astype(np.int64)
+    labels = base.label_array
+    root, first, last, below = base._lift or (base, np.arange(base.num_states), np.arange(base.num_states), 0)
     for _ in range(levels):
         deg = np.diff(indptr)
         labels, first, last = np.repeat(labels, deg), np.repeat(first, deg), last[indices]
         indptr, indices = _edge_graph(indptr, indices)
-    shift = _graph(indptr, indices, labels=labels, ambient_size=ambient_size)
+    shift = _graph(indptr, indices, labels=labels, ambient_size=base.ambient_size)
     if is_irreducible(base):
         shift._irreducible_cache = True
         shift._period_cache = graph_period(base)
-        shift._lift = root, first, last
+        shift._lift = root, first, last, below + levels
     return shift
+
+
+def _label_root(shift):
+    """The shift whose label words are `shift`'s: the root of a block
+    presentation, else `shift` itself.  A state of the presentation reads
+    the label of the first state of its root path of levels + 1 states, and
+    every root path extends that far, as an irreducible root has no dead
+    end; so both have the same label words of every length (Lind & Marcus
+    1995, §2.3)."""
+    return shift if shift._lift is None else shift._lift[0]
+
+
+def _block_path(shift, path):
+    """The path of the block presentation `shift` whose states stand for the
+    windows of levels + 1 states of the root path `path`.  The states are
+    the root's paths of levels + 1 states in lexicographic order, so the
+    first is the rank of the first window, counted from the root's paths
+    from each state; state b's row lists the windows that extend b's by
+    each successor of its last root state, ascending, so the next state is
+    b's successor at the next root state's place in that root row."""
+    root, _, _, levels = shift._lift
+    root_indptr, root_indices = root.matrix.indptr.tolist(), root.matrix.indices.tolist()
+    indptr, indices = shift.matrix.indptr, shift.matrix.indices
+    # paths[k][s]: root paths of k + 1 states from s
+    paths = [np.ones(root.num_states, dtype=np.int64)]
+    for _ in range(levels):
+        paths.append(root.matrix @ paths[-1])
+    out = [int(paths[levels][: path[0]].sum())]
+    for j in range(1, len(path)):
+        row = root_indices[root_indptr[path[j - 1]] : root_indptr[path[j - 1] + 1]]
+        at = row.index(path[j])
+        if j <= levels:  # within the first window: the paths it passes
+            out[0] += int(paths[levels - j][row[:at]].sum())
+        else:
+            out.append(int(indices[indptr[out[-1]] + at]))
+    return tuple(out)
 
 
 def full_shift(n):
@@ -308,8 +349,8 @@ def from_forbidden_words(alphabet_size, forbidden, block=None):
     # a word of at least L symbols is clean iff all its L-windows are: the
     # rest are edge graphs of the seed, of its essential part alone
     kept, indptr, indices = _essential_part(indptr, indices)
-    seed = _graph(indptr, indices)
-    return _block_shift(indptr, indices, words[kept, 0], m - longest + 1, alphabet_size, seed)
+    seed = _graph(indptr, indices, labels=words[kept, 0], ambient_size=alphabet_size)
+    return _block_shift(seed, m - longest + 1)
 
 
 def _essential_part(indptr, indices):
@@ -499,9 +540,7 @@ def higher_block(shift, m, budget=DEFAULT_WORD_BUDGET):
         total = word_count(shift, m)
         if total > budget:
             raise CapacityError(total, budget)
-    mat = shift.matrix
-    indptr, indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
-    return _block_shift(indptr, indices, shift.label_array, m - 1, shift.ambient_size, shift)
+    return _block_shift(shift, m - 1)
 
 
 def induced_subshift(shift, states):
@@ -543,6 +582,7 @@ class _LabelSets:
 
 def is_label_admissible(shift, word):
     """True iff some internal path realizes the given label word."""
+    shift = _label_root(shift)
     sets = _LabelSets(shift)
     cur = None
     for a in word:
@@ -569,10 +609,12 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
     keeping only the prefixes whose set reaches length n, so no level
     outgrows the output.  The cost is one sparse product per distinct set,
     not per prefix, plus the output.  CapacityError with the exact count
-    past `budget` words, before any word is built.
+    past `budget` words, before any word is built.  A block presentation
+    answers from its root (`_label_root`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    shift = _label_root(shift)
     sets = _LabelSets(shift)
     size, symbols = shift.num_states, shift.ambient_size
     ids, keys, first = {}, [], []  # key -> id; per id its key and first level
@@ -625,7 +667,9 @@ def label_language(shift, n, budget=DEFAULT_WORD_BUDGET):
 
 def label_rows(shift, n):
     """Distinct label words of internal n-paths, lexicographically, as a
-    (words × n) array: the labelled rows of `language`, deduplicated."""
+    (words × n) array: the labelled rows of `language`, deduplicated; of
+    the root's for a block presentation (`_label_root`)."""
+    shift = _label_root(shift)
     return np.unique(shift.label_array[language(shift, n)], axis=0)
 
 
@@ -687,8 +731,10 @@ def longest_window_avoiding(shift, pattern):
     restricted to the nodes reachable from the starts and built as arrays
     by a frontier search.  Level-synchronous Kahn peeling then either peels
     every node, and the number of rounds is the longest path in nodes, or
-    stops at a cycle.
+    stops at a cycle.  A block presentation answers from its root, which
+    has the same label windows (`_label_root`).
     """
+    shift = _label_root(shift)
     pattern = tuple(pattern)
     if not pattern:
         raise ValueError("pattern must be nonempty")

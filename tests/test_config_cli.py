@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from shiftflex import VertexShift, find_low_overlap_word, label_word, max_self_overlap
 from shiftflex.cli import main
 from shiftflex.config import parse_config
 from shiftflex.errors import ConfigError
@@ -187,6 +188,29 @@ def test_cmd_find_word(tmp_path, capsys):
     one.write_text(GOLDEN.replace("alphabet = 2", "alphabet = 1").replace("matrix = 11 10", "matrix = 1"))
     assert main(["find-word", "--config", str(one), "-l", "8"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_cmd_find_word_on_a_block_presentation(tmp_path, capsys):
+    # the word is found on the presentation's root and mapped back: it must
+    # be the word the scan of the presentation itself finds
+    cfg = tmp_path / "block.cfg"
+    cfg.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 111 0000\nblock = 7"))
+    h = parse_config(cfg.read_text()).build_shift()
+    assert h._lift is not None
+    fresh = VertexShift(h.matrix, h.label_array, h.ambient_size)
+    word = label_word(fresh, find_low_overlap_word(fresh, 24))
+    assert word == tuple(map(int, "000100010001000100010010"))
+    assert main(["find-word", "--config", str(cfg), "-l", "24"]) == 0
+    out = "".join(map(str, word)) + f"  max overlap {max_self_overlap(word)} < 6\n"
+    assert capsys.readouterr().out == out
+    # 0101... alone: zero entropy, so no word qualifies
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 00 11\nblock = 4"))
+    assert parse_config(zero.read_text()).build_shift()._lift is not None
+    assert main(["find-word", "--config", str(zero), "-l", "24"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not found: no admissible word of length 24 has self-overlap below 6\n"
 
 
 def test_cmd_ud_check_missing_file_is_a_usage_error(tmp_path, capsys):

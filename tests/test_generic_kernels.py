@@ -34,10 +34,12 @@ from shiftflex import (
     topological_entropy,
     word_count,
 )
-from shiftflex import spectral
+import shiftflex.words as wordlib
+from shiftflex import codes, spectral
 from shiftflex.construction import _mask_subshift, _subset_scores
 from shiftflex.measures import MetricConfig
 from shiftflex.words import (
+    DEFAULT_WORD_BUDGET,
     _bfs_levels,
     _cycle_gcd,
     _strongly_connected,
@@ -46,6 +48,7 @@ from shiftflex.words import (
     induced_subshift,
     is_irreducible,
     is_label_admissible,
+    label_rows,
     longest_window_avoiding,
 )
 from tests.conftest import dense_perron
@@ -434,8 +437,9 @@ def test_lifted_perron_matches_the_power_iteration():
                 continue
             block = max(map(len, forbidden)) + int(rng.integers(1, 4))
             shift = from_forbidden_words(a, forbidden, block=block)
-            if shift._lift is None:  # a seed with a dead end: nothing to lift from
-                continue
+            # the seed is cut to its essential part, so an irreducible shift
+            # always has an irreducible seed to lift from
+            assert shift._lift is not None
             how = "forbidden"
         m = int(rng.integers(1, 4))
         assert topological_entropy(higher_block(base, m)) == topological_entropy(base)
@@ -520,6 +524,131 @@ def test_perron_iterates_only_the_root(monkeypatch):
     assert root._lift is None and root.num_states < base.num_states < shift.num_states
     perron(shift)
     assert sizes == [root.num_states] * 2
+
+
+def raised(fn, *args, **kwargs):
+    """The value, or the type and message of the error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (CapacityError, NoLowOverlapWordError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def lifted_presentations(rng, count):
+    """`count` seeded (kind, period, shift) block presentations with a lift:
+    `higher_block` (m = 2-4) of labelled irreducible graphs of periods 1-3,
+    and `from_forbidden_words(block=...)` of lists whose forbidden 2-words
+    make 1-3 classes of symbols cycle, some of zero entropy."""
+    while count:
+        if rng.random() < 0.5:
+            n, period, a = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            dense = cyclic_graph(rng, n, rng.uniform(0.3, 0.9), period)
+            base = VertexShift(dense, labels=rng.integers(0, a, size=n), ambient_size=a)
+            if not is_irreducible(base):
+                continue
+            shift = higher_block(base, int(rng.integers(2, 5)))
+            how = "higher"
+        else:
+            a, period = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            cls = rng.integers(0, period, size=a)
+            forbidden = [(x, y) for x in range(a) for y in range(a)
+                         if (cls[y] - cls[x]) % period != 1 % period or rng.random() < 0.15]
+            forbidden += [tuple(rng.integers(0, a, size=int(rng.integers(3, 5))).tolist())
+                          for _ in range(int(rng.integers(0, 3)))]
+            block = max(3, max(map(len, forbidden), default=2) + int(rng.integers(0, 3)))
+            shift = from_forbidden_words(a, forbidden, block=block)
+            if not is_irreducible(shift):
+                continue
+            how = "forbidden"
+        assert shift._lift is not None
+        yield how, graph_period(shift), shift
+        count -= 1
+
+
+def test_lifted_label_queries_match_the_presentation():
+    # a block presentation answers its label queries from its root; each
+    # must give what the same graph gives in a shift that carries no lift
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for how, period, shift in lifted_presentations(rng, 160):
+        fresh = VertexShift(shift.matrix, shift.label_array, shift.ambient_size)
+        root, first, _, levels = shift._lift
+        assert fresh._lift is None and root._lift is None
+        assert np.array_equal(shift.label_array, root.label_array[first])
+        assert shift.ambient_size == root.ambient_size
+        assert shift.num_states == word_count(root, levels + 1)
+        a = shift.ambient_size
+        for n in range(5):
+            for budget in (DEFAULT_WORD_BUDGET, 3):
+                got = raised(label_language, shift, n, budget)
+                assert got == raised(label_language, fresh, n, budget)
+                kinds.add(("language", got[0] if got and isinstance(got[0], str) else "words"))
+            if n:
+                assert label_rows(shift, n).tolist() == label_rows(fresh, n).tolist()
+        for _ in range(6):
+            word = rng.integers(-1 if rng.random() < 0.1 else 0, a + (rng.random() < 0.1),
+                                size=int(rng.integers(0, 8))).tolist()
+            got = is_label_admissible(shift, word)
+            assert got == is_label_admissible(fresh, word)
+            kinds.add(("admissible", got))
+        for _ in range(4):
+            pattern = rng.integers(0, a, size=int(rng.integers(0, 5))).tolist()
+            got = raised(longest_window_avoiding, shift, pattern)
+            assert got == raised(longest_window_avoiding, fresh, pattern)
+            kinds.add(("window", got if got is None or isinstance(got, tuple) else "length"))
+        for length in (0, *rng.integers(1, 11, size=3).tolist()):
+            got = raised(find_low_overlap_word, shift, length)
+            assert got == raised(find_low_overlap_word, fresh, length)
+            kinds.add(("word", got[0] if isinstance(got[0], str) else "found"))
+        kinds.add((how, period))
+    assert {(how, p) for how in ("higher", "forbidden") for p in (1, 2, 3)} <= kinds
+    assert {("language", "words"), ("language", "CapacityError"), ("language", "ValueError"),
+            ("admissible", True), ("admissible", False), ("window", None), ("window", "length"),
+            ("word", "found"), ("word", "NoLowOverlapWordError"), ("word", "ValueError")} <= kinds
+    assert ("window", ("ValueError", "pattern must be nonempty")) in kinds
+
+
+def test_lifted_low_overlap_budget_counts_root_words():
+    # the 3-block presentation of the full 2-shift scans four 10-symbol
+    # words before 0000000100; its root scans one 8-symbol word, 00000000
+    shift = higher_block(full_shift(2), 3)
+    fresh = VertexShift(shift.matrix, shift.label_array, shift.ambient_size)
+    want = find_low_overlap_word(fresh, 8)
+    assert find_low_overlap_word(shift, 8, budget=1) == want == (0, 0, 0, 0, 0, 1, 2, 4)
+    with pytest.raises(CapacityError):
+        find_low_overlap_word(fresh, 8, budget=1)
+    with pytest.raises(CapacityError):
+        find_low_overlap_word(shift, 8, budget=0)
+
+
+def test_label_queries_walk_only_the_root(monkeypatch):
+    # every kernel the label queries run on a block presentation is handed
+    # the root's graph, never the presentation's
+    seen = []
+
+    def spy(module, name, size):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen.append((name, size(*args)))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    forbidden = [(0, 1, 2, 0), (2, 2, 1), (1, 1, 1, 1), (0, 2, 0, 2)]
+    shift = higher_block(from_forbidden_words(3, forbidden), 3)
+    root = shift._lift[0]
+    spy(wordlib, "_LabelSets", lambda shift: shift.num_states)
+    spy(wordlib, "_out_edges", lambda indptr, rows: len(indptr) - 1)
+    spy(wordlib, "_grow", lambda matrix, n: matrix.shape[0])
+    spy(codes, "_first_low_overlap_word", lambda shift, l, budget: shift.num_states)
+    label_language(shift, 4)
+    is_label_admissible(shift, (0, 1, 0))
+    longest_window_avoiding(shift, (0, 1, 2))
+    label_rows(shift, 3)
+    find_low_overlap_word(shift, 12)
+    assert {name for name, _ in seen} == {"_LabelSets", "_out_edges", "_grow", "_first_low_overlap_word"}
+    assert {size for _, size in seen} == {root.num_states} and root.num_states < shift.num_states
 
 
 def test_an_empty_shift_is_not_irreducible():
