@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .codes import Code, find_low_overlap_word, max_self_overlap, ud_witness
 from .config import parse_config
 from .construction import iterate, normalized_entropy
@@ -107,8 +109,13 @@ def cmd_parry(args):
     rc = _load_config(args.config, args)
     m = parry_measure(rc.build_shift())
     print("pi = " + " ".join(f"{x:.12f}" for x in m.pi))
-    dense = m.P.toarray()
-    for i, row in enumerate(dense):
+    # one dense row at a time, from its CSR slice: the n × n array of a
+    # block presentation of thousands of states takes hundreds of MiB
+    indptr, indices, data = m.P.indptr, m.P.indices, m.P.data
+    row = np.zeros(m.P.shape[1])
+    for i in range(m.P.shape[0]):
+        row[:] = 0.0
+        row[indices[indptr[i] : indptr[i + 1]]] = data[indptr[i] : indptr[i + 1]]
         print(f"P[{i}] = " + " ".join(f"{x:.12f}" for x in row))
     return EXIT_OK
 

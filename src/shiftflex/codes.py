@@ -51,6 +51,21 @@ def _per_depth(method):
     return cached
 
 
+def _stable_order(keys):
+    """The permutation `np.argsort(keys, kind="stable")` returns, from one
+    `np.sort` of the packed keys `key << b | index`, b the bit width of the
+    largest index: the index bits make every packed key distinct and break
+    ties by position, so any sort gives the stable order.  Raises
+    OverflowError when a key does not fit in the 63 - b bits left."""
+    keys = np.asarray(keys, dtype=np.int64).ravel()
+    if len(keys) == 0:
+        return np.zeros(0, np.int64)
+    b = (len(keys) - 1).bit_length()
+    if int(keys.min()) < -(1 << 63 - b) or int(keys.max()) >= 1 << 63 - b:
+        raise OverflowError(f"keys overflow an int64 key packed with {b} index bits")
+    return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
+
+
 @dataclass(frozen=True)
 class Code:
     """Nonempty set of distinct finite words."""
@@ -275,7 +290,13 @@ class RenewalStructure:
     def _table(self, depth):
         """(ids, windows): `ids[a, o]` ranks code word a's depth-`depth`
         window at attributed offset o among the distinct attributed
-        windows, which `windows` lists in that (lexicographic) order."""
+        windows, which `windows` lists in that (lexicographic) order.
+
+        The context ranks (`_ranks`) already order the windows, so the
+        attributed ones are re-ranked by presence (`bincount > 0`, then
+        `cumsum`), with no sort; any occurrence of a window spells it.
+        Each cumsum here runs on int64: numpy casts a boolean one element
+        by element, at about three times the cost."""
         if not 1 <= depth <= self.exact_depth:
             raise StructureDepthError(
                 f"depth {depth} outside 1..{self.exact_depth}, the depths "
@@ -284,10 +305,14 @@ class RenewalStructure:
         p, s = self.shared_ends
         col = s - max(0, depth - p - 1)  # attributed offset 0, as in `exact_depth`
         attributed = self._ranks(depth)[:, col : col + self.k]
-        _, first, ids = np.unique(attributed, return_index=True, return_inverse=True)
-        a, c = np.divmod(first, self.k)
-        windows = self._contexts[a[:, None], (c + col)[:, None] + np.arange(depth)]
-        return ids.reshape(attributed.shape), windows
+        used = np.bincount(attributed.ravel()) > 0
+        ids = (used.astype(np.int64).cumsum() - 1)[attributed]
+        where = np.zeros(int(used.sum()), np.int64)
+        where[ids.ravel()] = np.arange(ids.size)
+        a, c = np.divmod(where, self.k)
+        ctx = self._contexts  # one flat gather: a 2-D one costs twice as much
+        windows = ctx.ravel()[(a * ctx.shape[1] + c + col)[:, None] + np.arange(depth)]
+        return ids, windows
 
     @_per_depth
     def _ranks(self, depth):
@@ -295,15 +320,24 @@ class RenewalStructure:
         contexts (shared suffix + code word a + shared prefix), of the one
         starting at column c.  Prefix doubling ranks the pair (rank of its
         first h symbols, rank of the rest), h the largest power of two
-        below depth, so no window is read as one number."""
+        below depth, so no window is read as one number; one packed sort
+        of the pair keys (`_stable_order`) per depth, whose runs of equal
+        keys are the dense ranks."""
         if depth == 1:
             return self._contexts.astype(np.int64)
         h = 1 << (depth - 1).bit_length() - 1
         head, rest = self._ranks(h)[:, : h - depth], self._ranks(depth - h)[:, h:]
         span = int(rest.max()) + 1
-        if (int(head.max()) + 1) * span > 2**63:  # dense ranks: only past 3e9 windows
+        # the pair key with the index bits `_stable_order` packs below it;
+        # dense ranks: only past about 2e6 context windows
+        if (int(head.max()) + 1) * span << (head.size - 1).bit_length() > 2**63:
             raise OverflowError(f"depth-{depth} window pairs overflow an int64 key")
-        return np.unique(head * span + rest, return_inverse=True)[1].reshape(head.shape)
+        keys = (head * span + rest).ravel()
+        order = _stable_order(keys)
+        new = np.diff(keys[order], prepend=-1) != 0
+        ranks = np.empty(len(keys), np.int64)
+        ranks[order] = new.astype(np.int64).cumsum() - 1
+        return ranks.reshape(head.shape)
 
     @cached_property
     def _contexts(self):
@@ -342,9 +376,11 @@ class RenewalStructure:
         code word: the id, the code word, its first and last attributed
         offsets and the widest step between consecutive ones (0 for one).
         Offsets count from the first attributed one; only their
-        differences are ever read."""
+        differences are ever read.  One stable sort of the ids
+        (`_stable_order`) lists each window's occurrences by code word and
+        offset, as the table holds them row by row."""
         ids = self._table(depth)[0]
-        order = np.argsort(ids, axis=None, kind="stable")
+        order = _stable_order(ids)
         win, (word, off) = ids.ravel()[order], np.divmod(order, self.k)
         start = np.flatnonzero(np.diff(win, prepend=-1) | np.diff(word, prepend=-1))
         step = np.diff(off, prepend=0)
@@ -433,7 +469,7 @@ class SubCode(RenewalStructure):
         late = min(q - p, max(0, depth - p - 1))
         rows = np.roll(ids[self.lo : self.lo + len(self.code)], -late, axis=1)
         used = np.bincount(rows.ravel(), minlength=len(windows)) > 0
-        return (np.cumsum(used) - 1)[rows], windows[used]
+        return (used.astype(np.int64).cumsum() - 1)[rows], windows[used]
 
 
 def max_self_overlap(word):
@@ -638,7 +674,11 @@ class PermutationCode:
           widest pair of distinct hits, from the top two of each window.
         Every code word holds every ambient word of the block, so each of
         their windows recurs.  A window between occurrences p < p' has at
-        most p' - p + depth - 2 symbols.
+        most p' - p + depth - 2 symbols.  The span rows are grouped by code
+        word, and the free hits ordered by window and then by lo descending
+        or hi ascending, each by one stable sort of a single key
+        (`_stable_order`): offsets lie in [0, k1), so window * k1 + offset
+        orders both at once.
         """
         amb, k1 = self.ambient, self.ambient.k
         win, word, lo, hi, step = amb._spans(depth)
@@ -647,7 +687,7 @@ class PermutationCode:
         period = (s0 + n_free) * k1
         seen = np.zeros(n, bool)
         fx_lo, fx_hi, gap, hits, top, bottom = (np.zeros(n, np.int64) for _ in range(6))
-        by_word = np.argsort(word, kind="stable")
+        by_word = _stable_order(word)
         bounds = np.searchsorted(word[by_word], np.arange(len(amb.code) + 1))
         for i, a in enumerate(slots):
             r = by_word[bounds[a] : bounds[a + 1]]
@@ -667,7 +707,8 @@ class PermutationCode:
         # the widest pair of distinct free hits, from the top two lo and the
         # bottom two hi of each window, counted with multiplicity
         nxt = np.minimum(g + 1, len(f) - 1)
-        by_lo, by_hi = np.lexsort((-lo_f, win[f])), np.lexsort((hi_f, win[f]))
+        by_lo = _stable_order(win[f] * k1 + (k1 - 1 - lo_f))
+        by_hi = _stable_order(win[f] * k1 + hi_f)
         a1, b1 = word[f[by_lo[g]]], word[f[by_hi[g]]]
         lo1, hi1 = top[fw], bottom[fw]
         lo2 = np.where(count[a1] >= 2, lo1, lo_f[by_lo[nxt]])
@@ -684,9 +725,16 @@ class PermutationCode:
 
 def _cylinder_dict(words, ids, weights, mass):
     """{words[i]: (summed weight of i in `ids`) / mass}, keyed in order of
-    first occurrence in `ids` (each id weighing 1 without `weights`)."""
-    keys, first = np.unique(ids, return_index=True)
-    keys = keys[np.argsort(first)]
+    first occurrence in `ids` (each id weighing 1 without `weights`).
+
+    `np.minimum.at` finds each id's first position with no sort; `ids`
+    read at the marked positions, in position order, are the keys."""
+    n = len(ids)
+    first = np.full(len(words), n)
+    np.minimum.at(first, ids, np.arange(n))
+    at = np.zeros(n, bool)
+    at[first[first < n]] = True
+    keys = ids[at]
     values = (np.bincount(ids, weights=weights)[keys] / mass).tolist()
     return dict(zip([words[i] for i in keys.tolist()], values))
 

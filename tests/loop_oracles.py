@@ -14,11 +14,12 @@ a time; a renewal code admits a label word one piece at a time, found by
 bisection in its sorted tails; the depth at which two codes stop sharing
 words grows the shared words one symbol at a time; a permutation class is
 chosen from one class built per number of fixed slots and counted one
-multiplicity at a time; window tables rank one more symbol per depth; the
-language checks of a permutation class compare sets of word tuples; a label
-language recurses over label prefixes, one state-set product per prefix;
-the Katok scorer counts the windows of all words in one int64 table per
-depth; the Parry measure is built through COO arrays and a diagonal
+multiplicity at a time; window tables rank one more symbol per depth, or
+rank, order and key their windows by numpy's mergesort (`np.unique`,
+stable `np.argsort`, `np.lexsort`); the language checks of a permutation
+class compare sets of word tuples; a label language recurses over label
+prefixes, one state-set product per prefix; the Katok scorer counts the
+windows of all words in one int64 table per depth; the Parry measure is built through COO arrays and a diagonal
 product; and the Perron iteration runs on the transpose rebuilt by
 scipy, its residuals recomputed.
 """
@@ -630,15 +631,100 @@ def one_step_ranks(renewal, depth):
 def one_step_table(renewal, depth):
     """(ids, windows) of the attributed depth-`depth` windows, from
     `one_step_ranks`."""
+    return unique_table(renewal, depth, one_step_ranks(renewal, depth))
+
+
+def unique_ranks(renewal, depth):
+    """Context window ranks by prefix doubling, each pair key ranked by
+    `np.unique` (a mergesort)."""
+    if depth == 1:
+        return renewal._contexts.astype(np.int64)
+    h = 1 << (depth - 1).bit_length() - 1
+    head, rest = unique_ranks(renewal, h)[:, : h - depth], unique_ranks(renewal, depth - h)[:, h:]
+    span = int(rest.max()) + 1
+    return np.unique(head * span + rest, return_inverse=True)[1].reshape(head.shape)
+
+
+def unique_table(renewal, depth, ranks=None):
+    """(ids, windows) of the attributed depth-`depth` windows, their ids and
+    first occurrences from `np.unique` of the context ranks (by default
+    `unique_ranks`)."""
     if not 1 <= depth <= renewal.exact_depth:
         raise StructureDepthError(f"depth {depth} outside 1..{renewal.exact_depth}")
+    if ranks is None:
+        ranks = unique_ranks(renewal, depth)
     p, s = renewal.shared_ends
     col = s - max(0, depth - p - 1)
-    attributed = one_step_ranks(renewal, depth)[:, col : col + renewal.k]
+    attributed = ranks[:, col : col + renewal.k]
     _, first, ids = np.unique(attributed, return_index=True, return_inverse=True)
     a, c = np.divmod(first, renewal.k)
     windows = renewal._contexts[a[:, None], (c + col)[:, None] + np.arange(depth)]
     return ids.reshape(attributed.shape), windows
+
+
+def argsort_spans(ids):
+    """The span table of a (code words × k) id table, its occurrences
+    ordered by `np.argsort(kind="stable")`."""
+    order = np.argsort(ids, axis=None, kind="stable")
+    win, (word, off) = ids.ravel()[order], np.divmod(order, ids.shape[1])
+    start = np.flatnonzero(np.diff(win, prepend=-1) | np.diff(word, prepend=-1))
+    step = np.diff(off, prepend=0)
+    step[start] = 0
+    end = np.append(start[1:], len(off)) - 1
+    return win[start], word[start], off[start], off[end], np.maximum.reduceat(step, start)
+
+
+def unique_cylinder_dict(words, ids, weights, mass):
+    """{words[i]: summed weight / mass}, keyed in order of first occurrence
+    by `np.unique(return_index=True)` and an argsort of the first indices."""
+    keys, first = np.unique(ids, return_index=True)
+    keys = keys[np.argsort(first)]
+    values = (np.bincount(ids, weights=weights)[keys] / mass).tolist()
+    return dict(zip([words[i] for i in keys.tolist()], values))
+
+
+def lexsort_longest_avoiding(code, depth, ids):
+    """`PermutationCode._longest_avoiding` on the span table of the
+    ambient's id table `ids` (`argsort_spans`), its occurrences ordered by
+    `np.argsort(kind="stable")` and its free hits by two `np.lexsort`s."""
+    amb, k1 = code.ambient, code.ambient.k
+    win, word, lo, hi, step = argsort_spans(ids)
+    n, slots = int(ids.max()) + 1, code.glue + code.fixed
+    s0, n_free = len(slots), len(code.free)
+    period = (s0 + n_free) * k1
+    seen = np.zeros(n, bool)
+    fx_lo, fx_hi, gap, hits, top, bottom = (np.zeros(n, np.int64) for _ in range(6))
+    by_word = np.argsort(word, kind="stable")
+    bounds = np.searchsorted(word[by_word], np.arange(len(amb.code) + 1))
+    for i, a in enumerate(slots):
+        r = by_word[bounds[a] : bounds[a + 1]]
+        w = win[r]
+        old = seen[w]
+        across = np.where(old, i * k1 + lo[r] - fx_hi[w], 0)
+        gap[w] = np.maximum.reduce([gap[w], step[r], across])
+        fx_lo[w] = np.where(old, fx_lo[w], i * k1 + lo[r])
+        fx_hi[w] = i * k1 + hi[r]
+        seen[w] = True
+    count = np.bincount(np.asarray(code.free, np.int64), minlength=len(amb.code))
+    f = np.flatnonzero(count[word])
+    g = np.flatnonzero(np.diff(win[f], prepend=-1))
+    fw, lo_f, hi_f = win[f[g]], lo[f], hi[f]
+    hits[fw] = np.add.reduceat(count[word[f]], g)
+    top[fw], bottom[fw] = np.maximum.reduceat(lo_f, g), np.minimum.reduceat(hi_f, g)
+    nxt = np.minimum(g + 1, len(f) - 1)
+    by_lo, by_hi = np.lexsort((-lo_f, win[f])), np.lexsort((hi_f, win[f]))
+    a1, b1 = word[f[by_lo[g]]], word[f[by_hi[g]]]
+    lo1, hi1 = top[fw], bottom[fw]
+    lo2 = np.where(count[a1] >= 2, lo1, lo_f[by_lo[nxt]])
+    hi2 = np.where(count[b1] >= 2, hi1, hi_f[by_hi[nxt]])
+    pair = np.where(a1 != b1, lo1 - hi1, np.maximum(lo1 - hi2, lo2 - hi1))
+    pair = np.where(hits[fw] >= 2, (n_free - hits[fw] + 1) * k1 + pair, 0)
+    gap[fw] = np.maximum.reduce([gap[fw], np.maximum.reduceat(step[f], g), pair])
+    first, last = (s0 + n_free - hits) * k1 + top, (s0 + hits - 1) * k1 + bottom
+    wrap = np.where(seen, np.maximum(first - fx_hi, period + fx_lo - last), period + first - last)
+    wrap = np.where(hits == 0, period + fx_lo - fx_hi, wrap)
+    present = np.flatnonzero(seen | (hits > 0))
+    return present, np.maximum(gap, wrap)[present] + depth - 2
 
 
 def set_nests(space, upstream, depth):

@@ -1,6 +1,8 @@
+import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from shiftflex import VertexShift, find_low_overlap_word, label_word, max_self_o
 from shiftflex.cli import main
 from shiftflex.config import parse_config
 from shiftflex.errors import ConfigError
+from shiftflex.spectral import parry_measure
 from tests.conftest import dense_perron
 
 SMALL = """\
@@ -165,6 +168,28 @@ def test_cmd_entropy_and_parry_on_a_block_presentation(tmp_path, capsys):
     assert np.allclose([float(x) for x in lines[0].split()[2:]], pi, rtol=0, atol=1e-11)
     for i, line in enumerate(lines[1:]):
         assert np.allclose([float(x) for x in line.split()[2:]], P[i], rtol=0, atol=1e-11)
+
+
+def test_cmd_parry_prints_rows_without_the_dense_matrix(tmp_path, capsys):
+    # the rows read as the dense matrix would print them, byte for byte ...
+    cfg = tmp_path / "block.cfg"
+    cfg.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 111 0000\nblock = 7"))
+    assert main(["parry", "--config", str(cfg)]) == 0
+    dense = parry_measure(parse_config(cfg.read_text()).build_shift()).P.toarray()
+    rows = [f"P[{i}] = " + " ".join(f"{x:.12f}" for x in row) for i, row in enumerate(dense)]
+    assert capsys.readouterr().out.splitlines()[1:] == rows
+    # ... and at block 12 (987 states) take under a tenth of its memory
+    cfg.write_text(GOLDEN.replace("matrix = 11 10", "forbidden = 111 0000\nblock = 12"))
+    n = parse_config(cfg.read_text()).build_shift().num_states
+    assert n == 987
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["parry", "--config", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < n * n * 8 / 10
 
 
 def test_cmd_ud_check(capsys):

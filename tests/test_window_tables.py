@@ -7,6 +7,7 @@ structure built from its words; and the language checks of a permutation
 class on window ids against sets of word tuples."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tests.loop_oracles as oracle
-from shiftflex.codes import Code, PermutationCode, RenewalStructure, renewal_to_sft
+from shiftflex.codes import (
+    Code,
+    PermutationCode,
+    RenewalStructure,
+    _stable_order,
+    renewal_to_sft,
+)
 from shiftflex.construction import _languages_agree, _nests
 from shiftflex.errors import StructureDepthError
 from shiftflex.words import label_rows
@@ -230,3 +237,105 @@ def test_rank_pairs_refuse_an_overflowing_key():
     renewal.__dict__["_cache__ranks"] = {1: ranks}  # ranks no table this small has
     with pytest.raises(OverflowError, match="depth-2 window pairs"):
         renewal._ranks(2)
+
+
+def test_rank_pairs_refuse_a_key_that_overflows_once_packed():
+    renewal = shared_end_code([(0, 1, 1, 0), (1, 1, 0, 0)], 0, 0)
+    ranks = np.full((2, 4), 2**30, dtype=np.int64)
+    renewal.__dict__["_cache__ranks"] = {1: ranks}
+    # six pairs: the pair key fits in int64, shifted past 3 index bits it does not
+    assert (2**30 + 1) ** 2 < 2**63 < (2**30 + 1) ** 2 << 3
+    with pytest.raises(OverflowError, match="depth-2 window pairs overflow an int64 key"):
+        renewal._ranks(2)
+
+
+@st.composite
+def packable_keys(draw):
+    """Up to 70 int64 keys inside `_stable_order`'s packed range, with ties
+    and keys at both ends of it."""
+    n = draw(st.integers(0, 70))
+    bound = 1 << 63 - max(n - 1, 0).bit_length()
+    value = st.one_of(
+        st.integers(-3, 3), st.sampled_from([-bound, bound - 1]), st.integers(-bound, bound - 1)
+    )
+    return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.int64)
+
+
+@given(packable_keys())
+def test_stable_order_matches_a_stable_argsort(keys):
+    assert (_stable_order(keys) == np.argsort(keys, kind="stable")).all()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.zeros(0, np.int64),
+        np.array([2**63 - 1]),
+        np.array([-(2**63)]),
+        np.zeros(2**15 + 1, np.int64),  # all tied, 16 index bits
+        np.full(3, 2**61 - 1),
+        np.array([-(2**61), 2**61 - 1, -(2**61), 0]),
+        np.random.default_rng(5).integers(0, 7, 50_000),
+    ],
+    ids=["empty", "one-top", "one-bottom", "all-tied", "top", "both-ends", "ties-at-size"],
+)
+def test_stable_order_examples(keys):
+    order = _stable_order(keys)
+    assert order.dtype == np.int64 and (order == np.argsort(keys, kind="stable")).all()
+
+
+@pytest.mark.parametrize("keys", [[2**61, 0, 0], [0, -(2**61) - 1, 0], [2**62, 2**62]])
+def test_stable_order_refuses_keys_past_the_packed_range(keys):
+    with pytest.raises(OverflowError):
+        _stable_order(np.array(keys, np.int64))
+
+
+# (seed, alphabet, k, code words, shared prefix, shared suffix): more than
+# 2**15 context windows each, so every packed key carries 16 index bits
+REAL_SIZE = [(31, 3, 24, 1400, 3, 3), (32, 2, 20, 2000, 4, 3)]
+
+
+@pytest.mark.parametrize("seed, a, k, t, prefix, suffix", REAL_SIZE)
+def test_window_tables_match_the_mergesort_versions_at_real_size(seed, a, k, t, prefix, suffix):
+    """Ranks, tables, span tables, cylinder tables (values and key order)
+    and a class's longest avoiding windows, bit for bit, against the
+    `np.unique`, stable `np.argsort` and `np.lexsort` versions."""
+    rng = random.Random(seed)
+    renewal = shared_end_code(
+        [tuple(rng.randrange(a) for _ in range(k)) for _ in range(t)], prefix, suffix
+    )
+    t = len(renewal.code)
+    assert renewal._contexts.size > 2**15
+    pick = lambda n: tuple(rng.randrange(t) for _ in range(n))  # noqa: E731
+    pool = pick(6)
+    codes = [
+        PermutationCode(renewal, pick(2), 0, pick(3), tuple(rng.choice(pool) for _ in range(40))),
+        PermutationCode(renewal, (), 0, (), tuple(rng.choice(pool[:2]) for _ in range(9))),
+    ]
+    sub = renewal.sub_code(t // 5, t)
+    for depth in range(1, renewal.exact_depth + 1):
+        ranks = renewal._ranks(depth)
+        assert (ranks == oracle.unique_ranks(renewal, depth)).all()
+        ids, windows = renewal._table(depth)
+        want_ids, want_windows = oracle.unique_table(renewal, depth)
+        assert ids.dtype == want_ids.dtype and (ids == want_ids).all()
+        assert (windows == want_windows).all()
+        for structure, table in ((renewal, want_ids), (sub, sub._table(depth)[0])):
+            for got, want in zip(structure._spans(depth), oracle.argsort_spans(table)):
+                assert got.dtype == want.dtype and (got == want).all()
+            got = structure.cylinder_table(depth)
+            want = oracle.unique_cylinder_dict(
+                structure._words(depth), table.ravel(), None, table.size
+            )
+            assert got == want and list(got) == list(want)
+        for code in codes:
+            present, longest = code._longest_avoiding(depth)
+            want = oracle.lexsort_longest_avoiding(code, depth, want_ids)
+            assert (present == want[0]).all() and (longest == want[1]).all()
+            rows = Counter(code.glue + code.fixed + code.free)
+            weights = np.repeat(list(rows.values()), k)
+            got = code.cylinder_table(depth)
+            want = oracle.unique_cylinder_dict(
+                renewal._words(depth), want_ids[list(rows)].ravel(), weights, code.uniform_length
+            )
+            assert got == want and list(got) == list(want)
