@@ -10,9 +10,9 @@ failing window identified.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +22,6 @@ from .codes import (
     PermutationCode,
     RenewalStructure,
     find_low_overlap_word,
-    log_orders,
     max_self_overlap,
     renewal_to_sft,
 )
@@ -96,8 +95,8 @@ class Target:
     base_measure: MarkovMeasure
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InfeasibleTargetError(f"target entropy must be >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise InfeasibleTargetError(f"target entropy must be finite and >= 0, got {self.c}")
         require_irreducible(self.base)
         hstar = self.normalized_base_entropy
         if self.c >= hstar:
@@ -144,12 +143,14 @@ class StageParams:
     def __post_init__(self):
         if not (0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be finite and positive")
         if self.word_length < 1 or self.overlap_length < 1:
             raise ValueError("word lengths must be >= 1")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and positive")
+        if self.entropy_target is not None and not math.isfinite(self.entropy_target):
+            raise ValueError("entropy_target must be finite")
         if self.block_depth < 1:
             raise ValueError("block depth must be >= 1")
 
@@ -754,16 +755,17 @@ def build_stage(prev, target, params, settings=None):
     On a renewal ambient (`prev.space` a `RenewalStructure`) the build
     reads only the code and searches nothing: Y, Z (`_select_in_renewal`),
     the connecting paths and Γ, the permutation class of Y's code words
-    (`PermutationCode`), come from it by rule, so `params.entropy_target`
-    must be None (ValueError); the stage has no explicit presentation
-    (`shift` is None).  On the base shift Γ is an enumerated Katok
-    separated set refined by pigeonholing.  Either way Γ has distinct
-    words of one length k, so it is uniquely decipherable with entropy
-    log|Γ|/k (`Stage.entropy`).  Raises InsufficientWordLengthError before
-    assembly when word_length cannot reach the entropy window, and
-    StageVerificationError (with the report attached) when any verified
-    window fails; sub-operation errors propagate.  `settings` is not read;
-    only perfbench still passes it.
+    nearest c1 (`_permutation_class`), come from it by rule, so
+    `params.entropy_target` must be None (ValueError); the stage has no
+    explicit presentation (`shift` is None).  On the base shift Γ is an
+    enumerated Katok separated set refined by pigeonholing.  Either way Γ
+    has distinct words of one length k, so it is uniquely decipherable
+    with entropy log|Γ|/k (`Stage.entropy`).  Raises
+    InsufficientWordLengthError before assembly when word_length cannot
+    reach the entropy window (`_refuse_word_length`: on a renewal ambient,
+    that class misses it), StageVerificationError (with the report
+    attached) when any verified window fails; sub-operation errors
+    propagate.  `settings` is not read; only perfbench still passes it.
     """
     if isinstance(prev.space, PermutationCode):
         raise UnsupportedAmbientError(
@@ -808,11 +810,9 @@ def build_stage(prev, target, params, settings=None):
         end_prev = int(pair.Y_words[end_state, -1])
         path = functools.partial(connecting_word, prev.shift)
     else:
-        order = _canonical_order(len(pair.Y.code), renewal.k, n)
-        # every last state (a, k1 - 1) has the same successors, so the
-        # glue out of the canonical last word serves each order
-        start_prev = order[0] * renewal.k
-        end_prev = order[-1] * renewal.k + renewal.k - 1
+        # γ starts on Y's first code word; every last state (a, k1 - 1) has
+        # the same successors, so the glue out of Y's last word serves each γ
+        start_prev, end_prev = 0, len(pair.Y.code) * renewal.k - 1
         path = renewal.path
 
     # connection-time bound over every state the low-overlap word may touch
@@ -830,7 +830,7 @@ def build_stage(prev, target, params, settings=None):
     # label length of every code word beyond the n symbols of Y it spends
     block = 1 if renewal is not None else pair.Y_words.shape[1]
     extra = len(glue_out) + len(glue_in) + len(w_prev) + block - 1
-    _refuse_word_length(target, params, prev, pair.Y, renewal, extra)
+    _refuse_word_length(target, params, prev, pair.Y, renewal, extra, c1)
 
     if renewal is None:
         code = _enumerated_code(prev, pair.Y_words, gamma, glue_in, glue_out, w_prev)
@@ -838,7 +838,7 @@ def build_stage(prev, target, params, settings=None):
         next_measure = next_shift.renewal
     else:
         code = _permutation_code(
-            renewal, order, glue_in + w_prev + glue_out, len(glue_out), c1
+            renewal, len(pair.Y.code), n, glue_in + w_prev + glue_out, len(glue_out), c1
         )
         _check_separated(code, pair.Y_measure, params, target.base.ambient_size)
         next_shift, next_measure = None, code
@@ -915,17 +915,26 @@ def _enumerated_code(prev, words, gamma, glue_in, glue_out, w_prev):
 LEAST_N_SEARCH = 4096
 
 
-def _canonical_order(t, k1, n):
-    """γ as ambient code-word indices: q passes through Y's t code words,
-    which are the ambient's first t (`RenewalStructure.sub_code`), of length k1."""
-    return tuple(range(t)) * max(1, n // (t * k1))
+def _permutation_class(t, q, k1, glue, c1):
+    """(f, log|Γ|) of the class built from q passes through Y's t code words
+    of length k1 and `glue` more symbols: the first f >= 2 slots of the
+    canonical order fixed (pinning the state every code word starts from),
+    f the first count whose log|Γ|/k is nearest c1.  With f = p t + r,
+    log|Γ| = lgamma(qt - f + 1) - r lgamma(q - p) - (t - r) lgamma(q - p + 1)
+    falls with f, strictly until one word is left free, so the nearest f
+    is the first at or below c1, found by bisection, or the one before.
+    """
+    n, k = q * t, q * t * k1 + glue
 
+    def log_size(f):
+        p, r = divmod(f, t)
+        held = r * math.lgamma(q - p) if r else 0.0
+        return math.lgamma(n - f + 1) - held - (t - r) * math.lgamma(q - p + 1)
 
-def _largest_class_log_size(t, q):
-    """log|Γ| of the largest class `_permutation_code` builds from q passes
-    through t code words: the first two slots fixed, the rest free."""
-    fixed = Counter((tuple(range(t)) * min(2, q))[:2])
-    return log_orders([q - fixed[a] for a in range(t)])
+    first = min(2, n)
+    f = first + bisect.bisect_left(range(first, n + 1), True, key=lambda f: log_size(f) / k <= c1)
+    f = min(range(max(first, f - 1), f + 1), key=lambda f: abs(log_size(f) / k - c1))
+    return f, log_size(f)
 
 
 def _log_path_counter(Y):
@@ -948,32 +957,32 @@ def _log_path_counter(Y):
     return iterated
 
 
-def _refuse_word_length(target, params, prev, Y, renewal, extra):
+def _refuse_word_length(target, params, prev, Y, renewal, extra, c1):
     """Refuse a word length n that cannot reach the entropy window.
 
-    Every code word has k = n + extra symbols, so with a positive lower
-    edge a bound on log|Γ| over k must reach it.  On a renewal ambient γ
+    Every code word has k = n + extra symbols.  On a renewal ambient γ
     runs q times through Y's t code words, so n must be q t k1, and the
-    bound is the size of the largest class it can build there: the n it
-    admits is built.  On the base shift the bound is log|L_n(Y)|, which
-    overcounts Γ, so only a build can tell.  The error names the least n
-    admitted, searching LEAST_N_SEARCH candidates.
+    class the build picks there (`_permutation_class`) must land in the
+    window, so the n it admits passes entropy_window.  On the base shift
+    log|L_n(Y)|/k, which overcounts Γ, must reach the lower edge.  The
+    error names the least n admitted, searching LEAST_N_SEARCH candidates.
     """
-    edge = (1 + params.delta) ** 2 * target.c * roof_integral(prev.measure, target.rho)
+    ri = roof_integral(prev.measure, target.rho)
+    edge = (1 + params.delta) ** 2 * target.c * ri
     n = params.word_length
     if renewal is not None:
-        t = len(Y.code)
+        t, top = len(Y.code), (1 + 3 * params.delta) * target.c * ri
         step = t * renewal.k
 
         def log_size(m):
-            return _largest_class_log_size(t, m // step)
+            return _permutation_class(t, m // step, renewal.k, extra, c1)[1]
 
-        counted = "log|Γ|/k of the largest class (two fixed slots)"
+        counted = "log|Γ|/k of the class nearest c1"
     else:
-        step, log_size, counted = 1, _log_path_counter(Y), "log|L_n(Y)|/k"
+        step, top, log_size, counted = 1, math.inf, _log_path_counter(Y), "log|L_n(Y)|/k"
 
     def admissible(m):
-        return m % step == 0 and (edge <= 0 or log_size(m) / (m + extra) >= edge)
+        return m % step == 0 and edge <= log_size(m) / (m + extra) <= top
 
     if admissible(n):
         return
@@ -983,10 +992,10 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
             f"code words of Y (length k1 = {renewal.k}), so n = q*{step}"
         )
     else:
-        reason = (
-            f"{counted} = {log_size(n) / (n + extra):.6g} < (1+delta)^2 c int(rho) = "
-            f"{edge:.6g} with k = {n + extra}"
-        )
+        h = log_size(n) / (n + extra)
+        bound = f"< (1+delta)^2 c int(rho) = {edge:.6g}" if h < edge else (
+            f"> (1+3delta) c int(rho) = {top:.6g}")
+        reason = f"{counted} = {h:.6g} {bound} with k = {n + extra}"
     # log|Γ|/k stays below log t/k1: with fewer code words no n can reach the edge
     few = renewal is not None and math.log(t) / renewal.k < edge
     candidates = range(step, step * LEAST_N_SEARCH + 1, step) if not few else ()
@@ -1000,6 +1009,8 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
             f"no word_length up to {LEAST_N_SEARCH} reaches the lower edge "
             "(raise entropy_target for a Y with more entropy)"
         )
+    elif not few:
+        fix = f"no word_length up to {step * LEAST_N_SEARCH} puts {counted} in the window"
     else:
         fix = (
             f"no word_length up to {step * LEAST_N_SEARCH} reaches the lower edge "
@@ -1013,27 +1024,14 @@ def _refuse_word_length(target, params, prev, Y, renewal, extra):
     )
 
 
-def _permutation_code(renewal, order, glue_internal, head, c1):
-    """Permutation class of `order` whose entropy is nearest c1.
-
-    The first f >= 2 slots stay fixed, which pins the first state every
-    code word starts from; the first f nearest c1 wins.  Fixing slot f
-    divides the number of orders of the free slots by (free slots) /
-    (copies of order[f] among them), so the log size is updated one slot
-    at a time and only the chosen class is built.
-    """
-    k1 = renewal.k
+def _permutation_code(renewal, t, n, glue_internal, head, c1):
+    """The class `_permutation_class` picks for word length n = q t k1,
+    the only one built."""
+    k1, order = renewal.k, tuple(range(t)) * (n // (t * renewal.k))
     glue = tuple(glue_internal[j] // k1 for j in range(0, len(glue_internal), k1))
     if glue_internal != tuple(a * k1 + p for a in glue for p in range(k1)):
         raise StageVerificationError("glue is not a run of whole ambient code words")
-    n, f0 = len(order), min(2, len(order))
-    counts = Counter(order[f0:])
-    sizes = [log_orders(counts.values())]
-    for a, free in zip(order[f0:], range(n - f0, 0, -1)):
-        sizes.append(sizes[-1] - math.log(free / counts[a]))
-        counts[a] -= 1
-    length = (len(glue) + n) * k1
-    f = f0 + min(range(len(sizes)), key=lambda i: abs(sizes[i] / length - c1))
+    f, _ = _permutation_class(t, len(order) // t, k1, len(glue_internal), c1)
     return PermutationCode(renewal, glue, head, order[:f], order[f:])
 
 

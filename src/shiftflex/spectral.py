@@ -302,8 +302,8 @@ class RoofFunction:
             raise ValueError("roof needs at least one value")
         if any(len(k) != self.depth for k in vals):
             raise ValueError("every roof key must have the declared depth")
-        if min(vals.values()) <= 0:
-            raise ValueError("roof must be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in vals.values()):
+            raise ValueError("roof values must be finite and strictly positive")
         object.__setattr__(self, "values", vals)
 
     @classmethod

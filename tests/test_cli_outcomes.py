@@ -84,6 +84,12 @@ OUTCOMES = [
      "error: [Errno 2] No such file or directory: '{tmp}/nothing/summary.txt'\n"),
     ("infeasible-target", ["construct", "--config", "{tmp}/far.cfg"], 2,
      "infeasible-target: target c=1.03972 is not below h*=0.693147\n"),
+    ("target-c-nan", ["construct", "--config", "{tmp}/nan_c.cfg"], 2,
+     "infeasible-target: target entropy must be finite and >= 0, got nan\n"),
+    ("target-c-fraction-nan", ["construct", "--config", "{tmp}/nan_fraction.cfg"], 2,
+     "infeasible-target: target entropy must be finite and >= 0, got nan\n"),
+    ("target-c-inf", ["construct", "--config", "{tmp}/inf_c.cfg"], 2,
+     "infeasible-target: target entropy must be finite and >= 0, got inf\n"),
     ("stage-failure", ["construct", "--config", "{tmp}/full2.cfg"], 3,
      "stage failure: stage 1 failed verification: entropy_window, bracket\n"),
     ("unsupported-ambient", ["construct", "--config", "{configs}/full2_tower.cfg", "--stages", "3"], 3,
@@ -112,6 +118,9 @@ def test_each_outcome_has_its_exit_code_and_stderr_line(argv, code, err, tmp_pat
     (tmp_path / "case.cfg").write_text(FULL2.replace("matrix = 11 11", "matrix = 11 11\ncolour = 1"))
     (tmp_path / "full2.cfg").write_text(FULL2)
     (tmp_path / "far.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = 1.5"))
+    (tmp_path / "nan_c.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c = nan"))
+    (tmp_path / "nan_fraction.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = nan"))
+    (tmp_path / "inf_c.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c = inf"))
     (tmp_path / "deep.cfg").write_text(DEEP_ROOF)
     (tmp_path / "one.cfg").write_text(ONE_SYMBOL)
     argv = [a.format(tmp=tmp_path, configs=CONFIGS) for a in argv]

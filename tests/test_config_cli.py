@@ -417,10 +417,29 @@ TWO_STAGES = SMALL.replace("stages = 1", "stages = 2") + "\n[stage 2]\n{key} = {
          "stage 2 block_depth: only stage 1 searches for Y; "
          "a later stage takes Y by rule from the code of its ambient"),
         (SMALL, ["--stages", "-1"], "field 'stages': stages must be >= 0, got -1"),
+        (SMALL.replace("delta = 0.11", "delta = nan"), [],
+         "stage 1 delta: delta must lie in (0, 1), got nan"),
+        (SMALL.replace("kappa = 0.5", "kappa = nan"), [],
+         "stage 1 kappa: kappa must be finite and positive, got nan"),
+        (SMALL.replace("kappa = 0.5", "kappa = inf"), [],
+         "stage 1 kappa: kappa must be finite and positive, got inf"),
+        (SMALL.replace("radius = 0.5", "radius = nan"), [],
+         "stage 1 radius: radius must be finite and positive, got nan"),
+        (SMALL.replace("radius = 0.5", "radius = inf"), [],
+         "stage 1 radius: radius must be finite and positive, got inf"),
+        (SMALL.replace("entropy_target = 0.38", "entropy_target = nan"), [],
+         "stage 1 entropy_target: entropy_target must be finite, got nan"),
+        (SMALL.replace("constant = 1.0", "constant = nan"), [],
+         "field 'roof': bad roof: roof values must be finite and strictly positive"),
+        (SMALL.replace("constant = 1.0", "constant = inf"), [],
+         "field 'roof': bad roof: roof values must be finite and strictly positive"),
+        (SMALL.replace("constant = 1.0", "0 = 1.0\n1 = nan"), [],
+         "field 'roof': bad roof: roof values must be finite and strictly positive"),
     ],
     ids=["metric-depth-flag", "metric-depth-key", "word-length", "delta",
          "delta-decay", "kappa-decay", "stage-2-entropy-target", "stage-2-block-depth",
-         "negative-stages"],
+         "negative-stages", "delta-nan", "kappa-nan", "kappa-inf", "radius-nan", "radius-inf",
+         "entropy-target-nan", "roof-constant-nan", "roof-constant-inf", "roof-value-nan"],
 )
 def test_cmd_construct_refused_values_are_config_errors(text, args, error, tmp_path, capsys):
     cfg = tmp_path / "case.cfg"

@@ -4,6 +4,7 @@ explicit renewal presentation of the same code words."""
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -34,8 +35,9 @@ from shiftflex.codes import PermutationCode, RenewalStructure
 from shiftflex.construction import (
     Stage,
     _check_separated,
-    _largest_class_log_size,
+    _permutation_class,
     _sync_depth,
+    derive_c1,
 )
 from shiftflex.words import is_label_admissible, label_language, longest_window_avoiding
 
@@ -74,10 +76,15 @@ def target(c):
     )
 
 
-def params(word_length):
+def params(word_length, delta=0.05):
     return StageParams(
-        delta=0.05, kappa=0.6, word_length=word_length, metric=MetricConfig(2), radius=0.6,
+        delta=delta, kappa=0.6, word_length=word_length, metric=MetricConfig(2), radius=0.6,
     )
+
+
+# per t, a delta at which c = 0.01 and one pass through Y's t code words
+# land in the entropy window (at 0.05 both classes of 4! words overshoot)
+ONE_PASS_DELTA = {6: 0.15, 8: 0.07}
 
 
 def build(prev, tgt, p):
@@ -94,7 +101,7 @@ def build(prev, tgt, p):
 )
 def test_structured_stage_matches_explicit_presentation(words, c, t, size):
     prev, tgt = renewal_stage(words), target(c)
-    p = params(t * 10)
+    p = params(t * 10, ONE_PASS_DELTA[t])
     stage, report = build(prev, tgt, p)
     assert stage.shift is None and report.gamma_size == size
     code = Code(tuple(stage.code.words()))
@@ -127,11 +134,13 @@ def test_structured_stage_matches_explicit_presentation(words, c, t, size):
 @pytest.mark.parametrize(
     "c, n, least, message",
     [
-        # n = 12 is no whole pass through Y's t = 6 code words of length 10,
-        # and the largest class of fewer than four passes is below the edge
-        (0.05, 12, 240, "least admissible word_length is 240"),
-        # log|Γ|/k of the largest class stays below (1+delta)^2 c int(rho)
-        # up to four passes, not at five
+        # n = 12 is no whole pass through Y's t = 6 code words of length 10;
+        # at three passes the class nearest c1 overshoots the upper edge
+        # (0.069760 against 0.069575), at four it lands
+        (0.04, 12, 240, "least admissible word_length is 240"),
+        # it overshoots at four and five passes and lands at six
+        (0.05, 12, 360, "least admissible word_length is 360"),
+        # below five passes the class nearest c1 stays under the lower edge
         (0.065, 60, 300, "least admissible word_length is 300"),
         # the lower edge lies above h(Y) = log(6)/10: no word length reaches it
         (0.2, 12, None, "least word_length of the form q\\*60 is 60"),
@@ -144,28 +153,72 @@ def test_renewal_ambient_refuses_word_length(c, n, least, message):
     assert exc.value.least_word_length == least
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "each fixed slot moves log|Γ|/k by about 0.005, more than the window is wide: "
-    "h 0.069760 > 0.069575 at n = 180, and 0.087311 > 0.086969 at n = 240"))
+def test_a_whole_pass_that_overshoots_is_refused_before_assembly():
+    """At four passes the class nearest c1 lies above the upper edge: the
+    refusal says so instead of building a stage that fails entropy_window."""
+    prev, tgt = renewal_stage(AMBIENT_SYNCED), target(0.05)
+    with pytest.raises(InsufficientWordLengthError, match=(
+        r"log\|Γ\|/k of the class nearest c1 = 0.0873105 > \(1\+3delta\) c int\(rho\) = "
+        r"0.0869687 with k = 330; the least admissible word_length is 360$"
+    )):
+        build_stage(prev, tgt, params(240))
+
+
 @pytest.mark.parametrize("c", [0.04, 0.05])
 def test_the_named_word_length_lands_in_the_entropy_window(c):
-    """Whatever n the refusal names, the build at n passes entropy_window.
-    Today it overshoots the upper edge at both values of c."""
+    """Whatever n the refusal names, the build at n passes every check."""
     prev, tgt = renewal_stage(AMBIENT_SYNCED), target(c)
     with pytest.raises(InsufficientWordLengthError) as exc:
         build_stage(prev, tgt, params(12))
     _, report = build(prev, tgt, params(exc.value.least_word_length))
     lo, h, hi = report.entropy_window
-    assert lo <= h <= hi
+    assert lo <= h <= hi and report.all_pass
+
+
+def random_ambient(rng):
+    """5-9 code words over {0, 1, 2} of length 9-11 with AMBIENT_SYNCED's
+    shared prefix and suffix."""
+    middle, size = rng.randint(2, 4), rng.randint(5, 9)
+    words = set()
+    while len(words) < size:
+        words.add((1, 1) + tuple(rng.randrange(3) for _ in range(middle)) + (0, 2, 1, 2, 0))
+    return tuple(sorted(words))
+
+
+def test_every_admitted_word_length_lands_in_the_entropy_window():
+    """On seeded random renewal ambients and targets, the n the refusal
+    names and every whole-pass n it admits build a stage in the window."""
+    rng, seen = random.Random(31), Counter()
+    for _ in range(16):
+        words = random_ambient(rng)
+        prev, t, k1 = renewal_stage(words), len(words) - 2, len(words[0])
+        for _ in range(2):
+            tgt = target(rng.uniform(0.1, 0.8) * math.log(t) / (1.6 * k1))
+            with pytest.raises(InsufficientWordLengthError) as exc:
+                build_stage(prev, tgt, params(1))
+            least = exc.value.least_word_length
+            for n in {least, *(q * t * k1 for q in range(1, 6))} - {None}:
+                try:
+                    _, report = build(prev, tgt, params(n))
+                except InsufficientWordLengthError:
+                    assert n != least
+                    seen["refused"] += 1
+                    continue
+                lo, h, hi = report.entropy_window
+                assert lo <= h <= hi
+                seen["admitted"] += 1
+    assert seen["admitted"] > 20 and seen["refused"] > 20
 
 
 def test_renewal_ambient_builds_the_named_word_length():
-    """The refusal's bound is the entropy of the class with two fixed slots,
-    so the n it names is built, and here it verifies."""
+    """The refusal reads the class the build picks, so the n it names is
+    built with that class, and here it verifies."""
     prev, tgt = renewal_stage(AMBIENT_SYNCED), target(0.065)
     stage, report = build_stage(prev, tgt, params(300))
     assert report.all_pass and len(stage.code.fixed) == 2
-    assert _largest_class_log_size(6, 5) / report.k == report.h_top
+    c1 = derive_c1(tgt, params(300), prev.measure)
+    f, log_size = _permutation_class(6, 5, 10, report.k - 300, c1)
+    assert f == 2 and log_size / report.k == pytest.approx(report.h_top, rel=1e-12)
 
 
 def test_renewal_ambient_takes_y_by_rule():
@@ -183,7 +236,7 @@ def test_renewal_ambient_takes_y_by_rule():
 
 
 def test_structured_stage_is_no_ambient():
-    tgt, p = target(0.01), params(80)
+    tgt, p = target(0.01), params(80, ONE_PASS_DELTA[8])
     stage, _ = build(renewal_stage(AMBIENT_UNSYNCED), tgt, p)
     with pytest.raises(UnsupportedAmbientError):
         build_stage(stage, tgt, p)

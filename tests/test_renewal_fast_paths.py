@@ -25,15 +25,15 @@ from shiftflex import (
     renewal_to_sft,
     topological_entropy,
 )
-from shiftflex.codes import RenewalStructure
+from shiftflex.codes import RenewalStructure, log_orders
 from shiftflex.construction import (
     NESTING_DEPTHS,
-    _canonical_order,
     _connection_time,
     _disjoint_depth,
     _languages_agree,
     _nests,
     _neighbour_masks,
+    _permutation_class,
     _permutation_code,
 )
 from shiftflex.words import (
@@ -52,6 +52,7 @@ from shiftflex.words import (
 from tests.test_permutation import (
     AMBIENT_SYNCED,
     AMBIENT_UNSYNCED,
+    ONE_PASS_DELTA,
     build,
     params,
     renewal_stage,
@@ -380,23 +381,40 @@ def test_state_slice_is_the_checked_restriction():
 
 
 def test_permutation_code_choice_matches_per_class_loop():
+    """The class the build picks, q passes through the first t code words
+    in canonical order, is the one the per-class loop picks."""
     rng, chosen = random.Random(29), set()
     for a, code in random_codes(37, 60):
-        renewal, t = renewal_to_sft(code, ambient_size=a).renewal, len(code)
+        renewal, t_all = renewal_to_sft(code, ambient_size=a).renewal, len(code)
         k = renewal.k
         for _ in range(4):
-            order = tuple(rng.randrange(t) for _ in range(rng.randint(1, 12)))
-            if rng.random() < 0.3:  # a free run of one word: classes of equal size
-                order = order[:3] + (order[-1],) * rng.randint(1, 5)
-            glue = tuple(rng.randrange(t) for _ in range(rng.randint(1, 3)))
+            t, q = rng.randint(1, t_all), rng.randint(1, 6)  # t = 1: classes of equal size
+            order = tuple(range(t)) * q
+            glue = tuple(rng.randrange(t_all) for _ in range(rng.randint(1, 3)))
             glue_internal = tuple(g * k + p for g in glue for p in range(k))
             head = rng.randrange(len(glue_internal))
             top = math.lgamma(len(order) + 1) / ((len(glue) + len(order)) * k)
             for c1 in (0.0, rng.uniform(0, 1.2 * top), top):
-                got = _permutation_code(renewal, order, glue_internal, head, c1)
+                got = _permutation_code(renewal, t, q * t * k, glue_internal, head, c1)
                 assert got == oracle.permutation_code(renewal, glue, head, order, c1)
                 chosen.add(len(got.fixed))
     assert len(chosen) > 5
+
+
+def test_permutation_class_log_size_matches_counted_multiset():
+    """At every fixed-slot count f, the closed form is log_orders of the
+    free multiset: c1 set to that class's entropy picks f back, unless
+    several classes hold one free word (log 1 = 0), with the same size."""
+    for t in range(1, 7):
+        for q in range(1, 6):
+            n = q * t
+            for glue in (0, 7):
+                k = n * 3 + glue
+                for f in range(min(2, n), n + 1):
+                    counted = log_orders(Counter((tuple(range(t)) * q)[f:]).values())
+                    got_f, got = _permutation_class(t, q, 3, glue, counted / k)
+                    assert got == pytest.approx(counted, rel=1e-12, abs=1e-12)
+                    assert got_f == f or counted == got == 0
 
 
 def disjoint_depth_loop(y, z, cap):
@@ -539,13 +557,12 @@ def test_renewal_pairs_disjointness_matches_graph_twin():
 )
 def test_structured_stage_glue_matches_graph_search(words, c, t):
     prev = renewal_stage(words)
-    stage, report = build(prev, target(c), params(t * 10))
+    stage, report = build(prev, target(c), params(t * 10, ONE_PASS_DELTA[t]))
     art, renewal, k = report.artifacts, prev.shift.renewal, prev.shift.renewal.k
     plain = graph_twin(prev.code, 3)
     y_words = art.Y.code.words
     assert y_words == renewal.code.words[: len(y_words)]  # Y is the first t ambient words
-    order = _canonical_order(len(y_words), k, t * 10)
-    start, end = order[0] * k, order[-1] * k + k - 1
+    start, end = 0, len(y_words) * k - 1  # γ starts on Y's first word, ends on its last
     # Z is the two ambient code words after Y's
     z_states = list(range(len(y_words) * k, (len(y_words) + 2) * k))
     assert art.Z.renewal.code.words == renewal.code.words[len(y_words) : len(y_words) + 2]
@@ -561,7 +578,7 @@ def test_structured_stage_glue_matches_graph_search(words, c, t):
 
 def test_unwalked_presentations_hold_no_adjacency():
     prev = renewal_stage(AMBIENT_SYNCED)
-    _, report = build(prev, target(0.01), params(60))
+    _, report = build(prev, target(0.01), params(60, ONE_PASS_DELTA[6]))
     # Y has no presentation to walk: it is a row range of the ambient
     assert not isinstance(report.artifacts.Y, VertexShift)
     assert report.artifacts.Y.ambient is prev.shift.renewal
