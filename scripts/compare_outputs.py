@@ -10,9 +10,9 @@ Runs `python3 -m shiftflex construct` and the analysis commands
 `configs/` and on every entry of its `perfbench/flex_entries.json` (read,
 never written), the `construct` refusal runs of `REFUSALS`, and the
 analysis commands on the block presentation `BLOCK`, once with each
-checkout's `src/`.  Both sides of a case run on the same config
-text, in working directories laid out alike, so that printed paths
-agree.  The output directories of `construct` (file names and bytes),
+checkout's `src/`, the two sides of a case at once, in two processes.
+Both sides of a case run on the same config text, in working
+directories laid out alike, so that printed paths agree.  The output directories of `construct` (file names and bytes),
 stdout, stderr and the exit code must match.  Runs every case, prints
 each differing one with all its differences (for each differing output
 file, how many lines differ and the first of them), and exits 1 when any
@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,10 +137,14 @@ def main(argv=None):
     if not (Path(args.against) / "src" / "shiftflex").is_dir():
         ap.error(f"{args.against} holds no src/shiftflex")
     count = differing = 0
-    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+    # the two sides of a case run at once, each in its own process; a
+    # thread per side only waits for its process
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp, \
+            ThreadPoolExecutor(2) as pool:
         for case, text, command in runs():
-            mine = run(ROOT, text, command, Path(tmp) / "here" / case)
-            theirs = run(args.against, text, command, Path(tmp) / "there" / case)
+            here = pool.submit(run, ROOT, text, command, Path(tmp) / "here" / case)
+            there = pool.submit(run, args.against, text, command, Path(tmp) / "there" / case)
+            mine, theirs = here.result(), there.result()
             count += 1
             diffs = differences(mine, theirs)
             if diffs:

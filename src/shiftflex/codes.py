@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,35 +242,64 @@ class RenewalStructure:
 
         From offset s of a code word a prefix reads a tail w[s:], whole
         code words, then the start of one.  Any code word may follow any
-        other, so each piece is matched on its own (`_matched`): the k
-        symbols at each position p against the code words give how far a
-        reading that starts a code word at p runs, and the first piece of
-        each offset s > 0 hands on to it at p = k - s.  The windows take
-        rows × (d + 1) × k letters at once.
+        other, so each piece is matched on its own (`_matched`), and only
+        at the alignments a reading reaches: position 0, and the end
+        k - s of each offset-s head that matched its whole tail.  A
+        reading moves on by k only past a whole code word, so each round
+        matches the next k symbols of the live readings at once, in at
+        most d / k + 1 rounds.
         """
         words = np.asarray(words, dtype=np.int64)
         (rows, d), k, letters = words.shape, self.k, self._letters
         text = np.zeros((rows, d + k), letters.dtype)
         text[:, :d] = np.where((words >= 0) & (words < letters.max()), words + 1, 0)
-        lcp = self._matched(0, text[:, np.arange(d + 1)[:, None] + np.arange(k)].reshape(-1, k))
-        lcp = lcp.reshape(rows, d + 1)
-        reach = np.arange(d + 1) + lcp
-        for hi in range(d + 1 - k, 0, -k):  # a whole code word at p hands on to p + k
-            lo = max(hi - k, 0)
-            reach[:, lo:hi] = np.where(lcp[:, lo:hi] == k, reach[:, lo + k : hi + k], reach[:, lo:hi])
-        best = reach[:, 0]
+        best = np.zeros(rows, np.int64)
+        row, at = [np.arange(rows)], [np.zeros(rows, np.int64)]
         for s in range(1, k):
             head = self._matched(s, text[:, : k - s])
-            best = np.maximum(best, np.where(head == k - s, reach[:, min(k - s, d)], head))
+            best = np.maximum(best, head)
+            row.append(np.flatnonzero(head == k - s))
+            at.append(np.full(len(row[-1]), k - s))
+        row, at = np.concatenate(row), np.concatenate(at)
+        while len(row):
+            lcp = self._matched(0, text.ravel()[(row * (d + k) + at)[:, None] + np.arange(k)])
+            np.maximum.at(best, row, at + lcp)
+            whole = lcp == k  # a whole code word: the reading goes on past it
+            row, at = row[whole], at[whole] + k
         return best
+
+    def path_labels(self, depth, budget=DEFAULT_WORD_BUDGET):
+        """The label word of every internal path of `depth` states of the
+        presentation (`renewal_to_sft`), one row each, unsorted and with
+        repeats: the rows `label_rows` deduplicates.
+
+        A path from offset p of a code word crosses (p + depth - 1) // k
+        junctions, each to any of the t code words, so the paths that
+        cross j of them are the windows at those offsets of the t^(j + 1)
+        runs of j + 1 code words.  CapacityError past `budget` paths, as
+        `language` refuses the presentation's words."""
+        t, k = len(self.code), self.k
+        cross = (np.arange(k) + depth - 1) // k
+        total = t * sum(t ** j for j in cross.tolist())
+        if total > budget:
+            raise CapacityError(total, budget)
+        rows = []
+        for j in np.unique(cross).tolist():
+            runs = self._array[np.indices((t,) * (j + 1)).reshape(j + 1, -1).T]
+            runs = runs.reshape(t ** (j + 1), -1)
+            offsets = np.flatnonzero(cross == j)
+            rows.append(runs[:, offsets[:, None] + np.arange(depth)].reshape(-1, depth))
+        return np.concatenate(rows)
 
     @cached_property
     def shared_ends(self):
-        """(P, S): lengths of the prefix and suffix every code word shares."""
-        words = self.code.words
-        p = len(os.path.commonprefix(words))
-        s = len(os.path.commonprefix([w[::-1] for w in words]))
-        return min(p, self.k), min(s, self.k)
+        """(P, S): lengths of the prefix and suffix every code word shares,
+        the leading and trailing columns on which every letter row is the
+        first."""
+        same = (self._letters == self._letters[0]).all(axis=0)
+        if same.all():
+            return self.k, self.k
+        return int(same.argmin()), int(same[::-1].argmin())
 
     @property
     def exact_depth(self):
@@ -387,6 +415,14 @@ class RenewalStructure:
         step[start] = 0
         end = np.append(start[1:], len(off)) - 1
         return win[start], word[start], off[start], off[end], np.maximum.reduceat(step, start)
+
+    @_per_depth
+    def _spans_by_word(self, depth):
+        """The span rows (`_spans`) grouped by code word: their order, and
+        the t + 1 bounds of each code word's run in it."""
+        word = self._spans(depth)[1]
+        order = _stable_order(word)
+        return order, np.searchsorted(word[order], np.arange(len(self.code) + 1))
 
     @_per_depth
     def longest_avoiding(self, depth):
@@ -590,15 +626,20 @@ class PermutationCode:
         return self.word_length + len(self.glue) * self.ambient.k
 
     @cached_property
+    def _counts(self):
+        """How often each ambient code word, by index, is in the free multiset."""
+        return np.bincount(np.asarray(self.free, np.int64), minlength=len(self.ambient.code))
+
+    @cached_property
     def size(self):
         """Exact number of code words: distinct orders of the free multiset,
         |free|! over the factorials of its multiplicities, in one division."""
-        repeats = (math.factorial(c) for c in Counter(self.free).values() if c > 1)
+        repeats = (math.factorial(c) for c in self._counts.tolist() if c > 1)
         return math.factorial(len(self.free)) // math.prod(repeats)
 
-    @property
+    @cached_property
     def log_size(self):
-        return log_orders(Counter(self.free).values())
+        return log_orders(self._counts[self._counts > 0].tolist())
 
     @property
     def entropy(self):
@@ -620,25 +661,28 @@ class PermutationCode:
         for order in _multiset_permutations(self.free):
             yield glue[cut:] + self.gamma_word(order) + glue[:cut]
 
+    @cached_property
     def _rows(self):
         """The distinct ambient code words of one code word, in order of
-        first appearance from the glue on, and how often each occurs."""
-        return Counter(self.glue + self.fixed + self.free)
+        first appearance from the glue on, and how often each occurs, as
+        two arrays."""
+        rows = Counter(self.glue + self.fixed + self.free)
+        return np.array(list(rows)), np.array(list(rows.values()))
 
     @_per_depth
     def cylinder_table(self, depth):
         """Cylinder table shared by every invariant measure of the renewal
         system, for depths the ambient's single code words decide."""
-        rows = self._rows()
-        ids = self.ambient._table(depth)[0][list(rows)].ravel()
-        weights = np.repeat(list(rows.values()), self.ambient.k)
+        rows, counts = self._rows
+        ids = self.ambient._table(depth)[0][rows].ravel()
+        weights = np.repeat(counts, self.ambient.k)
         return _cylinder_dict(self.ambient._words(depth), ids, weights, self.uniform_length)
 
     def window_ids(self, depth):
         """Ids of the depth-`depth` windows of the class in the ambient's
         table (`RenewalStructure._table`), ascending: lexicographically."""
         ids, windows = self.ambient._table(depth)
-        return np.flatnonzero(np.bincount(ids[list(self._rows())].ravel(), minlength=len(windows)))
+        return np.flatnonzero(np.bincount(ids[self._rows[0]].ravel(), minlength=len(windows)))
 
     def language(self, depth):
         """Label words of the given depth, lexicographically ordered."""
@@ -664,7 +708,8 @@ class PermutationCode:
         (`RenewalStructure._spans`) records.  The glue and fixed slots
         come first and never move; the free slots follow in any order.
         Consecutive occurrences are then one of:
-        - two in the fixed part, met one slot at a time;
+        - two in the fixed part, neighbours among the fixed slots' span
+          rows ordered by window and then by slot;
         - two inside one free word;
         - the fixed part and the first free hit (hits packed last), or the
           last free hit and the next fixed part (hits packed first);
@@ -674,31 +719,36 @@ class PermutationCode:
           widest pair of distinct hits, from the top two of each window.
         Every code word holds every ambient word of the block, so each of
         their windows recurs.  A window between occurrences p < p' has at
-        most p' - p + depth - 2 symbols.  The span rows are grouped by code
-        word, and the free hits ordered by window and then by lo descending
-        or hi ascending, each by one stable sort of a single key
+        most p' - p + depth - 2 symbols.  The ambient groups its span rows
+        by code word once per depth (`_spans_by_word`); the fixed slots'
+        rows are ordered by window, and the free hits by window and then by
+        lo descending or hi ascending, each by one stable sort of one key
         (`_stable_order`): offsets lie in [0, k1), so window * k1 + offset
         orders both at once.
         """
         amb, k1 = self.ambient, self.ambient.k
         win, word, lo, hi, step = amb._spans(depth)
-        n, slots = len(amb._table(depth)[1]), self.glue + self.fixed
+        n, slots = len(amb._table(depth)[1]), np.asarray(self.glue + self.fixed, np.int64)
         s0, n_free = len(slots), len(self.free)
         period = (s0 + n_free) * k1
         seen = np.zeros(n, bool)
         fx_lo, fx_hi, gap, hits, top, bottom = (np.zeros(n, np.int64) for _ in range(6))
-        by_word = _stable_order(word)
-        bounds = np.searchsorted(word[by_word], np.arange(len(amb.code) + 1))
-        for i, a in enumerate(slots):
-            r = by_word[bounds[a] : bounds[a + 1]]
-            w = win[r]
-            old = seen[w]
-            across = np.where(old, i * k1 + lo[r] - fx_hi[w], 0)
-            gap[w] = np.maximum.reduce([gap[w], step[r], across])
-            fx_lo[w] = np.where(old, fx_lo[w], i * k1 + lo[r])
-            fx_hi[w] = i * k1 + hi[r]
-            seen[w] = True
-        count = np.bincount(np.asarray(self.free, np.int64), minlength=len(amb.code))
+        # the span rows of the fixed slots, slot after slot, then by window:
+        # each window's occurrences in slot order, a stable sort keeping it
+        by_word, bounds = amb._spans_by_word(depth)
+        size = bounds[slots + 1] - bounds[slots]
+        r = by_word[np.repeat(bounds[slots] + size - size.cumsum(), size) + np.arange(size.sum())]
+        i = np.repeat(np.arange(s0), size)
+        by_win = _stable_order(win[r])
+        r, i = r[by_win], i[by_win]
+        w, at_lo, at_hi = win[r], i * k1 + lo[r], i * k1 + hi[r]
+        g, last = np.flatnonzero(np.diff(w, prepend=-1)), np.flatnonzero(np.diff(w, append=-1))
+        across = at_lo - np.roll(at_hi, 1)
+        across[g] = 0
+        seen[w[g]] = True
+        fx_lo[w[g]], fx_hi[w[g]] = at_lo[g], at_hi[last]
+        gap[w[g]] = np.maximum.reduceat(np.maximum(step[r], across), g)
+        count = self._counts
         f = np.flatnonzero(count[word])
         g = np.flatnonzero(np.diff(win[f], prepend=-1))
         fw, lo_f, hi_f = win[f[g]], lo[f], hi[f]

@@ -7,12 +7,13 @@ keeps line numbers for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .construction import (
     Target, next_params, plan_initial_params, require_irreducible, validate_schedule
 )
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleTargetError
 from .measures import MetricConfig
 from .spectral import RoofFunction, abramov, markov_entropy, parry_measure, roof_integral
 from .words import VertexShift, from_forbidden_words, full_shift, label_language
@@ -85,6 +86,10 @@ class RunConfig:
         if self.c is not None:
             c = self.c
         elif self.c_fraction is not None:
+            if not (math.isfinite(self.c_fraction) and self.c_fraction >= 0):
+                raise InfeasibleTargetError(
+                    f"c_fraction must be finite and >= 0, got {self.c_fraction}"
+                )
             c = self.c_fraction * hstar
         else:
             raise ConfigError("target needs `c` or `c_fraction`", field="target")

@@ -63,7 +63,6 @@ from .words import (
     induced_subshift,
     is_admissible,
     is_irreducible,
-    label_rows,
     label_word,
     language,
     languages_disjoint,
@@ -565,7 +564,7 @@ def _select_in_renewal(renewal, m, c1, kappa, cfg):
     y = renewal.sub_code(0, t)
     h, d = math.log(t) / k, weak_star_distance(y, m, cfg)
     z_sub = renewal_to_sft(renewal.sub_code(t, t + 2).code)
-    k1 = _disjoint_depth(y, z_sub, 6 * k)
+    k1 = _disjoint_depth(y, z_sub.renewal, 6 * k)
     why = []
     if abs(h - c1) > kappa:
         why.append(f"log t/k1 = {h:.6g} is not within kappa = {kappa:.6g} of c1 = {c1:.6g}")
@@ -580,17 +579,19 @@ def _select_in_renewal(renewal, m, c1, kappa, cfg):
 
 
 def _disjoint_depth(y, z, cap):
-    """Least depth at which the renewal code y and the renewal presentation
-    z share no label word, or None when they still share one at depth `cap`.
+    """Least depth at which the renewal codes y and z share no label word,
+    or None when they still share one at depth `cap`.
 
     The shared words are closed under prefixes, and every word of z
-    extends to any depth.  So when the longest prefix y admits of any
-    depth-D word of z (`RenewalStructure.admitted`) is m < D, the least
-    depth is m + 1; D starts at 2 k and doubles up to `cap`.
+    extends to any depth.  So when the longest prefix y admits
+    (`RenewalStructure.admitted`) of any depth-D label word of z's
+    presentation, read from z's code words (`RenewalStructure.path_labels`),
+    is m < D, the least depth is m + 1; D starts at 2 k and doubles up to
+    `cap`.  No word is sorted or deduplicated: only the maximum is read.
     """
     depth = min(2 * y.k, cap)
     while True:
-        m = int(y.admitted(label_rows(z, depth)).max())
+        m = int(y.admitted(z.path_labels(depth)).max())
         if m < depth or depth == cap:
             return m + 1 if m < depth else None
         depth = min(2 * depth, cap)
@@ -1078,19 +1079,20 @@ def _sync_depth(space, prev_depth):
         lengths = _lengths(space, prev_depth)
     except StructureDepthError:
         return None, f"depth {prev_depth} beyond the depths the coded stage decides"
-    if None in lengths:
+    if np.isinf(lengths).any():
         pairs = space.longest_avoiding(prev_depth)
         avoided = "".join(map(str, next(w for w, m in pairs if m is None)))
         return None, f"windows of every length avoid the depth-{prev_depth} word {avoided}"
-    return max(lengths, default=0) + 1, None
+    return int(lengths.max(initial=0)) + 1, None
 
 
 def _lengths(space, depth):
     """The longest window avoiding each depth-`depth` word of `space`, in
-    the order of `longest_avoiding`; a permutation class builds no word."""
+    the order of `longest_avoiding`, as an array, inf where windows of any
+    length avoid the word; a permutation class builds no word."""
     if isinstance(space, PermutationCode):
-        return space._longest_avoiding(depth)[1].tolist()
-    return [m for _, m in space.longest_avoiding(depth)]
+        return space._longest_avoiding(depth)[1]
+    return np.array([math.inf if m is None else m for _, m in space.longest_avoiding(depth)])
 
 
 def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
@@ -1268,11 +1270,14 @@ def _saturated(space, depth_from, depth_to):
     """Every depth_from word occurs inside every depth_to word of the
     stage space `space`."""
     try:
-        for m in _lengths(space, depth_from):
-            if m is None or m >= depth_to:
-                return False, f"window of length {m} avoids a depth-{depth_from} word"
+        lengths = _lengths(space, depth_from)
     except StructureDepthError:
         return False, f"depth {depth_from} beyond the depths the coded stage decides"
+    long = lengths >= depth_to
+    if long.any():
+        m = lengths[long.argmax()]  # the first offending length
+        m = None if np.isinf(m) else int(m)
+        return False, f"window of length {m} avoids a depth-{depth_from} word"
     return True, f"all depth-{depth_from} words occur in every depth-{depth_to} word"
 
 

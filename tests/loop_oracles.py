@@ -4,15 +4,17 @@ Each function is the plain-Python version that the array kernels of
 `shiftflex.words`, `shiftflex.measures` and `shiftflex.codes`, or the set
 operations of `shiftflex.construction`, replaced; the differential tests in
 `test_generic_kernels.py`, `test_measures.py`,
-`test_renewal_fast_paths.py`, `test_spectral.py`, `test_window_tables.py`
-and `test_word_arrays.py` require them to give the same answers.  The graph
+`test_renewal_fast_paths.py`, `test_spectral.py`, `test_stage_two_paths.py`,
+`test_window_tables.py` and `test_word_arrays.py` require them to give the same answers.  The graph
 searches walk per-state successor and predecessor lists (`successors`,
 `predecessors`), one state and one edge at a time; the code-word windows of
 renewal and permutation-class stages are one (offset, window) tuple per
 attributed window; the stage-1 assembly checks and labels one word tuple at
 a time; a renewal code admits a label word one piece at a time, found by
-bisection in its sorted tails; the depth at which two codes stop sharing
-words grows the shared words one symbol at a time; a permutation class is
+bisection in its sorted tails, or a batch of them matched at every
+position; the ends every code word shares are common prefixes of tuples;
+saturation reads one avoiding length at a time; the depth at which two
+codes stop sharing words grows the shared words one symbol at a time; a permutation class is
 chosen from one class built per number of fixed slots and counted one
 multiplicity at a time; window tables rank one more symbol per depth, or
 rank, order and key their windows by numpy's mergesort (`np.unique`,
@@ -27,6 +29,7 @@ scipy, its residuals recomputed.
 import bisect
 import functools
 import math
+import os
 from collections import Counter, deque
 
 import numpy as np
@@ -584,6 +587,47 @@ def renewal_admits(renewal, word):
         if pos == len(word) or starts_a_tail(0, word[pos:]):
             return True
     return False
+
+
+def every_position_admitted(renewal, words):
+    """`RenewalStructure.admitted` matching the k symbols at every one of
+    the d + 1 positions of every row against the code words, then handing
+    each whole code word on to the position k further, right to left."""
+    words = np.asarray(words, dtype=np.int64)
+    (rows, d), k, letters = words.shape, renewal.k, renewal._letters
+    text = np.zeros((rows, d + k), letters.dtype)
+    text[:, :d] = np.where((words >= 0) & (words < letters.max()), words + 1, 0)
+    lcp = renewal._matched(0, text[:, np.arange(d + 1)[:, None] + np.arange(k)].reshape(-1, k))
+    lcp = lcp.reshape(rows, d + 1)
+    reach = np.arange(d + 1) + lcp
+    for hi in range(d + 1 - k, 0, -k):
+        lo = max(hi - k, 0)
+        reach[:, lo:hi] = np.where(lcp[:, lo:hi] == k, reach[:, lo + k : hi + k], reach[:, lo:hi])
+    best = reach[:, 0]
+    for s in range(1, k):
+        head = renewal._matched(s, text[:, : k - s])
+        best = np.maximum(best, np.where(head == k - s, reach[:, min(k - s, d)], head))
+    return best
+
+
+def common_prefix_ends(renewal):
+    """(P, S) of `RenewalStructure.shared_ends`, from `os.path.commonprefix`
+    of the code words and of the reversed code words."""
+    words = renewal.code.words
+    p = len(os.path.commonprefix(words))
+    s = len(os.path.commonprefix([w[::-1] for w in words]))
+    return min(p, renewal.k), min(s, renewal.k)
+
+
+def saturated(space, depth_from, depth_to):
+    """`construction._saturated`, one avoiding length at a time."""
+    try:
+        for _, m in space.longest_avoiding(depth_from):
+            if m is None or m >= depth_to:
+                return False, f"window of length {m} avoids a depth-{depth_from} word"
+    except StructureDepthError:
+        return False, f"depth {depth_from} beyond the depths the coded stage decides"
+    return True, f"all depth-{depth_from} words occur in every depth-{depth_to} word"
 
 
 def disjoint_depth(y, z, ambient_size, cap):

@@ -87,7 +87,11 @@ OUTCOMES = [
     ("target-c-nan", ["construct", "--config", "{tmp}/nan_c.cfg"], 2,
      "infeasible-target: target entropy must be finite and >= 0, got nan\n"),
     ("target-c-fraction-nan", ["construct", "--config", "{tmp}/nan_fraction.cfg"], 2,
-     "infeasible-target: target entropy must be finite and >= 0, got nan\n"),
+     "infeasible-target: c_fraction must be finite and >= 0, got nan\n"),
+    ("target-c-fraction-negative", ["construct", "--config", "{tmp}/negative_fraction.cfg"], 2,
+     "infeasible-target: c_fraction must be finite and >= 0, got -0.1\n"),
+    ("target-c-fraction-inf", ["construct", "--config", "{tmp}/inf_fraction.cfg"], 2,
+     "infeasible-target: c_fraction must be finite and >= 0, got inf\n"),
     ("target-c-inf", ["construct", "--config", "{tmp}/inf_c.cfg"], 2,
      "infeasible-target: target entropy must be finite and >= 0, got inf\n"),
     ("stage-failure", ["construct", "--config", "{tmp}/full2.cfg"], 3,
@@ -120,6 +124,8 @@ def test_each_outcome_has_its_exit_code_and_stderr_line(argv, code, err, tmp_pat
     (tmp_path / "far.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = 1.5"))
     (tmp_path / "nan_c.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c = nan"))
     (tmp_path / "nan_fraction.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = nan"))
+    (tmp_path / "negative_fraction.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = -0.1"))
+    (tmp_path / "inf_fraction.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c_fraction = inf"))
     (tmp_path / "inf_c.cfg").write_text(FULL2.replace("c_fraction = 0.1", "c = inf"))
     (tmp_path / "deep.cfg").write_text(DEEP_ROOF)
     (tmp_path / "one.cfg").write_text(ONE_SYMBOL)

@@ -514,7 +514,7 @@ def test_one_pass_k1_matches_disjointness_loop():
             continue
         full = renewal_to_sft(code, ambient_size=a)
         cut = random.Random(t).randint(1, t - 1)
-        y, z = full.renewal.sub_code(0, cut), presentation(full.renewal, cut, t)
+        y, z = full.renewal.sub_code(0, cut), presentation(full.renewal, cut, t).renewal
         cap = 4 * code.uniform_length
         k1 = _disjoint_depth(y, z, cap)
         words, k = code.words, code.uniform_length
@@ -657,6 +657,48 @@ def test_tower_never_builds_stage_ones_presentation(config, tmp_path, monkeypatc
     assert not {"matrix", "label_array"} & set(vars(first))
     z = reports[2].artifacts.Z
     assert {"matrix", "label_array"} <= set(vars(z)) and z.num_states == 2 * first.renewal.k
+
+
+def test_stage_two_enumerates_z_once_and_counts_its_class_once(monkeypatch):
+    """A stage-2 build on the acceptance stage 1 enumerates Z's presentation
+    once, for the overlap re-check at depth K1, never in the search for K1,
+    which reads Z's code words; and it counts the class's multiset once."""
+    import shiftflex.codes as codes
+    import shiftflex.construction as construction
+    import shiftflex.words as words
+    from shiftflex.config import parse_config
+
+    rc = parse_config((ROOT / "configs" / "full3_acceptance.cfg").read_text())
+    tgt = rc.build_target()
+    first, second = rc.build_schedule(tgt)[:2]
+    prev, _ = construction.build_stage(construction.base_stage(tgt), tgt, first)
+    enumerated, searching, counted = [], [False], []
+    language, disjoint_depth = words.language, construction._disjoint_depth
+
+    def spy_language(shift, n, *args, **kwargs):
+        enumerated.append((n, searching[0]))
+        return language(shift, n, *args, **kwargs)
+
+    def spy_disjoint_depth(*args):
+        searching[0] = True
+        try:
+            return disjoint_depth(*args)
+        finally:
+            searching[0] = False
+
+    class SpyCounter(Counter):
+        def __init__(self, items=(), /, **kwargs):
+            counted.append(len(items))
+            super().__init__(items, **kwargs)
+
+    monkeypatch.setattr(words, "language", spy_language)
+    monkeypatch.setattr(construction, "_disjoint_depth", spy_disjoint_depth)
+    monkeypatch.setattr(codes, "Counter", SpyCounter)
+    stage, report = construction.build_stage(prev, tgt, second)
+    ov = report.overlap
+    assert (ov["K1"], ov["l"], ov["M"], stage.sync_depths) == (33, 237, 26, (1, 16, 75571))
+    assert enumerated == [(ov["K1"], False)]
+    assert sum(size >= len(stage.code.free) for size in counted) <= 1
 
 
 class SealedPresentation:
