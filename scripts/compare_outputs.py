@@ -8,9 +8,10 @@ Usage, from anywhere:
 Runs `python3 -m shiftflex construct` and the analysis commands
 `entropy`, `parry` and `find-word -l 24` on every file in this checkout's
 `configs/` and on every entry of its `perfbench/flex_entries.json` (read,
-never written), the `construct` refusal runs of `REFUSALS`, and the
-analysis commands on the block presentation `BLOCK`, once with each
-checkout's `src/`, the two sides of a case at once, in two processes.
+never written), the `construct` refusal runs of `REFUSALS`, the
+analysis commands on the block presentation `BLOCK`, and all four
+commands on the period-3 graph `PERIODIC`, 94 cases in all, once with
+each checkout's `src/`, the two sides of a case at once, in two processes.
 Both sides of a case run on the same config text, in working
 directories laid out alike, so that printed paths agree.  The output directories of `construct` (file names and bytes),
 stdout, stderr and the exit code must match.  Runs every case, prints
@@ -56,6 +57,24 @@ c_fraction = 0.5
 stages = 1
 """
 
+# a period-3 base, which no config in `configs/` and no flex entry has: its
+# Perron vectors come from the periodic branch of the power iteration; its
+# `construct` finds no (Y, Z) pair (exit 5)
+PERIODIC = """\
+[shift]
+alphabet = 6
+matrix = 000100 001100 000010 000011 110000 100000
+
+[roof]
+constant = 1.0
+
+[target]
+c_fraction = 0.5
+
+[run]
+stages = 1
+"""
+
 
 def cases():
     """(name, config text) of every config file and flex-sweep entry."""
@@ -82,6 +101,8 @@ def runs():
         yield case, text, (*COMMANDS[0], *flags)
     for command in COMMANDS[1:]:
         yield f"block7-{command[0]}", BLOCK, command
+    for command in COMMANDS:
+        yield f"period3-{command[0]}", PERIODIC, command
 
 
 def run(checkout, config_text, command, workdir):

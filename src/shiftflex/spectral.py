@@ -42,54 +42,66 @@ class PerronData:
     iterations: int
 
 
-def _power_vector(mat, period):
-    """Positive eigenvector of an irreducible 0/1 matrix.
+def _edges(mat):
+    """(tails, heads) of a CSR matrix's entries, in storage order."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices
 
-    For aperiodic matrices iterates mat + I, which is primitive whenever mat
-    is irreducible.  For period p > 1 the spectrum carries a full ring of
-    eigenvalues of top modulus, so plain iteration cannot converge; instead
-    mat^p is iterated (block-primitive) and the eigenvector of mat itself is
-    reconstructed as sum_j mat^j w / lambda^j.
-    """
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / n)
-    if period == 1:
-        mv = mat @ v
-        for it in range(1, PERRON_MAX_ITER + 1):
+
+def _power_vectors(tails, heads, n, period):
+    """(vector, residual, iterations) of the right and left positive
+    eigenvectors of an irreducible 0/1 matrix given by its CSR-ordered
+    edges, iterated in lockstep as the halves of one 2n-array, each half
+    stopping at its own iteration.  Aperiodic matrices iterate mat + I,
+    primitive whenever mat is irreducible.  For period p > 1 a full ring of
+    eigenvalues has top modulus, so mat^p is iterated (block-primitive) and
+    mat's own eigenvector is rebuilt as sum_j mat^j w / lambda^j.  A step,
+    one `bincount` over the stacked edges (tails -> heads for the first
+    half, heads -> tails for the second), adds each entry's terms in edge
+    order as scipy's csr_matvec does, and a half's sum is a row sum of the
+    (2, n) view: every bit is that of two separate sparse iterations."""
+    src, dst = np.concatenate((tails, heads + n)), np.concatenate((heads, tails + n))
+
+    def step(x):
+        return np.bincount(src, x[dst], 2 * n)
+
+    found = [None, None]
+    v = np.full(2 * n, 1.0 / n)
+    mv = step(v) if period == 1 else None
+    for it in range(1, PERRON_MAX_ITER + 1):
+        if period == 1:
             w = mv + v
-            s = w.sum()
+            s = w.reshape(2, n).sum(axis=1).repeat(n)
             w /= s
             lam = s - 1.0
-            mv = mat @ w  # the residual's product, and the next step's
-            resid = np.abs(mv - lam * w).max()
-            v = w
-            if resid <= PERRON_TOL and it >= 2:
-                return lam, w, resid, it
-        raise ConvergenceError(
-            f"power iteration did not reach tol={PERRON_TOL} in {PERRON_MAX_ITER} iterations"
-        )
-    for it in range(1, PERRON_MAX_ITER + 1):
-        w = v
-        for _ in range(period):
-            w = mat @ w
-        s = w.sum()
-        if s <= 0:
-            raise ConvergenceError("iteration collapsed to zero vector")
-        w /= s
-        lam = s ** (1.0 / period)  # v is sum-normalized
-        # reconstruct the eigenvector of mat from the mat^p eigenvector
-        r = w.copy()
-        acc = w.copy()
-        for _ in range(period - 1):
-            acc = (mat @ acc) / lam
-            r += acc
-        r /= r.sum()
-        resid = np.abs(mat @ r - lam * r).max()
+            mv = step(w)  # the residual's product, and the next step's
+            r = w
+        else:
+            w = v
+            for _ in range(period):
+                w = step(w)
+            s = w.reshape(2, n).sum(axis=1).repeat(n)
+            if (s <= 0).any():
+                raise ConvergenceError("iteration collapsed to zero vector")
+            w /= s
+            # one scalar root per half: numpy's array power rounds otherwise
+            lam = np.array([t ** (1.0 / period) for t in s[::n]]).repeat(n)  # v is sum-normalized
+            # reconstruct the eigenvector of mat from the mat^p eigenvector
+            r, acc = w.copy(), w
+            for _ in range(period - 1):
+                acc = step(acc) / lam
+                r += acc
+            r /= r.reshape(2, n).sum(axis=1).repeat(n)
+            mv = step(r)
+        resid = np.abs(mv - lam * r).reshape(2, n).max(axis=1)
         v = w
-        if resid <= PERRON_TOL:
-            return lam, r, resid, it
+        for h in (0, 1):
+            if found[h] is None and resid[h] <= PERRON_TOL and (it >= 2 or period > 1):
+                found[h] = (r[h * n : (h + 1) * n].copy(), resid[h], it)
+        if None not in found:
+            return found
     raise ConvergenceError(
-        f"power iteration (period {period}) did not reach tol={PERRON_TOL}"
+        f"power iteration did not reach tol={PERRON_TOL} in {PERRON_MAX_ITER} iterations"
+        if period == 1 else f"power iteration (period {period}) did not reach tol={PERRON_TOL}"
     )
 
 
@@ -106,26 +118,14 @@ def perron(shift):
         return shift._perron_cache
     if not is_irreducible(shift):
         raise ReducibleShiftError("perron data requires an irreducible shift")
-    p = graph_period(shift)
-    mat = shift.matrix.astype(np.float64)
-    lam, right, res_r, it_r = _power_vector(mat, p)
-    # the transpose in CSR form: the predecessor arrays kept on the shift
-    indptr, indices = shift._predecessor_arrays()
-    matT = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=mat.shape)
-    lam_l, left, res_l, it_l = _power_vector(matT, p)
+    n = shift.num_states
+    tails, heads = _edges(shift.matrix)
+    (right, res_r, it_r), (left, res_l, it_l) = _power_vectors(tails, heads, n, graph_period(shift))
     left = left / (left @ right)
     # bilinear quotient: eigenvalue error quadratic in the vector residuals
-    lam = float((left @ (mat @ right)) / (left @ right))
-    data = PerronData(
-        value=lam,
-        right=right,
-        left=left,
-        residual_right=float(res_r),
-        residual_left=float(res_l),
-        iterations=it_r + it_l,
-    )
-    shift._perron_cache = data
-    return data
+    lam = float((left @ np.bincount(tails, weights=right[heads], minlength=n)) / (left @ right))
+    shift._perron_cache = PerronData(lam, right, left, float(res_r), float(res_l), it_r + it_l)
+    return shift._perron_cache
 
 
 def _lifted_perron(shift):
@@ -172,8 +172,7 @@ class MarkovMeasure:
         # P on the shift's own CSR structure (`parry_measure`) stores entries
         # on edges only; any other P is checked entry by entry
         if not (np.array_equal(self.P.indptr, m.indptr) and np.array_equal(self.P.indices, m.indices)):
-            row = np.repeat(np.arange(n), np.diff(self.P.indptr))
-            on_edges = is_admissible(shift, np.column_stack((row, self.P.indices)))
+            on_edges = is_admissible(shift, np.column_stack(_edges(self.P)))
             off_support = self.P.data[~on_edges]
             if off_support.size and np.abs(off_support).max() > MEASURE_TOL:
                 raise ValueError("P supported outside the shift's edges")
@@ -196,6 +195,7 @@ class MarkovMeasure:
             return self._tables[depth]
         lab = self.shift.label_array
         masks = [lab == a for a in range(self.shift.ambient_size)]
+        tails, heads = _edges(self.P)
         out = {}
 
         def rec(prefix, x):
@@ -204,7 +204,8 @@ class MarkovMeasure:
                 if len(out) > DEFAULT_WORD_BUDGET:
                     raise CapacityError(len(out), DEFAULT_WORD_BUDGET, what="cylinders")
                 return
-            y = x @ self.P
+            # x @ P, each column's terms added in CSR order as scipy's CSC product does
+            y = np.bincount(heads, weights=x[tails] * self.P.data, minlength=len(x))
             for a in range(self.shift.ambient_size):
                 z = np.where(masks[a], y, 0.0)
                 if z.any():
@@ -223,11 +224,10 @@ class MarkovMeasure:
 
 def markov_entropy(m):
     """-sum_i pi_i sum_j P_ij log P_ij with 0 log 0 = 0, in nats."""
-    coo = m.P.tocoo()
-    mask = coo.data > 0
-    rows = coo.row[mask]
-    data = coo.data[mask]
-    return float(-(m.pi[rows] * data * np.log(data)).sum())
+    rows, _ = _edges(m.P)
+    keep = m.P.data > 0
+    data = m.P.data[keep]
+    return float(-(m.pi[rows[keep]] * data * np.log(data)).sum())
 
 
 def parry_measure(shift):
@@ -239,7 +239,7 @@ def parry_measure(shift):
     pd = perron(shift)
     lam, v, u = pd.value, pd.right, pd.left
     m = shift.matrix
-    row = np.repeat(np.arange(shift.num_states), np.diff(m.indptr))
+    row, _ = _edges(m)
     data = v[m.indices] / (lam * v[row])
     # an irreducible shift leaves no row empty
     data *= (1.0 / np.add.reduceat(data, m.indptr[:-1]))[row]  # rows sum to 1

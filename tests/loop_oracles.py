@@ -22,8 +22,9 @@ stable `np.argsort`, `np.lexsort`); the language checks of a permutation
 class compare sets of word tuples; a label language recurses over label
 prefixes, one state-set product per prefix; the Katok scorer counts the
 windows of all words in one int64 table per depth; the Parry measure is built through COO arrays and a diagonal
-product; and the Perron iteration runs on the transpose rebuilt by
-scipy, its residuals recomputed.
+product; a Markov measure's cylinders take scipy's sparse product at
+every prefix; and the Perron iteration runs twice, one sparse power
+iteration per vector, the left one on the transpose rebuilt by scipy.
 """
 
 import bisect
@@ -39,6 +40,7 @@ import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 from shiftflex.codes import Code, PermutationCode
 from shiftflex.errors import (
     CapacityError,
+    ConvergenceError,
     NoLowOverlapWordError,
     StageVerificationError,
     StructureDepthError,
@@ -46,7 +48,7 @@ from shiftflex.errors import (
 )
 from shiftflex.measures import cyclic_windows, dense_table
 from shiftflex import spectral
-from shiftflex.spectral import MarkovMeasure, PerronData, _power_vector
+from shiftflex.spectral import PERRON_MAX_ITER, PERRON_TOL, MarkovMeasure, PerronData
 from shiftflex.words import (
     DEFAULT_WORD_BUDGET,
     VertexShift,
@@ -832,22 +834,98 @@ def parry_measure(shift):
     return MarkovMeasure(shift, pi / pi.sum(), P)
 
 
+def markov_cylinder_table(m, depth):
+    """A Markov measure's cylinder table by the recursion over label
+    prefixes that forms `x @ P` with scipy's sparse product at every node."""
+    lab = m.shift.label_array
+    masks = [lab == a for a in range(m.shift.ambient_size)]
+    out = {}
+
+    def rec(prefix, x):
+        if len(prefix) == depth:
+            out[prefix] = float(x.sum())
+            return
+        y = x @ m.P
+        for a in range(m.shift.ambient_size):
+            z = np.where(masks[a], y, 0.0)
+            if z.any():
+                rec(prefix + (a,), z)
+
+    for a in range(m.shift.ambient_size):
+        x0 = np.where(masks[a], m.pi, 0.0)
+        if x0.any():
+            rec((a,), x0)
+    return out
+
+
+def _power_vector(mat, period):
+    """Positive eigenvector of an irreducible 0/1 matrix.
+
+    For aperiodic matrices iterates mat + I, which is primitive whenever mat
+    is irreducible.  For period p > 1 the spectrum carries a full ring of
+    eigenvalues of top modulus, so plain iteration cannot converge; instead
+    mat^p is iterated (block-primitive) and the eigenvector of mat itself is
+    reconstructed as sum_j mat^j w / lambda^j.
+    """
+    n = mat.shape[0]
+    v = np.full(n, 1.0 / n)
+    if period == 1:
+        mv = mat @ v
+        for it in range(1, PERRON_MAX_ITER + 1):
+            w = mv + v
+            s = w.sum()
+            w /= s
+            lam = s - 1.0
+            mv = mat @ w  # the residual's product, and the next step's
+            resid = np.abs(mv - lam * w).max()
+            v = w
+            if resid <= PERRON_TOL and it >= 2:
+                return lam, w, resid, it
+        raise ConvergenceError(
+            f"power iteration did not reach tol={PERRON_TOL} in {PERRON_MAX_ITER} iterations"
+        )
+    for it in range(1, PERRON_MAX_ITER + 1):
+        w = v
+        for _ in range(period):
+            w = mat @ w
+        s = w.sum()
+        if s <= 0:
+            raise ConvergenceError("iteration collapsed to zero vector")
+        w /= s
+        lam = s ** (1.0 / period)  # v is sum-normalized
+        # reconstruct the eigenvector of mat from the mat^p eigenvector
+        r = w.copy()
+        acc = w.copy()
+        for _ in range(period - 1):
+            acc = (mat @ acc) / lam
+            r += acc
+        r /= r.sum()
+        resid = np.abs(mat @ r - lam * r).max()
+        v = w
+        if resid <= PERRON_TOL:
+            return lam, r, resid, it
+    raise ConvergenceError(
+        f"power iteration (period {period}) did not reach tol={PERRON_TOL}"
+    )
+
+
 def perron(shift):
-    """Perron data with the left iteration on the transpose rebuilt as
-    `mat.T.tocsr()`, and both residuals recomputed by two more sparse
-    products (irreducible shifts only)."""
+    """Perron data from two separate sparse power iterations: the right
+    one on the matrix, the left one on the transpose rebuilt as
+    `mat.T.tocsr()`, each reporting its own last residual (irreducible
+    shifts only)."""
     p = graph_period(shift)
     mat = shift.matrix.astype(np.float64)
-    _, right, _, it_r = _power_vector(mat, p)
+    _, right, res_r, it_r = _power_vector(mat, p)
     matT = mat.T.tocsr()
-    _, left, _, it_l = _power_vector(matT, p)
+    _, left, res_l, it_l = _power_vector(matT, p)
     left = left / (left @ right)
     lam = float((left @ (mat @ right)) / (left @ right))
     return PerronData(
         value=lam,
         right=right,
         left=left,
-        residual_right=float(np.abs(mat @ right - lam * right).max()),
-        residual_left=float(np.abs(matT @ left - lam * left).max()),
+        residual_right=float(res_r),
+        residual_left=float(res_l),
         iterations=it_r + it_l,
     )

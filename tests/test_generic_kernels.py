@@ -15,6 +15,7 @@ import tests.loop_oracles as oracle
 from shiftflex import (
     CapacityError,
     Code,
+    ConvergenceError,
     MarkovMeasure,
     NoLowOverlapWordError,
     ReducibleShiftError,
@@ -360,24 +361,65 @@ def test_subset_search_masks_are_strongly_connected():
     assert checked > 300
 
 
-def test_perron_matches_the_transpose_path():
-    # the left iteration on the shift's predecessor arrays and the
-    # iteration's own residuals give the values of the path that rebuilt
-    # the transpose and recomputed the residuals, bit for bit
+def test_perron_matches_the_transpose_path(monkeypatch):
+    # the lockstep iteration of both vectors on the shift's edge arrays
+    # gives the values, residuals and iteration counts of two separate
+    # sparse power iterations, the left one on the transpose, bit for bit;
+    # rows of out- and in-degree >= 8 are where pairwise and sequential
+    # summation part ways, and the two halves may stop at different steps
+    halves = []
+
+    def spy(*args):
+        found = power_vectors(*args)
+        halves.append((found[0][2], found[1][2]))
+        return found
+
+    power_vectors = spectral._power_vectors
+    monkeypatch.setattr(spectral, "_power_vectors", spy)
     rng = np.random.default_rng(17)
-    periods = set()
+    shifts = [full_shift(10)]
     for _ in range(300):
-        n, period = int(rng.integers(1, 13)), int(rng.integers(1, 4))
-        shift = VertexShift(cyclic_graph(rng, n, rng.uniform(0.3, 1.0), period))
+        n, period = int(rng.integers(1, 81)), int(rng.integers(1, 5))
+        shifts.append(VertexShift(cyclic_graph(rng, n, rng.uniform(0.05, 1.0), period)))
+    periods, degrees = set(), set()
+    for shift in shifts:
         if not oracle.strongly_connected(shift):
             continue
         want = oracle.perron(VertexShift(shift.matrix))
         got = perron(shift)
         assert np.array_equal(got.right, want.right) and np.array_equal(got.left, want.left)
-        assert (got.value, got.iterations) == (want.value, want.iterations)
+        assert (got.value, got.residual_right, got.residual_left, got.iterations) == (
+            want.value, want.residual_right, want.residual_left, want.iterations
+        )
         assert max(got.residual_right, got.residual_left) <= 1e-12
         periods.add(graph_period(shift))
-    assert periods >= {1, 2, 3}
+        dense = shift.dense()
+        degrees.add(min(dense.sum(axis=0).max(), dense.sum(axis=1).max()) >= 8)
+    assert periods == {1, 2, 3, 4} and True in degrees
+    assert any(right != left for right, left in halves)
+
+
+def test_perron_raises_past_the_iteration_cap(monkeypatch):
+    # two steps are not enough for either branch: each raises the message
+    # of the separate sparse iteration
+    monkeypatch.setattr(spectral, "PERRON_MAX_ITER", 2)
+    monkeypatch.setattr(oracle, "PERRON_MAX_ITER", 2)
+    period3 = [
+        [0, 0, 0, 1, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1, 1], [1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+    ]
+    cases = [
+        (VertexShift([[1, 1], [1, 0]]), 1, "power iteration did not reach tol=1e-12 in 2 iterations"),
+        (VertexShift(period3), 3, "power iteration (period 3) did not reach tol=1e-12"),
+    ]
+    for shift, period, message in cases:
+        assert graph_period(shift) == period
+        with pytest.raises(ConvergenceError) as got:
+            perron(shift)
+        assert str(got.value) == message
+        with pytest.raises(ConvergenceError) as want:
+            oracle._power_vector(shift.matrix.astype(np.float64), period)
+        assert str(want.value) == message
 
 
 def test_recodings_inherit_irreducibility_and_period():
@@ -511,19 +553,19 @@ def test_perron_iterates_only_the_root(monkeypatch):
     # seed below both: no power iteration runs on a larger matrix
     sizes = []
 
-    def spy(mat, period):
-        sizes.append(mat.shape[0])
-        return power_vector(mat, period)
+    def spy(tails, heads, n, period):
+        sizes.append(n)
+        return power_vectors(tails, heads, n, period)
 
-    power_vector = spectral._power_vector
-    monkeypatch.setattr(spectral, "_power_vector", spy)
+    power_vectors = spectral._power_vectors
+    monkeypatch.setattr(spectral, "_power_vectors", spy)
     forbidden = [(0, 1, 2, 0), (2, 2, 1), (1, 1, 1, 1), (0, 2, 0, 2)]
     base = from_forbidden_words(3, forbidden)
     shift = higher_block(base, 3)
     root = shift._lift[0]
     assert root._lift is None and root.num_states < base.num_states < shift.num_states
     perron(shift)
-    assert sizes == [root.num_states] * 2
+    assert sizes == [root.num_states]
 
 
 def raised(fn, *args, **kwargs):

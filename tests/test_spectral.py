@@ -13,8 +13,10 @@ from shiftflex import (
     RoofFunction,
     VertexShift,
     abramov,
+    bernoulli_measure,
     full_shift,
     golden_mean_shift,
+    higher_block,
     language,
     markov_entropy,
     parry_measure,
@@ -229,6 +231,31 @@ def test_parry_measure_matches_coo_construction():
         got, want = parry_measure(shift), oracle.parry_measure(shift)
         assert np.array_equal(got.P.toarray(), want.P.toarray())
         assert np.array_equal(got.pi, want.pi)
+
+
+def test_cylinder_tables_match_the_sparse_product():
+    """The cylinder recursion's `x @ P` as a bincount over P's entries gives
+    the tables of scipy's sparse product: the same keys in the same order
+    and the same values, bit for bit, at depths 1-4, on Parry, Bernoulli
+    and random Markov measures, and on a labelled block presentation."""
+    rng = np.random.default_rng(29)
+    measures = [
+        bernoulli_measure(full_shift(3), [0.5, 0.3, 0.2]),
+        bernoulli_measure(full_shift(10), rng.dirichlet(np.ones(10))),
+    ]
+    for _ in range(10):
+        shift = random_irreducible_shift(rng, max_states=12)
+        # two labels: a column of x @ P adds up to six nonzero terms
+        two = VertexShift(shift.matrix, labels=np.arange(shift.num_states) % 2, ambient_size=2)
+        for s in (shift, two):
+            measures += [parry_measure(s), random_markov_measure(s, rng)]
+    block = higher_block(two, 3)
+    assert block._lift is not None
+    measures += [parry_measure(block), random_markov_measure(block, rng)]
+    for m in measures:
+        for depth in range(1, 5):
+            got, want = m.cylinder_table(depth), oracle.markov_cylinder_table(m, depth)
+            assert list(got.items()) == list(want.items())
 
 
 def test_label_cylinder_matches_internal(golden_parry, golden):
