@@ -65,38 +65,84 @@ def _stable_order(keys):
     return np.sort(keys << b | np.arange(len(keys))) & ((1 << b) - 1)
 
 
-@dataclass(frozen=True)
 class Code:
-    """Nonempty set of distinct finite words."""
+    """Nonempty set of distinct nonempty finite words, in lexicographic order.
 
-    words: tuple
+    A code of one word length k keeps its t words as one sorted,
+    deduplicated, read-only (t × k) int64 array, `rows`; an array of rows
+    (or of label words with repeats) is sorted and deduplicated by one
+    `np.lexsort`, and the words as a tuple of tuples, `words`, are made
+    only when first read.  A code of several word lengths has `words`
+    alone and `rows` None.  Two codes are equal when their words are.
+    """
 
-    def __post_init__(self):
-        ws = tuple(sorted({tuple(w) for w in self.words}))
-        if not ws:
+    def __init__(self, words):
+        if not isinstance(words, np.ndarray):
+            ws = {tuple(w) for w in words}
+            if not ws:
+                raise ValueError("code must be nonempty")
+            if len({len(w) for w in ws}) > 1:
+                if not all(ws):
+                    raise ValueError("code words must be nonempty")
+                self.rows, self.__dict__["words"] = None, tuple(sorted(ws))
+                return
+            words = np.array(list(ws), dtype=np.int64)
+        rows = np.asarray(words, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError(f"code rows must form a 2-D array, not {rows.ndim}-D")
+        if not len(rows):
             raise ValueError("code must be nonempty")
-        if any(len(w) == 0 for w in ws):
+        if not rows.shape[1]:
             raise ValueError("code words must be nonempty")
-        object.__setattr__(self, "words", ws)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        distinct = np.ones(len(rows), bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        self.rows = rows[distinct]
+        self.rows.flags.writeable = False
+
+    @classmethod
+    def _of_rows(cls, rows):
+        """The code of rows already sorted and distinct: a slice of a code's."""
+        code = object.__new__(cls)
+        code.rows = rows
+        return code
+
+    @cached_property
+    def words(self):
+        return _as_tuples(self.rows)
 
     @property
     def uniform_length(self):
-        lengths = {len(w) for w in self.words}
-        return lengths.pop() if len(lengths) == 1 else None
+        return None if self.rows is None else self.rows.shape[1]
 
     @property
     def alphabet_size(self):
-        return max(max(w) for w in self.words) + 1
+        if self.rows is None:
+            return max(max(w) for w in self.words) + 1
+        return int(self.rows.max()) + 1
 
     @property
     def size(self):
-        return len(self.words)
+        return len(self)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.words) if self.rows is None else len(self.rows)
 
     def __iter__(self):
         return iter(self.words)
+
+    def __eq__(self, other):
+        if not isinstance(other, Code):
+            return NotImplemented
+        if self.rows is None or other.rows is None:
+            return self.words == other.words
+        return np.array_equal(self.rows, other.rows)
+
+    def __hash__(self):
+        return hash((len(self), self.uniform_length))
+
+    def __repr__(self):
+        return f"Code(words={self.words!r})"
 
 
 def _initial_suffixes(words):
@@ -180,7 +226,7 @@ def renewal_to_sft(code, ambient_size=None):
         mat = sp.csr_matrix(
             (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
         )
-        return mat, renewal._array.ravel()
+        return mat, code.rows.ravel()
 
     if ambient_size is None:
         ambient_size = code.alphabet_size
@@ -193,8 +239,10 @@ def renewal_to_sft(code, ambient_size=None):
 class RenewalStructure:
     """The uniform-length code behind a positional renewal presentation.
 
-    State a * k + p of the presentation reads symbol p of code word a.
-    The structure is also the presentation's measure of maximal entropy
+    State a * k + p of the presentation reads symbol p of code word a, row
+    a of the code's sorted (t × k) array `code.rows`; every table below is
+    built from that array, and no code word is read as a tuple.  The
+    structure is also the presentation's measure of maximal entropy
     (`entropy`, `cylinder_table`).  Up to `exact_depth` every window of a
     concatenation belongs to one code word, at one of its k attributed
     offsets, and one table per depth (`_table`) ranks each code word's
@@ -206,15 +254,10 @@ class RenewalStructure:
     k: int
 
     @cached_property
-    def _array(self):
-        """The code words as one (t × k) integer array."""
-        return np.array(self.code.words)
-
-    @cached_property
     def _letters(self):
         """The code words with every symbol x as the big-endian letter x + 1,
         so rows compare as byte strings in lexicographic order; 0 pads."""
-        words = self._array + 1
+        words = self.code.rows + 1
         return words.astype(np.dtype(np.min_scalar_type(int(words.max()))).newbyteorder(">"))
 
     @_per_depth
@@ -285,7 +328,7 @@ class RenewalStructure:
             raise CapacityError(total, budget)
         rows = []
         for j in np.unique(cross).tolist():
-            runs = self._array[np.indices((t,) * (j + 1)).reshape(j + 1, -1).T]
+            runs = self.code.rows[np.indices((t,) * (j + 1)).reshape(j + 1, -1).T]
             runs = runs.reshape(t ** (j + 1), -1)
             offsets = np.flatnonzero(cross == j)
             rows.append(runs[:, offsets[:, None] + np.arange(depth)].reshape(-1, depth))
@@ -348,19 +391,25 @@ class RenewalStructure:
         contexts (shared suffix + code word a + shared prefix), of the one
         starting at column c.  Prefix doubling ranks the pair (rank of its
         first h symbols, rank of the rest), h the largest power of two
-        below depth, so no window is read as one number; one packed sort
-        of the pair keys (`_stable_order`) per depth, whose runs of equal
-        keys are the dense ranks."""
+        below depth, so no window is read as one number.  When the pair
+        keys take no more values than there are keys, the keys in use are
+        counted (`bincount > 0`, then `cumsum`) and numbered in order;
+        otherwise one packed sort of the pair keys (`_stable_order`),
+        whose runs of equal keys are the dense ranks."""
         if depth == 1:
             return self._contexts.astype(np.int64)
         h = 1 << (depth - 1).bit_length() - 1
         head, rest = self._ranks(h)[:, : h - depth], self._ranks(depth - h)[:, h:]
         span = int(rest.max()) + 1
+        space, n = (int(head.max()) + 1) * span, head.size
         # the pair key with the index bits `_stable_order` packs below it;
         # dense ranks: only past about 2e6 context windows
-        if (int(head.max()) + 1) * span << (head.size - 1).bit_length() > 2**63:
+        if space > n and space << (n - 1).bit_length() > 2**63:
             raise OverflowError(f"depth-{depth} window pairs overflow an int64 key")
         keys = (head * span + rest).ravel()
+        if space <= n:
+            used = np.bincount(keys) > 0
+            return (used.astype(np.int64).cumsum() - 1)[keys].reshape(head.shape)
         order = _stable_order(keys)
         new = np.diff(keys[order], prepend=-1) != 0
         ranks = np.empty(len(keys), np.int64)
@@ -369,7 +418,7 @@ class RenewalStructure:
 
     @cached_property
     def _contexts(self):
-        words, (p, s) = self._array, self.shared_ends
+        words, (p, s) = self.code.rows, self.shared_ends
         ctx = np.hstack([words[:, self.k - s :], words, words[:, :p]])
         return ctx.astype(np.min_scalar_type(int(ctx.max())))
 
@@ -465,10 +514,9 @@ class RenewalStructure:
         return tuple(range(frm, a * k + k)) + tuple(range(b * k, to + 1))
 
     def sub_code(self, lo, hi):
-        """Code words lo..hi-1, read from these tables (`SubCode`)."""
-        code = object.__new__(Code)  # a slice of sorted distinct words
-        object.__setattr__(code, "words", self.code.words[lo:hi])
-        return SubCode(code, self.k, self, lo)
+        """Code words lo..hi-1, a slice of `code.rows`, read from these
+        tables (`SubCode`)."""
+        return SubCode(Code._of_rows(self.code.rows[lo:hi]), self.k, self, lo)
 
 
 @dataclass(frozen=True)
@@ -647,8 +695,8 @@ class PermutationCode:
         return self.log_size / self.uniform_length
 
     def spell(self, indices):
-        words = self.ambient.code.words
-        return tuple(s for a in indices for s in words[a])
+        """Labels of the ambient code words at `indices`, one after another."""
+        return tuple(self.ambient.code.rows[list(indices)].ravel().tolist())
 
     def gamma_word(self, order=None):
         """Labels of γ for a given order of the free multiset (default sorted)."""

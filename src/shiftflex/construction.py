@@ -57,7 +57,6 @@ from .spectral import (
 )
 from .words import (
     VertexShift,
-    _as_tuples,
     connecting_word,
     higher_block,
     induced_subshift,
@@ -908,8 +907,8 @@ def _enumerated_code(prev, words, gamma, glue_in, glue_out, w_prev):
     # cyclic splice: end of the low-overlap word back into the next block
     if not is_admissible(prev.shift, (w_prev[-1], internal[0, 0])):
         raise StageVerificationError("cyclic splice is not admissible")
-    # Code keeps one copy of each label word, sorted
-    return Code(_as_tuples(prev.shift.label_array[internal]))
+    # Code keeps one copy of each label word, sorted, as rows of one array
+    return Code(prev.shift.label_array[internal])
 
 
 # candidates the least-word-length search of a refusal examines
@@ -1051,7 +1050,7 @@ def _check_separated(code, parry, params, alphabet_size):
             f"metric depth {depth} exceeds the exact depth "
             f"{code.ambient.exact_depth} of the permutation class"
         )
-    word = code.ambient._array[list(code.fixed + code.free)].reshape(1, -1)
+    word = code.ambient.code.rows[list(code.fixed + code.free)].reshape(1, -1)
     dist = empirical_distances(word, parry, depth, alphabet_size)[0]
     if dist >= params.effective_radius:
         raise InsufficientWordLengthError(
@@ -1147,7 +1146,7 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
     dist_prev = weak_star_distance(stage.measure, prev.measure, params.metric)
     roof_vals, dists = [ri_next], [dist_prev]
     if not structured:
-        _score_orbits(code.words, rho, prev.measure, params.metric,
+        _score_orbits(code.rows, rho, prev.measure, params.metric,
                       target.base.ambient_size, roof_vals, dists)
 
     nesting = [(depth, *_nests(space, prev.space, depth)) for depth in NESTING_DEPTHS]
@@ -1212,7 +1211,8 @@ def verify_stage(prev, stage, target, params, settings=None, overlap_data=None):
 def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
     """Append the roof integral and the distance to `measure` of each code
     word's periodic orbit to `roof_vals` and `dists`, scoring the words (of
-    one length) together from the window counts of their cyclic extensions."""
+    one length, the rows of an array such as `Code.rows`) together from the
+    window counts of their cyclic extensions."""
     roof = dense_table(
         {w: v for w, v in rho.values.items() if max(w) < alphabet_size},
         rho.depth,
@@ -1220,7 +1220,7 @@ def _score_orbits(words, rho, measure, metric, alphabet_size, roof_vals, dists):
         fill=np.nan,
     )
     covered = ~np.isnan(roof)
-    rows = np.array(words, dtype=np.int64)
+    rows = np.asarray(words, dtype=np.int64)
     freq = window_counts(cyclic_windows(rows, rho.depth), rho.depth, alphabet_size) / rows.shape[1]
     if (freq[:, ~covered] > 0).any():
         raise ValueError("roof has no value on some admissible word")

@@ -165,18 +165,23 @@ class MarkovMeasure:
             raise ValueError("measure dimensions do not match the shift")
         if self.pi.min() < -MEASURE_TOL or abs(self.pi.sum() - 1.0) > MEASURE_TOL:
             raise ValueError("pi must be a probability vector")
-        rows = np.asarray(self.P.sum(axis=1)).ravel()
-        if np.abs(rows - 1.0).max() > MEASURE_TOL:
+        # row sums and pi P as `bincount`s over P's own entries, without
+        # scipy's dispatch: pi P gets the bits of scipy's `pi @ P`, the row
+        # sums may differ from `P.sum(axis=1)` in their last bits (edge order)
+        tails, heads = _edges(self.P)
+        data = self.P.data
+        if np.abs(np.bincount(tails, weights=data, minlength=n) - 1.0).max() > MEASURE_TOL:
             raise ValueError("P must be row-stochastic")
         m = shift.matrix
         # P on the shift's own CSR structure (`parry_measure`) stores entries
         # on edges only; any other P is checked entry by entry
         if not (np.array_equal(self.P.indptr, m.indptr) and np.array_equal(self.P.indices, m.indices)):
-            on_edges = is_admissible(shift, np.column_stack(_edges(self.P)))
-            off_support = self.P.data[~on_edges]
+            on_edges = is_admissible(shift, np.column_stack((tails, heads)))
+            off_support = data[~on_edges]
             if off_support.size and np.abs(off_support).max() > MEASURE_TOL:
                 raise ValueError("P supported outside the shift's edges")
-        drift = np.abs(self.pi @ self.P - self.pi).max()
+        pi_p = np.bincount(heads, weights=self.pi[tails] * data, minlength=n)
+        drift = np.abs(pi_p - self.pi).max()
         if drift > MEASURE_TOL:
             raise ValueError(f"pi is not stationary for P (drift {drift:.2e})")
         self._tables = {}

@@ -18,12 +18,13 @@ codes stop sharing words grows the shared words one symbol at a time; a permutat
 chosen from one class built per number of fixed slots and counted one
 multiplicity at a time; window tables rank one more symbol per depth, or
 rank, order and key their windows by numpy's mergesort (`np.unique`,
-stable `np.argsort`, `np.lexsort`); the language checks of a permutation
+stable `np.argsort`, `np.lexsort`), or by one packed sort at every depth;
+the language checks of a permutation
 class compare sets of word tuples; a label language recurses over label
 prefixes, one state-set product per prefix; the Katok scorer counts the
 windows of all words in one int64 table per depth; the Parry measure is built through COO arrays and a diagonal
-product; a Markov measure's cylinders take scipy's sparse product at
-every prefix; and the Perron iteration runs twice, one sparse power
+product; a Markov measure is checked with scipy's row sums and product,
+and its cylinders take scipy's sparse product at every prefix; and the Perron iteration runs twice, one sparse power
 iteration per vector, the left one on the transpose rebuilt by scipy.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph  # noqa: F401  (sp.csgraph below)
 
-from shiftflex.codes import Code, PermutationCode
+from shiftflex.codes import Code, PermutationCode, _stable_order
 from shiftflex.errors import (
     CapacityError,
     ConvergenceError,
@@ -691,6 +692,47 @@ def unique_ranks(renewal, depth):
     return np.unique(head * span + rest, return_inverse=True)[1].reshape(head.shape)
 
 
+def packed_sort_ranks(renewal, depth):
+    """`RenewalStructure._ranks` as it was before the counting branch: one
+    packed sort of the pair keys (`_stable_order`) at every depth."""
+    if depth == 1:
+        return renewal._contexts.astype(np.int64)
+    h = 1 << (depth - 1).bit_length() - 1
+    head, rest = packed_sort_ranks(renewal, h)[:, : h - depth], packed_sort_ranks(renewal, depth - h)[:, h:]
+    span = int(rest.max()) + 1
+    # the pair key with the index bits `_stable_order` packs below it;
+    # dense ranks: only past about 2e6 context windows
+    if (int(head.max()) + 1) * span << (head.size - 1).bit_length() > 2**63:
+        raise OverflowError(f"depth-{depth} window pairs overflow an int64 key")
+    keys = (head * span + rest).ravel()
+    order = _stable_order(keys)
+    new = np.diff(keys[order], prepend=-1) != 0
+    ranks = np.empty(len(keys), np.int64)
+    ranks[order] = new.astype(np.int64).cumsum() - 1
+    return ranks.reshape(head.shape)
+
+
+def packed_sort_table(renewal, depth):
+    """`RenewalStructure._table` as it was before the counting branch, on
+    `packed_sort_ranks`."""
+    if not 1 <= depth <= renewal.exact_depth:
+        raise StructureDepthError(
+            f"depth {depth} outside 1..{renewal.exact_depth}, the depths "
+            "single code words decide"
+        )
+    p, s = renewal.shared_ends
+    col = s - max(0, depth - p - 1)  # attributed offset 0, as in `exact_depth`
+    attributed = packed_sort_ranks(renewal, depth)[:, col : col + renewal.k]
+    used = np.bincount(attributed.ravel()) > 0
+    ids = (used.astype(np.int64).cumsum() - 1)[attributed]
+    where = np.zeros(int(used.sum()), np.int64)
+    where[ids.ravel()] = np.arange(ids.size)
+    a, c = np.divmod(where, renewal.k)
+    ctx = renewal._contexts  # one flat gather: a 2-D one costs twice as much
+    windows = ctx.ravel()[(a * ctx.shape[1] + c + col)[:, None] + np.arange(depth)]
+    return ids, windows
+
+
 def unique_table(renewal, depth, ranks=None):
     """(ids, windows) of the attributed depth-`depth` windows, their ids and
     first occurrences from `np.unique` of the context ranks (by default
@@ -818,6 +860,29 @@ def empirical_distances(words, m, depth, alphabet_size, cyclic=False):
         freq = counts / span
         total += 0.5 * np.abs(freq - target).sum(axis=1) / (1 << d)
     return total
+
+
+def markov_measure_refusal(shift, pi, P):
+    """The message `MarkovMeasure` refuses (pi, P) with, or None, from the
+    checks as they were with scipy's row sums and product `pi @ P`."""
+    pi = np.asarray(pi, dtype=np.float64)
+    P = sp.csr_matrix(P, dtype=np.float64)
+    n = shift.num_states
+    if pi.shape != (n,) or P.shape != (n, n):
+        return "measure dimensions do not match the shift"
+    if pi.min() < -spectral.MEASURE_TOL or abs(pi.sum() - 1.0) > spectral.MEASURE_TOL:
+        return "pi must be a probability vector"
+    rows = np.asarray(P.sum(axis=1)).ravel()
+    if np.abs(rows - 1.0).max() > spectral.MEASURE_TOL:
+        return "P must be row-stochastic"
+    dense = shift.dense()
+    for i, j, v in zip(*sp.find(P)):
+        if not dense[i, j] and abs(v) > spectral.MEASURE_TOL:
+            return "P supported outside the shift's edges"
+    drift = np.abs(pi @ P - pi).max()
+    if drift > spectral.MEASURE_TOL:
+        return f"pi is not stationary for P (drift {drift:.2e})"
+    return None
 
 
 def parry_measure(shift):

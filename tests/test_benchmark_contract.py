@@ -110,3 +110,26 @@ def test_perfbench_self_test_passes():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert "self-test: every check can fail" in run.stdout
+
+
+def test_acceptance_tower_round_passes_the_benchmark_checks(monkeypatch):
+    """One round of the benchmark's acceptance-tower workload, in this
+    process: stage 1, stage 2 and the repeats of stage 2, each checked by
+    `perfbench/checks.check_stage` as the benchmark checks it.  The
+    perfbench modules are loaded from their source, with bytecode writing
+    off, and the BLAS thread pins of `perfbench/common.py` are undone."""
+    import importlib.util
+
+    import shiftflex
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(ROOT)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    result, timing = run.measure(shiftflex, run.Tower(), 1, 0.0, 0.0)
+    assert result == dict(correct=True, attempted=1 + run.LAST_STAGE_BUILDS, failed=0)
+    assert sorted(timing["times"]) == ["stage1", "stage2", "stage2-again"]

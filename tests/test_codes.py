@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,6 +97,55 @@ def test_renewal_rejects_bad_codes():
         renewal_to_sft(Code(((0,), (0, 1))))
     # distinct uniform-length words are always uniquely decipherable, so the
     # length check is the whole gate
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        ((), "code must be nonempty"),
+        (np.zeros((0, 3), np.int64), "code must be nonempty"),
+        (((),), "code words must be nonempty"),
+        (np.zeros((2, 0), np.int64), "code words must be nonempty"),
+        (((0,), ()), "code words must be nonempty"),
+        (np.zeros(3, np.int64), "code rows must form a 2-D array, not 1-D"),
+    ],
+    ids=["no-words", "no-rows", "empty-word", "empty-rows", "ragged-with-empty", "flat-array"],
+)
+def test_code_refuses_empty_codes_and_words(words, message):
+    with pytest.raises(ValueError, match=message):
+        Code(words)
+
+
+def test_ragged_code_has_words_but_no_rows():
+    code = Code([(0, 0, 1), (0, 1), (0, 1)])
+    assert code.rows is None and code.uniform_length is None
+    assert code.words == ((0, 0, 1), (0, 1)) and len(code) == code.size == 2
+    assert code.alphabet_size == 2 and code == Code(((0, 1), (0, 0, 1)))
+    assert ud_witness(code) is None
+    with pytest.raises(NonUniformLengthError):
+        renewal_to_sft(code)
+
+
+def test_code_rows_are_the_sorted_set_of_label_rows():
+    """An array of label words, with repeats from labels that are not
+    injective, gives the rows `sorted(set(tuples))` would: the same code
+    as its tuples, read-only, with the tuples made only when read."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        labels = rng.integers(-2, 3, size=n)  # few symbols: label rows collide
+        states = rng.integers(0, n, size=(int(rng.integers(1, 40)), k))
+        rows = labels[states]
+        want = sorted(set(map(tuple, rows.tolist())))
+        code = Code(rows)
+        assert "words" not in vars(code)
+        assert code.rows.dtype == np.int64 and not code.rows.flags.writeable
+        assert code.rows.tolist() == [list(w) for w in want]
+        assert code.words == tuple(want) and code == Code(want)
+        assert (len(code), code.uniform_length) == (len(want), k)
+        assert code.alphabet_size == max(map(max, want)) + 1
+    rows[...] = 7  # the code keeps its own rows
+    assert code.rows.tolist() == [list(w) for w in want]
 
 
 def phase_decompositions(word, code_words, k):

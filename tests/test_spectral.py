@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -215,6 +216,52 @@ def test_markov_measure_validation(full2):
     # mass within the tolerance off the edges is accepted
     eps = 1e-12
     MarkovMeasure(golden_mean_shift(), [2 / 3, 1 / 3], [[0.5, 0.5], [1 - eps, eps]])
+
+
+def refusal(shift, pi, P):
+    try:
+        MarkovMeasure(shift, pi, P)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_markov_measure_checks_match_scipy_row_sums_and_product():
+    """The row and drift checks on P's edge arrays refuse, or accept, what
+    scipy's row sums and `pi @ P` did, with the same message (the drift
+    printed to three digits): on Parry and random Markov measures, and on
+    copies with pi moved, a row scaled, mass moved off the edges, and a
+    foreign P of the same support.  The drift has scipy's bits, so pi moves
+    by up to the tolerance itself; a row sum is added in edge order, which
+    may differ from scipy's in its last bits, so a row is scaled by a
+    factor at least ten times off the tolerance, where no order decides."""
+    rng = np.random.default_rng(41)
+    seen = Counter()
+    for i in range(240):
+        shift = random_irreducible_shift(rng, max_states=7)
+        n = shift.num_states
+        m = parry_measure(shift) if i % 2 else random_markov_measure(shift, rng)
+        pi, P = m.pi.copy(), m.P.toarray()
+        kind = ("same", "pi", "row", "off", "foreign")[i % 5]
+        if kind == "pi":
+            pi[0] += 10.0 ** -rng.integers(6, 12)
+            pi /= pi.sum()
+        elif kind == "row":
+            P[int(rng.integers(n))] *= 1 + 10.0 ** -rng.choice([6, 7, 8, 10, 11, 12])
+        elif kind == "off" and not shift.dense().all():
+            i, j = np.argwhere(shift.dense() == 0)[0]
+            P[i, j] = 10.0 ** -rng.integers(6, 12)
+            P[i] /= P[i].sum()
+        want = oracle.markov_measure_refusal(shift, pi, P)
+        # a dense P reaches the check through its own CSR arrays, without
+        # the shift's structure
+        for given_P in (P, m.P) if kind == "same" else (P,):
+            assert refusal(shift, pi, given_P) == want
+        seen[want.split(" (")[0] if want else None] += 1
+    assert set(seen) == {
+        None, "P must be row-stochastic", "P supported outside the shift's edges",
+        "pi is not stationary for P",
+    }
 
 
 def test_markov_measure_refuses_empty_cylinders(golden_parry):

@@ -249,6 +249,74 @@ def test_rank_pairs_refuse_a_key_that_overflows_once_packed():
         renewal._ranks(2)
 
 
+def key_space_margins(renewal):
+    """Per depth 2..exact_depth, the pair keys `_ranks` forms less the
+    values they can take: >= 0 is ranked by counting, < 0 by sorting."""
+    margins = []
+    for depth in range(2, renewal.exact_depth + 1):
+        h = 1 << (depth - 1).bit_length() - 1
+        head = oracle.packed_sort_ranks(renewal, h)[:, : h - depth]
+        rest = oracle.packed_sort_ranks(renewal, depth - h)[:, h:]
+        margins.append(head.size - (int(head.max()) + 1) * (int(rest.max()) + 1))
+    return margins
+
+
+def assert_ranks_match_the_packed_sort(renewal):
+    """Ranks and tables at every depth, bit for bit and dtype for dtype,
+    against the packed sort at every depth."""
+    for depth in range(1, renewal.exact_depth + 1):
+        got, want = renewal._ranks(depth), oracle.packed_sort_ranks(renewal, depth)
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+        for got, want in zip(renewal._table(depth), oracle.packed_sort_table(renewal, depth)):
+            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+
+@given(renewal_structures())
+def test_counted_ranks_match_the_packed_sort(renewal):
+    assert_ranks_match_the_packed_sort(renewal)
+
+
+def boundary_code(rng, t, k):
+    """t distinct words of length k over {0, 1, 2} that share their first
+    symbol and nothing more at either end, with a 2 among the first k and
+    among the last k symbols of the contexts (the word, then its first
+    symbol): depth-2 pair keys take 3 * 3 values, from t k pairs."""
+    while True:
+        first = rng.randrange(3)
+        words = {(first,) + tuple(rng.randrange(3) for _ in range(k - 1)) for _ in range(t)}
+        renewal = RenewalStructure(Code(tuple(words)), k)
+        ctx = renewal._contexts
+        if (len(words) == t and renewal.shared_ends == (1, 0)
+                and ctx[:, :-1].max() == ctx[:, 1:].max() == 2):
+            return renewal
+
+
+@pytest.mark.parametrize("t, k, margin", [(2, 5, 1), (3, 3, 0), (2, 4, -1)],
+                         ids=["space-one-below", "space-at", "space-one-above"])
+def test_counted_ranks_at_the_key_count(t, k, margin):
+    renewal = boundary_code(random.Random(t * 10 + k), t, k)
+    assert renewal.exact_depth == 2
+    assert key_space_margins(renewal) == [t * k - 9] == [margin]
+    assert_ranks_match_the_packed_sort(renewal)
+
+
+def test_counted_ranks_match_the_packed_sort_on_the_acceptance_stage():
+    """Stage 1 of the acceptance tower counts some depths (2, 3, 4 and 8
+    among them) and sorts others (16): both ways, bit for bit."""
+    from pathlib import Path
+
+    from shiftflex.config import parse_config
+    from shiftflex.construction import base_stage, build_stage
+
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "full3_acceptance.cfg"
+    rc = parse_config(cfg.read_text())
+    tgt = rc.build_target()
+    renewal = build_stage(base_stage(tgt), tgt, rc.build_schedule(tgt)[0])[0].shift.renewal
+    margins = key_space_margins(renewal)
+    assert all(margins[d - 2] >= 0 for d in (2, 3, 4, 8)) and margins[16 - 2] < 0
+    assert_ranks_match_the_packed_sort(renewal)
+
+
 @st.composite
 def packable_keys(draw):
     """Up to 70 int64 keys inside `_stable_order`'s packed range, with ties

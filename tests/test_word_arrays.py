@@ -181,3 +181,34 @@ def test_enumerated_code_folds_paths_with_one_label_word():
     code = _enumerated_code(prev, words, gamma, (), (), (1,))
     assert code.words == ((0, 0, 0),)
     assert code == oracle.enumerated_code(prev, words, tuples(gamma), (), (), (1,))
+
+
+def test_acceptance_stage_one_makes_no_tuple_per_code_word(monkeypatch):
+    """Building (and verifying) stage 1 of the acceptance tower keeps Γ as
+    one row array: no array of |Γ| code words is turned into tuples, and
+    the code's tuple words are never made."""
+    from pathlib import Path
+
+    import shiftflex.codes as codes
+    import shiftflex.construction as construction
+    import shiftflex.words as words
+    from shiftflex.config import parse_config
+
+    shapes, as_tuples = [], words._as_tuples
+
+    def spy(states):
+        shapes.append(np.shape(states))
+        return as_tuples(states)
+
+    for module in (words, codes, construction):
+        monkeypatch.setattr(module, "_as_tuples", spy, raising=False)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "full3_acceptance.cfg"
+    rc = parse_config(cfg.read_text())
+    tgt = rc.build_target()
+    stage, report = construction.build_stage(
+        construction.base_stage(tgt), tgt, rc.build_schedule(tgt)[0]
+    )
+    code = stage.code
+    assert report.all_pass and report.gamma_size == len(code) == 1466
+    assert shapes and (len(code), code.uniform_length) not in shapes
+    assert "words" not in vars(code)
